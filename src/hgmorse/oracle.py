@@ -7,7 +7,11 @@ Two verifiers, each matched to how the energy enters its equation:
   extrapolation over a doubled grid; and
 * a two-sided RK4 shooting integrator returning the log-derivative mismatch
   at a match point, for the relativistic radial equations where E enters the
-  coefficient nonlinearly.
+  coefficient nonlinearly.  The radial equation is linear in (u, u'), so
+  each RK4 step is an exact 2x2 matrix; the integrator builds them in numpy
+  and multiplies them in fixed-size chunks by a rescaled pairwise ordered
+  product (the associative-scan idea of Blelloch, "Prefix sums and their
+  applications", 1990) instead of stepping in Python.
 
 The oracle consumes the approximate potential and centrifugal callables
 directly and never touches the closed forms it checks.
@@ -31,8 +35,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: n-fold suppression used when truncating the radial domain
 _TAIL_FOLDS = 50.0
 
-#: overflow guard for the shooting state vector
-_RESCALE_AT = 1e100
+#: RK4 steps multiplied into one propagator before it is applied to the
+#: shooting state; bounds the working arrays to a few hundred kB
+_CHUNK_STEPS = 8192
 
 
 @dataclass(frozen=True)
@@ -180,6 +185,41 @@ def oracle_energies(
     return out, err
 
 
+def _rk4_step_matrices(w0: np.ndarray, wh: np.ndarray, w1: np.ndarray, hs: float):
+    """Entries (a, b, c, d) of the one-step maps [[a, b], [c, d]] of classical RK4.
+
+    For y' = [[0, 1], [-W, 0]] y with W sampled at the start (w0), midpoint
+    (wh) and end (w1) of a step of length hs, one RK4 step is exactly linear
+    in y = (u, u'); these are its columns, the step applied to (1, 0) and
+    (0, 1).
+    """
+    q = hs * hs
+    a = 1.0 - q / 6.0 * (w0 + wh * (2.0 - 0.25 * q * w0))
+    b = hs * (1.0 - q / 6.0 * wh)
+    c = -hs / 6.0 * (w0 + wh * (4.0 - 0.5 * q * w0) + w1 * (1.0 - 0.5 * q * wh))
+    d = 1.0 - q / 6.0 * (2.0 * wh + w1 * (1.0 - 0.25 * q * wh))
+    return a, b, c, d
+
+
+def _ordered_product(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray):
+    """Product M[N-1] ... M[1] M[0] of the matrices M[k] = [[a[k], b[k]], [c[k], d[k]]].
+
+    Reduced pairwise, each later matrix times its earlier neighbour, with
+    every partial product divided by its largest entry so that growth over
+    a forbidden region cannot overflow.  Returns the entries as floats, up
+    to that positive scale.
+    """
+    while a.size > 1:
+        if a.size % 2:  # pad an odd count with the identity
+            a, b, c, d = np.append(a, 1.0), np.append(b, 0.0), np.append(c, 0.0), np.append(d, 1.0)
+        a0, b0, c0, d0 = a[0::2], b[0::2], c[0::2], d[0::2]
+        a1, b1, c1, d1 = a[1::2], b[1::2], c[1::2], d[1::2]
+        a, b, c, d = a1 * a0 + b1 * c0, a1 * b0 + b1 * d0, c1 * a0 + d1 * c0, c1 * b0 + d1 * d0
+        scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), np.abs(d)))
+        a, b, c, d = a / scale, b / scale, c / scale, d / scale
+    return float(a[0]), float(b[0]), float(c[0]), float(d[0])
+
+
 def shoot_mismatch(
     ode: Callable[[np.ndarray, float], np.ndarray],
     E: float,
@@ -190,10 +230,13 @@ def shoot_mismatch(
 
     `ode` maps (r array, E) to the coefficient W of u'' + W(r; E) u = 0.
     Integrates rightward from g.r_min and leftward from g.r_max with
-    classical fixed-step RK4 (coefficient sampled on a half-step grid), with
-    joint rescaling of (u, u') to dodge overflow; the log-derivatives are
-    scale invariant.  The mismatch changes sign as E crosses an eigenvalue;
-    it is returned as +inf when a match-point node makes it undefined.
+    classical fixed-step RK4 (coefficient sampled on a half-step grid).  The
+    equation is linear, so every step is an exact 2x2 map of (u, u'); the
+    steps are multiplied together in chunks of _CHUNK_STEPS and each chunk's
+    propagator is applied to the state, with rescaling throughout to dodge
+    overflow; the log-derivatives are scale invariant.  The mismatch changes
+    sign as E crosses an eigenvalue; it is returned as +inf when a
+    match-point node makes it undefined.
     """
     if not (g.r_min < r_match < g.r_max):
         raise InvalidParameter(f"r_match must lie inside the grid, got {r_match!r}")
@@ -224,34 +267,23 @@ def shoot_mismatch(
             return 1.0, p_reg / r0 - w1 / (2.0 * p_reg)
         return 0.0, 1.0
 
-    def integrate(i0: int, i1: int, step: int) -> tuple[float, float]:
-        u, v = launch(step)
-        i = i0
-        hs = step * h
-        while i != i1:
-            w0 = W[2 * i]
-            wh = W[2 * i + step]
-            w1 = W[2 * i + 2 * step]
-            k1u, k1v = v, -w0 * u
-            u2 = u + 0.5 * hs * k1u
-            k2u, k2v = v + 0.5 * hs * k1v, -wh * u2
-            u3 = u + 0.5 * hs * k2u
-            k3u, k3v = v + 0.5 * hs * k2v, -wh * u3
-            u4 = u + hs * k3u
-            k4u, k4v = v + hs * k3v, -w1 * u4
-            u += hs * (k1u + 2.0 * k2u + 2.0 * k3u + k4u) / 6.0
-            v += hs * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
-            m = max(abs(u), abs(v))
-            if m > _RESCALE_AT:
-                u /= m
-                v /= m
+    def integrate(Ws: np.ndarray, steps: int, hs: float, u: float, v: float) -> tuple[float, float]:
+        # step k samples W at Ws[2k], Ws[2k + 1] and Ws[2k + 2]
+        for start in range(0, steps, _CHUNK_STEPS):
+            stop = min(start + _CHUNK_STEPS, steps)
+            a, b, c, d = _ordered_product(*_rk4_step_matrices(
+                Ws[2 * start : 2 * stop : 2], Ws[2 * start + 1 : 2 * stop : 2],
+                Ws[2 * start + 2 : 2 * stop + 1 : 2], hs))
+            u, v = a * u + b * v, c * u + d * v
             if not (math.isfinite(u) and math.isfinite(v)):
                 raise NonConvergence("shooting state became non-finite despite rescaling")
-            i += step
+            m = max(abs(u), abs(v))
+            u, v = u / m, v / m
         return u, v
 
-    u_l, v_l = integrate(0, i_match, +1)
-    u_r, v_r = integrate(n - 1, i_match, -1)
+    u_l, v_l = integrate(W, i_match, h, *launch(+1))
+    # leftward from g.r_max: the same recursion over the reversed samples
+    u_r, v_r = integrate(W[::-1], n - 1 - i_match, -h, *launch(-1))
     if u_l == 0.0 or u_r == 0.0:
         return math.inf
     return v_l / u_l - v_r / u_r

@@ -177,8 +177,9 @@ def norm_identity_note() -> str:
 
 def build_report(rows: list[ReferenceRow], calibrated: Optional[tuple[float, float, float]],
                  a: float, b: float, alpha: float = 0.025, u: UnitConstants = DEFAULT_UNITS,
-                 timestamp: Optional[str] = None, grid: int = 51) -> str:
-    """Deterministic validation report; sha256-signed over its body."""
+                 timestamp: Optional[str] = None, grid: int = 51) -> tuple[str, dict]:
+    """Deterministic validation report, sha256-signed over its body, and the
+    qualitative_gates result it prints."""
     lines: list[str] = []
     if calibrated is not None:
         ca, cb, cdev = calibrated
@@ -213,4 +214,4 @@ def build_report(rows: list[ReferenceRow], calibrated: Optional[tuple[float, flo
     header = ""
     if timestamp:
         header = f"# generated: {timestamp}\n"
-    return f"{header}{body}\nsignature: sha256 {digest}\n"
+    return f"{header}{body}\nsignature: sha256 {digest}\n", gates

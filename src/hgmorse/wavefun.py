@@ -58,7 +58,9 @@ def log_abs_and_sign(w: SWaveform, r: float) -> tuple[float, float]:
     log_pref = sum(math.log(2.0 * w.leading + 1.0 + k) for k in range(w.n)) - math.lgamma(w.n + 1.0)
     if hyp == 0.0:
         return -math.inf, 1.0
-    log_env = w.leading * math.log(s) + w.edge * math.log(one_m_s)
+    # far out in the window s underflows to 0 while log s = -alpha r stays finite
+    log_s = -w.alpha * r if s == 0.0 else math.log(s)
+    log_env = w.leading * log_s + w.edge * math.log(one_m_s)
     return log_env + log_pref + math.log(abs(hyp)), math.copysign(1.0, hyp)
 
 

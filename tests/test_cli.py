@@ -1,6 +1,6 @@
 import json
 
-from hgmorse.cli import main
+from hgmorse.cli import EXIT_CHECK_FAILED, main
 from hgmorse.molecules import builtin_molecules, to_potential_params
 from hgmorse.nonrel import energy_nonrel
 
@@ -72,6 +72,20 @@ def test_levels_exit_3_when_nothing_bound(capsys):
     code, _, err = run(capsys, "levels", "--model", "dirac-pseudospin", "--molecule", "CH",
                        "--a", "1", "--b", "1", "--mass", "500", "--n-max", "1", "--kappa", "1,2")
     assert code == 3
+
+
+def test_levels_kappa_list_parses_space_separated(capsys, ch_unit):
+    from hgmorse.units import CM_INV_TO_EV
+
+    p, part = ch_unit
+    scale = part.mu_energy / 500.0
+    common = ("levels", "--model", "dirac-spin", "--De-cm", str(p.D_e * scale / CM_INV_TO_EV),
+              "--re", "1.1198", "--mu-amu", "1.0", "--a", str(scale), "--b", str(scale),
+              "--mass", "500", "--n-max", "0")
+    code, out, _ = run(capsys, *common, "--kappa", "-1,1,-2")
+    assert code == 0
+    assert [line.split(",")[4] for line in out.strip().splitlines()[1:]] == ["-1", "1", "-2"]
+    assert run(capsys, *common, "--kappa=-1,1,-2") == (code, out, "")
 
 
 def test_potential_curve_output(capsys):
@@ -147,6 +161,15 @@ def test_validate_synthetic_perfect_reference(capsys, tmp_path):
     assert code == 0
     assert "reproduced within 0.005 eV" in out
     assert float(next(l for l in out.splitlines() if l.startswith("overall")).split("=")[1].split()[0]) < 1e-12
+
+
+def test_validate_exit_code_follows_gates(capsys, monkeypatch):
+    import hgmorse.validate as validate_mod
+
+    monkeypatch.setattr(validate_mod, "qualitative_gates",
+                        lambda *args, **kwargs: {"monotone_in_n": True, "hcl_n1_l_ordering": False})
+    code, _, _ = run(capsys, "validate", "--no-timestamp", "--a", "1", "--b", "1")
+    assert code == EXIT_CHECK_FAILED
 
 
 def test_validate_missing_reference(capsys, tmp_path):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hgmorse.errors import GridTooCoarse, InvalidParameter, NonConvergence
+from hgmorse.checks import MASS_MATRIX, pseudospin_params, scaled_params
+from hgmorse.errors import GridTooCoarse, InvalidParameter, NoBoundState, NonConvergence
 from hgmorse.nonrel import energy_nonrel, schrodinger_ode_coefficient
 from hgmorse.oracle import (
     RadialGrid,
@@ -17,7 +18,88 @@ from hgmorse.oracle import (
     shooting_grid,
 )
 from hgmorse.potential import PotentialParams
+from hgmorse.relativistic import (
+    QuantumNumbers,
+    kg_ode_coefficient,
+    pseudospin_ode_coefficient,
+    solve_dirac_pseudospin,
+    solve_dirac_spin,
+    solve_kg_energy,
+    spin_ode_coefficient,
+)
 from hgmorse.rootfind import bisect, scan_brackets
+from hgmorse.units import DEFAULT_UNITS
+
+
+def rk4_reference_mismatch(ode, E, g, r_match):
+    """Step-by-step scalar RK4 version of oracle.shoot_mismatch.
+
+    The reference the chunked propagator products are checked against: the
+    same launch, half-step sampling and mismatch, advanced one step at a time
+    with (u, u') rescaled whenever it passes 1e100.
+    """
+    if not (g.r_min < r_match < g.r_max):
+        raise InvalidParameter(f"r_match must lie inside the grid, got {r_match!r}")
+    n = g.points
+    h = g.spacing
+    i_match = int(round((r_match - g.r_min) / h))
+    i_match = min(max(i_match, 1), n - 2)
+    r_half = np.linspace(g.r_min, g.r_max, 2 * n - 1)
+    W = np.asarray(ode(r_half, E), dtype=float)
+    if not np.all(np.isfinite(W)):
+        raise NonConvergence("ODE coefficient is not finite on the grid")
+
+    def launch(step):
+        if step < 0:
+            return 0.0, -1.0
+        r0, r1 = float(r_half[0]), float(r_half[1])
+        W0, W1 = float(W[0]), float(W[1])
+        c = (W0 * r0 * r0 * r1 - W1 * r1 * r1 * r0) / (r1 - r0)
+        if W0 > 0.0 and 0.0 < c < 0.25:
+            w1 = (W1 * r1 * r1 - W0 * r0 * r0) / (r1 - r0)
+            p_reg = 0.5 + math.sqrt(0.25 - c)
+            return 1.0, p_reg / r0 - w1 / (2.0 * p_reg)
+        return 0.0, 1.0
+
+    def integrate(i0, i1, step):
+        u, v = launch(step)
+        i = i0
+        hs = step * h
+        while i != i1:
+            w0 = W[2 * i]
+            wh = W[2 * i + step]
+            w1 = W[2 * i + 2 * step]
+            k1u, k1v = v, -w0 * u
+            u2 = u + 0.5 * hs * k1u
+            k2u, k2v = v + 0.5 * hs * k1v, -wh * u2
+            u3 = u + 0.5 * hs * k2u
+            k3u, k3v = v + 0.5 * hs * k2v, -wh * u3
+            u4 = u + hs * k3u
+            k4u, k4v = v + hs * k3v, -w1 * u4
+            u += hs * (k1u + 2.0 * k2u + 2.0 * k3u + k4u) / 6.0
+            v += hs * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
+            m = max(abs(u), abs(v))
+            if m > 1e100:
+                u /= m
+                v /= m
+            if not (math.isfinite(u) and math.isfinite(v)):
+                raise NonConvergence("shooting state became non-finite despite rescaling")
+            i += step
+        return u, v
+
+    u_l, v_l = integrate(0, i_match, +1)
+    u_r, v_r = integrate(n - 1, i_match, -1)
+    if u_l == 0.0 or u_r == 0.0:
+        return math.inf
+    return v_l / u_l - v_r / u_r
+
+
+def assert_matches_reference(ode, E, g, r_match):
+    new = shoot_mismatch(ode, E, g, r_match)
+    ref = rk4_reference_mismatch(ode, E, g, r_match)
+    assert math.copysign(1.0, new) == math.copysign(1.0, ref)
+    assert abs(new - ref) <= 1e-4 * abs(ref)
+    return new
 
 
 def box_setup():
@@ -178,3 +260,65 @@ def test_shooting_grid_requires_allowed_region(ch_free):
     W = schrodinger_ode_coefficient(p, part, 0)
     with pytest.raises(NonConvergence):
         shooting_grid(W, -10.0)  # far below the well: nowhere classically allowed
+
+
+def ac3_shooting_cases(p, part, M):
+    """(ode, closed-form E) for every level of the AC-3 shooting matrix at mass M."""
+    hc = DEFAULT_UNITS.hbar_c
+    ps = scaled_params(p, part, M)
+    cases = []
+    for n, l in ((0, 0), (1, 0), (1, 1)):
+        qn = QuantumNumbers(n=n, l=l)
+        cases.append((kg_ode_coefficient(ps, M, qn), solve_kg_energy(ps, M, qn)[0]))
+    for kappa in (1, -2):
+        cases.append((spin_ode_coefficient(ps, M, kappa, 0.0), solve_dirac_spin(ps, M, kappa, 0.0, 1)[0]))
+    pps = pseudospin_params(p, M, hc)
+    for kappa, n in ((1, 0), (1, 1), (2, 0)):
+        try:
+            E = solve_dirac_pseudospin(pps, M, kappa, 0.0, n)[0]
+        except NoBoundState:
+            continue
+        cases.append((pseudospin_ode_coefficient(pps, M, kappa, 0.0), E))
+    return cases
+
+
+@pytest.mark.parametrize("M", MASS_MATRIX)
+def test_propagator_matches_scalar_reference(ch_unit, M):
+    # the product of step propagators rounds in another order than the
+    # scalar loop; signs must agree, values to 1e-4 relative
+    p, part = ch_unit
+    cases = ac3_shooting_cases(p, part, M)
+    assert len(cases) >= 6
+    for ode, E in cases:
+        grid, r_match = shooting_grid(ode, E)
+        for dE in (-1e-3 * M, -1e-8 * M, 1e-8 * M, 1e-3 * M):
+            assert_matches_reference(ode, E + dE, grid, r_match)
+
+
+def test_propagator_matches_reference_on_frobenius_launch():
+    # W ~ c/r^2 with 0 < c < 1/4 at the left end: the regular Frobenius
+    # branch seeds the rightward integration
+    ode = lambda r, E: 0.2 / r**2 + E
+    g = RadialGrid(1e-2, 20.0, 20001)
+    for E in (0.5, 1.0, 2.0):
+        assert_matches_reference(ode, E, g, 10.0)
+
+
+def test_propagator_rescales_through_deep_forbidden_region():
+    # u'' = kappa^2 u grows by e^2000 on each side of the match point, and by
+    # e^819 (past overflow) within one chunk of propagator products
+    kappa = 200.0
+    ode = lambda r, E: np.full_like(r, -E)
+    g = RadialGrid(1e-3, 20.0, 40001)
+    mismatch = assert_matches_reference(ode, kappa**2, g, 10.0)
+    assert mismatch == pytest.approx(2.0 * kappa, rel=1e-6)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_shoot_mismatch_rejects_non_finite_coefficient():
+    g = RadialGrid(0.1, 5.0, 501)
+    with pytest.raises(NonConvergence):
+        shoot_mismatch(lambda r, E: np.where(r > 2.0, np.inf, E), 1.0, g, 1.0)
+    with pytest.raises(NonConvergence):
+        shoot_mismatch(lambda r, E: np.full_like(r, E), -1e300, g, 1.0)

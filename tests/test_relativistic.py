@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from hgmorse.checks import MASS_MATRIX, pseudospin_params
 from hgmorse.errors import InvalidParameter, NoBoundState
 from hgmorse.molecules import builtin_molecules, to_potential_params
 from hgmorse.nonrel import energy_nonrel
@@ -368,6 +369,24 @@ def test_lower_spinor_unit_norm_and_single_node(ch_unit):
     w = SWaveform(spec.leading_exp, spec.edge_exp, 1, pp.alpha)
     assert count_nodes(w, spec.log_norm) == 1
     assert lower_spinor_norm(pp, M, e1, kappa=1, Cps=0.0, n=1).log_closed_form is None
+
+
+def test_pseudospin_n2_states_normalize():
+    # the n = 2 support windows reach alpha*r ~ 840, where s = e^(-alpha r)
+    # underflows to 0 while the envelope's log stays finite
+    found = 0
+    for mol in builtin_molecules():
+        p, _ = to_potential_params(mol, 1.0, 1.0, 0.025)
+        for M in MASS_MATRIX:
+            pp = pseudospin_params(p, M, HBAR_C_EV_ANGSTROM)
+            try:
+                E = solve_dirac_pseudospin(pp, M, kappa=1, Cps=0.0, n=2)[0]
+            except NoBoundState:
+                continue
+            spec = lower_spinor_spec(pp, M, E, kappa=1, Cps=0.0, n=2)
+            assert _unit_norm(spec) == pytest.approx(1.0, abs=1e-6)
+            found += 1
+    assert found == 9
 
 
 def _ode_defect(spec: RelWavefunctionSpec, W, E: float) -> float:
