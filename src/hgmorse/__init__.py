@@ -18,7 +18,6 @@ from .molecules import (
     Molecule,
     builtin_molecules,
     load_molecules,
-    molecule_spectrum_table,
     to_potential_params,
 )
 from .nonrel import (
@@ -57,9 +56,7 @@ from .relativistic import (
     kg_ansatz,
     kg_norm,
     kg_residual,
-    kg_wavefunction,
     lambda_D,
-    lower_spinor,
     pseudospin_ansatz,
     pseudospin_residual,
     solve_dirac_pseudospin,
@@ -67,7 +64,6 @@ from .relativistic import (
     solve_kg_energy,
     spin_ansatz,
     spin_residual,
-    upper_spinor,
 )
 from .rootfind import RootBracket, bisect, scan_brackets
 from .specfun import JacobiParams, hyp2f1_terminating, jacobi_norm_integral, jacobi_poly, ln_gamma, pochhammer

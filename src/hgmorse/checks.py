@@ -20,16 +20,10 @@ from .oracle import mismatch_sign_change, oracle_energies, richardson_extrapolat
 from .potential import PotentialParams
 from .relativistic import (
     QuantumNumbers,
-    kg_ode_coefficient,
-    kg_residual,
     kg_residual_nonrel_limit,
-    pseudospin_ode_coefficient,
-    pseudospin_residual,
-    solve_dirac_pseudospin,
+    model_functions,
     solve_dirac_spin,
     solve_kg_energy,
-    spin_ode_coefficient,
-    spin_residual,
     spin_residual_nonrel_limit,
 )
 from .specfun import JacobiParams, jacobi_norm_integral, jacobi_poly
@@ -86,35 +80,37 @@ def check_oracle_equivalence(mol: Molecule, alpha: float, u: UnitConstants,
             f"molecule={mol.name} max|closed - FD| = {worst:.3g} eV in {time.time() - t0:.1f} s")
 
 
-def check_relativistic_residuals(p: PotentialParams, part: ParticleSpec, u: UnitConstants) -> Check:
+def check_relativistic_residuals(p: PotentialParams, part: ParticleSpec, u: UnitConstants,
+                                 models: list[str]) -> Check:
+    """Residuals and shooting sign flips of the requested relativistic models at every test mass."""
+    hc = u.hbar_c
     worst = 0.0
     flips_ok = True
     found = 0
     for M in MASS_MATRIX:
         ps = scaled_params(p, part, M)
-        for n, l in ((0, 0), (1, 0), (1, 1)):
-            qn = QuantumNumbers(n=n, l=l)
-            E = solve_kg_energy(ps, M, qn, hbar_c=u.hbar_c)[0]
-            worst = max(worst, abs(kg_residual(ps, M, E, qn, u.hbar_c)))
-            flips_ok &= mismatch_sign_change(kg_ode_coefficient(ps, M, qn, u.hbar_c), E, 1e-8 * M)
-            found += 1
-        for kappa, n in ((1, 1), (-2, 1)):
-            E = solve_dirac_spin(ps, M, kappa, 0.0, n, hbar_c=u.hbar_c)[0]
-            worst = max(worst, abs(spin_residual(p=ps, M=M, E=E, kappa=kappa, Cs=0.0, n=n, hbar_c=u.hbar_c)))
-            flips_ok &= mismatch_sign_change(spin_ode_coefficient(ps, M, kappa, 0.0, u.hbar_c), E, 1e-8 * M)
-            found += 1
-        pps = pseudospin_params(p, M, u.hbar_c)
-        ps_found = 0
-        for kappa, n in ((1, 0), (1, 1), (2, 0)):
-            try:
-                E = solve_dirac_pseudospin(pps, M, kappa, 0.0, n, hbar_c=u.hbar_c)[0]
-            except NoBoundState:
+        # (model, parameters, states, how many must bind): pseudospin states
+        # may be unbound, but one must bind at each mass
+        cases = (
+            ("kg", ps, [(QuantumNumbers(n=n, l=l),) for n, l in ((0, 0), (1, 0), (1, 1))], 3),
+            ("dirac-spin", ps, [(1, 0.0, 1), (-2, 0.0, 1)], 2),
+            ("dirac-pseudospin", pseudospin_params(p, M, hc), [(1, 0.0, 0), (1, 0.0, 1), (2, 0.0, 0)], 1),
+        )
+        for model, params, states, need in cases:
+            if model not in models:
                 continue
-            worst = max(worst, abs(pseudospin_residual(pps, M, E, kappa, 0.0, n, u.hbar_c)))
-            flips_ok &= mismatch_sign_change(pseudospin_ode_coefficient(pps, M, kappa, 0.0, u.hbar_c), E, 1e-8 * M)
-            ps_found += 1
-        found += ps_found
-        flips_ok &= ps_found >= 1
+            solve, residual, _, ode = model_functions(model)
+            bound = 0
+            for state in states:
+                try:
+                    E = solve(params, M, *state, hbar_c=hc)[0]
+                except NoBoundState:
+                    continue
+                worst = max(worst, abs(residual(params, M, E, *state, hbar_c=hc)))
+                flips_ok &= mismatch_sign_change(ode(params, M, *state, hbar_c=hc), E, 1e-8 * M)
+                bound += 1
+            found += bound
+            flips_ok &= bound >= need
     ok = worst <= 1e-9 and flips_ok
     return ("relativistic-residuals", ok,
             f"{found} levels, max|residual| = {worst:.2g}, shooting flips within 1e-8*M: {flips_ok}")
@@ -218,7 +214,9 @@ def run_checks(molecules: list[Molecule], models: list[str], alpha: float, u: Un
         out.append(check_box_self_test(base_part))
         out.append(check_special_functions())
         out.append(check_normalization(base_params, base_part))
-    if any(name in models for name in ("kg", "dirac-spin", "dirac-pseudospin")):
-        out.append(check_relativistic_residuals(base_params, base_part, u))
+    relativistic = [name for name in models if name != "nonrel"]
+    if relativistic:
+        out.append(check_relativistic_residuals(base_params, base_part, u, relativistic))
+    if "kg" in models or "dirac-spin" in models:
         out.append(check_cross_identities(base_params, base_part, u))
     return out

@@ -23,18 +23,7 @@ from .errors import GridTooCoarse, InvalidParameter, NoBoundState, ParseError, S
 from .molecules import Molecule, find_molecule, load_molecules, to_potential_params
 from .nonrel import ParticleSpec, energy_nonrel, level_indices, spectrum_table
 from .potential import PotentialParams, potential_curve
-from .relativistic import (
-    QuantumNumbers,
-    kg_printed_eq_residual,
-    kg_residual,
-    pseudospin_printed_eq_residual,
-    pseudospin_residual,
-    solve_dirac_pseudospin,
-    solve_dirac_spin,
-    solve_kg_energy,
-    spin_printed_eq_residual,
-    spin_residual,
-)
+from .relativistic import QuantumNumbers, model_functions
 from .units import UnitConstants, read_config
 
 EXIT_OK = 0
@@ -89,7 +78,42 @@ def _parse_kappas(text: str) -> list[int]:
         raise InvalidParameter(f"bad --kappa list {text!r}") from exc
     if not kappas or any(k == 0 for k in kappas):
         raise InvalidParameter("kappa list must be nonzero integers")
+    if len(set(kappas)) != len(kappas):
+        raise InvalidParameter(f"repeated value in --kappa list {text!r}")
     return kappas
+
+
+def _relativistic_levels(args, p: PotentialParams, hbar_c: float):
+    """Solve each requested state of a relativistic model, in output order.
+
+    Yields (labels, energies, defects): labels holds the n, l, kappa and D
+    columns, energies is None when the state has no bound level, and
+    defects(E) gives the (residual, cross_check_residual) pair of a root.
+    """
+    solve, residual, printed, _ = model_functions(args.model)
+    M = args.mass
+    opts = {"scan_points": args.scan_points, "tol": args.tol, "hbar_c": hbar_c}
+    if args.model == "kg":
+        l_max = args.n_max if args.l_max is None else args.l_max
+        states = [({"n": n, "l": l, "kappa": None, "D": args.dimension},
+                   (QuantumNumbers(n=n, l=l, D=args.dimension),))
+                  for n, l in level_indices(args.n_max, l_max, args.rectangular)]
+    else:
+        C = args.cs if args.model == "dirac-spin" else args.cps
+        kappas = _parse_kappas(args.kappa)
+        opts["all_roots"] = args.all_roots
+        states = [({"n": n, "l": None, "kappa": kappa, "D": None}, (kappa, C, n))
+                  for n in range(args.n_max + 1) for kappa in kappas]
+    for labels, state in states:
+        try:
+            energies = solve(p, M, *state, **opts)
+        except NoBoundState:
+            energies = None
+
+        def defects(E: float, state=state) -> tuple[Optional[float], float]:
+            return residual(p, M, E, *state, hbar_c=hbar_c), printed(p, M, E, *state, hbar_c=hbar_c)
+
+        yield labels, energies, defects
 
 
 def cmd_levels(args, out) -> int:
@@ -113,59 +137,16 @@ def cmd_levels(args, out) -> int:
     else:
         if args.mass is None:
             raise InvalidParameter(f"--mass is required for model {args.model!r}")
-        M = args.mass
-        hc = units.hbar_c
-        if args.model == "kg":
-            for n, l in level_indices(args.n_max, l_max, args.rectangular):
-                qn = QuantumNumbers(n=n, l=l, D=args.dimension)
-                try:
-                    for E in solve_kg_energy(params, M, qn, scan_points=args.scan_points, tol=args.tol, hbar_c=hc):
-                        rows.append({
-                            "molecule": name, "model": "kg", "n": n, "l": l, "kappa": None,
-                            "D": args.dimension, "E_eV": E, "oracle_E_eV": None, "abs_dev_eV": None,
-                            "residual": kg_residual(params, M, E, qn, hc),
-                            "cross_check_residual": kg_printed_eq_residual(params, M, E, qn, hc),
-                            "status": "ok",
-                        })
-                    any_ok = True
-                except NoBoundState:
-                    rows.append({
-                        "molecule": name, "model": "kg", "n": n, "l": l, "kappa": None,
-                        "D": args.dimension, "E_eV": None, "oracle_E_eV": None, "abs_dev_eV": None,
-                        "residual": None, "cross_check_residual": None, "status": "no_bound_state",
-                    })
-        else:
-            is_spin = args.model == "dirac-spin"
-            solver = solve_dirac_spin if is_spin else solve_dirac_pseudospin
-            Cx = args.cs if is_spin else args.cps
-            for n in range(args.n_max + 1):
-                for kappa in _parse_kappas(args.kappa):
-                    try:
-                        energies = solver(
-                            params, M, kappa, Cx, n,
-                            scan_points=args.scan_points, tol=args.tol,
-                            all_roots=args.all_roots, hbar_c=hc,
-                        )
-                    except NoBoundState:
-                        rows.append({
-                            "molecule": name, "model": args.model, "n": n, "l": None, "kappa": kappa,
-                            "D": None, "E_eV": None, "oracle_E_eV": None, "abs_dev_eV": None,
-                            "residual": None, "cross_check_residual": None, "status": "no_bound_state",
-                        })
-                        continue
-                    any_ok = True
-                    for E in energies:
-                        if is_spin:
-                            res = spin_residual(params, M, E, kappa, Cx, n, hc)
-                            cross = spin_printed_eq_residual(params, M, E, kappa, Cx, n, hc)
-                        else:
-                            res = pseudospin_residual(params, M, E, kappa, Cx, n, hc)
-                            cross = pseudospin_printed_eq_residual(params, M, E, kappa, Cx, n, hc)
-                        rows.append({
-                            "molecule": name, "model": args.model, "n": n, "l": None, "kappa": kappa,
-                            "D": None, "E_eV": E, "oracle_E_eV": None, "abs_dev_eV": None,
-                            "residual": res, "cross_check_residual": cross, "status": "ok",
-                        })
+        for labels, energies, defects in _relativistic_levels(args, params, units.hbar_c):
+            row = {"molecule": name, "model": args.model, **labels, "oracle_E_eV": None, "abs_dev_eV": None}
+            if energies is None:
+                rows.append({**row, "E_eV": None, "residual": None, "cross_check_residual": None,
+                             "status": "no_bound_state"})
+                continue
+            any_ok = True
+            for E in energies:
+                res, cross = defects(E)
+                rows.append({**row, "E_eV": E, "residual": res, "cross_check_residual": cross, "status": "ok"})
     if not any_ok:
         print("no bound states for any requested level", file=sys.stderr)
         return EXIT_NO_BOUND_STATE
@@ -206,37 +187,6 @@ def cmd_potential(args, out) -> int:
     return EXIT_OK
 
 
-def _sweep_states(args, p_i: PotentialParams, part_i: ParticleSpec, units, pairs):
-    """(n, second-label, E-or-None, status) for every requested state."""
-    out = []
-    if args.model == "nonrel":
-        for n, l in pairs:
-            out.append((n, l, energy_nonrel(p_i, part_i, n, l), "ok"))
-        return out
-    M = args.mass
-    if args.model == "kg":
-        for n, l in pairs:
-            try:
-                E = solve_kg_energy(p_i, M, QuantumNumbers(n=n, l=l, D=args.dimension),
-                                    scan_points=args.scan_points, tol=args.tol, hbar_c=units.hbar_c)[0]
-                out.append((n, l, E, "ok"))
-            except NoBoundState:
-                out.append((n, l, None, "no_bound_state"))
-        return out
-    is_spin = args.model == "dirac-spin"
-    solver = solve_dirac_spin if is_spin else solve_dirac_pseudospin
-    Cx = args.cs if is_spin else args.cps
-    for n in range(args.n_max + 1):
-        for kappa in _parse_kappas(args.kappa):
-            try:
-                E = solver(p_i, M, kappa, Cx, n, scan_points=args.scan_points,
-                           tol=args.tol, all_roots=args.all_roots, hbar_c=units.hbar_c)[0]
-                out.append((n, kappa, E, "ok"))
-            except NoBoundState:
-                out.append((n, kappa, None, "no_bound_state"))
-    return out
-
-
 def cmd_sweep(args, out) -> int:
     name, params, part, units = _load_setup(args)
     if args.steps < 2:
@@ -246,10 +196,8 @@ def cmd_sweep(args, out) -> int:
     values = np.linspace(args.start, args.stop, args.steps)
     l_max = args.n_max if args.l_max is None else args.l_max
     if args.model in ("nonrel", "kg"):
-        pairs = level_indices(args.n_max, l_max, args.rectangular)
-        keys = pairs
+        keys = level_indices(args.n_max, l_max, args.rectangular)
     else:
-        pairs = None
         keys = [(n, kappa) for n in range(args.n_max + 1) for kappa in _parse_kappas(args.kappa)]
     rows = []
     series: dict[tuple[int, int], list[float]] = {key: [] for key in keys}
@@ -273,8 +221,14 @@ def cmd_sweep(args, out) -> int:
                 rows.append((float(value), key[0], key[1], None, "invalid_parameter"))
                 series[key].append(math.nan)
             continue
-        part_i = ParticleSpec(mu, units.hbar_c)
-        for n, second, E, status in _sweep_states(args, p_i, part_i, units, pairs):
+        if args.model == "nonrel":
+            part_i = ParticleSpec(mu, units.hbar_c)
+            states = [(n, l, energy_nonrel(p_i, part_i, n, l), "ok") for n, l in keys]
+        else:
+            states = [(labels["n"], labels["l"] if labels["kappa"] is None else labels["kappa"],
+                       None if energies is None else energies[0], "ok" if energies else "no_bound_state")
+                      for labels, energies, _ in _relativistic_levels(args, p_i, units.hbar_c)]
+        for n, second, E, status in states:
             rows.append((float(value), n, second, E, status))
             series[(n, second)].append(E if E is not None else math.nan)
     second_label = "l" if args.model in ("nonrel", "kg") else "kappa"

@@ -116,11 +116,3 @@ def to_potential_params(
     part = ParticleSpec(mu_energy=amu_to_mass_energy(m.mu_amu, u), hbar_c=u.hbar_c)
     return params, part
 
-
-def molecule_spectrum_table(m: Molecule, a: float, b: float, alpha: float, n_max: int, l_max: int,
-                            u: UnitConstants = DEFAULT_UNITS, **kwargs):
-    """Spectrum table straight from a molecule record (see nonrel.spectrum_table)."""
-    from .nonrel import spectrum_table
-
-    params, part = to_potential_params(m, a, b, alpha, u)
-    return spectrum_table(m.name, params, part, n_max, l_max, **kwargs)

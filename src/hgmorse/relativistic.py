@@ -22,6 +22,13 @@ N <= 0 for the bracket numerator N (equivalently the pre-squared relation
 solvers drop the rest.  Every accepted root can be cross-checked by the
 shooting oracle on the corresponding radial equation.
 
+Each equation is described once, as a private sector record: its field
+builder at energy E (None where the equation's scale factor is not
+positive), its branch filter, its printed-equation residual, its ODE
+coefficient and its closed-form log norm, if any.  One solver, one residual
+and one spec/norm builder serve all three sectors; the public functions are
+one-call wrappers over them.
+
 The fully expanded printed variants of the three eigenvalue equations carry
 typesetting defects (a dropped coupling term, a sign flip, a missing 1/4);
 they are evaluated here only as logged cross-checks, never solved.
@@ -87,11 +94,14 @@ class _NUFields:
     gamma: float
 
 
-def _nu_eval(f: _NUFields, n: int) -> Optional[tuple[float, float, float]]:
+def _nu_eval(f: Optional[_NUFields], n: int) -> Optional[tuple[float, float, float]]:
     """(normalized residual, bracket numerator N, denominator P) or None.
 
-    None marks a domain hole: negative radicand 1/4 + phi + gamma.
+    None marks a domain hole: no fields (a scale factor <= 0) or a negative
+    radicand 1/4 + phi + gamma.
     """
+    if f is None:
+        return None
     radicand = 0.25 + f.phi + f.gamma
     if radicand < 0.0:
         return None
@@ -157,18 +167,23 @@ def kg_ansatz(
     )
 
 
-def _kg_fields(ans: KGAnsatz) -> _NUFields:
-    return _NUFields(-ans.eps, ans.beta, ans.eta, ans.chi, ans.kg_phi, ans.gamma_rot)
+def _kg_fields(
+    p: PotentialParams, M: float, qn: QuantumNumbers, hbar_c: float
+) -> Callable[[float], Optional[_NUFields]]:
+    def at(E: float) -> Optional[_NUFields]:
+        if (E + M) / hbar_c**2 <= 0.0:
+            return None
+        ans = kg_ansatz(p, M, E, qn, hbar_c)
+        return _NUFields(-ans.eps, ans.beta, ans.eta, ans.chi, ans.kg_phi, ans.gamma_rot)
+
+    return at
 
 
 def kg_residual(
     p: PotentialParams, M: float, E: float, qn: QuantumNumbers, hbar_c: float = HBAR_C_EV_ANGSTROM
 ) -> Optional[float]:
     """Normalized quantization defect at E; None on a domain hole."""
-    if (E + M) / hbar_c**2 <= 0.0:
-        return None
-    out = _nu_eval(_kg_fields(kg_ansatz(p, M, E, qn, hbar_c)), qn.n)
-    return None if out is None else out[0]
+    return _residual(_KG, p, M, E, (qn,), qn.n, hbar_c)
 
 
 def kg_residual_nonrel_limit(p: PotentialParams, part: ParticleSpec, E_nl: float, n: int, l: int) -> float:
@@ -259,8 +274,16 @@ def spin_ansatz(
     )
 
 
-def _spin_fields(ans: SpinAnsatz) -> _NUFields:
-    return _NUFields(ans.gamma1, ans.delta1, ans.delta2, ans.delta0, ans.gamma0, ans.beta1)
+def _spin_fields(
+    p: PotentialParams, M: float, kappa: int, Cs: float, n: int, hbar_c: float
+) -> Callable[[float], Optional[_NUFields]]:
+    def at(E: float) -> Optional[_NUFields]:
+        if (M + E - Cs) / hbar_c**2 <= 0.0:
+            return None
+        ans = spin_ansatz(p, M, E, kappa, Cs, hbar_c)
+        return _NUFields(ans.gamma1, ans.delta1, ans.delta2, ans.delta0, ans.gamma0, ans.beta1)
+
+    return at
 
 
 def spin_residual(
@@ -277,10 +300,7 @@ def spin_residual(
     At Cs = 0 with kappa(kappa+1) = l(l+1) this function is float-identical
     to kg_residual at D = 3.
     """
-    if (M + E - Cs) / hbar_c**2 <= 0.0:
-        return None
-    out = _nu_eval(_spin_fields(spin_ansatz(p, M, E, kappa, Cs, hbar_c)), n)
-    return None if out is None else out[0]
+    return _residual(_SPIN, p, M, E, (kappa, Cs, n), n, hbar_c)
 
 
 def spin_residual_nonrel_limit(p: PotentialParams, part: ParticleSpec, E_nl: float, n: int, l: int) -> float:
@@ -363,10 +383,18 @@ def pseudospin_ansatz(
     )
 
 
-def _pseudospin_fields(ans: PseudospinAnsatz) -> _NUFields:
-    # the difference potential enters the lower-spinor equation with the
-    # opposite sign, flipping every coupling field relative to the spin case
-    return _NUFields(ans.chi0, -ans.chi1, -ans.chi2, -ans.theta2, -ans.theta1, ans.lambda1)
+def _pseudospin_fields(
+    p: PotentialParams, M: float, kappa: int, Cps: float, n: int, hbar_c: float
+) -> Callable[[float], Optional[_NUFields]]:
+    def at(E: float) -> Optional[_NUFields]:
+        if (M - E + Cps) / hbar_c**2 <= 0.0:
+            return None
+        ans = pseudospin_ansatz(p, M, E, kappa, Cps, hbar_c)
+        # the difference potential enters the lower-spinor equation with the
+        # opposite sign, flipping every coupling field relative to the spin case
+        return _NUFields(ans.chi0, -ans.chi1, -ans.chi2, -ans.theta2, -ans.theta1, ans.lambda1)
+
+    return at
 
 
 def pseudospin_residual(
@@ -385,10 +413,7 @@ def pseudospin_residual(
     drive it negative on most of the energy axis, which is the supercritical
     1/r^2 collapse region where no bound state exists.
     """
-    if (M - E + Cps) / hbar_c**2 <= 0.0:
-        return None
-    out = _nu_eval(_pseudospin_fields(pseudospin_ansatz(p, M, E, kappa, Cps, hbar_c)), n)
-    return None if out is None else out[0]
+    return _residual(_PSEUDOSPIN, p, M, E, (kappa, Cps, n), n, hbar_c)
 
 
 def pseudospin_printed_eq_residual(
@@ -442,19 +467,27 @@ def default_search_interval(p: PotentialParams, M: float) -> tuple[float, float]
     return lo, hi
 
 
-def _solve_quantization(
-    evaluate: Callable[[float], Optional[tuple[float, float, float]]],
-    lo: float,
-    hi: float,
-    scan_points: int,
-    tol: float,
-) -> list[tuple[float, float]]:
-    """Scan + bisect + filter; returns ascending (root, residual) pairs.
+def _solve(
+    sector: _Sector, p: PotentialParams, M: float, state: tuple, n: int, search_lo: Optional[float],
+    search_hi: Optional[float], scan_points: int, tol: float, all_roots: bool, hbar_c: float,
+) -> list[float]:
+    """All levels of one state in the search window, ascending.
 
-    Rejects pole brackets (|f| grows under bisection, e.g. across a
-    scale-factor zero) and squared-equation artifacts (bracket numerator
-    N > 0 at the root).
+    Scans and bisects the normalized residual, then rejects pole brackets
+    (|f| grows under bisection, e.g. across a scale-factor zero),
+    squared-equation artifacts (bracket numerator N > 0 at the root) and,
+    unless all_roots, roots off the sector's branch.  Raises NoBoundState
+    when no root is left; for each root the compact and the printed
+    expanded equation defects are logged.
     """
+    lo, hi = default_search_interval(p, M)
+    lo = lo if search_lo is None else search_lo
+    hi = hi if search_hi is None else search_hi
+
+    fields = sector.fields(p, M, *state, hbar_c)
+
+    def evaluate(E: float) -> Optional[tuple[float, float, float]]:
+        return _nu_eval(fields(E), n)
 
     def f(E: float) -> Optional[float]:
         out = evaluate(E)
@@ -491,7 +524,23 @@ def _solve_quantization(
         if hit is not None:
             roots.append(hit)
     roots.sort(key=lambda pair: pair[0])
-    return roots
+    if not all_roots:
+        roots = [(E, r) for E, r in roots if sector.keep(E)]
+    if not roots:
+        raise NoBoundState(f"no {sector.noun} level in [{lo!r}, {hi!r}] for {sector.describe(*state)}")
+    for E, res in roots:
+        log.debug(
+            "%s root E=%.12g residual=%.3g printed-form defect=%.3g",
+            sector.noun, E, res, sector.printed(p, M, E, *state, hbar_c),
+        )
+    return [E for E, _ in roots]
+
+
+def _residual(
+    sector: _Sector, p: PotentialParams, M: float, E: float, state: tuple, n: int, hbar_c: float
+) -> Optional[float]:
+    out = _nu_eval(sector.fields(p, M, *state, hbar_c)(E), n)
+    return None if out is None else out[0]
 
 
 def solve_kg_energy(
@@ -509,24 +558,7 @@ def solve_kg_energy(
     Raises NoBoundState when the window contains no genuine root.  For each
     root the compact and the printed expanded equation defects are logged.
     """
-    lo, hi = default_search_interval(p, M)
-    lo = lo if search_lo is None else search_lo
-    hi = hi if search_hi is None else search_hi
-
-    def evaluate(E: float):
-        if (E + M) / hbar_c**2 <= 0.0:
-            return None
-        return _nu_eval(_kg_fields(kg_ansatz(p, M, E, qn, hbar_c)), qn.n)
-
-    roots = _solve_quantization(evaluate, lo, hi, scan_points, tol)
-    if not roots:
-        raise NoBoundState(f"no Klein-Gordon level in [{lo!r}, {hi!r}] for {qn!r}")
-    for E, res in roots:
-        log.debug(
-            "KG root E=%.12g residual=%.3g printed-form defect=%.3g",
-            E, res, kg_printed_eq_residual(p, M, E, qn, hbar_c),
-        )
-    return [E for E, _ in roots]
+    return _solve(_KG, p, M, (qn,), qn.n, search_lo, search_hi, scan_points, tol, False, hbar_c)
 
 
 def solve_dirac_spin(
@@ -543,26 +575,7 @@ def solve_dirac_spin(
     hbar_c: float = HBAR_C_EV_ANGSTROM,
 ) -> list[float]:
     """Spin-symmetry levels; positive-energy branch unless all_roots."""
-    lo, hi = default_search_interval(p, M)
-    lo = lo if search_lo is None else search_lo
-    hi = hi if search_hi is None else search_hi
-
-    def evaluate(E: float):
-        if (M + E - Cs) / hbar_c**2 <= 0.0:
-            return None
-        return _nu_eval(_spin_fields(spin_ansatz(p, M, E, kappa, Cs, hbar_c)), n)
-
-    roots = _solve_quantization(evaluate, lo, hi, scan_points, tol)
-    if not all_roots:
-        roots = [(E, r) for E, r in roots if E > 0.0]
-    if not roots:
-        raise NoBoundState(f"no spin-symmetry level in [{lo!r}, {hi!r}] for kappa={kappa!r}, n={n!r}")
-    for E, res in roots:
-        log.debug(
-            "spin root E=%.12g residual=%.3g printed-form defect=%.3g",
-            E, res, spin_printed_eq_residual(p, M, E, kappa, Cs, n, hbar_c),
-        )
-    return [E for E, _ in roots]
+    return _solve(_SPIN, p, M, (kappa, Cs, n), n, search_lo, search_hi, scan_points, tol, all_roots, hbar_c)
 
 
 def solve_dirac_pseudospin(
@@ -579,26 +592,7 @@ def solve_dirac_pseudospin(
     hbar_c: float = HBAR_C_EV_ANGSTROM,
 ) -> list[float]:
     """Pseudospin-symmetry levels; negative-energy branch unless all_roots."""
-    lo, hi = default_search_interval(p, M)
-    lo = lo if search_lo is None else search_lo
-    hi = hi if search_hi is None else search_hi
-
-    def evaluate(E: float):
-        if (M - E + Cps) / hbar_c**2 <= 0.0:
-            return None
-        return _nu_eval(_pseudospin_fields(pseudospin_ansatz(p, M, E, kappa, Cps, hbar_c)), n)
-
-    roots = _solve_quantization(evaluate, lo, hi, scan_points, tol)
-    if not all_roots:
-        roots = [(E, r) for E, r in roots if E < 0.0]
-    if not roots:
-        raise NoBoundState(f"no pseudospin level in [{lo!r}, {hi!r}] for kappa={kappa!r}, n={n!r}")
-    for E, res in roots:
-        log.debug(
-            "pseudospin root E=%.12g residual=%.3g printed-form defect=%.3g",
-            E, res, pseudospin_printed_eq_residual(p, M, E, kappa, Cps, n, hbar_c),
-        )
-    return [E for E, _ in roots]
+    return _solve(_PSEUDOSPIN, p, M, (kappa, Cps, n), n, search_lo, search_hi, scan_points, tol, all_roots, hbar_c)
 
 
 # ---------------------------------------------------------------------------
@@ -625,53 +619,40 @@ def rel_radial_value(spec: RelWavefunctionSpec, r: float) -> float:
     return wavefun.value(spec._waveform(), spec.log_norm, r)
 
 
-def _build_spec(fields: _NUFields, n: int, alpha: float) -> RelWavefunctionSpec:
+def _build_spec(
+    sector: _Sector, p: PotentialParams, M: float, E: float, state: tuple, n: int, hbar_c: float
+) -> RelWavefunctionSpec:
+    fields = sector.fields(p, M, *state, hbar_c)(E)
+    if fields is None:
+        raise NoBoundState(f"{sector.noun} scale factor is not positive at E={E!r}")
     leading, edge = _bound_exponents(fields)
-    w = wavefun.SWaveform(leading, edge, n, alpha)
-    return RelWavefunctionSpec(leading, edge, n, alpha, wavefun.log_norm_quadrature(w))
+    w = wavefun.SWaveform(leading, edge, n, p.alpha)
+    return RelWavefunctionSpec(leading, edge, n, p.alpha, wavefun.log_norm_quadrature(w))
+
+
+def _norm(
+    sector: _Sector, p: PotentialParams, M: float, E: float, state: tuple, n: int, hbar_c: float
+) -> NormalizationResult:
+    """Quadrature norm plus the sector's closed form, if it has one."""
+    spec = _build_spec(sector, p, M, E, state, n, hbar_c)
+    closed = None
+    if sector.log_norm_closed is not None:
+        closed = sector.log_norm_closed(spec.leading_exp, spec.edge_exp, n, p.alpha)
+    return NormalizationResult(log_quadrature=spec.log_norm, log_closed_form=closed)
 
 
 def kg_wavefunction_spec(
     p: PotentialParams, M: float, E: float, qn: QuantumNumbers, hbar_c: float = HBAR_C_EV_ANGSTROM
 ) -> RelWavefunctionSpec:
     """Quadrature-normalized Klein-Gordon radial component at a bound E."""
-    return _build_spec(_kg_fields(kg_ansatz(p, M, E, qn, hbar_c)), qn.n, p.alpha)
-
-
-def kg_wavefunction(
-    p: PotentialParams, M: float, E: float, qn: QuantumNumbers, r: float, hbar_c: float = HBAR_C_EV_ANGSTROM
-) -> float:
-    """Convenience single-point evaluation (builds the spec each call)."""
-    return rel_radial_value(kg_wavefunction_spec(p, M, E, qn, hbar_c), r)
+    return _build_spec(_KG, p, M, E, (qn,), qn.n, hbar_c)
 
 
 def kg_norm(
     p: PotentialParams, M: float, E: float, qn: QuantumNumbers, hbar_c: float = HBAR_C_EV_ANGSTROM
 ) -> NormalizationResult:
-    """Quadrature norm plus the printed closed form (undefined symbol read as A).
-
-    The printed constant references Gamma(lambda + n) with lambda undefined;
-    it is evaluated with lambda -> A = 2*leading_exp and logged.  None is
-    returned for the closed form when A <= 1 makes its (A-1) factor
-    nonpositive.
-    """
-    fields = _kg_fields(kg_ansatz(p, M, E, qn, hbar_c))
-    leading, edge = _bound_exponents(fields)
-    w = wavefun.SWaveform(leading, edge, qn.n, p.alpha)
-    log_quad = wavefun.log_norm_quadrature(w)
-    A = 2.0 * leading
-    d = edge - 0.5
-    closed: Optional[float] = None
-    if A > 1.0:
-        closed = 0.5 * (
-            ln_gamma(qn.n + 1.0)
-            + math.log(p.alpha)
-            + math.log(A - 1.0)
-            + ln_gamma(A + d + qn.n + 1.0)
-            - ln_gamma(A + qn.n)
-            - ln_gamma(d + qn.n + 2.0)
-        )
-    return NormalizationResult(log_quadrature=log_quad, log_closed_form=closed)
+    """Quadrature norm plus the printed closed form, None when its (A-1) factor is nonpositive."""
+    return _norm(_KG, p, M, E, (qn,), qn.n, hbar_c)
 
 
 def upper_spinor_spec(
@@ -679,14 +660,7 @@ def upper_spinor_spec(
     hbar_c: float = HBAR_C_EV_ANGSTROM,
 ) -> RelWavefunctionSpec:
     """Quadrature-normalized upper-spinor radial component F(r)."""
-    return _build_spec(_spin_fields(spin_ansatz(p, M, E, kappa, Cs, hbar_c)), n, p.alpha)
-
-
-def upper_spinor(
-    p: PotentialParams, M: float, E: float, kappa: int, Cs: float, n: int, r: float,
-    hbar_c: float = HBAR_C_EV_ANGSTROM,
-) -> float:
-    return rel_radial_value(upper_spinor_spec(p, M, E, kappa, Cs, n, hbar_c), r)
+    return _build_spec(_SPIN, p, M, E, (kappa, Cs, n), n, hbar_c)
 
 
 def upper_spinor_norm(
@@ -694,41 +668,23 @@ def upper_spinor_norm(
     hbar_c: float = HBAR_C_EV_ANGSTROM,
 ) -> NormalizationResult:
     """Quadrature norm plus the logged closed-form constant (exact at n = 0)."""
-    fields = _spin_fields(spin_ansatz(p, M, E, kappa, Cs, hbar_c))
-    leading, edge = _bound_exponents(fields)
-    w = wavefun.SWaveform(leading, edge, n, p.alpha)
-    return NormalizationResult(
-        log_quadrature=wavefun.log_norm_quadrature(w),
-        log_closed_form=log_norm_closed_form(leading, edge, n, p.alpha),
-    )
+    return _norm(_SPIN, p, M, E, (kappa, Cs, n), n, hbar_c)
 
 
 def lower_spinor_spec(
     p: PotentialParams, M: float, E: float, kappa: int, Cps: float = 0.0, n: int = 0,
     hbar_c: float = HBAR_C_EV_ANGSTROM,
 ) -> RelWavefunctionSpec:
-    """Quadrature-normalized lower-spinor radial component G(r).
-
-    No closed-form constant exists for this branch; quadrature only.
-    """
-    return _build_spec(_pseudospin_fields(pseudospin_ansatz(p, M, E, kappa, Cps, hbar_c)), n, p.alpha)
-
-
-def lower_spinor(
-    p: PotentialParams, M: float, E: float, kappa: int, Cps: float, n: int, r: float,
-    hbar_c: float = HBAR_C_EV_ANGSTROM,
-) -> float:
-    return rel_radial_value(lower_spinor_spec(p, M, E, kappa, Cps, n, hbar_c), r)
+    """Quadrature-normalized lower-spinor radial component G(r)."""
+    return _build_spec(_PSEUDOSPIN, p, M, E, (kappa, Cps, n), n, hbar_c)
 
 
 def lower_spinor_norm(
     p: PotentialParams, M: float, E: float, kappa: int, Cps: float = 0.0, n: int = 0,
     hbar_c: float = HBAR_C_EV_ANGSTROM,
 ) -> NormalizationResult:
-    fields = _pseudospin_fields(pseudospin_ansatz(p, M, E, kappa, Cps, hbar_c))
-    leading, edge = _bound_exponents(fields)
-    w = wavefun.SWaveform(leading, edge, n, p.alpha)
-    return NormalizationResult(log_quadrature=wavefun.log_norm_quadrature(w), log_closed_form=None)
+    """Quadrature norm; no closed-form constant exists for this branch."""
+    return _norm(_PSEUDOSPIN, p, M, E, (kappa, Cps, n), n, hbar_c)
 
 
 # ---------------------------------------------------------------------------
@@ -771,3 +727,93 @@ def pseudospin_ode_coefficient(
         return -(M + E - potential_approx(p, r)) * (M - E + Cps) / hc2 - centrifugal_approx(p.alpha, r, lam1)
 
     return W
+
+
+# ---------------------------------------------------------------------------
+# sector records
+# ---------------------------------------------------------------------------
+
+
+def _kg_log_norm_closed(leading: float, edge: float, n: int, alpha: float) -> Optional[float]:
+    """The printed Klein-Gordon closed-form log norm (undefined symbol read as A).
+
+    The printed constant references Gamma(lambda + n) with lambda undefined;
+    it is evaluated with lambda -> A = 2*leading_exp and logged.  None when
+    A <= 1 makes its (A-1) factor nonpositive.
+    """
+    A = 2.0 * leading
+    if A <= 1.0:
+        return None
+    d = edge - 0.5
+    return 0.5 * (
+        ln_gamma(n + 1.0)
+        + math.log(alpha)
+        + math.log(A - 1.0)
+        + ln_gamma(A + d + n + 1.0)
+        - ln_gamma(A + n)
+        - ln_gamma(d + n + 2.0)
+    )
+
+
+@dataclass(frozen=True)
+class _Sector:
+    """One relativistic wave equation over the shared quantization core.
+
+    A state is the tuple of labels the equation's public functions take
+    after (p, M[, E]): (qn,) for Klein-Gordon and (kappa, C, n) for the
+    Dirac sectors, C being the spin or pseudospin constant.  fields,
+    printed and ode take the state splatted, then hbar_c.
+    """
+
+    noun: str  # names the level in NoBoundState messages and the debug log
+    describe: Callable[..., str]  # the state in NoBoundState messages
+    fields: Callable  # (p, M, *state) -> (E -> fields, None where the scale factor is <= 0)
+    keep: Callable[[float], bool]  # branch filter, unless all_roots
+    printed: Callable[..., float]  # printed-equation residual at (p, M, E, *state)
+    ode: Callable  # (p, M, *state) -> W(r, E) for the shooting oracle
+    log_norm_closed: Optional[Callable[[float, float, int, float], Optional[float]]]  # (leading, edge, n, alpha)
+
+
+_KG = _Sector(
+    noun="Klein-Gordon",
+    describe=repr,
+    fields=_kg_fields,
+    keep=lambda E: True,
+    printed=kg_printed_eq_residual,
+    ode=kg_ode_coefficient,
+    log_norm_closed=_kg_log_norm_closed,
+)
+_SPIN = _Sector(
+    noun="spin-symmetry",
+    describe=lambda kappa, Cs, n: f"kappa={kappa!r}, n={n!r}",
+    fields=_spin_fields,
+    keep=lambda E: E > 0.0,
+    printed=spin_printed_eq_residual,
+    ode=lambda p, M, kappa, Cs, n, hbar_c: spin_ode_coefficient(p, M, kappa, Cs, hbar_c),
+    log_norm_closed=log_norm_closed_form,
+)
+_PSEUDOSPIN = _Sector(
+    noun="pseudospin",
+    describe=lambda kappa, Cps, n: f"kappa={kappa!r}, n={n!r}",
+    fields=_pseudospin_fields,
+    keep=lambda E: E < 0.0,
+    printed=pseudospin_printed_eq_residual,
+    ode=lambda p, M, kappa, Cps, n, hbar_c: pseudospin_ode_coefficient(p, M, kappa, Cps, hbar_c),
+    log_norm_closed=None,
+)
+
+
+def model_functions(model: str) -> tuple[Callable, Callable, Callable, Callable]:
+    """(solver, residual, printed residual, ODE coefficient) of "kg", "dirac-spin" or "dirac-pseudospin".
+
+    Each takes (p, M[, E], *state, hbar_c=...), the state being (qn,) for kg
+    and (kappa, C, n) for the Dirac models.  The solver and the residual are
+    looked up by their public names on each call, so a tracer that rebinds
+    those names sees the calls.
+    """
+    solve, residual, sector = {
+        "kg": (solve_kg_energy, kg_residual, _KG),
+        "dirac-spin": (solve_dirac_spin, spin_residual, _SPIN),
+        "dirac-pseudospin": (solve_dirac_pseudospin, pseudospin_residual, _PSEUDOSPIN),
+    }[model]
+    return solve, residual, sector.printed, sector.ode

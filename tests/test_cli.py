@@ -1,8 +1,23 @@
 import json
 
+import numpy as np
+import pytest
+
+from hgmorse.checks import pseudospin_params
 from hgmorse.cli import EXIT_CHECK_FAILED, main
-from hgmorse.molecules import builtin_molecules, to_potential_params
+from hgmorse.errors import NoBoundState
+from hgmorse.molecules import builtin_molecules, find_molecule, to_potential_params
 from hgmorse.nonrel import energy_nonrel
+from hgmorse.potential import PotentialParams
+from hgmorse.relativistic import (
+    pseudospin_printed_eq_residual,
+    pseudospin_residual,
+    solve_dirac_pseudospin,
+    solve_dirac_spin,
+    spin_printed_eq_residual,
+    spin_residual,
+)
+from hgmorse.units import HBAR_C_EV_ANGSTROM
 
 
 def run(capsys, *argv):
@@ -241,3 +256,148 @@ def test_forced_coarse_grid_surfaces_grid_too_coarse(capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["levels", "--model", "warp-drive"]) == 2
     assert main(["levels"]) == 2  # no molecule and no explicit parameters
+
+
+def _spin_case():
+    """Explicit-mode CLI arguments and library parameters of CH scaled to M = 500 eV."""
+    from hgmorse.molecules import Molecule
+    from hgmorse.units import CM_INV_TO_EV
+
+    p, part = to_potential_params(find_molecule("CH"), 1.0, 1.0, 0.025)
+    s = part.mu_energy / 500.0
+    De_cm = p.D_e * s / CM_INV_TO_EV
+    params, _ = to_potential_params(Molecule("custom", De_cm, 1.1198, 1.0), s, s, 0.025)
+    argv = ("--model", "dirac-spin", "--mass", "500", "--De-cm", repr(De_cm), "--re", "1.1198",
+            "--mu-amu", "1.0", "--a", repr(s), "--b", repr(s))
+    return params, 500.0, argv
+
+
+def _pseudospin_case(M):
+    """CLI arguments and library parameters of CH with checks.pseudospin_params strengths at mass M."""
+    b = pseudospin_params(to_potential_params(find_molecule("CH"), 0.0, 0.0, 0.025)[0], M, HBAR_C_EV_ANGSTROM).b
+    params, _ = to_potential_params(find_molecule("CH"), 0.0, b, 0.025)
+    argv = ("--model", "dirac-pseudospin", "--mass", repr(M), "--molecule", "CH", "--a", "0", "--b", repr(b))
+    return params, M, argv
+
+
+def _library_rows(model, params, M, kappas, n_max, all_roots=False):
+    """The levels rows of a Dirac model, straight from the library."""
+    solve, residual, printed = {
+        "dirac-spin": (solve_dirac_spin, spin_residual, spin_printed_eq_residual),
+        "dirac-pseudospin": (solve_dirac_pseudospin, pseudospin_residual, pseudospin_printed_eq_residual),
+    }[model]
+    molecule = "custom" if model == "dirac-spin" else "CH"
+    rows = []
+    for n in range(n_max + 1):
+        for kappa in kappas:
+            row = {"molecule": molecule, "model": model, "n": n, "l": None, "kappa": kappa, "D": None,
+                   "oracle_E_eV": None, "abs_dev_eV": None}
+            try:
+                energies = solve(params, M, kappa, 0.0, n, all_roots=all_roots)
+            except NoBoundState:
+                rows.append({**row, "E_eV": None, "residual": None, "cross_check_residual": None,
+                             "status": "no_bound_state"})
+                continue
+            for E in energies:
+                rows.append({**row, "E_eV": E, "residual": residual(params, M, E, kappa, 0.0, n),
+                             "cross_check_residual": printed(params, M, E, kappa, 0.0, n), "status": "ok"})
+    return rows
+
+
+def _csv_lines(rows):
+    def fmt(x):
+        return "" if x is None else f"{x:.17g}"
+
+    lines = ["molecule,model,n,l,kappa,D,E_eV,residual,cross_check_residual"]
+    for r in rows:
+        if r["status"] != "ok":
+            lines.append(f"# {r['status']}: n={r['n']} l= kappa={r['kappa']}")
+        else:
+            lines.append(f"{r['molecule']},{r['model']},{r['n']},,{r['kappa']},,{fmt(r['E_eV'])},"
+                         f"{fmt(r['residual'])},{fmt(r['cross_check_residual'])}")
+    return lines
+
+
+@pytest.mark.parametrize("model", ["dirac-spin", "dirac-pseudospin"])
+def test_levels_json_dirac_matches_library(capsys, model):
+    params, M, argv = _spin_case() if model == "dirac-spin" else _pseudospin_case(500.0)
+    code, out, _ = run(capsys, "levels", *argv, "--kappa=-1,1,2", "--n-max", "1", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert rows == _library_rows(model, params, M, (-1, 1, 2), 1)
+    assert any(r["status"] == "ok" for r in rows)
+
+
+def test_levels_all_roots_and_no_bound_state_rows(capsys):
+    # at M = 50 eV the only n = 0, kappa = 1 pseudospin root lies on the
+    # positive-energy branch: a comment row by default, a data row with --all-roots
+    params, M, argv = _pseudospin_case(50.0)
+    common = ("levels", *argv, "--kappa=1,2,-1", "--n-max", "1")
+    code, out, _ = run(capsys, *common)
+    assert code == 0
+    assert out.splitlines() == _csv_lines(_library_rows("dirac-pseudospin", params, M, (1, 2, -1), 1))
+    assert "# no_bound_state: n=0 l= kappa=1" in out.splitlines()
+    code, out_all, _ = run(capsys, *common, "--all-roots")
+    assert code == 0
+    all_rows = _library_rows("dirac-pseudospin", params, M, (1, 2, -1), 1, all_roots=True)
+    assert out_all.splitlines() == _csv_lines(all_rows)
+    assert any(r["E_eV"] is not None and r["E_eV"] > 0.0 for r in all_rows)
+
+
+def test_sweep_dirac_pseudospin_matches_library(capsys):
+    params, M, argv = _pseudospin_case(500.0)
+    start, stop = 0.7 * params.b, 1.3 * params.b
+    code, out, _ = run(capsys, "sweep", *argv, "--kappa=1,2", "--n-max", "1", "--param", "b",
+                       "--from", repr(start), "--to", repr(stop), "--steps", "3")
+    assert code == 0
+    expected = ["b,n,kappa,E_eV,status"]
+    for value in np.linspace(start, stop, 3):
+        p_i = PotentialParams(a=0.0, b=float(value), D_e=params.D_e, r_e=params.r_e, alpha=params.alpha)
+        for n in range(2):
+            for kappa in (1, 2):
+                try:
+                    E = f"{solve_dirac_pseudospin(p_i, M, kappa, 0.0, n)[0]:.17g}"
+                    status = "ok"
+                except NoBoundState:
+                    E, status = "", "no_bound_state"
+                expected.append(f"{float(value):.17g},{n},{kappa},{E},{status}")
+    lines = out.splitlines()
+    assert lines[:len(expected)] == expected
+    assert [line for line in lines[len(expected):] if not line.startswith("# shape")] == []
+    assert any(line.endswith(",ok") for line in expected)
+
+
+@pytest.mark.parametrize("argv", [
+    ("levels", "--model", "dirac-spin", "--molecule", "CH", "--mass", "500", "--kappa=-1,-1"),
+    ("sweep", "--model", "dirac-spin", "--param", "a", "--from", "1500000", "--to", "1900000", "--steps", "3",
+     "--n-max", "0", "--mass", "500", "--De-cm", "55147417000", "--re", "1.1198", "--mu-amu", "1",
+     "--b", "1732450", "--kappa=-1,-1"),
+    ("sweep", "--model", "dirac-spin", "--param", "b", "--from", "1500000", "--to", "1900000", "--steps", "3",
+     "--n-max", "0", "--mass", "500", "--De-cm", "55147417000", "--re", "1.1198", "--mu-amu", "1",
+     "--a", "1732450", "--kappa", "1,-1,1"),
+])
+def test_repeated_kappa_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "repeated" in err
+
+
+def test_oracle_check_scoped_to_pseudospin(capsys):
+    from hgmorse.checks import MASS_MATRIX
+
+    code, out, _ = run(capsys, "oracle-check", "--models", "dirac-pseudospin")
+    assert code == 0
+    p, _ = to_potential_params(find_molecule("CH"), 1.0, 1.0, 0.025)
+    bound = 0
+    for M in MASS_MATRIX:
+        pps = pseudospin_params(p, M, HBAR_C_EV_ANGSTROM)
+        for kappa, n in ((1, 0), (1, 1), (2, 0)):
+            try:
+                solve_dirac_pseudospin(pps, M, kappa, 0.0, n)
+                bound += 1
+            except NoBoundState:
+                pass
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"relativistic-residuals PASS {bound} levels,")
