@@ -48,21 +48,15 @@ from .potential import (
     q_of,
 )
 from .relativistic import (
-    KGAnsatz,
-    PseudospinAnsatz,
     QuantumNumbers,
     RelWavefunctionSpec,
-    SpinAnsatz,
-    kg_ansatz,
     kg_norm,
     kg_residual,
     lambda_D,
-    pseudospin_ansatz,
     pseudospin_residual,
     solve_dirac_pseudospin,
     solve_dirac_spin,
     solve_kg_energy,
-    spin_ansatz,
     spin_residual,
 )
 from .rootfind import RootBracket, bisect, scan_brackets

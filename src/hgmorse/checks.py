@@ -1,8 +1,9 @@
 """Closed-form-vs-oracle check battery behind the oracle-check subcommand.
 
 Each check returns (criterion, passed, detail) so the CLI can emit one
-pass/fail line per criterion; the pytest acceptance suite runs the same
-comparisons at full matrix size with hard asserts.
+pass/fail line per criterion; the oracle-equivalence check also returns its
+comparison rows, which the CLI prints with --details.  The pytest acceptance
+suite runs the same comparisons at full matrix size with hard asserts.
 """
 
 from __future__ import annotations
@@ -73,11 +74,12 @@ def oracle_comparison_rows(mol: Molecule, alpha: float, u: UnitConstants, points
 
 
 def check_oracle_equivalence(mol: Molecule, alpha: float, u: UnitConstants,
-                             points: int, tol: float = 5e-4) -> Check:
+                             points: int, tol: float = 5e-4) -> tuple[Check, list[str]]:
+    """The closed-vs-FD verdict of one molecule, and the comparison rows behind it."""
     t0 = time.time()
-    _, worst = oracle_comparison_rows(mol, alpha, u, points)
+    rows, worst = oracle_comparison_rows(mol, alpha, u, points)
     return ("oracle-equivalence", worst <= tol,
-            f"molecule={mol.name} max|closed - FD| = {worst:.3g} eV in {time.time() - t0:.1f} s")
+            f"molecule={mol.name} max|closed - FD| = {worst:.3g} eV in {time.time() - t0:.1f} s"), rows
 
 
 def check_relativistic_residuals(p: PotentialParams, part: ParticleSpec, u: UnitConstants,
@@ -204,13 +206,19 @@ MODEL_CHECKS = ("nonrel", "kg", "dirac-spin", "dirac-pseudospin")
 
 
 def run_checks(molecules: list[Molecule], models: list[str], alpha: float, u: UnitConstants,
-               points: int) -> list[Check]:
-    """Assemble the battery for the requested model families."""
+               points: int) -> tuple[list[Check], dict[str, list[str]]]:
+    """Run the battery for the requested model families.
+
+    Returns the checks and, when nonrel is requested, the oracle comparison
+    rows of each molecule by name.
+    """
     out: list[Check] = []
+    comparisons: dict[str, list[str]] = {}
     base_params, base_part = to_potential_params(molecules[0], 1.0, 1.0, alpha, u)
     if "nonrel" in models:
         for mol in molecules:
-            out.append(check_oracle_equivalence(mol, alpha, u, points))
+            check, comparisons[mol.name] = check_oracle_equivalence(mol, alpha, u, points)
+            out.append(check)
         out.append(check_box_self_test(base_part))
         out.append(check_special_functions())
         out.append(check_normalization(base_params, base_part))
@@ -219,4 +227,4 @@ def run_checks(molecules: list[Molecule], models: list[str], alpha: float, u: Un
         out.append(check_relativistic_residuals(base_params, base_part, u, relativistic))
     if "kg" in models or "dirac-spin" in models:
         out.append(check_cross_identities(base_params, base_part, u))
-    return out
+    return out, comparisons

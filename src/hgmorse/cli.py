@@ -71,6 +71,13 @@ def _load_setup(args) -> tuple[str, PotentialParams, ParticleSpec, UnitConstants
     return molecule.name, params, part, units
 
 
+def _distinct(values: list, option: str, text: str) -> list:
+    """The values parsed from option's comma list text; InvalidParameter if one repeats."""
+    if len(set(values)) != len(values):
+        raise InvalidParameter(f"repeated value in {option} list {text!r}")
+    return values
+
+
 def _parse_kappas(text: str) -> list[int]:
     try:
         kappas = [int(piece) for piece in text.split(",") if piece.strip()]
@@ -78,9 +85,7 @@ def _parse_kappas(text: str) -> list[int]:
         raise InvalidParameter(f"bad --kappa list {text!r}") from exc
     if not kappas or any(k == 0 for k in kappas):
         raise InvalidParameter("kappa list must be nonzero integers")
-    if len(set(kappas)) != len(kappas):
-        raise InvalidParameter(f"repeated value in --kappa list {text!r}")
-    return kappas
+    return _distinct(kappas, "--kappa", text)
 
 
 def _relativistic_levels(args, p: PotentialParams, hbar_c: float):
@@ -285,24 +290,27 @@ def cmd_oracle_check(args, out) -> int:
 
     cfg = read_config(args.config) if args.config else {}
     units = UnitConstants.from_mapping(cfg)
-    molecules = [find_molecule(name) for name in args.molecules.split(",") if name]
-    models = [m for m in args.models.split(",") if m]
+    names = _distinct([name for name in args.molecules.split(",") if name], "--molecules", args.molecules)
+    molecules = [find_molecule(name) for name in names]
+    models = _distinct([m for m in args.models.split(",") if m], "--models", args.models)
     if not models or not molecules:
         raise InvalidParameter("model and molecule lists must be nonempty")
     unknown = [m for m in models if m not in MODEL_CHECKS]
     if unknown:
         raise InvalidParameter(f"unknown models {unknown!r}")
-    if args.details:
-        _emit(out, [ORACLE_CSV_HEADER])
-        for mol in molecules:
-            _emit(out, [f"# molecule = {mol.name}"])
-            rows, _ = oracle_comparison_rows(mol, args.alpha, units, args.grid_points)
-            _emit(out, rows)
     try:
-        checks = run_checks(molecules, models, args.alpha, units, args.grid_points)
+        checks, comparisons = run_checks(molecules, models, args.alpha, units, args.grid_points)
     except GridTooCoarse as exc:
         print(f"grid too coarse: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    if args.details:
+        # the oracle-equivalence checks made these rows when nonrel was requested
+        _emit(out, [ORACLE_CSV_HEADER])
+        for mol in molecules:
+            _emit(out, [f"# molecule = {mol.name}"])
+            if mol.name not in comparisons:
+                comparisons[mol.name], _ = oracle_comparison_rows(mol, args.alpha, units, args.grid_points)
+            _emit(out, comparisons[mol.name])
     ok_all = True
     for name, ok, detail in checks:
         ok_all = ok_all and ok

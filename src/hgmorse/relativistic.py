@@ -23,11 +23,13 @@ solvers drop the rest.  Every accepted root can be cross-checked by the
 shooting oracle on the corresponding radial equation.
 
 Each equation is described once, as a private sector record: its field
-builder at energy E (None where the equation's scale factor is not
-positive), its branch filter, its printed-equation residual, its ODE
-coefficient and its closed-form log norm, if any.  One solver, one residual
-and one spec/norm builder serve all three sectors; the public functions are
-one-call wrappers over them.
+builder, its branch filter, its printed-equation residual, its ODE
+coefficient and its closed-form log norm, if any.  The field builder does
+the state-only work once and returns E -> fields, each field a multiple of
+the equation's scale factor S (E+M, M+E-Cs or M-E+Cps over (hbar c)^2), or
+None where S is not positive.  One solver, one residual and one spec/norm
+builder serve all three sectors; the public functions are one-call wrappers
+over them.
 
 The fully expanded printed variants of the three eigenvalue equations carry
 typesetting defects (a dropped coupling term, a sign flip, a missing 1/4);
@@ -126,55 +128,20 @@ def _bound_exponents(f: _NUFields) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KGAnsatz:
-    """Dimensionless coefficients of the Klein-Gordon radial equation.
-
-    eps stores the equation's leading coefficient with its defining sign,
-    ((E^2 - M^2) - D_e (E+M))/(hbar c alpha)^2, i.e. minus the bound-state
-    parameter; kg_phi and gamma_rot feed the quantization denominator
-    through delta_kg = sqrt(1/4 + kg_phi + Lambda).
-    """
-
-    eps: float
-    beta: float
-    eta: float
-    chi: float
-    kg_phi: float
-    gamma_rot: float
-    Lambda: float
-    delta_kg: float
-
-
-def kg_ansatz(
-    p: PotentialParams, M: float, E: float, qn: QuantumNumbers, hbar_c: float = HBAR_C_EV_ANGSTROM
-) -> KGAnsatz:
-    """Fill every ansatz field at energy E (pure arithmetic, no validation)."""
-    S = (E + M) / hbar_c**2
-    a2 = p.alpha**2
-    lam = lambda_D(qn.D, qn.l)
-    kg_phi = S * p.D_e * p.q**2 / a2
-    radicand = 0.25 + kg_phi + lam
-    return KGAnsatz(
-        eps=-S * (M - E + p.D_e) / a2,
-        beta=S * p.a / p.alpha,
-        eta=S * p.b / p.alpha,
-        chi=2.0 * S * p.D_e * p.q / a2,
-        kg_phi=kg_phi,
-        gamma_rot=lam,
-        Lambda=lam,
-        delta_kg=math.sqrt(radicand) if radicand >= 0.0 else math.nan,
-    )
-
-
 def _kg_fields(
     p: PotentialParams, M: float, qn: QuantumNumbers, hbar_c: float
 ) -> Callable[[float], Optional[_NUFields]]:
+    hc2, a2, q2 = hbar_c**2, p.alpha**2, p.q**2
+    a, b, De, q, alpha = p.a, p.b, p.D_e, p.q, p.alpha
+    lam = lambda_D(qn.D, qn.l)
+
     def at(E: float) -> Optional[_NUFields]:
-        if (E + M) / hbar_c**2 <= 0.0:
+        S = (E + M) / hc2
+        if S <= 0.0:
             return None
-        ans = kg_ansatz(p, M, E, qn, hbar_c)
-        return _NUFields(-ans.eps, ans.beta, ans.eta, ans.chi, ans.kg_phi, ans.gamma_rot)
+        # (-eps_KG, beta, eta, chi, phi_KG, Lambda), eps_KG = ((E^2-M^2) - D_e(E+M))/(hbar c alpha)^2
+        return _NUFields(S * (M - E + De) / a2, S * a / alpha, S * b / alpha, 2.0 * S * De * q / a2,
+                         S * De * q2 / a2, lam)
 
     return at
 
@@ -233,55 +200,22 @@ def kg_printed_eq_residual(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpinAnsatz:
-    """Coefficients of the upper-spinor equation under spin symmetry.
-
-    beta0, beta2 are energy sums/differences in eV; the rest dimensionless.
-    beta1 = kappa(kappa+1) plays the angular role.
-    """
-
-    beta0: float
-    beta1: float
-    beta2: float
-    delta0: float
-    delta1: float
-    delta2: float
-    gamma0: float
-    gamma1: float
-    Cs: float
-
-
-def spin_ansatz(
-    p: PotentialParams, M: float, E: float, kappa: int, Cs: float = 0.0, hbar_c: float = HBAR_C_EV_ANGSTROM
-) -> SpinAnsatz:
-    if kappa == 0:
-        raise InvalidParameter("kappa must be nonzero")
-    b0 = M + E - Cs
-    b2 = M - E
-    S = b0 / hbar_c**2
-    a2 = p.alpha**2
-    return SpinAnsatz(
-        beta0=b0,
-        beta1=float(kappa * (kappa + 1)),
-        beta2=b2,
-        delta0=2.0 * S * p.D_e * p.q / a2,
-        delta1=S * p.a / p.alpha,
-        delta2=S * p.b / p.alpha,
-        gamma0=S * p.D_e * p.q**2 / a2,
-        gamma1=S * (b2 + p.D_e) / a2,
-        Cs=Cs,
-    )
-
-
 def _spin_fields(
     p: PotentialParams, M: float, kappa: int, Cs: float, n: int, hbar_c: float
 ) -> Callable[[float], Optional[_NUFields]]:
+    if kappa == 0:
+        raise InvalidParameter("kappa must be nonzero")
+    hc2, a2, q2 = hbar_c**2, p.alpha**2, p.q**2
+    a, b, De, q, alpha = p.a, p.b, p.D_e, p.q, p.alpha
+    beta1 = float(kappa * (kappa + 1))
+
     def at(E: float) -> Optional[_NUFields]:
-        if (M + E - Cs) / hbar_c**2 <= 0.0:
+        S = (M + E - Cs) / hc2
+        if S <= 0.0:
             return None
-        ans = spin_ansatz(p, M, E, kappa, Cs, hbar_c)
-        return _NUFields(ans.gamma1, ans.delta1, ans.delta2, ans.delta0, ans.gamma0, ans.beta1)
+        # (gamma1, delta1, delta2, delta0, gamma0, beta1) of the upper-spinor equation
+        return _NUFields(S * (M - E + De) / a2, S * a / alpha, S * b / alpha, 2.0 * S * De * q / a2,
+                         S * De * q2 / a2, beta1)
 
     return at
 
@@ -342,57 +276,22 @@ def spin_printed_eq_residual(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PseudospinAnsatz:
-    """Coefficients of the lower-spinor equation under pseudospin symmetry.
-
-    lambda0 = M - E + Cps and lambda2 = M + E in eV; lambda1 = kappa(kappa-1)
-    is the angular coefficient; the chi/theta fields are dimensionless.
-    """
-
-    lambda0: float
-    lambda1: float
-    lambda2: float
-    chi0: float
-    chi1: float
-    chi2: float
-    theta1: float
-    theta2: float
-    Cps: float
-
-
-def pseudospin_ansatz(
-    p: PotentialParams, M: float, E: float, kappa: int, Cps: float = 0.0, hbar_c: float = HBAR_C_EV_ANGSTROM
-) -> PseudospinAnsatz:
-    if kappa == 0:
-        raise InvalidParameter("kappa must be nonzero")
-    lam0 = M - E + Cps
-    lam2 = M + E
-    S = lam0 / hbar_c**2
-    a2 = p.alpha**2
-    return PseudospinAnsatz(
-        lambda0=lam0,
-        lambda1=float(kappa * (kappa - 1)),
-        lambda2=lam2,
-        chi0=S * (lam2 - p.D_e) / a2,
-        chi1=S * p.a / p.alpha,
-        chi2=S * p.b / p.alpha,
-        theta1=S * p.D_e * p.q**2 / a2,
-        theta2=2.0 * S * p.D_e * p.q / a2,
-        Cps=Cps,
-    )
-
-
 def _pseudospin_fields(
     p: PotentialParams, M: float, kappa: int, Cps: float, n: int, hbar_c: float
 ) -> Callable[[float], Optional[_NUFields]]:
+    if kappa == 0:
+        raise InvalidParameter("kappa must be nonzero")
+    hc2, a2, q2 = hbar_c**2, p.alpha**2, p.q**2
+    a, b, De, q, alpha = p.a, p.b, p.D_e, p.q, p.alpha
+    lambda1 = float(kappa * (kappa - 1))
+
     def at(E: float) -> Optional[_NUFields]:
-        if (M - E + Cps) / hbar_c**2 <= 0.0:
+        S = (M - E + Cps) / hc2
+        if S <= 0.0:
             return None
-        ans = pseudospin_ansatz(p, M, E, kappa, Cps, hbar_c)
-        # the difference potential enters the lower-spinor equation with the
-        # opposite sign, flipping every coupling field relative to the spin case
-        return _NUFields(ans.chi0, -ans.chi1, -ans.chi2, -ans.theta2, -ans.theta1, ans.lambda1)
+        # (chi0, -chi1, -chi2, -theta2, -theta1, lambda1): the difference potential flips each coupling
+        return _NUFields(S * (M + E - De) / a2, -S * a / alpha, -S * b / alpha, -2.0 * S * De * q / a2,
+                         -S * De * q2 / a2, lambda1)
 
     return at
 

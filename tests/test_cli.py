@@ -8,6 +8,7 @@ from hgmorse.cli import EXIT_CHECK_FAILED, main
 from hgmorse.errors import NoBoundState
 from hgmorse.molecules import builtin_molecules, find_molecule, to_potential_params
 from hgmorse.nonrel import energy_nonrel
+from hgmorse.oracle import oracle_energies
 from hgmorse.potential import PotentialParams
 from hgmorse.relativistic import (
     pseudospin_printed_eq_residual,
@@ -222,6 +223,35 @@ def test_oracle_check_details_csv(capsys):
     first = lines[2].split(",")
     assert first[0] == "nonrel" and first[6] == "20001" and first[7] == "True"
     assert float(first[5]) <= 5e-4
+
+
+def test_oracle_check_details_runs_each_fd_comparison_once(capsys, monkeypatch):
+    import hgmorse.checks as checks
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return oracle_energies(*args, **kwargs)
+
+    monkeypatch.setattr(checks, "oracle_energies", counted)
+    code, out, _ = run(capsys, "oracle-check", "--models", "nonrel", "--details", "--molecules", "CH,NO")
+    assert code == 0
+    # one FD solve per (strength pair, l) and molecule; the verdict reuses the detail rows
+    assert len(calls) == 2 * 6
+    lines = out.splitlines()
+    assert sum(line.startswith("nonrel,") for line in lines) == 2 * 24
+    assert [line.split(" ", 2)[:2] for line in lines if line.startswith("oracle-equivalence")] == \
+        [["oracle-equivalence", "PASS"]] * 2
+
+
+@pytest.mark.parametrize("option,value", [("--molecules", "CH,CH"), ("--molecules", "CH,NO,CH"),
+                                          ("--models", "nonrel,nonrel")])
+def test_oracle_check_rejects_repeated_values(capsys, option, value):
+    code, out, err = run(capsys, "oracle-check", option, value)
+    assert code == 2
+    assert out == ""
+    assert "repeated" in err
 
 
 def test_oracle_check_rejects_empty_models(capsys):

@@ -3,6 +3,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from hgmorse.checks import MASS_MATRIX, pseudospin_params
@@ -14,8 +16,10 @@ from hgmorse.potential import PotentialParams
 from hgmorse.relativistic import (
     QuantumNumbers,
     RelWavefunctionSpec,
+    _kg_fields,
+    _pseudospin_fields,
+    _spin_fields,
     default_search_interval,
-    kg_ansatz,
     kg_norm,
     kg_printed_eq_residual,
     kg_residual,
@@ -25,14 +29,12 @@ from hgmorse.relativistic import (
     lambda_D,
     lower_spinor_norm,
     lower_spinor_spec,
-    pseudospin_ansatz,
     pseudospin_ode_coefficient,
     pseudospin_residual,
     rel_radial_value,
     solve_dirac_pseudospin,
     solve_dirac_spin,
     solve_kg_energy,
-    spin_ansatz,
     spin_ode_coefficient,
     spin_residual,
     spin_residual_nonrel_limit,
@@ -74,54 +76,66 @@ def test_lambda_D_values():
         assert lambda_D(3, l) == l * (l + 1)
 
 
-# --- ansatz records ----------------------------------------------------------
+# --- field builders -----------------------------------------------------------
+# The sector builders return E -> _NUFields (eps, beta, eta, chi, phi, gamma),
+# or None where the scale factor S is not positive.
 
 
 def test_kg_ansatz_vanishes_at_negative_mass_shell(ch_unit):
     p, _ = ch_unit
-    ans = kg_ansatz(p, 10.0, -10.0, QuantumNumbers(n=0, l=1))
-    assert ans.beta == ans.eta == ans.chi == ans.kg_phi == 0.0
-    assert ans.gamma_rot == 2.0 and ans.Lambda == 2.0
+    qn = QuantumNumbers(n=0, l=1)
+    at = _kg_fields(p, 10.0, qn, HBAR_C_EV_ANGSTROM)
+    # S = (E+M)/(hbar c)^2 is zero on the shell, a domain hole
+    assert at(-10.0) is None and at(-11.0) is None
+    assert kg_residual(p, 10.0, -10.0, qn) is None
+    f = at(-10.0 + 1e-9)
+    assert all(0.0 < x < 1e-12 for x in (f.beta, f.eta, f.chi, f.phi))
+    assert f.gamma == 2.0
 
 
 def test_kg_ansatz_reference_values(ch_unit):
     p, _ = ch_unit
     M, E = 10.0, 5.0
-    ans = kg_ansatz(p, M, E, QuantumNumbers(n=0, l=0))
+    f = _kg_fields(p, M, QuantumNumbers(n=0, l=0), HBAR_C_EV_ANGSTROM)(E)
     hc2 = mp.mpf("1973.29") ** 2
     S = (mp.mpf(repr(E)) + mp.mpf(repr(M))) / hc2
     a2 = mp.mpf("0.025") ** 2
     q = mp.expm1(mp.mpf("0.025") * mp.mpf("1.1198"))
     De = mp.mpf(repr(p.D_e))
-    assert ans.eps == pytest.approx(float(-S * (M - E + De) / a2), rel=1e-14)
-    assert ans.beta == pytest.approx(float(S / mp.mpf("0.025")), rel=1e-14)
-    assert ans.chi == pytest.approx(float(2 * S * De * q / a2), rel=1e-14)
-    assert ans.kg_phi == pytest.approx(float(S * De * q * q / a2), rel=1e-14)
-    assert ans.delta_kg == pytest.approx(float(mp.sqrt(mp.mpf("0.25") + S * De * q * q / a2)), rel=1e-14)
+    assert f.eps == pytest.approx(float(S * (M - E + De) / a2), rel=1e-14)
+    assert f.beta == pytest.approx(float(S / mp.mpf("0.025")), rel=1e-14)
+    assert f.chi == pytest.approx(float(2 * S * De * q / a2), rel=1e-14)
+    assert f.phi == pytest.approx(float(S * De * q * q / a2), rel=1e-14)
+    assert f.gamma == 0.0
+    # delta_kg = sqrt(1/4 + phi + Lambda), the quantization radicand
+    assert math.sqrt(0.25 + f.phi + f.gamma) == pytest.approx(
+        float(mp.sqrt(mp.mpf("0.25") + S * De * q * q / a2)), rel=1e-14)
 
 
 def test_spin_ansatz_edges(ch_unit):
     p, _ = ch_unit
-    ans = spin_ansatz(p, 10.0, 10.0, kappa=-1, Cs=0.0)
-    assert ans.beta2 == 0.0
-    ans = spin_ansatz(p, 10.0, 2.0, kappa=1, Cs=12.0)
-    assert ans.beta0 == 0.0
-    assert ans.delta0 == ans.delta1 == ans.delta2 == ans.gamma0 == ans.gamma1 == 0.0
-    assert spin_ansatz(p, 10.0, 2.0, kappa=2, Cs=0.0).beta1 == 6.0
+    f = _spin_fields(p, 10.0, -1, 0.0, 0, HBAR_C_EV_ANGSTROM)(10.0)
+    assert f.eps == 20.0 / HBAR_C_EV_ANGSTROM**2 * p.D_e / p.alpha**2
+    # M + E - Cs = 0: the scale factor vanishes, a domain hole
+    assert _spin_fields(p, 10.0, 1, 12.0, 0, HBAR_C_EV_ANGSTROM)(2.0) is None
+    assert spin_residual(p, 10.0, 2.0, 1, 12.0) is None
+    assert _spin_fields(p, 10.0, 2, 0.0, 0, HBAR_C_EV_ANGSTROM)(2.0).gamma == 6.0
     with pytest.raises(InvalidParameter):
-        spin_ansatz(p, 10.0, 2.0, kappa=0)
+        solve_dirac_spin(p, 10.0, 0)
+    with pytest.raises(InvalidParameter):
+        spin_residual(p, 10.0, 2.0, 0)
+    with pytest.raises(InvalidParameter):
+        pseudospin_residual(p, 10.0, 2.0, 0)
 
 
 def test_pseudospin_ansatz_fields(ch_unit):
     p, _ = ch_unit
     M, E, Cps = 100.0, -40.0, 0.0
-    ans = pseudospin_ansatz(p, M, E, kappa=2, Cps=Cps)
-    assert ans.lambda0 == M - E + Cps
-    assert ans.lambda1 == 2.0
-    assert ans.lambda2 == M + E
-    S = ans.lambda0 / HBAR_C_EV_ANGSTROM**2
-    assert ans.chi0 == pytest.approx(S * (ans.lambda2 - p.D_e) / p.alpha**2, rel=1e-14)
-    assert ans.theta2 == pytest.approx(2 * S * p.D_e * p.q / p.alpha**2, rel=1e-14)
+    f = _pseudospin_fields(p, M, 2, Cps, 0, HBAR_C_EV_ANGSTROM)(E)
+    assert f.gamma == 2.0
+    S = (M - E + Cps) / HBAR_C_EV_ANGSTROM**2
+    assert f.eps == pytest.approx(S * (M + E - p.D_e) / p.alpha**2, rel=1e-14)
+    assert -f.chi == pytest.approx(2 * S * p.D_e * p.q / p.alpha**2, rel=1e-14)
 
 
 # --- residuals ----------------------------------------------------------------
@@ -172,6 +186,21 @@ def test_spin_residual_matches_kg_pointwise(ch_unit):
         assert (r_kg is None) == (r_sp is None)
         if r_kg is not None:
             assert r_kg == r_sp
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(M=st.floats(50.0, 5000.0), a=st.floats(-2.0, 3.0), b=st.floats(-2.0, 3.0), depth=st.floats(0.0, 2.0),
+       t=st.floats(-2.0, 60.0), n=st.integers(0, 3), l=st.integers(0, 4), upper=st.booleans())
+@example(M=500.0, a=1.0, b=1.0, depth=1.0, t=-1.5, n=0, l=0, upper=False)  # below the mass shell
+def test_kg_equals_spin_residual_exactly(ch_unit, M, a, b, depth, t, n, l, upper):
+    # Cs = 0, D = 3 and kappa in {l, -l-1} give kappa(kappa+1) = l(l+1): the two
+    # residuals are the same float operations, holes included
+    p, part = ch_unit
+    s = part.mu_energy / M
+    ps = PotentialParams(a=a * s, b=b * s, D_e=depth * p.D_e * s, r_e=p.r_e, alpha=p.alpha)
+    kappa = l if upper and l > 0 else -l - 1
+    E = t * M
+    assert kg_residual(ps, M, E, QuantumNumbers(n=n, l=l)) == spin_residual(ps, M, E, kappa, 0.0, n)
 
 
 def test_spin_doublet_degeneracy(ch_unit):
@@ -318,17 +347,17 @@ def test_kg_norm_ratio_logged_for_low_levels(ch_unit):
 def test_spin_ansatz_generic_reference_values(ch_unit):
     p, _ = ch_unit
     M, E, Cs, kappa = 700.0, 123.0, 2.5, -3
-    ans = spin_ansatz(p, M, E, kappa, Cs)
+    f = _spin_fields(p, M, kappa, Cs, 0, HBAR_C_EV_ANGSTROM)(E)
     hc2 = mp.mpf("1973.29") ** 2
     b0 = mp.mpf(repr(M)) + mp.mpf(repr(E)) - mp.mpf(repr(Cs))
     S = b0 / hc2
     a2 = mp.mpf("0.025") ** 2
     q = mp.expm1(mp.mpf("0.025") * mp.mpf("1.1198"))
     De = mp.mpf(repr(p.D_e))
-    assert ans.beta1 == 6.0
-    assert ans.delta0 == pytest.approx(float(2 * S * De * q / a2), rel=1e-14)
-    assert ans.delta2 == pytest.approx(float(S / mp.mpf("0.025")), rel=1e-14)
-    assert ans.gamma1 == pytest.approx(float(S * (M - E + De) / a2), rel=1e-14)
+    assert f.gamma == 6.0
+    assert f.chi == pytest.approx(float(2 * S * De * q / a2), rel=1e-14)
+    assert f.eta == pytest.approx(float(S / mp.mpf("0.025")), rel=1e-14)
+    assert f.eps == pytest.approx(float(S * (M - E + De) / a2), rel=1e-14)
 
 
 def test_kg_wavefunction_boundaries_and_norm(ch_unit):
