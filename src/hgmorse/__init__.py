@@ -22,7 +22,6 @@ from .molecules import (
 )
 from .nonrel import (
     ParticleSpec,
-    SpectrumTable,
     WavefunctionSpec,
     energy_nonrel,
     make_wavefunction,
@@ -61,6 +60,6 @@ from .relativistic import (
 )
 from .rootfind import RootBracket, bisect, scan_brackets
 from .specfun import JacobiParams, hyp2f1_terminating, jacobi_norm_integral, jacobi_poly, ln_gamma, pochhammer
-from .units import UnitConstants, amu_to_mass_energy, cm_inverse_to_ev, hbar2_over_2mu
+from .units import UnitConstants, amu_to_mass_energy, cm_inverse_to_ev
 
 __version__ = "0.1.0"

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Iterable
 
 import numpy as np
 
 from .errors import NoBoundState
 from .molecules import Molecule, to_potential_params
 from .nonrel import ParticleSpec, energy_nonrel, make_wavefunction, radial_wavefunction
-from .oracle import mismatch_sign_change, oracle_energies, richardson_extrapolate
+from .oracle import RadialGrid, fd_schrodinger_eigen, mismatch_sign_change, oracle_energies, richardson_extrapolate
 from .potential import PotentialParams
 from .relativistic import (
     QuantumNumbers,
@@ -56,12 +55,11 @@ def pseudospin_params(p: PotentialParams, M: float, hbar_c: float) -> PotentialP
 ORACLE_CSV_HEADER = "model,n,l,E_closed,E_oracle,abs_dev,grid_points,extrapolated"
 
 
-def oracle_comparison_rows(mol: Molecule, alpha: float, u: UnitConstants, points: int,
-                           strengths: Iterable[tuple[float, float]] = ((0.0, 0.0), (1.0, 1.0))):
-    """Per-level closed-vs-FD comparison rows in the documented CSV layout."""
+def oracle_comparison_rows(mol: Molecule, alpha: float, u: UnitConstants, points: int):
+    """Per-level closed-vs-FD comparison rows in the documented CSV layout, at a = b = 0 and a = b = 1."""
     rows: list[str] = []
     worst = 0.0
-    for a, b in strengths:
+    for a, b in ((0.0, 0.0), (1.0, 1.0)):
         params, part = to_potential_params(mol, a, b, alpha, u)
         for l in range(3):
             fd, _ = oracle_energies(params, part, l, 4, points=points)
@@ -74,11 +72,11 @@ def oracle_comparison_rows(mol: Molecule, alpha: float, u: UnitConstants, points
 
 
 def check_oracle_equivalence(mol: Molecule, alpha: float, u: UnitConstants,
-                             points: int, tol: float = 5e-4) -> tuple[Check, list[str]]:
-    """The closed-vs-FD verdict of one molecule, and the comparison rows behind it."""
+                             points: int) -> tuple[Check, list[str]]:
+    """The closed-vs-FD verdict (5e-4 eV) of one molecule, and the comparison rows behind it."""
     t0 = time.time()
     rows, worst = oracle_comparison_rows(mol, alpha, u, points)
-    return ("oracle-equivalence", worst <= tol,
+    return ("oracle-equivalence", worst <= 5e-4,
             f"molecule={mol.name} max|closed - FD| = {worst:.3g} eV in {time.time() - t0:.1f} s"), rows
 
 
@@ -182,21 +180,13 @@ def check_normalization(p: PotentialParams, part: ParticleSpec) -> Check:
 
 
 def check_box_self_test(part: ParticleSpec) -> Check:
-    from scipy.linalg import eigh_tridiagonal
-
-    c = part.kinetic_scale
+    """The FD oracle on the zero potential (a = b = D_e = 0, l = 0) against the box levels."""
+    p = PotentialParams(a=0.0, b=0.0, D_e=0.0, r_e=1.0, alpha=1e-6)
     L = 10.0
-    levels = {}
-    for pts in (2001, 4001):
-        r = np.linspace(0.0, L, pts)
-        h = r[1] - r[0]
-        size = pts - 2
-        vals = eigh_tridiagonal(np.full(size, 2.0 * c / h**2), np.full(size - 1, -c / h**2),
-                                select="i", select_range=(0, 3), eigvals_only=True)
-        levels[pts] = vals
+    levels = {pts: fd_schrodinger_eigen(p, part, 0, RadialGrid(1e-9, L + 1e-9, pts), 4) for pts in (2001, 4001)}
     worst = 0.0
     for m in range(1, 5):
-        exact = c * math.pi**2 * m**2 / L**2
+        exact = part.kinetic_scale * math.pi**2 * m**2 / L**2
         extrap, _ = richardson_extrapolate(float(levels[2001][m - 1]), float(levels[4001][m - 1]), 2.0, 2)
         worst = max(worst, abs(extrap / exact - 1.0))
     return ("box-self-test", worst <= 1e-6, f"max rel dev after extrapolation = {worst:.2g}")

@@ -59,7 +59,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 def _load_setup(args) -> tuple[str, PotentialParams, ParticleSpec, UnitConstants]:
     cfg = read_config(args.config) if args.config else {}
     units = UnitConstants.from_mapping(cfg)
-    b_sign = float(cfg.get("b_sign", "1"))
+    try:
+        b_sign = float(cfg.get("b_sign", "1"))
+    except ValueError as exc:
+        raise InvalidParameter(f"config key b_sign: {cfg['b_sign']!r} is not a number") from exc
     if args.molecule is not None:
         pool = load_molecules(args.molecule_file) if args.molecule_file else None
         molecule = find_molecule(args.molecule, pool)
@@ -88,6 +91,14 @@ def _parse_kappas(text: str) -> list[int]:
     return _distinct(kappas, "--kappa", text)
 
 
+def _dirac_states(args) -> list[tuple[int, int]]:
+    """The (n, kappa) pairs of a Dirac levels table or sweep, in output order."""
+    if args.n_max < 0:
+        raise InvalidParameter(f"--n-max must be >= 0, got {args.n_max!r}")
+    kappas = _parse_kappas(args.kappa)
+    return [(n, kappa) for n in range(args.n_max + 1) for kappa in kappas]
+
+
 def _relativistic_levels(args, p: PotentialParams, hbar_c: float):
     """Solve each requested state of a relativistic model, in output order.
 
@@ -105,10 +116,8 @@ def _relativistic_levels(args, p: PotentialParams, hbar_c: float):
                   for n, l in level_indices(args.n_max, l_max, args.rectangular)]
     else:
         C = args.cs if args.model == "dirac-spin" else args.cps
-        kappas = _parse_kappas(args.kappa)
         opts["all_roots"] = args.all_roots
-        states = [({"n": n, "l": None, "kappa": kappa, "D": None}, (kappa, C, n))
-                  for n in range(args.n_max + 1) for kappa in kappas]
+        states = [({"n": n, "l": None, "kappa": kappa, "D": None}, (kappa, C, n)) for n, kappa in _dirac_states(args)]
     for labels, state in states:
         try:
             energies = solve(p, M, *state, **opts)
@@ -127,11 +136,8 @@ def cmd_levels(args, out) -> int:
     rows: list[dict] = []
     any_ok = False
     if args.model == "nonrel":
-        table = spectrum_table(
-            name, params, part, args.n_max, l_max,
-            oracle=args.oracle, oracle_points=args.grid_points, rectangular=args.rectangular,
-        )
-        for row in table.rows:
+        for row in spectrum_table(name, params, part, args.n_max, l_max, oracle=args.oracle,
+                                  oracle_points=args.grid_points, rectangular=args.rectangular):
             rows.append({
                 "molecule": row.molecule, "model": row.model, "n": row.n, "l": row.l,
                 "kappa": None, "D": None, "E_eV": row.E_eV,
@@ -203,7 +209,7 @@ def cmd_sweep(args, out) -> int:
     if args.model in ("nonrel", "kg"):
         keys = level_indices(args.n_max, l_max, args.rectangular)
     else:
-        keys = [(n, kappa) for n in range(args.n_max + 1) for kappa in _parse_kappas(args.kappa)]
+        keys = _dirac_states(args)
     rows = []
     series: dict[tuple[int, int], list[float]] = {key: [] for key in keys}
     for value in values:
@@ -318,6 +324,22 @@ def cmd_oracle_check(args, out) -> int:
     return EXIT_OK if ok_all else EXIT_CHECK_FAILED
 
 
+def _add_states(sub: argparse.ArgumentParser, n_max: int) -> None:
+    """The model and state options that levels and sweep share; n_max is the --n-max default."""
+    sub.add_argument("--model", choices=("nonrel", "kg", "dirac-spin", "dirac-pseudospin"), default="nonrel")
+    sub.add_argument("--n-max", dest="n_max", type=int, default=n_max)
+    sub.add_argument("--l-max", dest="l_max", type=int, default=None)
+    sub.add_argument("--rectangular", action="store_true", help="full (n, l) grid instead of l <= n")
+    sub.add_argument("--mass", type=float, default=None, help="M (eV), relativistic models")
+    sub.add_argument("--cs", type=float, default=0.0, help="spin-symmetry constant C_s (eV)")
+    sub.add_argument("--cps", type=float, default=0.0, help="pseudospin constant C_ps (eV)")
+    sub.add_argument("--kappa", default="-1", help="comma list of kappa values")
+    sub.add_argument("--dimension", type=int, default=3, help="D for the kg model")
+    sub.add_argument("--scan-points", dest="scan_points", type=int, default=2000)
+    sub.add_argument("--tol", type=float, default=1e-12)
+    sub.add_argument("--all-roots", dest="all_roots", action="store_true")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hgmorse",
                                      description="Bound-state spectra for the Hellmann plus generalized-Morse potential")
@@ -325,20 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_levels = sub.add_parser("levels", help="energy level table")
     _add_common(p_levels)
-    p_levels.add_argument("--model", choices=("nonrel", "kg", "dirac-spin", "dirac-pseudospin"), default="nonrel")
-    p_levels.add_argument("--n-max", dest="n_max", type=int, default=5)
-    p_levels.add_argument("--l-max", dest="l_max", type=int, default=None)
-    p_levels.add_argument("--rectangular", action="store_true", help="full (n, l) grid instead of l <= n")
-    p_levels.add_argument("--mass", type=float, default=None, help="M (eV), relativistic models")
-    p_levels.add_argument("--cs", type=float, default=0.0, help="spin-symmetry constant C_s (eV)")
-    p_levels.add_argument("--cps", type=float, default=0.0, help="pseudospin constant C_ps (eV)")
-    p_levels.add_argument("--kappa", default="-1", help="comma list of kappa values")
-    p_levels.add_argument("--dimension", type=int, default=3, help="D for the kg model")
+    _add_states(p_levels, n_max=5)
     p_levels.add_argument("--oracle", action="store_true", help="add FD-oracle deviation columns (nonrel)")
     p_levels.add_argument("--grid-points", dest="grid_points", type=int, default=20001)
-    p_levels.add_argument("--scan-points", dest="scan_points", type=int, default=2000)
-    p_levels.add_argument("--tol", type=float, default=1e-12)
-    p_levels.add_argument("--all-roots", dest="all_roots", action="store_true")
     p_levels.set_defaults(func=cmd_levels)
 
     p_pot = sub.add_parser("potential", help="potential curve samples")
@@ -350,22 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="parameter sweep of energy levels")
     _add_common(p_sweep)
-    p_sweep.add_argument("--model", choices=("nonrel", "kg", "dirac-spin", "dirac-pseudospin"), default="nonrel")
+    _add_states(p_sweep, n_max=0)
     p_sweep.add_argument("--param", choices=("alpha", "a", "b", "De", "re"), required=True)
     p_sweep.add_argument("--from", dest="start", type=float, required=True)
     p_sweep.add_argument("--to", dest="stop", type=float, required=True)
     p_sweep.add_argument("--steps", type=int, required=True)
-    p_sweep.add_argument("--n-max", dest="n_max", type=int, default=0)
-    p_sweep.add_argument("--l-max", dest="l_max", type=int, default=None)
-    p_sweep.add_argument("--rectangular", action="store_true")
-    p_sweep.add_argument("--mass", type=float, default=None, help="M (eV), relativistic models")
-    p_sweep.add_argument("--cs", type=float, default=0.0)
-    p_sweep.add_argument("--cps", type=float, default=0.0)
-    p_sweep.add_argument("--kappa", default="-1")
-    p_sweep.add_argument("--dimension", type=int, default=3)
-    p_sweep.add_argument("--scan-points", dest="scan_points", type=int, default=2000)
-    p_sweep.add_argument("--tol", type=float, default=1e-12)
-    p_sweep.add_argument("--all-roots", dest="all_roots", action="store_true")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_val = sub.add_parser("validate", help="score against the shipped reference table")

@@ -13,9 +13,9 @@ the level is
 
 The sign of the D_e q^2/alpha^2 coupling term here differs from one printed
 variant of this formula; the finite-difference oracle selects this one
-decisively (the other is off by ~0.2 eV for CH), and the eliminated variant
-is kept as `_energy_nonrel_printed` so validation reports can quantify the
-difference.  Wavefunctions are the standard s = e^(-alpha r) hypergeometric
+decisively (the other is off by ~0.2 eV for CH); the eliminated variant is
+kept as `_energy_nonrel_printed`, which the tests hold against the oracle.
+Wavefunctions are the standard s = e^(-alpha r) hypergeometric
 forms, normalized by quadrature (the closed-form constant is exact at n = 0
 but inherits a flawed norm identity at n >= 1, so it is logged, not used).
 """
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -58,7 +58,10 @@ class ParticleSpec:
         return 2.0 * self.mu_energy / self.hbar_c**2
 
 
-def _bracket_pieces(p: PotentialParams, part: ParticleSpec, n: int, l: int, phi_sign: float):
+def _level(p: PotentialParams, part: ParticleSpec, n: int, l: int, phi_sign: float) -> float:
+    """E(n, l) with phi_sign on the D_e q^2/alpha^2 coupling term."""
+    if n < 0 or l < 0:
+        raise InvalidParameter(f"quantum numbers must be >= 0, got (n={n!r}, l={l!r})")
     T = part.two_mu_over_hbar2
     a2 = p.alpha**2
     phi = T * p.D_e * p.q**2 / a2
@@ -66,28 +69,21 @@ def _bracket_pieces(p: PotentialParams, part: ParticleSpec, n: int, l: int, phi_
     P = n + 0.5 + delta
     coupling = T * (p.b / p.alpha - p.a / p.alpha - 2.0 * p.D_e * p.q / a2 + phi_sign * p.D_e * p.q**2 / a2)
     N = P * P + coupling + l * (l + 1)
-    return P, N
+    kap2 = part.kinetic_scale * p.alpha**2
+    return p.D_e - p.a * p.alpha + kap2 * l * (l + 1) - 0.25 * kap2 * (N / P) ** 2
 
 
 def energy_nonrel(p: PotentialParams, part: ParticleSpec, n: int, l: int) -> float:
     """Closed-form level E(n, l) in eV (oracle-verified transcription)."""
-    if n < 0 or l < 0:
-        raise InvalidParameter(f"quantum numbers must be >= 0, got (n={n!r}, l={l!r})")
-    P, N = _bracket_pieces(p, part, n, l, phi_sign=-1.0)
-    kap2 = part.kinetic_scale * p.alpha**2
-    return p.D_e - p.a * p.alpha + kap2 * l * (l + 1) - 0.25 * kap2 * (N / P) ** 2
+    return _level(p, part, n, l, -1.0)
 
 
 def _energy_nonrel_printed(p: PotentialParams, part: ParticleSpec, n: int, l: int) -> float:
     """The rejected printed variant (+ sign on the D_e q^2 coupling term).
 
-    Fails the oracle by ~0.2 eV; retained only so reports can document it.
+    Fails the oracle by ~0.2 eV; kept only as a test cross-check.
     """
-    if n < 0 or l < 0:
-        raise InvalidParameter(f"quantum numbers must be >= 0, got (n={n!r}, l={l!r})")
-    P, N = _bracket_pieces(p, part, n, l, phi_sign=+1.0)
-    kap2 = part.kinetic_scale * p.alpha**2
-    return p.D_e - p.a * p.alpha + kap2 * l * (l + 1) - 0.25 * kap2 * (N / P) ** 2
+    return _level(p, part, n, l, +1.0)
 
 
 def wavefunction_exponents(p: PotentialParams, part: ParticleSpec, E: float, l: int) -> tuple[float, float]:
@@ -113,8 +109,7 @@ class WavefunctionSpec:
     """Exponents, degree and normalization of one radial eigenfunction.
 
     The normalization constant is stored as log_norm because molecular
-    exponents overflow a double (log N ~ +1e3); `norm` is provided for
-    convenience and may overflow to inf.
+    exponents overflow a double (log N ~ +1e3).
     """
 
     omega: float
@@ -127,10 +122,6 @@ class WavefunctionSpec:
         wavefun.SWaveform(self.omega, self.phi_exp, self.n, self.alpha)  # invariant check
         if not math.isfinite(self.log_norm):
             raise InvalidParameter(f"log_norm must be finite, got {self.log_norm!r}")
-
-    @property
-    def norm(self) -> float:
-        return math.exp(self.log_norm)
 
     def _waveform(self) -> wavefun.SWaveform:
         return wavefun.SWaveform(self.omega, self.phi_exp, self.n, self.alpha)
@@ -209,24 +200,8 @@ class SpectrumRow:
     n: int
     l: int
     E_eV: float
-    method: str = "closed-form"
     oracle_E_eV: Optional[float] = None
     abs_dev_eV: Optional[float] = None
-    status: str = "ok"
-
-
-@dataclass(frozen=True)
-class SpectrumTable:
-    rows: tuple
-
-    CSV_HEADER = "molecule,model,n,l,E_eV,oracle_E_eV,abs_dev_eV"
-
-    def to_csv_lines(self) -> Iterable[str]:
-        yield self.CSV_HEADER
-        for row in self.rows:
-            oe = "" if row.oracle_E_eV is None else f"{row.oracle_E_eV:.17g}"
-            dv = "" if row.abs_dev_eV is None else f"{row.abs_dev_eV:.17g}"
-            yield f"{row.molecule},{row.model},{row.n},{row.l},{row.E_eV:.17g},{oe},{dv}"
 
 
 def level_indices(n_max: int, l_max: int, rectangular: bool = False) -> list[tuple[int, int]]:
@@ -250,8 +225,8 @@ def spectrum_table(
     oracle: bool = False,
     oracle_points: int = 20001,
     rectangular: bool = False,
-) -> SpectrumTable:
-    """Closed-form levels laid out triangularly, with optional oracle deviations.
+) -> tuple[SpectrumRow, ...]:
+    """Closed-form level rows laid out triangularly, with optional oracle deviations.
 
     In oracle mode one extrapolated FD solve per l column supplies every n.
     """
@@ -266,7 +241,7 @@ def spectrum_table(
         E = energy_nonrel(p, part, n, l)
         if oracle:
             oe = float(oracle_cols[l][n])
-            rows.append(SpectrumRow(molecule_name, "nonrel", n, l, E, "closed-form", oe, abs(E - oe)))
+            rows.append(SpectrumRow(molecule_name, "nonrel", n, l, E, oe, abs(E - oe)))
         else:
             rows.append(SpectrumRow(molecule_name, "nonrel", n, l, E))
-    return SpectrumTable(tuple(rows))
+    return tuple(rows)

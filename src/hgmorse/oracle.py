@@ -35,6 +35,16 @@ if TYPE_CHECKING:  # pragma: no cover
 #: n-fold suppression used when truncating the radial domain
 _TAIL_FOLDS = 50.0
 
+#: inner end (A) of every oracle grid; the FD box and the shooting span start here
+_R_MIN = 1e-3
+
+#: outer end (A) of the span a shooting grid is cut from
+_SHOOT_R_CAP = 1600.0
+
+#: target phase per step k*h of a shooting grid, and its point budget
+_KH_TARGET = 0.01
+_SHOOT_MAX_POINTS = 400_000
+
 #: RK4 steps multiplied into one propagator before it is applied to the
 #: shooting state; bounds the working arrays to a few hundred kB
 _CHUNK_STEPS = 8192
@@ -66,9 +76,9 @@ class RadialGrid:
         return RadialGrid(self.r_min, self.r_max, 2 * self.points - 1)
 
 
-def default_grid(alpha: float, points: int = 20001, r_min: float = 1e-3) -> RadialGrid:
-    """Default oracle grid: r_max = 40/alpha (40 screening lengths)."""
-    return RadialGrid(r_min, 40.0 / alpha, points)
+def default_grid(alpha: float) -> RadialGrid:
+    """Default oracle grid: 20001 points, r_max = 40/alpha (40 screening lengths)."""
+    return RadialGrid(_R_MIN, 40.0 / alpha, 20001)
 
 
 def _fd_matrix(p: PotentialParams, part: "ParticleSpec", l: int, g: RadialGrid, k: int):
@@ -130,13 +140,7 @@ def richardson_extrapolate(
     return E_fine + (E_fine - E_coarse) / (ratio**order - 1.0), abs(E_fine - E_coarse)
 
 
-def adapted_range(
-    p: PotentialParams,
-    part: "ParticleSpec",
-    l: int,
-    k: int,
-    r_min: float = 1e-3,
-) -> float:
+def adapted_range(p: PotentialParams, part: "ParticleSpec", l: int, k: int) -> float:
     """r_max covering the support of the lowest k levels.
 
     A coarse full-range solve localizes the k-th level, then the domain is
@@ -147,14 +151,14 @@ def adapted_range(
     level sits too close to the dissociation limit.
     """
     cap = 40.0 / p.alpha
-    coarse = fd_schrodinger_eigen(p, part, l, RadialGrid(r_min, cap, 4001), k)
+    coarse = fd_schrodinger_eigen(p, part, l, RadialGrid(_R_MIN, cap, 4001), k)
     spread = (coarse[-1] - coarse[0]) / max(k - 1, 1)
     e_top = coarse[-1] + 0.5 * spread + 1e-9
     v_inf = p.D_e - p.a * p.alpha  # approximate-potential limit at infinity
     if e_top >= v_inf:
         return cap
     kappa = math.sqrt((v_inf - e_top) / part.kinetic_scale)
-    rr = np.linspace(r_min, cap, 20000)
+    rr = np.linspace(_R_MIN, cap, 20000)
     veff = potential_approx(p, rr) + part.kinetic_scale * centrifugal_approx(p.alpha, rr, float(l * (l + 1)))
     below = rr[veff < e_top]
     r_turn = float(below[-1]) if below.size else p.r_e + 1.0
@@ -167,15 +171,14 @@ def oracle_energies(
     l: int,
     k: int,
     points: int = 20001,
-    r_min: float = 1e-3,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Extrapolated FD energies for the lowest k levels on adapted grids.
 
     Solves on `points` and the halved-spacing refinement, Richardson order 2.
     Returns (energies, error estimates).
     """
-    r_max = adapted_range(p, part, l, k, r_min)
-    g = RadialGrid(r_min, r_max, points)
+    r_max = adapted_range(p, part, l, k)
+    g = RadialGrid(_R_MIN, r_max, points)
     e_c = fd_schrodinger_eigen(p, part, l, g, k)
     e_f = fd_schrodinger_eigen(p, part, l, g.refined(), k)
     out = np.empty(k)
@@ -289,22 +292,15 @@ def shoot_mismatch(
     return v_l / u_l - v_r / u_r
 
 
-def shooting_grid(
-    ode: Callable[[np.ndarray, float], np.ndarray],
-    E: float,
-    r_min: float = 1e-3,
-    r_cap: float = 1600.0,
-    kh_target: float = 0.01,
-    max_points: int = 400_000,
-) -> tuple[RadialGrid, float]:
+def shooting_grid(ode: Callable[[np.ndarray, float], np.ndarray], E: float) -> tuple[RadialGrid, float]:
     """Grid and match point adapted to the local wavelength of one solution.
 
     The span is truncated 50 decay lengths past the classically allowed
-    region and the spacing targets k*h <= kh_target, where k is the largest
+    region and the spacing targets k*h <= _KH_TARGET, where k is the largest
     local wavenumber sqrt(|W|).  The match point is the maximum of W, i.e.
     the minimum of the effective potential.
     """
-    rr = np.geomspace(r_min, r_cap, 16000)
+    rr = np.geomspace(_R_MIN, _SHOOT_R_CAP, 16000)
     W = np.asarray(ode(rr, E), dtype=float)
     inside = np.nonzero(W > 0.0)[0]
     if inside.size == 0:
@@ -335,8 +331,8 @@ def shooting_grid(
     def build(i_lo: int, i_hi: int) -> RadialGrid:
         r_lo, r_hi = float(rr[i_lo]), float(rr[i_hi])
         total = float(np.sum(0.5 * (speed[i_lo:i_hi] + speed[i_lo + 1 : i_hi + 1]) * dr[i_lo:i_hi]))
-        points = int(1.5 * total / kh_target) + 2
-        points = min(max(points, 3001, int((r_hi - r_lo) / 0.02)), max_points)
+        points = int(1.5 * total / _KH_TARGET) + 2
+        points = min(max(points, 3001, int((r_hi - r_lo) / 0.02)), _SHOOT_MAX_POINTS)
         return RadialGrid(r_lo, r_hi, points)
 
     grid = build(lo_idx, hi_idx)
@@ -357,15 +353,9 @@ def shooting_grid(
     return grid, r_match
 
 
-def mismatch_sign_change(
-    ode: Callable[[np.ndarray, float], np.ndarray],
-    E: float,
-    window: float,
-    r_min: float = 1e-3,
-    r_cap: float = 1600.0,
-) -> bool:
+def mismatch_sign_change(ode: Callable[[np.ndarray, float], np.ndarray], E: float, window: float) -> bool:
     """True when the shooting mismatch changes sign across [E-window, E+window]."""
-    g, r_match = shooting_grid(ode, E, r_min, r_cap)
+    g, r_match = shooting_grid(ode, E)
     lo = shoot_mismatch(ode, E - window, g, r_match)
     hi = shoot_mismatch(ode, E + window, g, r_match)
     return math.isfinite(lo) and math.isfinite(hi) and lo * hi < 0.0

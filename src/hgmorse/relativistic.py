@@ -56,11 +56,10 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class QuantumNumbers:
-    """State labels: radial n, orbital l, spin-orbit kappa, dimension D."""
+    """State labels: radial n, orbital l, dimension D."""
 
     n: int
     l: int = 0
-    kappa: Optional[int] = None
     D: int = 3
 
     def __post_init__(self) -> None:
@@ -68,8 +67,6 @@ class QuantumNumbers:
             raise InvalidParameter(f"n and l must be >= 0, got ({self.n!r}, {self.l!r})")
         if self.D < 1:
             raise InvalidParameter(f"dimension must be >= 1, got {self.D!r}")
-        if self.kappa == 0:
-            raise InvalidParameter("kappa must be a nonzero integer")
 
 
 def lambda_D(D: int, l: int) -> float:
@@ -367,10 +364,10 @@ def default_search_interval(p: PotentialParams, M: float) -> tuple[float, float]
 
 
 def _solve(
-    sector: _Sector, p: PotentialParams, M: float, state: tuple, n: int, search_lo: Optional[float],
-    search_hi: Optional[float], scan_points: int, tol: float, all_roots: bool, hbar_c: float,
+    sector: _Sector, p: PotentialParams, M: float, state: tuple, n: int, scan_points: int, tol: float,
+    all_roots: bool, hbar_c: float,
 ) -> list[float]:
-    """All levels of one state in the search window, ascending.
+    """All levels of one state in the default_search_interval window, ascending.
 
     Scans and bisects the normalized residual, then rejects pole brackets
     (|f| grows under bisection, e.g. across a scale-factor zero),
@@ -380,9 +377,6 @@ def _solve(
     expanded equation defects are logged.
     """
     lo, hi = default_search_interval(p, M)
-    lo = lo if search_lo is None else search_lo
-    hi = hi if search_hi is None else search_hi
-
     fields = sector.fields(p, M, *state, hbar_c)
 
     def evaluate(E: float) -> Optional[tuple[float, float, float]]:
@@ -446,18 +440,16 @@ def solve_kg_energy(
     p: PotentialParams,
     M: float,
     qn: QuantumNumbers,
-    search_lo: Optional[float] = None,
-    search_hi: Optional[float] = None,
     scan_points: int = 2000,
     tol: float = 1e-12,
     hbar_c: float = HBAR_C_EV_ANGSTROM,
 ) -> list[float]:
-    """All Klein-Gordon levels for (n, l, D) in the search window, ascending.
+    """All Klein-Gordon levels for (n, l, D) in the bound-state window, ascending.
 
     Raises NoBoundState when the window contains no genuine root.  For each
     root the compact and the printed expanded equation defects are logged.
     """
-    return _solve(_KG, p, M, (qn,), qn.n, search_lo, search_hi, scan_points, tol, False, hbar_c)
+    return _solve(_KG, p, M, (qn,), qn.n, scan_points, tol, False, hbar_c)
 
 
 def solve_dirac_spin(
@@ -466,15 +458,13 @@ def solve_dirac_spin(
     kappa: int,
     Cs: float = 0.0,
     n: int = 0,
-    search_lo: Optional[float] = None,
-    search_hi: Optional[float] = None,
     scan_points: int = 2000,
     tol: float = 1e-12,
     all_roots: bool = False,
     hbar_c: float = HBAR_C_EV_ANGSTROM,
 ) -> list[float]:
     """Spin-symmetry levels; positive-energy branch unless all_roots."""
-    return _solve(_SPIN, p, M, (kappa, Cs, n), n, search_lo, search_hi, scan_points, tol, all_roots, hbar_c)
+    return _solve(_SPIN, p, M, (kappa, Cs, n), n, scan_points, tol, all_roots, hbar_c)
 
 
 def solve_dirac_pseudospin(
@@ -483,15 +473,13 @@ def solve_dirac_pseudospin(
     kappa: int,
     Cps: float = 0.0,
     n: int = 0,
-    search_lo: Optional[float] = None,
-    search_hi: Optional[float] = None,
     scan_points: int = 2000,
     tol: float = 1e-12,
     all_roots: bool = False,
     hbar_c: float = HBAR_C_EV_ANGSTROM,
 ) -> list[float]:
     """Pseudospin-symmetry levels; negative-energy branch unless all_roots."""
-    return _solve(_PSEUDOSPIN, p, M, (kappa, Cps, n), n, search_lo, search_hi, scan_points, tol, all_roots, hbar_c)
+    return _solve(_PSEUDOSPIN, p, M, (kappa, Cps, n), n, scan_points, tol, all_roots, hbar_c)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,9 @@ import numpy as np
 
 from .errors import InvalidParameter, NonConvergence
 
+#: most halvings bisect makes before it gives up with NonConvergence
+_MAX_ITER = 200
+
 
 @dataclass(frozen=True)
 class RootBracket:
@@ -79,7 +82,6 @@ def bisect(
     f: Callable[[float], Optional[float]],
     b: RootBracket,
     tol_abs: float,
-    max_iter: int = 200,
 ) -> tuple[float, float]:
     """Bisect a certified bracket down to |hi - lo| <= tol_abs.
 
@@ -92,7 +94,7 @@ def bisect(
     if not tol_abs > 0.0:
         raise InvalidParameter(f"tol_abs must be > 0, got {tol_abs!r}")
     lo, hi, f_lo, f_hi = b.lo, b.hi, b.f_lo, b.f_hi
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if hi - lo <= tol_abs:
             break
         mid = 0.5 * (lo + hi)
@@ -108,7 +110,7 @@ def bisect(
         else:
             lo, f_lo = mid, f_mid
     else:
-        raise NonConvergence(f"bisection exceeded {max_iter} iterations (width {hi - lo!r})")
+        raise NonConvergence(f"bisection exceeded {_MAX_ITER} iterations (width {hi - lo!r})")
     root = 0.5 * (lo + hi)
     f_root = f(root)
     if not _defined(f_root):

@@ -73,13 +73,6 @@ def amu_to_mass_energy(m: float, u: UnitConstants = DEFAULT_UNITS) -> float:
     return m * u.amu_to_ev
 
 
-def hbar2_over_2mu(mu_energy: float, u: UnitConstants = DEFAULT_UNITS) -> float:
-    """Kinetic prefactor hbar^2/(2 mu) in eV*A^2 for a reduced mass-energy in eV."""
-    if not mu_energy > 0.0:
-        raise InvalidParameter(f"mass-energy must be > 0 eV, got {mu_energy!r}")
-    return u.hbar_c**2 / (2.0 * mu_energy)
-
-
 def read_config(path) -> dict:
     """Parse a ``key = value`` configuration file.
 

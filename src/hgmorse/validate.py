@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidParameter, ParseError
 from .molecules import builtin_molecules, find_molecule, to_potential_params
-from .nonrel import _energy_nonrel_printed, energy_nonrel
+from .nonrel import energy_nonrel
 from .units import DEFAULT_UNITS, UnitConstants
 
 REPRODUCTION_TOL = 5e-3  # eV, per entry
@@ -73,12 +73,8 @@ def check_reference_shape(rows: Iterable[ReferenceRow]) -> None:
         raise InvalidParameter(f"reference table malformed: {per!r}")
 
 
-def _model_energy(molecule: str, n: int, l: int, a: float, b: float, alpha: float, u: UnitConstants,
-                  printed_variant: bool = False) -> float:
-    mol = find_molecule(molecule)
-    params, part = to_potential_params(mol, a, b, alpha, u)
-    if printed_variant:
-        return _energy_nonrel_printed(params, part, n, l)
+def _model_energy(molecule: str, n: int, l: int, a: float, b: float, alpha: float, u: UnitConstants) -> float:
+    params, part = to_potential_params(find_molecule(molecule), a, b, alpha, u)
     return energy_nonrel(params, part, n, l)
 
 
@@ -103,8 +99,10 @@ def calibrate(rows: list[ReferenceRow], alpha: float = 0.025, grid: int = 51,
     """Grid search (a, b) in [0, 5]^2 minimizing the CH ground-level mismatch.
 
     Returns (a, b, |deviation at CH(0,0)|); ties resolve to the first grid
-    point in scan order.
+    point in scan order.  InvalidParameter when grid < 1.
     """
+    if grid < 1:
+        raise InvalidParameter(f"calibration grid must be >= 1, got {grid!r}")
     target = next(row.E_eV for row in rows if row.molecule == "CH" and row.n == 0 and row.l == 0)
     best: Optional[tuple[float, float, float]] = None
     for a in np.linspace(0.0, 5.0, grid):

@@ -73,14 +73,14 @@ def support_window(w: SWaveform, drop: float = _WINDOW_DROP) -> tuple[float, flo
     return r_lo, r_hi
 
 
-def log_norm_quadrature(w: SWaveform, panels: int | None = None, order: int = 24) -> float:
+def log_norm_quadrature(w: SWaveform) -> float:
     """log of the normalization constant N with integral |N u|^2 dr = 1.
 
-    Composite Gauss-Legendre over the support window; the polynomial factor
-    oscillates n times inside it, so the panel count scales with n.
+    Composite 24-point Gauss-Legendre over the support window; the
+    polynomial factor oscillates n times inside it, so the panel count
+    scales with n.
     """
-    if panels is None:
-        panels = 96 + 32 * w.n
+    panels, order = 96 + 32 * w.n, 24
     r_lo, r_hi = support_window(w)
     x, wt = np.polynomial.legendre.leggauss(order)
     edges = np.linspace(r_lo, r_hi, panels + 1)
@@ -110,10 +110,10 @@ def value(w: SWaveform, log_norm: float, r: float) -> float:
     return sign * math.exp(la + log_norm)
 
 
-def count_nodes(w: SWaveform, log_norm: float, samples: int = 4000) -> int:
-    """Strict interior sign changes over the support window."""
+def count_nodes(w: SWaveform, log_norm: float) -> int:
+    """Strict interior sign changes over 4000 samples of the support window."""
     r_lo, r_hi = support_window(w)
-    rs = np.linspace(r_lo, r_hi, samples)
+    rs = np.linspace(r_lo, r_hi, 4000)
     vals = np.array([value(w, log_norm, float(r)) for r in rs])
     scale = np.abs(vals).max()
     keep = np.abs(vals) > 1e-9 * scale

@@ -5,7 +5,7 @@ import pytest
 
 from hgmorse.checks import pseudospin_params
 from hgmorse.cli import EXIT_CHECK_FAILED, main
-from hgmorse.errors import NoBoundState
+from hgmorse.errors import InvalidParameter, NoBoundState
 from hgmorse.molecules import builtin_molecules, find_molecule, to_potential_params
 from hgmorse.nonrel import energy_nonrel
 from hgmorse.oracle import oracle_energies
@@ -19,6 +19,7 @@ from hgmorse.relativistic import (
     spin_residual,
 )
 from hgmorse.units import HBAR_C_EV_ANGSTROM
+from hgmorse.validate import calibrate, load_reference
 
 
 def run(capsys, *argv):
@@ -273,6 +274,43 @@ def test_config_b_sign_flips_yukawa(capsys, tmp_path):
     e_plus = float(out_plus.strip().splitlines()[1].split(",")[4])
     e_flip = float(out_flip.strip().splitlines()[1].split(",")[4])
     assert e_flip < e_plus  # attractive Yukawa binds deeper
+
+
+@pytest.mark.parametrize("argv", [
+    ("levels", "--molecule", "CH", "--n-max", "0"),
+    ("potential", "--molecule", "CH", "--samples", "3"),
+    ("sweep", "--molecule", "CH", "--param", "a", "--from", "0", "--to", "1", "--steps", "2"),
+])
+def test_config_non_numeric_b_sign_is_a_usage_error(capsys, tmp_path, argv):
+    cfg = tmp_path / "sign.cfg"
+    cfg.write_text("b_sign = minus\n")
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "b_sign" in err
+
+
+@pytest.mark.parametrize("grid", [0, -2])
+def test_calibration_grid_below_one_is_a_usage_error(capsys, grid):
+    with pytest.raises(InvalidParameter, match="calibration grid"):
+        calibrate(load_reference(), grid=grid)
+    code, out, err = run(capsys, "validate", "--calibrate", "--calibration-grid", str(grid))
+    assert code == 2
+    assert out == ""
+    assert "calibration grid" in err
+
+
+@pytest.mark.parametrize("command", [
+    ("levels",),
+    ("sweep", "--param", "a", "--from", "1500000", "--to", "1900000", "--steps", "2"),
+])
+@pytest.mark.parametrize("model", ["nonrel", "kg", "dirac-spin", "dirac-pseudospin"])
+def test_negative_n_max_is_a_usage_error(capsys, command, model):
+    code, out, err = run(capsys, *command, "--model", model, "--n-max", "-1", "--mass", "500",
+                         "--De-cm", "55147417000", "--re", "1.1198", "--mu-amu", "1", "--b", "1732450")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_forced_coarse_grid_surfaces_grid_too_coarse(capsys):

@@ -1,9 +1,12 @@
-"""Byte-for-byte golden of the relativistic `levels` tables.
+"""Byte-for-byte goldens of the CLI data streams.
 
-The golden file holds the stdout and exit code of each command below, run
-on CH at a = b = 1 with every strength scaled by mu c^2/M (kg, dirac-spin)
-or with the pseudospin strengths of checks.pseudospin_params (a = 0).
-Regenerate it only for a deliberate output change:
+Each golden file holds the stdout and exit code of each command of its
+list. The relativistic `levels` tables run on CH at a = b = 1 with every
+strength scaled by mu c^2/M (kg, dirac-spin) or with the pseudospin
+strengths of checks.pseudospin_params (a = 0). The CLI golden covers a
+nonrelativistic table with its oracle columns, a sweep, the calibrated
+validation report and the oracle-check battery, whose wall times are
+dropped. Regenerate them only for a deliberate output change:
 
     PYTHONPATH=src python tests/test_levels_golden.py
 """
@@ -11,17 +14,18 @@ Regenerate it only for a deliberate output change:
 import contextlib
 import io
 import pathlib
+import re
 
 from hgmorse.cli import main
 
-GOLDEN = pathlib.Path(__file__).with_name("data") / "relativistic_levels.golden"
+DATA = pathlib.Path(__file__).with_name("data")
 
 _SCALED_500 = ("--De-cm", "55157897115.66182", "--re", "1.1198", "--mu-amu", "1",
                "--a", "1732450.484315066", "--b", "1732450.484315066", "--mass", "500")
 _SCALED_5000 = ("--De-cm", "5515789711.566182", "--re", "1.1198", "--mu-amu", "1",
                 "--a", "173245.04843150658", "--b", "173245.04843150658", "--mass", "5000")
 
-COMMANDS = [
+LEVELS_COMMANDS = [
     ("levels", "--model", "kg", *_SCALED_500, "--n-max", "1"),
     ("levels", "--model", "kg", *_SCALED_5000, "--n-max", "1", "--l-max", "0", "--dimension", "2"),
     ("levels", "--model", "dirac-spin", "--all-roots", *_SCALED_500, "--n-max", "1", "--kappa=-1,1,-2"),
@@ -35,22 +39,39 @@ COMMANDS = [
      "--mass", "500", "--cps", "20", "--n-max", "1", "--kappa=1,2"),
 ]
 
+CLI_COMMANDS = [
+    ("levels", "--molecule", "HCl", "--a", "1", "--b", "1", "--n-max", "3", "--oracle"),
+    ("sweep", "--molecule", "CH", "--param", "alpha", "--from", "0.01", "--to", "0.05", "--steps", "4",
+     "--n-max", "1"),
+    ("validate", "--calibrate", "--no-timestamp"),
+    ("oracle-check", "--details", "--models", "nonrel,kg,dirac-spin,dirac-pseudospin", "--molecules", "CH"),
+]
 
-def render() -> str:
-    """Each command line, its stdout and its exit code, in order."""
+GOLDENS = {"relativistic_levels.golden": LEVELS_COMMANDS, "cli_outputs.golden": CLI_COMMANDS}
+
+_WALL_TIME = re.compile(r" in \d+\.\d s$", re.MULTILINE)
+
+
+def render(commands) -> str:
+    """Each command line, its stdout without wall times and its exit code, in order."""
     parts = []
-    for argv in COMMANDS:
+    for argv in commands:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(list(argv))
-        parts.append(f"$ hgmorse {' '.join(argv)}\n{out.getvalue()}[exit {code}]\n")
+        parts.append(f"$ hgmorse {' '.join(argv)}\n{_WALL_TIME.sub('', out.getvalue())}[exit {code}]\n")
     return "".join(parts)
 
 
 def test_relativistic_levels_match_golden():
-    assert render() == GOLDEN.read_text()
+    assert render(LEVELS_COMMANDS) == (DATA / "relativistic_levels.golden").read_text()
+
+
+def test_cli_outputs_match_golden():
+    assert render(CLI_COMMANDS) == (DATA / "cli_outputs.golden").read_text()
 
 
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(render())
+    DATA.mkdir(exist_ok=True)
+    for name, commands in GOLDENS.items():
+        (DATA / name).write_text(render(commands))

@@ -220,17 +220,16 @@ def test_level_indices_layouts():
 
 def test_spectrum_table_single_row(ch_free):
     p, part = ch_free
-    table = spectrum_table("CH", p, part, 0, 0)
-    assert len(table.rows) == 1
-    assert (table.rows[0].n, table.rows[0].l) == (0, 0)
+    rows = spectrum_table("CH", p, part, 0, 0)
+    assert len(rows) == 1
+    assert (rows[0].n, rows[0].l) == (0, 0)
+    assert rows[0].oracle_E_eV is None and rows[0].abs_dev_eV is None
 
 
 def test_spectrum_table_oracle_mode(ch_free):
     p, part = ch_free
-    table = spectrum_table("CH", p, part, 1, 1, oracle=True)
-    assert len(table.rows) == 3
-    for row in table.rows:
+    rows = spectrum_table("CH", p, part, 1, 1, oracle=True)
+    assert [(row.n, row.l) for row in rows] == [(0, 0), (1, 0), (1, 1)]
+    for row in rows:
         assert row.abs_dev_eV is not None and row.abs_dev_eV <= 5e-4
-    lines = list(table.to_csv_lines())
-    assert lines[0] == "molecule,model,n,l,E_eV,oracle_E_eV,abs_dev_eV"
-    assert len(lines) == 4
+        assert row.abs_dev_eV == abs(row.E_eV - row.oracle_E_eV)

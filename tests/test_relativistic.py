@@ -63,8 +63,6 @@ def test_quantum_numbers_validation():
     with pytest.raises(InvalidParameter):
         QuantumNumbers(n=-1)
     with pytest.raises(InvalidParameter):
-        QuantumNumbers(n=0, kappa=0)
-    with pytest.raises(InvalidParameter):
         QuantumNumbers(n=0, D=0)
 
 

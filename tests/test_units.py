@@ -2,12 +2,12 @@ import mpmath as mp
 import pytest
 
 from hgmorse.errors import InvalidParameter, ParseError
+from hgmorse.nonrel import ParticleSpec
 from hgmorse.units import (
     DEFAULT_UNITS,
     UnitConstants,
     amu_to_mass_energy,
     cm_inverse_to_ev,
-    hbar2_over_2mu,
     read_config,
 )
 
@@ -52,20 +52,20 @@ def test_amu_to_mass_energy_rejects_nonpositive():
 
 def test_hbar2_over_2mu_identity():
     mu = DEFAULT_UNITS.hbar_c**2 / 2.0
-    assert hbar2_over_2mu(mu) == pytest.approx(1.0, rel=1e-15)
+    assert ParticleSpec(mu).kinetic_scale == pytest.approx(1.0, rel=1e-15)
 
 
 def test_hbar2_over_2mu_reference_values():
     ch = float(mp.mpf("1973.29") ** 2 / (2 * mp.mpf("0.929931") * mp.mpf("931.49410242e6")))
-    assert hbar2_over_2mu(amu_to_mass_energy(0.929931)) == pytest.approx(ch, rel=1e-14)
-    assert hbar2_over_2mu(amu_to_mass_energy(0.929931)) == pytest.approx(2.2476e-3, rel=1e-4)
-    n2 = hbar2_over_2mu(amu_to_mass_energy(7.003350))
+    assert ParticleSpec(amu_to_mass_energy(0.929931)).kinetic_scale == pytest.approx(ch, rel=1e-14)
+    assert ParticleSpec(amu_to_mass_energy(0.929931)).kinetic_scale == pytest.approx(2.2476e-3, rel=1e-4)
+    n2 = ParticleSpec(amu_to_mass_energy(7.003350)).kinetic_scale
     assert n2 == pytest.approx(2.985e-4, rel=1e-3)
 
 
 def test_hbar2_over_2mu_rejects_nonpositive():
     with pytest.raises(InvalidParameter):
-        hbar2_over_2mu(0.0)
+        ParticleSpec(0.0).kinetic_scale
 
 
 def test_round_trip_relative():
@@ -75,7 +75,7 @@ def test_round_trip_relative():
 
 
 def test_hbar2_over_2mu_strictly_decreasing():
-    values = [hbar2_over_2mu(mu) for mu in (1e6, 1e7, 1e8, 1e9)]
+    values = [ParticleSpec(mu).kinetic_scale for mu in (1e6, 1e7, 1e8, 1e9)]
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
