@@ -31,6 +31,9 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NO_BOUND_STATE = 3
 
+#: the keys a --config file may set
+_CONFIG_KEYS = ("hbar_c", "cm_inv_to_ev", "amu_to_ev", "b_sign")
+
 
 def _fmt(x: Optional[float]) -> str:
     if x is None:
@@ -56,9 +59,18 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
-def _load_setup(args) -> tuple[str, PotentialParams, ParticleSpec, UnitConstants]:
+def _load_config(args) -> tuple[dict, UnitConstants]:
+    """The --config keys and the unit constants they set; InvalidParameter on an unknown key."""
     cfg = read_config(args.config) if args.config else {}
-    units = UnitConstants.from_mapping(cfg)
+    unknown = sorted(set(cfg) - set(_CONFIG_KEYS))
+    if unknown:
+        raise InvalidParameter(f"unknown config keys {unknown!r} in {args.config}; "
+                               f"known keys: {', '.join(_CONFIG_KEYS)}")
+    return cfg, UnitConstants.from_mapping(cfg)
+
+
+def _load_setup(args) -> tuple[str, PotentialParams, ParticleSpec, UnitConstants]:
+    cfg, units = _load_config(args)
     try:
         b_sign = float(cfg.get("b_sign", "1"))
     except ValueError as exc:
@@ -273,8 +285,7 @@ def cmd_sweep(args, out) -> int:
 
 
 def cmd_validate(args, out) -> int:
-    cfg = read_config(args.config) if args.config else {}
-    units = UnitConstants.from_mapping(cfg)
+    _, units = _load_config(args)
     try:
         rows = validate_mod.load_reference(args.table2)
     except FileNotFoundError:
@@ -294,8 +305,7 @@ def cmd_validate(args, out) -> int:
 def cmd_oracle_check(args, out) -> int:
     from .checks import MODEL_CHECKS, ORACLE_CSV_HEADER, oracle_comparison_rows, run_checks
 
-    cfg = read_config(args.config) if args.config else {}
-    units = UnitConstants.from_mapping(cfg)
+    _, units = _load_config(args)
     names = _distinct([name for name in args.molecules.split(",") if name], "--molecules", args.molecules)
     molecules = [find_molecule(name) for name in names]
     models = _distinct([m for m in args.models.split(",") if m], "--models", args.models)

@@ -14,7 +14,10 @@ Two verifiers, each matched to how the energy enters its equation:
   applications", 1990) instead of stepping in Python.
 
 The oracle consumes the approximate potential and centrifugal callables
-directly and never touches the closed forms it checks.
+directly and never touches the closed forms it checks.  The two FD solvers
+import scipy.linalg when first called, so the paths that never run the FD
+oracle (the relativistic solvers, potential curves, closed-form tables) do
+not pay for importing scipy.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import GridTooCoarse, InvalidParameter, NonConvergence
 from .potential import PotentialParams, centrifugal_approx, potential_approx
@@ -110,6 +112,8 @@ def fd_schrodinger_modes(
     with u = 0 at both grid ends.  Returns (energies ascending, eigenvectors
     on the interior nodes as columns).
     """
+    from scipy.linalg import eigh_tridiagonal
+
     diag, off = _fd_matrix(p, part, l, g, k)
     return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
 
@@ -122,6 +126,8 @@ def fd_schrodinger_eigen(
     k: int,
 ) -> np.ndarray:
     """Lowest k finite-difference eigenvalues, ascending (see fd_schrodinger_modes)."""
+    from scipy.linalg import eigh_tridiagonal
+
     diag, off = _fd_matrix(p, part, l, g, k)
     return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1), eigvals_only=True)
 

@@ -25,11 +25,14 @@ shooting oracle on the corresponding radial equation.
 Each equation is described once, as a private sector record: its field
 builder, its branch filter, its printed-equation residual, its ODE
 coefficient and its closed-form log norm, if any.  The field builder does
-the state-only work once and returns E -> fields, each field a multiple of
-the equation's scale factor S (E+M, M+E-Cs or M-E+Cps over (hbar c)^2), or
-None where S is not positive.  One solver, one residual and one spec/norm
-builder serve all three sectors; the public functions are one-call wrappers
-over them.
+the state-only work once and returns E -> fields, where E is a float64
+array of energies or one float.  Each field is a multiple of the equation's
+scale factor S (E+M, M+E-Cs or M-E+Cps over (hbar c)^2), NaN where S is not
+positive, and the residual is NaN on every domain hole.  The root scan
+evaluates the residual on its whole energy grid in one call; bisection, the
+public residuals and the spec builder pass one float through the same code.
+One solver, one residual and one spec/norm builder serve all three sectors;
+the public functions are one-call wrappers over them.
 
 The fully expanded printed variants of the three eigenvalue equations carry
 typesetting defects (a dropped coupling term, a sign flip, a missing 1/4);
@@ -42,6 +45,8 @@ import logging
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
+
+import numpy as np
 
 from . import wavefun
 from .errors import InvalidParameter, NoBoundState, NonConvergence
@@ -83,32 +88,38 @@ def lambda_D(D: int, l: int) -> float:
 
 @dataclass(frozen=True)
 class _NUFields:
-    """Dimensionless coefficient set of the s-space radial equation."""
+    """Dimensionless coefficient set of the s-space radial equation.
 
-    eps: float
-    beta: float
-    eta: float
-    chi: float
-    phi: float
+    The first five fields hold one value per energy (a numpy scalar for one
+    float energy); gamma is the energy-independent angular term.
+    """
+
+    eps: np.ndarray
+    beta: np.ndarray
+    eta: np.ndarray
+    chi: np.ndarray
+    phi: np.ndarray
     gamma: float
 
 
-def _nu_eval(f: Optional[_NUFields], n: int) -> Optional[tuple[float, float, float]]:
-    """(normalized residual, bracket numerator N, denominator P) or None.
+def _nan_unless(ok, x):
+    """x where ok holds, NaN elsewhere; 0-d results come back as numpy scalars."""
+    return np.where(ok, x, np.nan)[()]
 
-    None marks a domain hole: no fields (a scale factor <= 0) or a negative
-    radicand 1/4 + phi + gamma.
+
+def _nu_eval(f: _NUFields, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(normalized residual, bracket numerator N), NaN on a domain hole.
+
+    A hole is a NaN field (a scale factor <= 0) or a negative radicand
+    1/4 + phi + gamma.
     """
-    if f is None:
-        return None
     radicand = 0.25 + f.phi + f.gamma
-    if radicand < 0.0:
-        return None
-    P = n + 0.5 + math.sqrt(radicand)
+    P = n + 0.5 + np.sqrt(_nan_unless(radicand >= 0.0, radicand))
     N = P * P - f.beta + f.eta - f.chi + f.gamma - f.phi
     lhs = f.eps
-    rhs = f.beta - f.gamma + 0.25 * (N / P) ** 2
-    return (lhs - rhs) / (1.0 + abs(lhs) + abs(rhs)), N, P
+    t = N / P
+    rhs = f.beta - f.gamma + 0.25 * (t * t)
+    return (lhs - rhs) / (1.0 + np.abs(lhs) + np.abs(rhs)), N
 
 
 def _bound_exponents(f: _NUFields) -> tuple[float, float]:
@@ -127,15 +138,14 @@ def _bound_exponents(f: _NUFields) -> tuple[float, float]:
 
 def _kg_fields(
     p: PotentialParams, M: float, qn: QuantumNumbers, hbar_c: float
-) -> Callable[[float], Optional[_NUFields]]:
+) -> Callable[[np.ndarray], _NUFields]:
     hc2, a2, q2 = hbar_c**2, p.alpha**2, p.q**2
     a, b, De, q, alpha = p.a, p.b, p.D_e, p.q, p.alpha
     lam = lambda_D(qn.D, qn.l)
 
-    def at(E: float) -> Optional[_NUFields]:
+    def at(E: np.ndarray) -> _NUFields:
         S = (E + M) / hc2
-        if S <= 0.0:
-            return None
+        S = _nan_unless(S > 0.0, S)
         # (-eps_KG, beta, eta, chi, phi_KG, Lambda), eps_KG = ((E^2-M^2) - D_e(E+M))/(hbar c alpha)^2
         return _NUFields(S * (M - E + De) / a2, S * a / alpha, S * b / alpha, 2.0 * S * De * q / a2,
                          S * De * q2 / a2, lam)
@@ -166,10 +176,10 @@ def kg_residual_nonrel_limit(p: PotentialParams, part: ParticleSpec, E_nl: float
         phi=S * p.D_e * p.q**2 / a2,
         gamma=float(l * (l + 1)),
     )
-    out = _nu_eval(fields, n)
-    if out is None:
+    res = float(_nu_eval(fields, n)[0])
+    if math.isnan(res):
         raise NoBoundState("substituted residual undefined")
-    return out[0]
+    return res
 
 
 def kg_printed_eq_residual(
@@ -199,17 +209,16 @@ def kg_printed_eq_residual(
 
 def _spin_fields(
     p: PotentialParams, M: float, kappa: int, Cs: float, n: int, hbar_c: float
-) -> Callable[[float], Optional[_NUFields]]:
+) -> Callable[[np.ndarray], _NUFields]:
     if kappa == 0:
         raise InvalidParameter("kappa must be nonzero")
     hc2, a2, q2 = hbar_c**2, p.alpha**2, p.q**2
     a, b, De, q, alpha = p.a, p.b, p.D_e, p.q, p.alpha
     beta1 = float(kappa * (kappa + 1))
 
-    def at(E: float) -> Optional[_NUFields]:
+    def at(E: np.ndarray) -> _NUFields:
         S = (M + E - Cs) / hc2
-        if S <= 0.0:
-            return None
+        S = _nan_unless(S > 0.0, S)
         # (gamma1, delta1, delta2, delta0, gamma0, beta1) of the upper-spinor equation
         return _NUFields(S * (M - E + De) / a2, S * a / alpha, S * b / alpha, 2.0 * S * De * q / a2,
                          S * De * q2 / a2, beta1)
@@ -275,17 +284,16 @@ def spin_printed_eq_residual(
 
 def _pseudospin_fields(
     p: PotentialParams, M: float, kappa: int, Cps: float, n: int, hbar_c: float
-) -> Callable[[float], Optional[_NUFields]]:
+) -> Callable[[np.ndarray], _NUFields]:
     if kappa == 0:
         raise InvalidParameter("kappa must be nonzero")
     hc2, a2, q2 = hbar_c**2, p.alpha**2, p.q**2
     a, b, De, q, alpha = p.a, p.b, p.D_e, p.q, p.alpha
     lambda1 = float(kappa * (kappa - 1))
 
-    def at(E: float) -> Optional[_NUFields]:
+    def at(E: np.ndarray) -> _NUFields:
         S = (M - E + Cps) / hc2
-        if S <= 0.0:
-            return None
+        S = _nan_unless(S > 0.0, S)
         # (chi0, -chi1, -chi2, -theta2, -theta1, lambda1): the difference potential flips each coupling
         return _NUFields(S * (M + E - De) / a2, -S * a / alpha, -S * b / alpha, -2.0 * S * De * q / a2,
                          -S * De * q2 / a2, lambda1)
@@ -379,22 +387,15 @@ def _solve(
     lo, hi = default_search_interval(p, M)
     fields = sector.fields(p, M, *state, hbar_c)
 
-    def evaluate(E: float) -> Optional[tuple[float, float, float]]:
-        return _nu_eval(fields(E), n)
-
-    def f(E: float) -> Optional[float]:
-        out = evaluate(E)
-        return None if out is None else out[0]
+    def f(E: np.ndarray) -> np.ndarray:
+        return _nu_eval(fields(E), n)[0]
 
     def resolve(b: RootBracket) -> Optional[tuple[float, float]]:
         root, f_root = bisect(f, b, tol)
         if abs(f_root) >= min(abs(b.f_lo), abs(b.f_hi)):
             log.debug("rejected pole bracket at E=%r (|f|=%r)", root, abs(f_root))
             return None
-        out = evaluate(root)
-        if out is None:
-            return None
-        _, N, _ = out
+        _, N = _nu_eval(fields(root), n)
         if N > 0.0:
             log.debug("rejected spurious squared-equation root at E=%r (N=%r)", root, N)
             return None
@@ -421,19 +422,20 @@ def _solve(
         roots = [(E, r) for E, r in roots if sector.keep(E)]
     if not roots:
         raise NoBoundState(f"no {sector.noun} level in [{lo!r}, {hi!r}] for {sector.describe(*state)}")
-    for E, res in roots:
-        log.debug(
-            "%s root E=%.12g residual=%.3g printed-form defect=%.3g",
-            sector.noun, E, res, sector.printed(p, M, E, *state, hbar_c),
-        )
+    if log.isEnabledFor(logging.DEBUG):
+        for E, res in roots:
+            log.debug(
+                "%s root E=%.12g residual=%.3g printed-form defect=%.3g",
+                sector.noun, E, res, sector.printed(p, M, E, *state, hbar_c),
+            )
     return [E for E, _ in roots]
 
 
 def _residual(
     sector: _Sector, p: PotentialParams, M: float, E: float, state: tuple, n: int, hbar_c: float
 ) -> Optional[float]:
-    out = _nu_eval(sector.fields(p, M, *state, hbar_c)(E), n)
-    return None if out is None else out[0]
+    res = float(_nu_eval(sector.fields(p, M, *state, hbar_c)(E), n)[0])
+    return None if math.isnan(res) else res
 
 
 def solve_kg_energy(
@@ -510,7 +512,7 @@ def _build_spec(
     sector: _Sector, p: PotentialParams, M: float, E: float, state: tuple, n: int, hbar_c: float
 ) -> RelWavefunctionSpec:
     fields = sector.fields(p, M, *state, hbar_c)(E)
-    if fields is None:
+    if math.isnan(fields.eps):
         raise NoBoundState(f"{sector.noun} scale factor is not positive at E={E!r}")
     leading, edge = _bound_exponents(fields)
     w = wavefun.SWaveform(leading, edge, n, p.alpha)
@@ -654,7 +656,7 @@ class _Sector:
 
     noun: str  # names the level in NoBoundState messages and the debug log
     describe: Callable[..., str]  # the state in NoBoundState messages
-    fields: Callable  # (p, M, *state) -> (E -> fields, None where the scale factor is <= 0)
+    fields: Callable  # (p, M, *state) -> (E -> fields, NaN where the scale factor is <= 0)
     keep: Callable[[float], bool]  # branch filter, unless all_roots
     printed: Callable[..., float]  # printed-equation residual at (p, M, E, *state)
     ode: Callable  # (p, M, *state) -> W(r, E) for the shooting oracle

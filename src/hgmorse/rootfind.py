@@ -1,18 +1,20 @@
 """Bracketing and bisection for the implicit energy equations.
 
 The residual functions solved here contain square roots whose domains end
-mid-interval, so values may be undefined (None/NaN) at some abscissae.  The
-scanner treats those as holes: a bracket is only certified between adjacent
-grid points where the function is defined with opposite signs.  Bisection is
-preferred over faster methods because robustness dominates at this problem
-size (a few thousand evaluations per solve).
+mid-interval, so values may be undefined at some abscissae.  The scanner
+evaluates its callable once on the whole grid, as a float64 array in and an
+array of the same shape out, and treats non-finite values (NaN) as holes: a
+bracket is only certified between adjacent grid points where the function
+is defined with opposite signs.  Bisection then refines one bracket with
+scalar calls, a few dozen per root; it is preferred over faster methods
+because robustness dominates at this problem size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -38,48 +40,48 @@ class RootBracket:
             raise InvalidParameter("bracket endpoints must have opposite signs")
 
 
-def _defined(value: Optional[float]) -> bool:
-    return value is not None and math.isfinite(value)
-
-
 def scan_brackets(
-    f: Callable[[float], Optional[float]],
+    f: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     points: int,
 ) -> list[RootBracket]:
     """Evaluate f on a uniform grid and return every adjacent sign change.
 
-    Points where f is undefined (None or non-finite) are skipped; an exact
-    zero on the grid is returned as a degenerate tight bracket around it.
-    An empty list is a valid result.
+    f takes the float64 array of grid points and returns one value per
+    point.  Points where f is undefined (non-finite) are skipped; an exact
+    zero on the grid is returned as a degenerate tight bracket around it,
+    certified by one more call of f on the two points beside it.  An empty
+    list is a valid result.
     """
     if not lo < hi:
         raise InvalidParameter(f"need lo < hi, got ({lo!r}, {hi!r})")
     if points < 2:
         raise InvalidParameter(f"points must be >= 2, got {points!r}")
     xs = np.linspace(lo, hi, points)
-    vals = [f(float(x)) for x in xs]
+    vals = np.asarray(f(xs), dtype=float)
+    if vals.shape != xs.shape:
+        raise InvalidParameter(f"f must return one value per grid point, got shape {vals.shape!r}")
+    fa, fb = vals[:-1], vals[1:]
+    defined = np.isfinite(fa) & np.isfinite(fb)
+    zero = defined & (fa == 0.0)
     out: list[RootBracket] = []
     step = (hi - lo) / (points - 1)
-    for i in range(points - 1):
-        fa, fb = vals[i], vals[i + 1]
-        if not (_defined(fa) and _defined(fb)):
-            continue
-        if fa == 0.0:
+    for i in np.flatnonzero(zero | (defined & (fa * fb < 0.0))):
+        if zero[i]:
             # grid point is itself a root; certify a tight bracket if possible
             eps = 1e-9 * step
-            fl, fr = f(float(xs[i] - eps)), f(float(xs[i] + eps))
-            if _defined(fl) and _defined(fr) and fl * fr < 0.0:
-                out.append(RootBracket(float(xs[i] - eps), float(xs[i] + eps), fl, fr))
+            pair = np.array([xs[i] - eps, xs[i] + eps])
+            fl, fr = np.asarray(f(pair), dtype=float)
+            if math.isfinite(fl) and math.isfinite(fr) and fl * fr < 0.0:
+                out.append(RootBracket(float(pair[0]), float(pair[1]), float(fl), float(fr)))
             continue
-        if fa * fb < 0.0:
-            out.append(RootBracket(float(xs[i]), float(xs[i + 1]), fa, fb))
+        out.append(RootBracket(float(xs[i]), float(xs[i + 1]), float(fa[i]), float(fb[i])))
     return out
 
 
 def bisect(
-    f: Callable[[float], Optional[float]],
+    f: Callable[[float], float],
     b: RootBracket,
     tol_abs: float,
 ) -> tuple[float, float]:
@@ -101,7 +103,7 @@ def bisect(
         if not (lo < mid < hi):
             break
         f_mid = f(mid)
-        if not _defined(f_mid):
+        if not math.isfinite(f_mid):
             raise NonConvergence(f"f undefined at {mid!r} inside bracket [{lo!r}, {hi!r}]")
         if f_mid == 0.0:
             return mid, 0.0
@@ -113,6 +115,6 @@ def bisect(
         raise NonConvergence(f"bisection exceeded {_MAX_ITER} iterations (width {hi - lo!r})")
     root = 0.5 * (lo + hi)
     f_root = f(root)
-    if not _defined(f_root):
+    if not math.isfinite(f_root):
         raise NonConvergence(f"f undefined at converged root {root!r}")
     return root, f_root

@@ -290,6 +290,23 @@ def test_config_non_numeric_b_sign_is_a_usage_error(capsys, tmp_path, argv):
     assert "b_sign" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("levels", "--molecule", "CH", "--n-max", "0"),
+    ("potential", "--molecule", "CH", "--samples", "3"),
+    ("sweep", "--molecule", "CH", "--param", "a", "--from", "0", "--to", "1", "--steps", "2"),
+    ("validate", "--no-timestamp"),
+    ("oracle-check", "--models", "kg"),
+])
+def test_config_unknown_key_is_a_usage_error(capsys, tmp_path, argv):
+    # a misspelled key must not fall back to the default constant silently
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("hbar-c = 1000\n")
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "hbar-c" in err and "hbar_c" in err
+
+
 @pytest.mark.parametrize("grid", [0, -2])
 def test_calibration_grid_below_one_is_a_usage_error(capsys, grid):
     with pytest.raises(InvalidParameter, match="calibration grid"):

@@ -1,3 +1,5 @@
+import dataclasses
+import logging
 import math
 
 import mpmath as mp
@@ -7,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from hgmorse import relativistic
 from hgmorse.checks import MASS_MATRIX, pseudospin_params
 from hgmorse.errors import InvalidParameter, NoBoundState
 from hgmorse.molecules import builtin_molecules, to_potential_params
@@ -36,6 +39,7 @@ from hgmorse.relativistic import (
     solve_dirac_spin,
     solve_kg_energy,
     spin_ode_coefficient,
+    spin_printed_eq_residual,
     spin_residual,
     spin_residual_nonrel_limit,
     upper_spinor_norm,
@@ -75,8 +79,13 @@ def test_lambda_D_values():
 
 
 # --- field builders -----------------------------------------------------------
-# The sector builders return E -> _NUFields (eps, beta, eta, chi, phi, gamma),
-# or None where the scale factor S is not positive.
+# The sector builders return E -> _NUFields (eps, beta, eta, chi, phi, gamma);
+# every field but the angular gamma is NaN where the scale factor S is not
+# positive.
+
+
+def is_hole(f):
+    return all(math.isnan(x) for x in (f.eps, f.beta, f.eta, f.chi, f.phi))
 
 
 def test_kg_ansatz_vanishes_at_negative_mass_shell(ch_unit):
@@ -84,7 +93,7 @@ def test_kg_ansatz_vanishes_at_negative_mass_shell(ch_unit):
     qn = QuantumNumbers(n=0, l=1)
     at = _kg_fields(p, 10.0, qn, HBAR_C_EV_ANGSTROM)
     # S = (E+M)/(hbar c)^2 is zero on the shell, a domain hole
-    assert at(-10.0) is None and at(-11.0) is None
+    assert is_hole(at(-10.0)) and is_hole(at(-11.0))
     assert kg_residual(p, 10.0, -10.0, qn) is None
     f = at(-10.0 + 1e-9)
     assert all(0.0 < x < 1e-12 for x in (f.beta, f.eta, f.chi, f.phi))
@@ -115,7 +124,7 @@ def test_spin_ansatz_edges(ch_unit):
     f = _spin_fields(p, 10.0, -1, 0.0, 0, HBAR_C_EV_ANGSTROM)(10.0)
     assert f.eps == 20.0 / HBAR_C_EV_ANGSTROM**2 * p.D_e / p.alpha**2
     # M + E - Cs = 0: the scale factor vanishes, a domain hole
-    assert _spin_fields(p, 10.0, 1, 12.0, 0, HBAR_C_EV_ANGSTROM)(2.0) is None
+    assert is_hole(_spin_fields(p, 10.0, 1, 12.0, 0, HBAR_C_EV_ANGSTROM)(2.0))
     assert spin_residual(p, 10.0, 2.0, 1, 12.0) is None
     assert _spin_fields(p, 10.0, 2, 0.0, 0, HBAR_C_EV_ANGSTROM)(2.0).gamma == 6.0
     with pytest.raises(InvalidParameter):
@@ -356,6 +365,26 @@ def test_spin_ansatz_generic_reference_values(ch_unit):
     assert f.chi == pytest.approx(float(2 * S * De * q / a2), rel=1e-14)
     assert f.eta == pytest.approx(float(S / mp.mpf("0.025")), rel=1e-14)
     assert f.eps == pytest.approx(float(S * (M - E + De) / a2), rel=1e-14)
+
+
+def test_solve_evaluates_printed_defect_only_for_debug_log(ch_unit, monkeypatch, caplog):
+    p, part = ch_unit
+    M = 500.0
+    ps = scaled(p, part, M)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return spin_printed_eq_residual(*args)
+
+    monkeypatch.setattr(relativistic, "_SPIN", dataclasses.replace(relativistic._SPIN, printed=counting))
+    caplog.set_level(logging.INFO, logger=relativistic.__name__)
+    roots = solve_dirac_spin(ps, M, -1)
+    assert roots and calls == []
+    caplog.set_level(logging.DEBUG, logger=relativistic.__name__)
+    assert solve_dirac_spin(ps, M, -1) == roots
+    assert len(calls) == len(roots)
+    assert any("printed-form defect" in record.getMessage() for record in caplog.records)
 
 
 def test_kg_wavefunction_boundaries_and_norm(ch_unit):

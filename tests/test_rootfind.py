@@ -1,5 +1,4 @@
-import math
-
+import numpy as np
 import pytest
 
 from hgmorse.errors import InvalidParameter
@@ -23,14 +22,12 @@ def test_scan_finds_single_quadratic_root():
 
 
 def test_scan_constant_function_empty():
-    assert scan_brackets(lambda e: 1.0, -5.0, 5.0, 100) == []
+    assert scan_brackets(lambda e: np.full_like(e, 1.0), -5.0, 5.0, 100) == []
 
 
 def test_scan_skips_undefined_region():
     def f(e):
-        if e < 1.0:
-            return None
-        return e - 2.0
+        return np.where(e < 1.0, np.nan, e - 2.0)
 
     brackets = scan_brackets(f, 0.0, 3.0, 61)
     assert len(brackets) == 1
@@ -38,12 +35,25 @@ def test_scan_skips_undefined_region():
 
 
 def test_scan_handles_exact_zero_on_grid():
-    # f(x) = x on a grid containing 0.0 exactly
-    brackets = scan_brackets(lambda e: e, -1.0, 1.0, 21)
+    # f(x) = x on a grid containing 0.0 exactly; the tight bracket costs one
+    # more call of f, on the pair of points beside the zero
+    calls = []
+
+    def f(e):
+        calls.append(np.array(e, copy=True))
+        return e
+
+    brackets = scan_brackets(f, -1.0, 1.0, 21)
     assert len(brackets) == 1
     assert brackets[0].lo < 0.0 < brackets[0].hi
+    assert len(calls) == 2 and calls[0].shape == (21,) and calls[0][10] == 0.0
+    eps = 1e-9 * (2.0 / 20)
+    assert calls[1].tolist() == [-eps, eps]
+    assert brackets[0] == RootBracket(-eps, eps, -eps, eps)
     root, _ = bisect(lambda e: e, brackets[0], 1e-12)
     assert abs(root) <= 1e-9
+    # a double root on the grid has no sign change around it: no bracket
+    assert scan_brackets(lambda e: e * e, -1.0, 1.0, 21) == []
 
 
 def test_scan_validates_inputs():
@@ -51,6 +61,8 @@ def test_scan_validates_inputs():
         scan_brackets(lambda e: e, 1.0, 0.0, 10)
     with pytest.raises(InvalidParameter):
         scan_brackets(lambda e: e, 0.0, 1.0, 1)
+    with pytest.raises(InvalidParameter, match="one value per grid point"):
+        scan_brackets(lambda e: 1.0, -5.0, 5.0, 100)
 
 
 def test_bisect_quadratic():
@@ -79,7 +91,7 @@ def test_bisect_on_transcendental_residual(ch_unit):
     ps = scaled(p, part, M)
     qn = QuantumNumbers(n=0, l=0)
     f = lambda E: kg_residual(ps, M, E, qn)
-    brackets = scan_brackets(f, 1000.0, 20000.0, 400)
+    brackets = scan_brackets(lambda Es: np.array([f(float(E)) for E in Es], dtype=float), 1000.0, 20000.0, 400)
     assert brackets
     root, f_root = bisect(f, brackets[0], 1e-12)
     assert abs(f_root) <= 1e-9
@@ -87,7 +99,7 @@ def test_bisect_on_transcendental_residual(ch_unit):
 
 
 def test_bisect_result_invariant_under_scan_refinement():
-    f = lambda e: math.sin(e) - 0.3
+    f = lambda e: np.sin(e) - 0.3
     tol = 1e-12
     roots = []
     for points in (200, 400):
