@@ -13,9 +13,9 @@ import time
 
 import numpy as np
 
-from .errors import NoBoundState
+from .errors import InvalidParameter, NoBoundState
 from .molecules import Molecule, to_potential_params
-from .nonrel import ParticleSpec, energy_nonrel, make_wavefunction, radial_wavefunction
+from .nonrel import ParticleSpec, energy_nonrel, make_wavefunction
 from .oracle import RadialGrid, fd_schrodinger_eigen, mismatch_sign_change, oracle_energies, richardson_extrapolate
 from .potential import PotentialParams
 from .relativistic import (
@@ -26,7 +26,7 @@ from .relativistic import (
     solve_kg_energy,
     spin_residual_nonrel_limit,
 )
-from .specfun import JacobiParams, jacobi_norm_integral, jacobi_poly
+from .specfun import JacobiParams, hyp2f1_terminating, jacobi_norm_integral, jacobi_poly, jacobi_recurrence
 from .units import UnitConstants
 from .wavefun import SWaveform, support_window
 
@@ -145,7 +145,7 @@ def check_special_functions() -> Check:
         varth = float(rng.uniform(-0.9, 50.0))
         x = float(rng.uniform(-1.0, 1.0))
         direct = jacobi_poly(JacobiParams(theta, varth, n), x)
-        rec = _jacobi_recurrence(n, theta, varth, x)
+        rec = float(jacobi_recurrence(n, theta, varth, x))
         scale = max(1.0, abs(rec))
         worst = max(worst, abs(direct - rec) / scale)
     third = abs(jacobi_norm_integral(1.0, 1.0, 0) - 1.0 / 3.0)
@@ -153,20 +153,36 @@ def check_special_functions() -> Check:
     return ("special-functions", ok, f"jacobi-vs-recurrence max rel dev = {worst:.2g}, |I(0;1,1) - 1/3| = {third:.2g}")
 
 
-def _jacobi_recurrence(n: int, a: float, b: float, x: float) -> float:
-    if n == 0:
-        return 1.0
-    p_prev = 1.0
-    p = (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0
-    for k in range(2, n + 1):
-        c1 = 2.0 * k * (k + a + b) * (2.0 * k + a + b - 2.0)
-        c2 = (2.0 * k + a + b - 1.0) * ((2.0 * k + a + b) * (2.0 * k + a + b - 2.0) * x + a * a - b * b)
-        c3 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + a + b)
-        p, p_prev = (c2 * p - c3 * p_prev) / c1, p
-    return p
+def term_sum_log_abs_and_sign(w: SWaveform, r: float) -> tuple[float, float]:
+    """(log|u_raw(r)|, sign) at one r > 0, with the polynomial factor summed
+    term by term (`hyp2f1_terminating`, exact fallback included).
+
+    The oracle for the recurrence path of `wavefun.log_abs_and_sign`.
+    """
+    if not r > 0.0:
+        raise InvalidParameter(f"r must be > 0, got {r!r}")
+    s = math.exp(-w.alpha * r)
+    one_m_s = -math.expm1(-w.alpha * r)
+    hyp = hyp2f1_terminating(w.n, w.n + 2.0 * w.leading + 2.0 * w.edge, 2.0 * w.leading + 1.0, s)
+    log_pref = sum(math.log(2.0 * w.leading + 1.0 + k) for k in range(w.n)) - math.lgamma(w.n + 1.0)
+    if hyp == 0.0:
+        return -math.inf, 1.0
+    log_s = -w.alpha * r if s == 0.0 else math.log(s)
+    log_env = w.leading * log_s + w.edge * math.log(one_m_s)
+    return log_env + log_pref + math.log(abs(hyp)), math.copysign(1.0, hyp)
+
+
+def term_sum_value(w: SWaveform, log_norm: float, r: float) -> float:
+    """Normalized eigenfunction value at one r through the term-sum oracle."""
+    la, sign = term_sum_log_abs_and_sign(w, r)
+    if la == -math.inf:
+        return 0.0
+    return sign * math.exp(la + log_norm)
 
 
 def check_normalization(p: PotentialParams, part: ParticleSpec) -> Check:
+    """Adaptive quadrature of the squared term-sum eigenfunction, scaled by the
+    production log_norm, for three nonrel states."""
     from scipy.integrate import quad
 
     worst = 0.0
@@ -174,7 +190,7 @@ def check_normalization(p: PotentialParams, part: ParticleSpec) -> Check:
         spec = make_wavefunction(p, part, n, l)
         w = SWaveform(spec.omega, spec.phi_exp, n, p.alpha)
         r_lo, r_hi = support_window(w)
-        integral, _ = quad(lambda r: radial_wavefunction(spec, r) ** 2, r_lo, r_hi, limit=400)
+        integral, _ = quad(lambda r: term_sum_value(w, spec.log_norm, r) ** 2, r_lo, r_hi, limit=400)
         worst = max(worst, abs(integral - 1.0))
     return ("normalization", worst <= 1e-6, f"max |quad norm - 1| = {worst:.2g}")
 

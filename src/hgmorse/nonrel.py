@@ -180,7 +180,7 @@ def make_wavefunction(p: PotentialParams, part: ParticleSpec, n: int, l: int) ->
 
 def radial_wavefunction(spec: WavefunctionSpec, r: float) -> float:
     """Normalized u(r); vanishes at both ends of (0, infinity)."""
-    return wavefun.value(spec._waveform(), spec.log_norm, r)
+    return float(wavefun.value(spec._waveform(), spec.log_norm, r))
 
 
 def schrodinger_ode_coefficient(p: PotentialParams, part: ParticleSpec, l: int):

@@ -505,7 +505,7 @@ class RelWavefunctionSpec:
 
 def rel_radial_value(spec: RelWavefunctionSpec, r: float) -> float:
     """Normalized radial component at r."""
-    return wavefun.value(spec._waveform(), spec.log_norm, r)
+    return float(wavefun.value(spec._waveform(), spec.log_norm, r))
 
 
 def _build_spec(

@@ -1,9 +1,15 @@
 """Special-function kernel: log-gamma, Pochhammer, terminating 2F1, Jacobi.
 
-Everything here is elementary and exact-degree: the hypergeometric series
-always terminates (first parameter is a nonpositive integer), so Jacobi
-polynomials are evaluated by summing n+1 terms rather than by recurrence.
-The three-term recurrence lives in the test suite as an independent oracle.
+Jacobi polynomials are evaluated two independent ways, both exact-degree:
+
+* `jacobi_recurrence` runs the three-term degree recurrence (DLMF 18.9.2)
+  elementwise on a float64 array.  It is the production path: `wavefun`
+  evaluates every eigenfunction through it, on all quadrature nodes at once.
+* `jacobi_poly` sums the n+1 terms of the terminating hypergeometric series
+  (`hyp2f1_terminating`, with an exact-rational rerun when the alternating
+  sum cancels).  It is the oracle that the `special-functions` check and the
+  tests hold the recurrence against.
+
 Gamma-function ratios are taken as exp of log-gamma differences because the
 exponents arising from molecular parameters push arguments to ~2e4.
 """
@@ -12,6 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvalidParameter
 
@@ -92,6 +100,30 @@ def jacobi_poly(p: JacobiParams, x: float) -> float:
     """
     pref = pochhammer(p.theta + 1.0, p.n) / math.factorial(p.n)
     return pref * hyp2f1_terminating(p.n, p.theta + p.vartheta + p.n + 1.0, p.theta + 1.0, 0.5 * (1.0 - x))
+
+
+def jacobi_recurrence(n: int, a: float, b: float, x) -> np.ndarray:
+    """P_n^(a, b)(x) elementwise on a float64 array, by the degree recurrence.
+
+    2k (k+a+b) (2k+a+b-2) P_k = (2k+a+b-1) ((2k+a+b)(2k+a+b-2) x + a^2 - b^2) P_{k-1}
+                                - 2 (k+a-1) (k+b-1) (2k+a+b) P_{k-2},
+
+    started from P_0 = 1 and P_1 = (a+1) + (a+b+2)(x-1)/2.  The result has
+    the shape of x.
+    """
+    if n < 0:
+        raise InvalidParameter(f"degree must be >= 0, got {n!r}")
+    x = np.asarray(x, dtype=float)
+    if n == 0:
+        return np.ones_like(x)
+    p_prev = np.ones_like(x)
+    p = (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0
+    for k in range(2, n + 1):
+        c1 = 2.0 * k * (k + a + b) * (2.0 * k + a + b - 2.0)
+        c2 = (2.0 * k + a + b - 1.0) * ((2.0 * k + a + b) * (2.0 * k + a + b - 2.0) * x + a * a - b * b)
+        c3 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + a + b)
+        p, p_prev = (c2 * p - c3 * p_prev) / c1, p
+    return p
 
 
 def jacobi_norm_integral(x_exp: float, y_exp: float, n: int) -> float:

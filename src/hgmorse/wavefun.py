@@ -6,12 +6,21 @@ Every bound eigenfunction produced by this package has the same shape,
            * 2F1(-n, n + 2*leading + 2*edge; 2*leading + 1; s),
 
 with leading > 0 controlling the r -> infinity decay and edge > 1/2 the
-r -> 0 vanishing.  Molecular parameters push `leading` to ~1e4, so the
-envelope under/overflows doubles by hundreds of orders of magnitude;
-everything here is therefore computed in log space.  Normalization is done
-by composite Gauss-Legendre quadrature over the support window of the
-squared envelope (log-offset to stay finite); a closed-form constant, where
-one exists, is evaluated separately by the callers and only logged.
+r -> 0 vanishing.  The polynomial factor is the Jacobi polynomial
+P_n^(2*leading, 2*edge - 1)(1 - 2s), which `specfun.jacobi_recurrence`
+evaluates on a whole array of nodes at once.
+
+Molecular parameters push `leading` to ~1e4, so the envelope under/overflows
+doubles by hundreds of orders of magnitude; everything here is therefore
+computed in log space.  The envelope terms (s, log s, log(1 - s)) go through
+libm one node at a time: log s is multiplied by `leading`, so a last-bit
+difference between libm and numpy's exp/log would show in the normalization.
+
+Every function that takes r takes an array of radii and works elementwise.
+Normalization is done by composite Gauss-Legendre quadrature over the
+support window of the squared envelope (log-offset to stay finite), with
+all nodes in one call; a closed-form constant, where one exists, is
+evaluated separately by the callers and only logged.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, NoBoundState
-from .specfun import hyp2f1_terminating
+from .specfun import jacobi_recurrence, pochhammer
 
 #: log-drop below the envelope peak at which the support window is truncated
 _WINDOW_DROP = 160.0
@@ -48,20 +57,36 @@ class SWaveform:
             raise InvalidParameter(f"alpha must be > 0, got {self.alpha!r}")
 
 
-def log_abs_and_sign(w: SWaveform, r: float) -> tuple[float, float]:
-    """(log|u_raw(r)|, sign) of the unnormalized eigenfunction; r > 0."""
-    if not r > 0.0:
-        raise InvalidParameter(f"r must be > 0, got {r!r}")
-    s = math.exp(-w.alpha * r)
-    one_m_s = -math.expm1(-w.alpha * r)
-    hyp = hyp2f1_terminating(w.n, w.n + 2.0 * w.leading + 2.0 * w.edge, 2.0 * w.leading + 1.0, s)
+def hypergeometric_factor(w: SWaveform, s: np.ndarray) -> np.ndarray:
+    """2F1(-n, n + 2*leading + 2*edge; 2*leading + 1; s) elementwise.
+
+    Uses (2L+1)_n/n! * 2F1(-n, n+2L+2e; 2L+1; s) = P_n^(2L, 2e-1)(1 - 2s).
+    """
+    pref = pochhammer(2.0 * w.leading + 1.0, w.n) / math.factorial(w.n)
+    return jacobi_recurrence(w.n, 2.0 * w.leading, 2.0 * w.edge - 1.0, 1.0 - 2.0 * s) / pref
+
+
+def log_abs_and_sign(w: SWaveform, r) -> tuple[np.ndarray, np.ndarray]:
+    """(log|u_raw(r)|, sign) of the unnormalized eigenfunction; every r > 0.
+
+    Both arrays have the shape of r.  Where the polynomial factor vanishes,
+    log|u_raw| is -inf and the sign is +1.
+    """
+    r = np.asarray(r, dtype=float)
+    if not np.all(r > 0.0):
+        raise InvalidParameter(f"r must be > 0, got {r[~(r > 0.0)].flat[0]!r}")
+    env = []
+    for t in (-w.alpha * r).ravel().tolist():
+        s = math.exp(t)
+        # far out in the window s underflows to 0 while log s = -alpha r stays finite
+        env.append((s, t if s == 0.0 else math.log(s), math.log(-math.expm1(t))))
+    s, log_s, log_one_m_s = (col.reshape(r.shape) for col in np.array(env).reshape(-1, 3).T)
+    hyp = hypergeometric_factor(w, s)
     log_pref = sum(math.log(2.0 * w.leading + 1.0 + k) for k in range(w.n)) - math.lgamma(w.n + 1.0)
-    if hyp == 0.0:
-        return -math.inf, 1.0
-    # far out in the window s underflows to 0 while log s = -alpha r stays finite
-    log_s = -w.alpha * r if s == 0.0 else math.log(s)
-    log_env = w.leading * log_s + w.edge * math.log(one_m_s)
-    return log_env + log_pref + math.log(abs(hyp)), math.copysign(1.0, hyp)
+    log_env = w.leading * log_s + w.edge * log_one_m_s
+    with np.errstate(divide="ignore"):
+        la = log_env + log_pref + np.log(np.abs(hyp))
+    return la, np.where(hyp == 0.0, 1.0, np.copysign(1.0, hyp))
 
 
 def support_window(w: SWaveform, drop: float = _WINDOW_DROP) -> tuple[float, float]:
@@ -73,28 +98,25 @@ def support_window(w: SWaveform, drop: float = _WINDOW_DROP) -> tuple[float, flo
     return r_lo, r_hi
 
 
-def log_norm_quadrature(w: SWaveform) -> float:
-    """log of the normalization constant N with integral |N u|^2 dr = 1.
-
-    Composite 24-point Gauss-Legendre over the support window; the
-    polynomial factor oscillates n times inside it, so the panel count
-    scales with n.
-    """
+def quadrature_nodes(w: SWaveform) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite 24-point Gauss-Legendre rule over
+    the support window.  The polynomial factor oscillates n times inside the
+    window, so the panel count, 96 + 32 n, scales with n."""
     panels, order = 96 + 32 * w.n, 24
     r_lo, r_hi = support_window(w)
     x, wt = np.polynomial.legendre.leggauss(order)
     edges = np.linspace(r_lo, r_hi, panels + 1)
-    logs = np.empty(panels * order)
-    wts = np.empty(panels * order)
-    k = 0
-    for i in range(panels):
-        half = 0.5 * (edges[i + 1] - edges[i])
-        mid = 0.5 * (edges[i] + edges[i + 1])
-        for xj, wj in zip(x, wt):
-            la, _ = log_abs_and_sign(w, mid + half * xj)
-            logs[k] = 2.0 * la
-            wts[k] = half * wj
-            k += 1
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * wt).ravel()
+
+
+def log_norm_quadrature(w: SWaveform) -> float:
+    """log of the normalization constant N with integral |N u|^2 dr = 1,
+    by `quadrature_nodes`, all nodes evaluated in one call."""
+    r, wts = quadrature_nodes(w)
+    la, _ = log_abs_and_sign(w, r)
+    logs = 2.0 * la
     m = logs.max()
     integral = float(np.sum(wts * np.exp(logs - m)))
     if not integral > 0.0:
@@ -102,19 +124,19 @@ def log_norm_quadrature(w: SWaveform) -> float:
     return -0.5 * (m + math.log(integral))
 
 
-def value(w: SWaveform, log_norm: float, r: float) -> float:
-    """Normalized eigenfunction value at r (log-space product, always finite)."""
+def value(w: SWaveform, log_norm: float, r) -> np.ndarray:
+    """Normalized eigenfunction values at r (log-space product, always finite).
+
+    The result has the shape of r; it is 0.0 where the polynomial factor vanishes.
+    """
     la, sign = log_abs_and_sign(w, r)
-    if la == -math.inf:
-        return 0.0
-    return sign * math.exp(la + log_norm)
+    return sign * np.exp(la + log_norm)
 
 
 def count_nodes(w: SWaveform, log_norm: float) -> int:
     """Strict interior sign changes over 4000 samples of the support window."""
     r_lo, r_hi = support_window(w)
-    rs = np.linspace(r_lo, r_hi, 4000)
-    vals = np.array([value(w, log_norm, float(r)) for r in rs])
+    vals = value(w, log_norm, np.linspace(r_lo, r_hi, 4000))
     scale = np.abs(vals).max()
     keep = np.abs(vals) > 1e-9 * scale
     signs = np.sign(vals[keep])

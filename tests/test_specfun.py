@@ -12,25 +12,12 @@ from hgmorse.specfun import (
     hyp2f1_terminating,
     jacobi_norm_integral,
     jacobi_poly,
+    jacobi_recurrence,
     ln_gamma,
     pochhammer,
 )
 
 mp.mp.dps = 40
-
-
-def jacobi_recurrence(n, a, b, x):
-    """Independent three-term-recurrence oracle."""
-    if n == 0:
-        return 1.0
-    p_prev = 1.0
-    p = (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0
-    for k in range(2, n + 1):
-        c1 = 2.0 * k * (k + a + b) * (2.0 * k + a + b - 2.0)
-        c2 = (2.0 * k + a + b - 1.0) * ((2.0 * k + a + b) * (2.0 * k + a + b - 2.0) * x + a * a - b * b)
-        c3 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + a + b)
-        p, p_prev = (c2 * p - c3 * p_prev) / c1, p
-    return p
 
 
 # --- ln_gamma ---------------------------------------------------------------
@@ -142,7 +129,7 @@ def test_jacobi_value_at_one():
 def test_jacobi_matches_recurrence_reference_case():
     p = JacobiParams(1.37, 0.42, 4)
     direct = jacobi_poly(p, -0.3)
-    assert direct == pytest.approx(jacobi_recurrence(4, 1.37, 0.42, -0.3), rel=1e-12)
+    assert direct == pytest.approx(float(jacobi_recurrence(4, 1.37, 0.42, -0.3)), rel=1e-12)
 
 
 def test_jacobi_matches_recurrence_randomized():
@@ -154,7 +141,7 @@ def test_jacobi_matches_recurrence_randomized():
         b = float(rng.uniform(-0.9, 50.0))
         x = float(rng.uniform(-1.0, 1.0))
         direct = jacobi_poly(JacobiParams(a, b, n), x)
-        rec = jacobi_recurrence(n, a, b, x)
+        rec = float(jacobi_recurrence(n, a, b, x))
         worst = max(worst, abs(direct - rec) / max(abs(direct), abs(rec), 1.0))
     assert worst <= 1e-12
 
@@ -213,3 +200,14 @@ def test_norm_integral_rejects_nonintegrable_exponents():
         jacobi_norm_integral(-1.0, 0.0, 1)
     with pytest.raises(InvalidParameter):
         jacobi_norm_integral(0.0, -1.2, 1)
+
+
+def test_jacobi_recurrence_elementwise_on_arrays():
+    x = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+    for n in (0, 1, 5):
+        got = jacobi_recurrence(n, 2.3, 0.7, x)
+        assert got.shape == x.shape
+        assert got.tolist() == [[float(jacobi_recurrence(n, 2.3, 0.7, v)) for v in row] for row in x.tolist()]
+    assert jacobi_recurrence(3, 2.3, 0.7, 0.4).shape == ()
+    with pytest.raises(InvalidParameter):
+        jacobi_recurrence(-1, 1.0, 1.0, x)
