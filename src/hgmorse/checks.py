@@ -1,25 +1,31 @@
-"""Closed-form-vs-oracle check battery behind the oracle-check subcommand.
+"""Closed-form-vs-oracle check battery behind oracle-check and the acceptance suite.
 
-Each check returns (criterion, passed, detail) so the CLI can emit one
-pass/fail line per criterion; the oracle-equivalence check also returns its
-comparison rows, which the CLI prints with --details.  The pytest acceptance
-suite runs the same comparisons at full matrix size with hard asserts.
+Each check_* takes the matrix it iterates (a molecule, masses and states,
+the specs to normalize, or a particle) and returns a record of what it
+measured.  A record's verdict() applies the oracle-check tolerances pinned
+here and gives the (criterion, passed, detail) line that the CLI prints and
+takes its exit code from.  run_checks passes the oracle-check matrices named
+below; the acceptance suite passes its own, wider ones and asserts the
+records against the AC tolerances pinned in tests/test_acceptance.py.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameter, NoBoundState
 from .molecules import Molecule, to_potential_params
-from .nonrel import ParticleSpec, energy_nonrel, make_wavefunction
-from .oracle import RadialGrid, fd_schrodinger_eigen, mismatch_sign_change, oracle_energies, richardson_extrapolate
+from .nonrel import ParticleSpec, WavefunctionSpec, energy_nonrel, make_wavefunction
+from .oracle import RadialGrid, fd_schrodinger_modes, mismatch_sign_change, oracle_energies, richardson_extrapolate
 from .potential import PotentialParams
 from .relativistic import (
     QuantumNumbers,
+    RelWavefunctionSpec,
     kg_residual_nonrel_limit,
     model_functions,
     solve_dirac_spin,
@@ -54,91 +60,169 @@ def pseudospin_params(p: PotentialParams, M: float, hbar_c: float) -> PotentialP
 
 ORACLE_CSV_HEADER = "model,n,l,E_closed,E_oracle,abs_dev,grid_points,extrapolated"
 
+#: (model, states, how many must bind at each mass) of the oracle-check relativistic
+#: residuals: pseudospin states may be unbound, but one must bind at each mass
+RELATIVISTIC_STATES = (
+    ("kg", [(QuantumNumbers(n=n, l=l),) for n, l in ((0, 0), (1, 0), (1, 1))], 3),
+    ("dirac-spin", [(1, 0.0, 1), (-2, 0.0, 1)], 2),
+    ("dirac-pseudospin", [(1, 0.0, 0), (1, 0.0, 1), (2, 0.0, 0)], 1),
+)
+#: oracle-check masses of the cross-identities check, and (n, l) of the normalization check
+CROSS_MASSES = (500.0,)
+NORMALIZED_STATES = ((0, 0), (1, 0), (2, 1))
 
-def oracle_comparison_rows(mol: Molecule, alpha: float, u: UnitConstants, points: int):
-    """Per-level closed-vs-FD comparison rows in the documented CSV layout, at a = b = 0 and a = b = 1."""
+
+def worst_of(devs) -> float:
+    """Largest deviation, 0 for none, NaN if any is NaN (the builtin max can drop a NaN)."""
+    return float(np.max(devs, initial=0.0))
+
+
+@dataclass(frozen=True)
+class OracleEquivalence:
+    """|closed - FD| (eV) per level at a = b = 0 (bare) and a = b = 1 (unit), wall time, CSV rows."""
+
+    molecule: str
+    bare: list[float]
+    unit: list[float]
+    seconds: float
+    rows: list[str]
+
+    def verdict(self) -> Check:
+        worst = worst_of(self.bare + self.unit)
+        return ("oracle-equivalence", worst <= 5e-4,
+                f"molecule={self.molecule} max|closed - FD| = {worst:.3g} eV in {self.seconds:.1f} s")
+
+
+@dataclass(frozen=True)
+class RelativisticResiduals:
+    """Roots, worst |residual|, all shooting flips within 1e-8*M, every case bound enough states."""
+
+    levels: int
+    worst: float
+    flips: bool
+    bound: bool
+
+    def verdict(self) -> Check:
+        flips = self.flips and self.bound  # a case that bound too few states prints False here too
+        return ("relativistic-residuals", self.worst <= 1e-9 and flips,
+                f"{self.levels} levels, max|residual| = {self.worst:.2g}, shooting flips within 1e-8*M: {flips}")
+
+
+@dataclass(frozen=True)
+class CrossIdentities:
+    """Worst |E_KG - E_spin| and spin-doublet gap (eV), and worst nonrel-limit residual."""
+
+    pair: float
+    doublet: float
+    limit: float
+
+    def verdict(self) -> Check:
+        return ("cross-identities", self.pair <= 1e-10 and self.limit <= 1e-10,
+                f"KG/spin max|dE| = {self.pair:.2g} eV, nonrel-limit max|residual| = {self.limit:.2g}")
+
+
+@dataclass(frozen=True)
+class SpecialFunctions:
+    """Worst Jacobi-vs-recurrence relative deviation and |I(0;1,1) - 1/3|."""
+
+    worst: float
+    third: float
+
+    def verdict(self) -> Check:
+        return ("special-functions", self.worst <= 1e-12 and self.third <= 1e-12,
+                f"jacobi-vs-recurrence max rel dev = {self.worst:.2g}, |I(0;1,1) - 1/3| = {self.third:.2g}")
+
+
+@dataclass(frozen=True)
+class Normalization:
+    """Worst |quadrature norm - 1| over the states integrated."""
+
+    worst: float
+
+    def verdict(self) -> Check:
+        return ("normalization", self.worst <= 1e-6, f"max |quad norm - 1| = {self.worst:.2g}")
+
+
+@dataclass(frozen=True)
+class BoxSelfTest:
+    """Worst relative deviation of the extrapolated box levels; nodes of each finer-grid mode."""
+
+    worst: float
+    nodes: list[int]
+
+    def verdict(self) -> Check:
+        return ("box-self-test", self.worst <= 1e-6, f"max rel dev after extrapolation = {self.worst:.2g}")
+
+
+def check_oracle_equivalence(mol: Molecule, alpha: float, u: UnitConstants, points: int) -> OracleEquivalence:
+    """Closed form against the FD oracle for n <= 3, l <= 2 of one molecule, with
+    the comparison rows in the documented CSV layout."""
+    t0 = time.perf_counter()
     rows: list[str] = []
-    worst = 0.0
+    devs: list[list[float]] = []
     for a, b in ((0.0, 0.0), (1.0, 1.0)):
         params, part = to_potential_params(mol, a, b, alpha, u)
+        devs.append([])
         for l in range(3):
             fd, _ = oracle_energies(params, part, l, 4, points=points)
             for n in range(4):
                 closed = energy_nonrel(params, part, n, l)
                 dev = abs(closed - float(fd[n]))
-                worst = max(worst, dev)
+                devs[-1].append(dev)
                 rows.append(f"nonrel,{n},{l},{closed:.17g},{float(fd[n]):.17g},{dev:.17g},{points},True")
-    return rows, worst
+    return OracleEquivalence(mol.name, devs[0], devs[1], time.perf_counter() - t0, rows)
 
 
-def check_oracle_equivalence(mol: Molecule, alpha: float, u: UnitConstants,
-                             points: int) -> tuple[Check, list[str]]:
-    """The closed-vs-FD verdict (5e-4 eV) of one molecule, and the comparison rows behind it."""
-    t0 = time.time()
-    rows, worst = oracle_comparison_rows(mol, alpha, u, points)
-    return ("oracle-equivalence", worst <= 5e-4,
-            f"molecule={mol.name} max|closed - FD| = {worst:.3g} eV in {time.time() - t0:.1f} s"), rows
-
-
-def check_relativistic_residuals(p: PotentialParams, part: ParticleSpec, u: UnitConstants,
-                                 models: list[str]) -> Check:
-    """Residuals and shooting sign flips of the requested relativistic models at every test mass."""
-    hc = u.hbar_c
-    worst = 0.0
-    flips_ok = True
-    found = 0
-    for M in MASS_MATRIX:
-        ps = scaled_params(p, part, M)
-        # (model, parameters, states, how many must bind): pseudospin states
-        # may be unbound, but one must bind at each mass
-        cases = (
-            ("kg", ps, [(QuantumNumbers(n=n, l=l),) for n, l in ((0, 0), (1, 0), (1, 1))], 3),
-            ("dirac-spin", ps, [(1, 0.0, 1), (-2, 0.0, 1)], 2),
-            ("dirac-pseudospin", pseudospin_params(p, M, hc), [(1, 0.0, 0), (1, 0.0, 1), (2, 0.0, 0)], 1),
-        )
-        for model, params, states, need in cases:
-            if model not in models:
-                continue
+def check_relativistic_residuals(p: PotentialParams, part: ParticleSpec, masses: Sequence[float],
+                                 states: Sequence[tuple[str, list, int]], hbar_c: float) -> RelativisticResiduals:
+    """Residual and shooting sign flip at every root of each (model, states, how many must bind) case
+    at each mass: kg and dirac-spin on scaled_params, dirac-pseudospin on pseudospin_params."""
+    residuals: list[float] = []
+    flips = bound_ok = True
+    levels = 0
+    for M in masses:
+        for model, model_states, need in states:
+            params = pseudospin_params(p, M, hbar_c) if model == "dirac-pseudospin" else scaled_params(p, part, M)
             solve, residual, _, ode = model_functions(model)
             bound = 0
-            for state in states:
+            for state in model_states:
                 try:
-                    E = solve(params, M, *state, hbar_c=hc)[0]
+                    roots = solve(params, M, *state, hbar_c=hbar_c)
                 except NoBoundState:
                     continue
-                worst = max(worst, abs(residual(params, M, E, *state, hbar_c=hc)))
-                flips_ok &= mismatch_sign_change(ode(params, M, *state, hbar_c=hc), E, 1e-8 * M)
-                bound += 1
-            found += bound
-            flips_ok &= bound >= need
-    ok = worst <= 1e-9 and flips_ok
-    return ("relativistic-residuals", ok,
-            f"{found} levels, max|residual| = {worst:.2g}, shooting flips within 1e-8*M: {flips_ok}")
+                for E in roots:
+                    residuals.append(abs(residual(params, M, E, *state, hbar_c=hbar_c)))
+                    flips &= mismatch_sign_change(ode(params, M, *state, hbar_c=hbar_c), E, 1e-8 * M)
+                levels += len(roots)
+                bound += bool(roots)
+            bound_ok &= bound >= need
+    return RelativisticResiduals(levels, worst_of(residuals), flips, bound_ok)
 
 
-def check_cross_identities(p: PotentialParams, part: ParticleSpec, u: UnitConstants) -> Check:
-    worst_pair = 0.0
-    ps = scaled_params(p, part, 500.0)
-    for l, kappas in ((0, (-1,)), (1, (1, -2))):
-        qn = QuantumNumbers(n=1, l=l)
-        e_kg = solve_kg_energy(ps, 500.0, qn, hbar_c=u.hbar_c)[0]
-        for kappa in kappas:
-            e_sp = solve_dirac_spin(ps, 500.0, kappa, 0.0, 1, hbar_c=u.hbar_c)[0]
-            worst_pair = max(worst_pair, abs(e_kg - e_sp))
-    worst_limit = 0.0
+def check_cross_identities(p: PotentialParams, part: ParticleSpec, masses: Sequence[float],
+                           hbar_c: float) -> CrossIdentities:
+    """KG = Dirac-spin and the spin doublet on the scaled potential at each
+    mass, and both nonrelativistic limits at the closed-form levels of p."""
+    pair: list[float] = []
+    doublet: list[float] = []
+    for M in masses:
+        ps = scaled_params(p, part, M)
+        for l, kappas in ((0, (-1,)), (1, (1, -2))):
+            e_kg = solve_kg_energy(ps, M, QuantumNumbers(n=1, l=l), hbar_c=hbar_c)[0]
+            spins = [solve_dirac_spin(ps, M, kappa, 0.0, 1, hbar_c=hbar_c)[0] for kappa in kappas]
+            pair += [abs(e_kg - e) for e in spins]
+            doublet.append(float(np.ptp(spins)))
+    limit: list[float] = []
     for n in range(4):
         for l in range(3):
             E = energy_nonrel(p, part, n, l)
-            worst_limit = max(worst_limit, abs(kg_residual_nonrel_limit(p, part, E, n, l)),
-                              abs(spin_residual_nonrel_limit(p, part, E, n, l)))
-    ok = worst_pair <= 1e-10 and worst_limit <= 1e-10
-    return ("cross-identities", ok,
-            f"KG/spin max|dE| = {worst_pair:.2g} eV, nonrel-limit max|residual| = {worst_limit:.2g}")
+            limit += [abs(f(p, part, E, n, l)) for f in (kg_residual_nonrel_limit, spin_residual_nonrel_limit)]
+    return CrossIdentities(worst_of(pair), worst_of(doublet), worst_of(limit))
 
 
-def check_special_functions() -> Check:
+def check_special_functions() -> SpecialFunctions:
     rng = np.random.default_rng(20240817)
-    worst = 0.0
+    devs: list[float] = []
     for _ in range(200):
         n = int(rng.integers(0, 11))
         theta = float(rng.uniform(-0.9, 50.0))
@@ -146,11 +230,8 @@ def check_special_functions() -> Check:
         x = float(rng.uniform(-1.0, 1.0))
         direct = jacobi_poly(JacobiParams(theta, varth, n), x)
         rec = float(jacobi_recurrence(n, theta, varth, x))
-        scale = max(1.0, abs(rec))
-        worst = max(worst, abs(direct - rec) / scale)
-    third = abs(jacobi_norm_integral(1.0, 1.0, 0) - 1.0 / 3.0)
-    ok = worst <= 1e-12 and third <= 1e-12
-    return ("special-functions", ok, f"jacobi-vs-recurrence max rel dev = {worst:.2g}, |I(0;1,1) - 1/3| = {third:.2g}")
+        devs.append(abs(direct - rec) / max(1.0, abs(rec)))
+    return SpecialFunctions(worst_of(devs), abs(jacobi_norm_integral(1.0, 1.0, 0) - 1.0 / 3.0))
 
 
 def term_sum_log_abs_and_sign(w: SWaveform, r: float) -> tuple[float, float]:
@@ -180,57 +261,54 @@ def term_sum_value(w: SWaveform, log_norm: float, r: float) -> float:
     return sign * math.exp(la + log_norm)
 
 
-def check_normalization(p: PotentialParams, part: ParticleSpec) -> Check:
-    """Adaptive quadrature of the squared term-sum eigenfunction, scaled by the
-    production log_norm, for three nonrel states."""
+def check_normalization(specs: Sequence[WavefunctionSpec | RelWavefunctionSpec]) -> Normalization:
+    """Adaptive quadrature of each squared eigenfunction, evaluated through the
+    term-sum oracle and scaled by the production log_norm of its spec."""
     from scipy.integrate import quad
 
-    worst = 0.0
-    for n, l in ((0, 0), (1, 0), (2, 1)):
-        spec = make_wavefunction(p, part, n, l)
-        w = SWaveform(spec.omega, spec.phi_exp, n, p.alpha)
+    devs: list[float] = []
+    for spec in specs:
+        w = spec._waveform()
         r_lo, r_hi = support_window(w)
         integral, _ = quad(lambda r: term_sum_value(w, spec.log_norm, r) ** 2, r_lo, r_hi, limit=400)
-        worst = max(worst, abs(integral - 1.0))
-    return ("normalization", worst <= 1e-6, f"max |quad norm - 1| = {worst:.2g}")
+        devs.append(abs(integral - 1.0))
+    return Normalization(worst_of(devs))
 
 
-def check_box_self_test(part: ParticleSpec) -> Check:
+def check_box_self_test(part: ParticleSpec) -> BoxSelfTest:
     """The FD oracle on the zero potential (a = b = D_e = 0, l = 0) against the box levels."""
     p = PotentialParams(a=0.0, b=0.0, D_e=0.0, r_e=1.0, alpha=1e-6)
     L = 10.0
-    levels = {pts: fd_schrodinger_eigen(p, part, 0, RadialGrid(1e-9, L + 1e-9, pts), 4) for pts in (2001, 4001)}
-    worst = 0.0
+    modes = {pts: fd_schrodinger_modes(p, part, 0, RadialGrid(1e-9, L + 1e-9, pts), 4) for pts in (2001, 4001)}
+    devs: list[float] = []
     for m in range(1, 5):
         exact = part.kinetic_scale * math.pi**2 * m**2 / L**2
-        extrap, _ = richardson_extrapolate(float(levels[2001][m - 1]), float(levels[4001][m - 1]), 2.0, 2)
-        worst = max(worst, abs(extrap / exact - 1.0))
-    return ("box-self-test", worst <= 1e-6, f"max rel dev after extrapolation = {worst:.2g}")
+        extrap, _ = richardson_extrapolate(float(modes[2001][0][m - 1]), float(modes[4001][0][m - 1]), 2.0, 2)
+        devs.append(abs(extrap / exact - 1.0))
+    nodes = []
+    for v in modes[4001][1].T:
+        signs = np.sign(v[np.abs(v) > 1e-8 * np.abs(v).max()])
+        nodes.append(int(np.sum(signs[1:] * signs[:-1] < 0)))
+    return BoxSelfTest(worst_of(devs), nodes)
 
 
 MODEL_CHECKS = ("nonrel", "kg", "dirac-spin", "dirac-pseudospin")
 
 
-def run_checks(molecules: list[Molecule], models: list[str], alpha: float, u: UnitConstants,
-               points: int) -> tuple[list[Check], dict[str, list[str]]]:
-    """Run the battery for the requested model families.
-
-    Returns the checks and, when nonrel is requested, the oracle comparison
-    rows of each molecule by name.
-    """
-    out: list[Check] = []
-    comparisons: dict[str, list[str]] = {}
+def run_checks(molecules: list[Molecule], models: list[str], alpha: float, u: UnitConstants, points: int) -> list:
+    """The records of the battery over the oracle-check matrices, for the
+    requested model families, in printing order."""
+    out: list = []
     base_params, base_part = to_potential_params(molecules[0], 1.0, 1.0, alpha, u)
     if "nonrel" in models:
-        for mol in molecules:
-            check, comparisons[mol.name] = check_oracle_equivalence(mol, alpha, u, points)
-            out.append(check)
+        out += [check_oracle_equivalence(mol, alpha, u, points) for mol in molecules]
         out.append(check_box_self_test(base_part))
         out.append(check_special_functions())
-        out.append(check_normalization(base_params, base_part))
-    relativistic = [name for name in models if name != "nonrel"]
-    if relativistic:
-        out.append(check_relativistic_residuals(base_params, base_part, u, relativistic))
+        out.append(check_normalization([make_wavefunction(base_params, base_part, n, l)
+                                        for n, l in NORMALIZED_STATES]))
+    states = [case for case in RELATIVISTIC_STATES if case[0] in models]
+    if states:
+        out.append(check_relativistic_residuals(base_params, base_part, MASS_MATRIX, states, u.hbar_c))
     if "kg" in models or "dirac-spin" in models:
-        out.append(check_cross_identities(base_params, base_part, u))
-    return out, comparisons
+        out.append(check_cross_identities(base_params, base_part, CROSS_MASSES, u.hbar_c))
+    return out

@@ -303,7 +303,7 @@ def cmd_validate(args, out) -> int:
 
 
 def cmd_oracle_check(args, out) -> int:
-    from .checks import MODEL_CHECKS, ORACLE_CSV_HEADER, oracle_comparison_rows, run_checks
+    from .checks import MODEL_CHECKS, ORACLE_CSV_HEADER, OracleEquivalence, check_oracle_equivalence, run_checks
 
     _, units = _load_config(args)
     names = _distinct([name for name in args.molecules.split(",") if name], "--molecules", args.molecules)
@@ -315,23 +315,23 @@ def cmd_oracle_check(args, out) -> int:
     if unknown:
         raise InvalidParameter(f"unknown models {unknown!r}")
     try:
-        checks, comparisons = run_checks(molecules, models, args.alpha, units, args.grid_points)
+        records = run_checks(molecules, models, args.alpha, units, args.grid_points)
     except GridTooCoarse as exc:
         print(f"grid too coarse: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     if args.details:
         # the oracle-equivalence checks made these rows when nonrel was requested
+        comparisons = {r.molecule: r.rows for r in records if isinstance(r, OracleEquivalence)}
         _emit(out, [ORACLE_CSV_HEADER])
         for mol in molecules:
             _emit(out, [f"# molecule = {mol.name}"])
             if mol.name not in comparisons:
-                comparisons[mol.name], _ = oracle_comparison_rows(mol, args.alpha, units, args.grid_points)
+                comparisons[mol.name] = check_oracle_equivalence(mol, args.alpha, units, args.grid_points).rows
             _emit(out, comparisons[mol.name])
-    ok_all = True
-    for name, ok, detail in checks:
-        ok_all = ok_all and ok
+    verdicts = [record.verdict() for record in records]
+    for name, ok, detail in verdicts:
         _emit(out, [f"{name} {'PASS' if ok else 'FAIL'} {detail}"])
-    return EXIT_OK if ok_all else EXIT_CHECK_FAILED
+    return EXIT_OK if all(ok for _, ok, _ in verdicts) else EXIT_CHECK_FAILED
 
 
 def _add_states(sub: argparse.ArgumentParser, n_max: int) -> None:

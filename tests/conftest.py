@@ -1,7 +1,6 @@
 import pytest
 
 from hgmorse.molecules import find_molecule, to_potential_params
-from hgmorse.potential import PotentialParams
 
 ALPHA = 0.025
 
@@ -22,9 +21,3 @@ def ch_unit():
 def hcl_free():
     return to_potential_params(find_molecule("HCl"), 0.0, 0.0, ALPHA)
 
-
-def scaled(params, part, M):
-    """Strengths rescaled by mu c^2/M: same dimensionless well at mass M."""
-    s = part.mu_energy / M
-    return PotentialParams(a=params.a * s, b=params.b * s, D_e=params.D_e * s,
-                           r_e=params.r_e, alpha=params.alpha)

@@ -1,7 +1,10 @@
 """Acceptance criteria, one test per criterion, printing one line each.
 
-Tolerances are pinned here and nowhere else; the suite is the exit gate for
-the package.  Criterion names:
+The suite is the exit gate for the package.  AC-1..AC-4, AC-6 and AC-8 call
+the check battery of `hgmorse.checks` (the one behind `oracle-check`) with
+their own, wider matrices and assert the records it returns.  The AC
+tolerances and matrix sizes are pinned here and nowhere else; `checks.py`
+pins only the tolerances of the oracle-check verdict lines.  Criterion names:
 
   AC-1  nonrelativistic closed form vs FD oracle, bare Morse well
   AC-2  same with unit Hellmann strengths
@@ -13,44 +16,25 @@ the package.  Criterion names:
   AC-8  oracle self-test (particle in a box)
 """
 
-import math
-import time
-
 import numpy as np
+import pytest
 from scipy.integrate import quad
 
-from hgmorse.errors import NoBoundState
-from hgmorse.molecules import builtin_molecules, find_molecule, to_potential_params
-from hgmorse.nonrel import energy_nonrel, make_wavefunction, radial_wavefunction
-from hgmorse.oracle import (
-    RadialGrid,
-    fd_schrodinger_modes,
-    mismatch_sign_change,
-    oracle_energies,
-    richardson_extrapolate,
-)
-from hgmorse.potential import PotentialParams
+from hgmorse import checks
+from hgmorse.molecules import builtin_molecules, to_potential_params
+from hgmorse.nonrel import make_wavefunction
 from hgmorse.relativistic import (
     QuantumNumbers,
-    kg_ode_coefficient,
-    kg_residual,
-    kg_residual_nonrel_limit,
     kg_wavefunction_spec,
     lower_spinor_spec,
-    pseudospin_ode_coefficient,
-    pseudospin_residual,
-    rel_radial_value,
     solve_dirac_pseudospin,
     solve_dirac_spin,
     solve_kg_energy,
-    spin_ode_coefficient,
-    spin_residual,
-    spin_residual_nonrel_limit,
     upper_spinor_norm,
     upper_spinor_spec,
 )
 from hgmorse.specfun import JacobiParams, jacobi_norm_integral, jacobi_poly, jacobi_recurrence
-from hgmorse.units import HBAR_C_EV_ANGSTROM
+from hgmorse.units import DEFAULT_UNITS, HBAR_C_EV_ANGSTROM
 from hgmorse.validate import (
     REPRODUCTION_TOL,
     calibrate,
@@ -60,95 +44,58 @@ from hgmorse.validate import (
     qualitative_gates,
     score,
 )
-from hgmorse.wavefun import SWaveform, support_window
-from tests.conftest import scaled
 
 ALPHA = 0.025
 MASSES = (50.0, 500.0, 5000.0)
 
-
-def _oracle_equivalence(a, b, tol=5e-4, budget_s=60.0):
-    worst = 0.0
-    for mol in builtin_molecules():
-        t0 = time.time()
-        params, part = to_potential_params(mol, a, b, ALPHA)
-        for l in range(3):
-            fd, _ = oracle_energies(params, part, l, 4, points=20001)
-            for n in range(4):
-                worst = max(worst, abs(energy_nonrel(params, part, n, l) - float(fd[n])))
-        elapsed = time.time() - t0
-        assert elapsed <= budget_s, f"{mol.name}: {elapsed:.1f} s exceeds the {budget_s} s budget"
-    return worst
+#: AC-3 states: the oracle-check states plus the spin ground state (kappa, n) = (-1, 0);
+#: every kg and spin state must bind, and one pseudospin state at each mass
+AC3_STATES = (
+    ("kg", [(QuantumNumbers(n=n, l=l),) for n, l in ((0, 0), (1, 0), (1, 1))], 3),
+    ("dirac-spin", [(1, 0.0, 1), (-2, 0.0, 1), (-1, 0.0, 0)], 3),
+    ("dirac-pseudospin", [(1, 0.0, 0), (1, 0.0, 1), (2, 0.0, 0)], 1),
+)
 
 
-def test_ac1_oracle_equivalence_bare_well():
-    worst = _oracle_equivalence(0.0, 0.0)
-    print(f"AC-1 PASS max|closed - FD| = {worst:.3g} eV (tol 5e-4) over 5 molecules, n<=3, l<=2, a=b=0")
+@pytest.fixture(scope="module")
+def oracle_records():
+    """One oracle-equivalence record per built-in molecule, at both strength pairs."""
+    return [checks.check_oracle_equivalence(mol, ALPHA, DEFAULT_UNITS, 20001) for mol in builtin_molecules()]
+
+
+def _oracle_equivalence(records, strengths, criterion, ab):
+    for r in records:
+        assert r.seconds <= 60.0, f"{r.molecule}: {r.seconds:.1f} s exceeds the 60.0 s budget"
+    devs = [dev for r in records for dev in getattr(r, strengths)]
+    worst = checks.worst_of(devs)
+    print(f"{criterion} PASS max|closed - FD| = {worst:.3g} eV (tol 5e-4) over 5 molecules, n<=3, l<=2, {ab}")
+    assert len(devs) == 60
     assert worst <= 5e-4
 
 
-def test_ac2_oracle_equivalence_unit_strengths():
-    worst = _oracle_equivalence(1.0, 1.0)
-    print(f"AC-2 PASS max|closed - FD| = {worst:.3g} eV (tol 5e-4) over 5 molecules, n<=3, l<=2, a=b=1")
-    assert worst <= 5e-4
+def test_ac1_oracle_equivalence_bare_well(oracle_records):
+    _oracle_equivalence(oracle_records, "bare", "AC-1", "a=b=0")
 
 
-def test_ac3_relativistic_residuals_and_shooting():
-    p, part = to_potential_params(find_molecule("CH"), 1.0, 1.0, ALPHA)
-    worst_res = 0.0
-    checked = 0
-    for M in MASSES:
-        ps = scaled(p, part, M)
-        for n, l in ((0, 0), (1, 0), (1, 1)):
-            qn = QuantumNumbers(n=n, l=l)
-            for E in solve_kg_energy(ps, M, qn):
-                worst_res = max(worst_res, abs(kg_residual(ps, M, E, qn)))
-                assert mismatch_sign_change(kg_ode_coefficient(ps, M, qn), E, 1e-8 * M)
-                checked += 1
-        for kappa, n in ((1, 1), (-2, 1), (-1, 0)):
-            for E in solve_dirac_spin(ps, M, kappa, 0.0, n):
-                worst_res = max(worst_res, abs(spin_residual(ps, M, E, kappa, 0.0, n)))
-                assert mismatch_sign_change(spin_ode_coefficient(ps, M, kappa, 0.0), E, 1e-8 * M)
-                checked += 1
-        pp = PotentialParams(a=0.0, b=10.0 * HBAR_C_EV_ANGSTROM**2 * ALPHA / (2.0 * M),
-                             D_e=p.D_e, r_e=p.r_e, alpha=ALPHA)
-        bound_here = 0
-        for kappa, n in ((1, 0), (1, 1), (2, 0)):
-            try:
-                roots = solve_dirac_pseudospin(pp, M, kappa, 0.0, n)
-            except NoBoundState:
-                continue
-            for E in roots:
-                worst_res = max(worst_res, abs(pseudospin_residual(pp, M, E, kappa, 0.0, n)))
-                assert mismatch_sign_change(pseudospin_ode_coefficient(pp, M, kappa, 0.0), E, 1e-8 * M)
-                bound_here += 1
-        assert bound_here >= 1, f"pseudospin test configuration empty at M={M}"
-        checked += bound_here
-    print(f"AC-3 PASS {checked} levels, max|residual| = {worst_res:.2g} (tol 1e-9), "
-          f"all shooting flips within +-1e-8*M")
-    assert worst_res <= 1e-9
+def test_ac2_oracle_equivalence_unit_strengths(oracle_records):
+    _oracle_equivalence(oracle_records, "unit", "AC-2", "a=b=1")
+
+
+def test_ac3_relativistic_residuals_and_shooting(ch_unit):
+    r = checks.check_relativistic_residuals(*ch_unit, MASSES, AC3_STATES, HBAR_C_EV_ANGSTROM)
+    print(f"AC-3 PASS {r.levels} levels, max|residual| = {r.worst:.2g} (tol 1e-9), all shooting flips within +-1e-8*M")
+    assert r.levels == 25
+    assert r.bound, "a test configuration bound too few states"
+    assert r.flips
+    assert r.worst <= 1e-9
 
 
 def test_ac4_cross_equation_identities():
-    p, part = to_potential_params(find_molecule("CH"), 1.0, 1.0, ALPHA)
-    worst_pair = 0.0
-    worst_doublet = 0.0
-    for M in MASSES:
-        ps = scaled(p, part, M)
-        for l, kappas in ((0, (-1,)), (1, (1, -2))):
-            e_kg = solve_kg_energy(ps, M, QuantumNumbers(n=1, l=l))[0]
-            spins = [solve_dirac_spin(ps, M, kappa, 0.0, 1)[0] for kappa in kappas]
-            worst_pair = max(worst_pair, *(abs(e_kg - e) for e in spins))
-            if len(spins) == 2:
-                worst_doublet = max(worst_doublet, abs(spins[0] - spins[1]))
-    worst_limit = 0.0
-    for mol in builtin_molecules():
-        params, particle = to_potential_params(mol, 1.0, 1.0, ALPHA)
-        for n in range(4):
-            for l in range(3):
-                E = energy_nonrel(params, particle, n, l)
-                worst_limit = max(worst_limit, abs(kg_residual_nonrel_limit(params, particle, E, n, l)),
-                                  abs(spin_residual_nonrel_limit(params, particle, E, n, l)))
+    records = [checks.check_cross_identities(*to_potential_params(mol, 1.0, 1.0, ALPHA), MASSES, HBAR_C_EV_ANGSTROM)
+               for mol in builtin_molecules()]
+    worst_pair = checks.worst_of([r.pair for r in records])
+    worst_doublet = checks.worst_of([r.doublet for r in records])
+    worst_limit = checks.worst_of([r.limit for r in records])
     print(f"AC-4 PASS KG/spin max|dE| = {worst_pair:.2g} eV, doublet max|dE| = {worst_doublet:.2g} eV, "
           f"nonrel-limit max|residual| = {worst_limit:.2g} (all tol 1e-10)")
     assert worst_pair <= 1e-10
@@ -186,42 +133,24 @@ def test_ac5_special_functions():
     assert third <= 1e-12
 
 
-def _norm_of(spec_kind, spec):
-    if spec_kind == "rel":
-        w = SWaveform(spec.leading_exp, spec.edge_exp, spec.n, spec.alpha)
-        f = lambda r: rel_radial_value(spec, r) ** 2
-    else:
-        w = SWaveform(spec.omega, spec.phi_exp, spec.n, spec.alpha)
-        f = lambda r: radial_wavefunction(spec, r) ** 2
-    r_lo, r_hi = support_window(w)
-    integral, _ = quad(f, r_lo, r_hi, limit=400)
-    return integral
-
-
-def test_ac6_unit_norms_everywhere():
-    worst = 0.0
-    ratios = []
-    for mol in builtin_molecules():
-        p, part = to_potential_params(mol, 1.0, 1.0, ALPHA)
-        for n, l in ((0, 0), (1, 0), (2, 1)):
-            spec = make_wavefunction(p, part, n, l)
-            worst = max(worst, abs(_norm_of("nonrel", spec) - 1.0))
-    p, part = to_potential_params(find_molecule("CH"), 1.0, 1.0, ALPHA)
+def test_ac6_unit_norms_everywhere(ch_unit):
+    specs = [make_wavefunction(*to_potential_params(mol, 1.0, 1.0, ALPHA), n, l)
+             for mol in builtin_molecules() for n, l in ((0, 0), (1, 0), (2, 1))]
+    p, part = ch_unit
     M = 500.0
-    ps = scaled(p, part, M)
+    ps = checks.scaled_params(p, part, M)
     qn = QuantumNumbers(n=1, l=0)
-    e_kg = solve_kg_energy(ps, M, qn)[0]
-    worst = max(worst, abs(_norm_of("rel", kg_wavefunction_spec(ps, M, e_kg, qn)) - 1.0))
+    specs.append(kg_wavefunction_spec(ps, M, solve_kg_energy(ps, M, qn)[0], qn))
     e_sp = solve_dirac_spin(ps, M, -1, 0.0, 0)[0]
-    worst = max(worst, abs(_norm_of("rel", upper_spinor_spec(ps, M, e_sp, -1, 0.0, 0)) - 1.0))
-    ratios.append(upper_spinor_norm(ps, M, e_sp, -1, 0.0, 0).closed_over_quadrature)
-    pp = PotentialParams(a=0.0, b=10.0 * HBAR_C_EV_ANGSTROM**2 * ALPHA / (2.0 * M),
-                         D_e=p.D_e, r_e=p.r_e, alpha=ALPHA)
-    e_ps = solve_dirac_pseudospin(pp, M, 1, 0.0, 0)[0]
-    worst = max(worst, abs(_norm_of("rel", lower_spinor_spec(pp, M, e_ps, 1, 0.0, 0)) - 1.0))
-    print(f"AC-6 PASS max |norm - 1| = {worst:.2g} (tol 1e-6); "
-          f"closed-form/quadrature ratio at the spin ground state = {ratios[0]:.9f} (logged, not gated)")
-    assert worst <= 1e-6
+    specs.append(upper_spinor_spec(ps, M, e_sp, -1, 0.0, 0))
+    pp = checks.pseudospin_params(p, M, HBAR_C_EV_ANGSTROM)
+    specs.append(lower_spinor_spec(pp, M, solve_dirac_pseudospin(pp, M, 1, 0.0, 0)[0], 1, 0.0, 0))
+    assert len(specs) == 18
+    r = checks.check_normalization(specs)
+    ratio = upper_spinor_norm(ps, M, e_sp, -1, 0.0, 0).closed_over_quadrature
+    print(f"AC-6 PASS max |norm - 1| = {r.worst:.2g} (tol 1e-6); "
+          f"closed-form/quadrature ratio at the spin ground state = {ratio:.9f} (logged, not gated)")
+    assert r.worst <= 1e-6
 
 
 def test_ac7_reference_table_calibration_and_gates():
@@ -248,24 +177,8 @@ def test_ac7_reference_table_calibration_and_gates():
 
 
 def test_ac8_oracle_box_self_test(ch_free):
-    _, part = ch_free
-    p = PotentialParams(a=0.0, b=0.0, D_e=0.0, r_e=1.0, alpha=1e-6)
-    L = 10.0
-    grids = {pts: RadialGrid(1e-9, L + 1e-9, pts) for pts in (2001, 4001)}
-    vals = {}
-    vecs = {}
-    for pts, g in grids.items():
-        vals[pts], vecs[pts] = fd_schrodinger_modes(p, part, 0, g, 4)
-    worst = 0.0
-    for m in range(1, 5):
-        exact = part.kinetic_scale * math.pi**2 * m**2 / L**2
-        extrap, _ = richardson_extrapolate(float(vals[2001][m - 1]), float(vals[4001][m - 1]), 2.0, 2)
-        worst = max(worst, abs(extrap / exact - 1.0))
-    for m in range(4):
-        v = vecs[4001][:, m]
-        keep = np.abs(v) > 1e-8 * np.abs(v).max()
-        signs = np.sign(v[keep])
-        assert int(np.sum(signs[1:] * signs[:-1] < 0)) == m
-    print(f"AC-8 PASS box eigenvalues to {worst:.2g} relative after extrapolation (tol 1e-6), "
+    r = checks.check_box_self_test(ch_free[1])
+    print(f"AC-8 PASS box eigenvalues to {r.worst:.2g} relative after extrapolation (tol 1e-6), "
           f"node counts exact for the lowest 4 levels")
-    assert worst <= 1e-6
+    assert r.nodes == [0, 1, 2, 3]
+    assert r.worst <= 1e-6

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -263,6 +264,22 @@ def test_oracle_check_rejects_empty_models(capsys):
 def test_oracle_check_rejects_unknown_model(capsys):
     code, _, err = run(capsys, "oracle-check", "--models", "schrodinger-cat")
     assert code == 2
+
+
+def test_oracle_check_exit_code_follows_the_records(capsys, monkeypatch):
+    import hgmorse.checks as checks
+
+    code, passing, _ = run(capsys, "oracle-check", "--models", "kg")
+    assert code == 0
+    real = checks.check_cross_identities
+    monkeypatch.setattr(checks, "check_cross_identities", lambda *args: dataclasses.replace(real(*args), pair=1.0))
+    code, failing, _ = run(capsys, "oracle-check", "--models", "kg")
+    assert code == EXIT_CHECK_FAILED
+    passing, failing = passing.splitlines(), failing.splitlines()
+    assert [line.split(" ", 2)[:2] for line in passing] == [["relativistic-residuals", "PASS"],
+                                                           ["cross-identities", "PASS"]]
+    assert failing[0] == passing[0]
+    assert failing[1].startswith("cross-identities FAIL KG/spin max|dE| = 1 eV, ")
 
 
 def test_config_b_sign_flips_yukawa(capsys, tmp_path):

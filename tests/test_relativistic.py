@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from hgmorse import relativistic
-from hgmorse.checks import MASS_MATRIX, pseudospin_params
+from hgmorse.checks import MASS_MATRIX, check_normalization, pseudospin_params, scaled_params
 from hgmorse.errors import InvalidParameter, NoBoundState
 from hgmorse.molecules import builtin_molecules, to_potential_params
 from hgmorse.nonrel import energy_nonrel
@@ -47,17 +46,8 @@ from hgmorse.relativistic import (
 )
 from hgmorse.units import HBAR_C_EV_ANGSTROM
 from hgmorse.wavefun import SWaveform, count_nodes, support_window
-from tests.conftest import scaled
 
 mp.mp.dps = 40
-
-PSEUDO_B_FOLD = 10.0
-
-
-def pseudo_params(p, M):
-    b = PSEUDO_B_FOLD * HBAR_C_EV_ANGSTROM**2 * p.alpha / (2.0 * M)
-    return PotentialParams(a=0.0, b=b, D_e=p.D_e, r_e=p.r_e, alpha=p.alpha)
-
 
 # --- quantum numbers and the angular coefficient ----------------------------
 
@@ -151,7 +141,7 @@ def test_pseudospin_ansatz_fields(ch_unit):
 def test_kg_residual_solver_contract(ch_unit):
     p, part = ch_unit
     for M in (50.0, 500.0, 5000.0):
-        ps = scaled(p, part, M)
+        ps = scaled_params(p, part, M)
         qn = QuantumNumbers(n=0, l=0)
         for E in solve_kg_energy(ps, M, qn):
             assert abs(kg_residual(ps, M, E, qn)) <= 1e-9
@@ -185,7 +175,7 @@ def test_nonrel_limit_identity_all_molecules():
 def test_spin_residual_matches_kg_pointwise(ch_unit):
     p, part = ch_unit
     M = 500.0
-    ps = scaled(p, part, M)
+    ps = scaled_params(p, part, M)
     qn = QuantumNumbers(n=1, l=1)
     for E in np.linspace(-0.5 * M, 20 * M, 50):
         r_kg = kg_residual(ps, M, float(E), qn)
@@ -213,7 +203,7 @@ def test_kg_equals_spin_residual_exactly(ch_unit, M, a, b, depth, t, n, l, upper
 def test_spin_doublet_degeneracy(ch_unit):
     p, part = ch_unit
     M = 500.0
-    ps = scaled(p, part, M)
+    ps = scaled_params(p, part, M)
     for l, pair in ((1, (1, -2)), (2, (2, -3))):
         e_a = solve_dirac_spin(ps, M, kappa=pair[0], Cs=0.0, n=1)
         e_b = solve_dirac_spin(ps, M, kappa=pair[1], Cs=0.0, n=1)
@@ -223,7 +213,7 @@ def test_spin_doublet_degeneracy(ch_unit):
 def test_kg_matches_dirac_spin_across_masses(ch_unit):
     p, part = ch_unit
     for M in (50.0, 500.0, 5000.0):
-        ps = scaled(p, part, M)
+        ps = scaled_params(p, part, M)
         for l, kappas in ((0, (-1,)), (1, (1, -2))):
             e_kg = solve_kg_energy(ps, M, QuantumNumbers(n=1, l=l))[0]
             for kappa in kappas:
@@ -234,7 +224,7 @@ def test_kg_matches_dirac_spin_across_masses(ch_unit):
 def test_spin_branch_filter(ch_unit):
     p, part = ch_unit
     M = 500.0
-    ps = scaled(p, part, M)
+    ps = scaled_params(p, part, M)
     positive_only = solve_dirac_spin(ps, M, kappa=-1, Cs=0.0, n=0)
     assert all(E > 0 for E in positive_only)
     everything = solve_dirac_spin(ps, M, kappa=-1, Cs=0.0, n=0, all_roots=True)
@@ -244,7 +234,7 @@ def test_spin_branch_filter(ch_unit):
 def test_pseudospin_negative_branch_and_residual(ch_unit):
     p, _ = ch_unit
     for M in (500.0, 5000.0):
-        pp = pseudo_params(p, M)
+        pp = pseudospin_params(p, M, HBAR_C_EV_ANGSTROM)
         roots = solve_dirac_pseudospin(pp, M, kappa=1, Cps=0.0, n=0)
         assert roots and all(E < 0 for E in roots)
         for E in roots:
@@ -255,7 +245,7 @@ def test_pseudospin_supercritical_core_has_no_levels(ch_unit):
     # molecular-strength Morse coupling drives the pseudospin radicand
     # negative on the whole negative branch
     p, part = ch_unit
-    ps = scaled(p, part, 500.0)
+    ps = scaled_params(p, part, 500.0)
     with pytest.raises(NoBoundState):
         solve_dirac_pseudospin(ps, 500.0, kappa=1, Cps=0.0, n=0)
 
@@ -264,7 +254,7 @@ def test_pseudospin_kappa_pair_degeneracy(ch_unit):
     # kappa and 1 - kappa share kappa(kappa-1)
     p, _ = ch_unit
     M = 5000.0
-    pp = pseudo_params(p, M)
+    pp = pseudospin_params(p, M, HBAR_C_EV_ANGSTROM)
     e2 = solve_dirac_pseudospin(pp, M, kappa=2, Cps=0.0, n=0)[0]
     em1 = solve_dirac_pseudospin(pp, M, kappa=-1, Cps=0.0, n=0)[0]
     assert e2 == pytest.approx(em1, abs=1e-10)
@@ -275,7 +265,7 @@ def test_printed_equation_defects_are_logged_nonzero(ch_unit):
     # at genuine roots quantify the discrepancy and must not be silently zero
     p, part = ch_unit
     M = 500.0
-    ps = scaled(p, part, M)
+    ps = scaled_params(p, part, M)
     qn = QuantumNumbers(n=0, l=0)
     E = solve_kg_energy(ps, M, qn)[0]
     assert abs(kg_printed_eq_residual(ps, M, E, qn)) > 1e-6
@@ -284,13 +274,13 @@ def test_printed_equation_defects_are_logged_nonzero(ch_unit):
 def test_shooting_verifies_each_sector(ch_unit):
     p, part = ch_unit
     M = 500.0
-    ps = scaled(p, part, M)
+    ps = scaled_params(p, part, M)
     qn = QuantumNumbers(n=1, l=1)
     e_kg = solve_kg_energy(ps, M, qn)[0]
     assert mismatch_sign_change(kg_ode_coefficient(ps, M, qn), e_kg, 1e-8 * M)
     e_sp = solve_dirac_spin(ps, M, kappa=-2, Cs=0.0, n=1)[0]
     assert mismatch_sign_change(spin_ode_coefficient(ps, M, -2, 0.0), e_sp, 1e-8 * M)
-    pp = pseudo_params(p, M)
+    pp = pseudospin_params(p, M, HBAR_C_EV_ANGSTROM)
     e_ps = solve_dirac_pseudospin(pp, M, kappa=1, Cps=0.0, n=0)[0]
     assert mismatch_sign_change(pseudospin_ode_coefficient(pp, M, 1, 0.0), e_ps, 1e-8 * M)
 
@@ -298,19 +288,12 @@ def test_shooting_verifies_each_sector(ch_unit):
 # --- spinor components --------------------------------------------------------
 
 
-def _unit_norm(spec: RelWavefunctionSpec) -> float:
-    w = SWaveform(spec.leading_exp, spec.edge_exp, spec.n, spec.alpha)
-    r_lo, r_hi = support_window(w)
-    integral, _ = quad(lambda r: rel_radial_value(spec, r) ** 2, r_lo, r_hi, limit=400)
-    return integral
-
-
 def test_kg_interdimensional_degeneracy(ch_unit):
     # the angular coefficient depends on D + 2l only, so (D=4, l=0) and
     # (D=2, l=1) share a spectrum; D=2 lowers the barrier below D=3
     p, part = ch_unit
     M = 500.0
-    ps = scaled(p, part, M)
+    ps = scaled_params(p, part, M)
     assert lambda_D(2, 1) == lambda_D(4, 0) == 0.75
     e_d2 = solve_kg_energy(ps, M, QuantumNumbers(n=0, l=1, D=2))[0]
     e_d4 = solve_kg_energy(ps, M, QuantumNumbers(n=0, l=0, D=4))[0]
@@ -323,7 +306,7 @@ def test_kg_interdimensional_degeneracy(ch_unit):
 def test_kg_roots_ascending_and_deterministic(ch_unit):
     p, part = ch_unit
     M = 5000.0
-    ps = scaled(p, part, M)
+    ps = scaled_params(p, part, M)
     qn = QuantumNumbers(n=0, l=0)
     roots_a = solve_kg_energy(ps, M, qn)
     roots_b = solve_kg_energy(ps, M, qn)
@@ -336,7 +319,7 @@ def test_kg_norm_ratio_logged_for_low_levels(ch_unit):
     # doubled leading exponent); its ratio to quadrature is informative only
     p, part = ch_unit
     M = 500.0
-    ps = scaled(p, part, M)
+    ps = scaled_params(p, part, M)
     for n in range(4):
         qn = QuantumNumbers(n=n, l=0)
         E = solve_kg_energy(ps, M, qn)[0]
@@ -370,7 +353,7 @@ def test_spin_ansatz_generic_reference_values(ch_unit):
 def test_solve_evaluates_printed_defect_only_for_debug_log(ch_unit, monkeypatch, caplog):
     p, part = ch_unit
     M = 500.0
-    ps = scaled(p, part, M)
+    ps = scaled_params(p, part, M)
     calls = []
 
     def counting(*args):
@@ -390,7 +373,7 @@ def test_solve_evaluates_printed_defect_only_for_debug_log(ch_unit, monkeypatch,
 def test_kg_wavefunction_boundaries_and_norm(ch_unit):
     p, part = ch_unit
     M = 500.0
-    ps = scaled(p, part, M)
+    ps = scaled_params(p, part, M)
     qn = QuantumNumbers(n=1, l=0)
     E = solve_kg_energy(ps, M, qn)[0]
     spec = kg_wavefunction_spec(ps, M, E, qn)
@@ -398,7 +381,7 @@ def test_kg_wavefunction_boundaries_and_norm(ch_unit):
     r_lo, r_hi = support_window(w)
     peak = max(abs(rel_radial_value(spec, r)) for r in np.linspace(r_lo, r_hi, 300))
     assert abs(rel_radial_value(spec, 6.0 * r_hi)) < 1e-10 * peak
-    assert _unit_norm(spec) == pytest.approx(1.0, abs=1e-6)
+    assert check_normalization([spec]).worst <= 1e-6
     result = kg_norm(ps, M, E, qn)
     assert result.log_quadrature == pytest.approx(spec.log_norm, abs=1e-9)
     assert result.log_closed_form is None or math.isfinite(result.log_closed_form)
@@ -407,21 +390,21 @@ def test_kg_wavefunction_boundaries_and_norm(ch_unit):
 def test_upper_spinor_norm_closed_form_exact_at_ground(ch_unit):
     p, part = ch_unit
     M = 500.0
-    ps = scaled(p, part, M)
+    ps = scaled_params(p, part, M)
     E = solve_dirac_spin(ps, M, kappa=-1, Cs=0.0, n=0)[0]
     result = upper_spinor_norm(ps, M, E, kappa=-1, Cs=0.0, n=0)
     assert result.closed_over_quadrature == pytest.approx(1.0, rel=1e-7)
     spec = upper_spinor_spec(ps, M, E, kappa=-1, Cs=0.0, n=0)
-    assert _unit_norm(spec) == pytest.approx(1.0, abs=1e-6)
+    assert check_normalization([spec]).worst <= 1e-6
 
 
 def test_lower_spinor_unit_norm_and_single_node(ch_unit):
     p, _ = ch_unit
     M = 500.0
-    pp = pseudo_params(p, M)
+    pp = pseudospin_params(p, M, HBAR_C_EV_ANGSTROM)
     e1 = solve_dirac_pseudospin(pp, M, kappa=1, Cps=0.0, n=1)[0]
     spec = lower_spinor_spec(pp, M, e1, kappa=1, Cps=0.0, n=1)
-    assert _unit_norm(spec) == pytest.approx(1.0, abs=1e-6)
+    assert check_normalization([spec]).worst <= 1e-6
     w = SWaveform(spec.leading_exp, spec.edge_exp, 1, pp.alpha)
     assert count_nodes(w, spec.log_norm) == 1
     assert lower_spinor_norm(pp, M, e1, kappa=1, Cps=0.0, n=1).log_closed_form is None
@@ -440,7 +423,7 @@ def test_pseudospin_n2_states_normalize():
             except NoBoundState:
                 continue
             spec = lower_spinor_spec(pp, M, E, kappa=1, Cps=0.0, n=2)
-            assert _unit_norm(spec) == pytest.approx(1.0, abs=1e-6)
+            assert check_normalization([spec]).worst <= 1e-6
             found += 1
     assert found == 9
 
@@ -460,14 +443,14 @@ def test_relativistic_wavefunctions_solve_their_equations(ch_unit):
     # second differences of each radial component must satisfy u'' + W u = 0
     p, part = ch_unit
     M = 500.0
-    ps = scaled(p, part, M)
+    ps = scaled_params(p, part, M)
     qn = QuantumNumbers(n=1, l=1)
     e_kg = solve_kg_energy(ps, M, qn)[0]
     assert _ode_defect(kg_wavefunction_spec(ps, M, e_kg, qn), kg_ode_coefficient(ps, M, qn), e_kg) <= 1e-2
     e_sp = solve_dirac_spin(ps, M, kappa=1, Cs=0.0, n=1)[0]
     assert _ode_defect(upper_spinor_spec(ps, M, e_sp, 1, 0.0, 1),
                        spin_ode_coefficient(ps, M, 1, 0.0), e_sp) <= 1e-2
-    pp = pseudo_params(p, M)
+    pp = pseudospin_params(p, M, HBAR_C_EV_ANGSTROM)
     e_ps = solve_dirac_pseudospin(pp, M, kappa=2, Cps=0.0, n=0)[0]
     assert _ode_defect(lower_spinor_spec(pp, M, e_ps, 2, 0.0, 0),
                        pseudospin_ode_coefficient(pp, M, 2, 0.0), e_ps) <= 1e-2
@@ -478,7 +461,7 @@ def test_spinor_rejects_unbound_energy(ch_unit):
     # radicand turns negative
     p, part = ch_unit
     M = 500.0
-    ps = scaled(p, part, M)
+    ps = scaled_params(p, part, M)
     E_open = M + ps.D_e
     with pytest.raises(NoBoundState):
         kg_wavefunction_spec(ps, M, E_open, QuantumNumbers(n=0, l=0))

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from hgmorse.checks import scaled_params
 from hgmorse.errors import InvalidParameter
 from hgmorse.relativistic import QuantumNumbers, kg_residual
 from hgmorse.rootfind import RootBracket, bisect, scan_brackets
-from tests.conftest import scaled
 
 
 def test_bracket_validation():
@@ -88,7 +88,7 @@ def test_bisect_on_transcendental_residual(ch_unit):
     # monotone stretch of the relativistic quantization defect
     p, part = ch_unit
     M = 500.0
-    ps = scaled(p, part, M)
+    ps = scaled_params(p, part, M)
     qn = QuantumNumbers(n=0, l=0)
     f = lambda E: kg_residual(ps, M, E, qn)
     brackets = scan_brackets(lambda Es: np.array([f(float(E)) for E in Es], dtype=float), 1000.0, 20000.0, 400)

@@ -1,4 +1,4 @@
-"""The traced benchmark entry point still sees every relativistic solve and residual.
+"""The traced benchmark entry point still sees every relativistic solve, residual and check.
 
 perfbench/spans.py traces by rebinding the public hgmorse functions in every
 module that binds them.  A caller that reached a solver or residual through a
@@ -81,3 +81,12 @@ def test_traced_sweep_counts_solves(tmp_path):
     assert counts["relativistic.solve_dirac_spin"] == 3
     assert counts["relativistic.residual"] == 0
     assert [row.rsplit(",", 1)[1] for row in _data_rows(stdout)] == ["ok"] * 3
+
+
+def test_traced_oracle_check_counts_each_check_once(tmp_path):
+    counts, _ = _traced(tmp_path, ["oracle-check", "--models", "nonrel,kg,dirac-spin,dirac-pseudospin",
+                                   "--molecules", "CH"])
+    # the per-layer checks.*_s benchmark metrics read these six spans
+    names = [name for name, *_ in spans.TARGETS if name.startswith("checks.")]
+    assert len(names) == 6
+    assert {name: counts[name] for name in names} == dict.fromkeys(names, 1)

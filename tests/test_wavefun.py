@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from hgmorse.checks import term_sum_log_abs_and_sign, term_sum_value
+from hgmorse.checks import scaled_params, term_sum_log_abs_and_sign, term_sum_value
 from hgmorse.errors import InvalidParameter
 from hgmorse.molecules import builtin_molecules, find_molecule, to_potential_params
 from hgmorse.nonrel import energy_nonrel, make_wavefunction, wavefunction_exponents
@@ -36,7 +36,6 @@ from hgmorse.wavefun import (
     support_window,
     value,
 )
-from tests.conftest import scaled
 
 ALPHA = 0.025
 NAMES = [mol.name for mol in builtin_molecules()]
@@ -50,7 +49,7 @@ def _waveforms(name, kind):
     Klein-Gordon l = 0 and Dirac-spin kappa = -2 at M = 500 eV."""
     p, part = to_potential_params(find_molecule(name), 1.0, 1.0, ALPHA)
     M = 500.0
-    ps = scaled(p, part, M)
+    ps = scaled_params(p, part, M)
     for n in range(9):
         if kind == "nonrel":
             leading, edge = wavefunction_exponents(p, part, energy_nonrel(p, part, n, 0), 0)
