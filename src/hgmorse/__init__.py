@@ -25,7 +25,6 @@ from .nonrel import (
     WavefunctionSpec,
     energy_nonrel,
     make_wavefunction,
-    normalization_constant,
     radial_wavefunction,
     spectrum_table,
     wavefunction_exponents,
@@ -49,7 +48,6 @@ from .potential import (
 from .relativistic import (
     QuantumNumbers,
     RelWavefunctionSpec,
-    kg_norm,
     kg_residual,
     lambda_D,
     pseudospin_residual,

@@ -30,7 +30,6 @@ from .relativistic import (
     model_functions,
     solve_dirac_spin,
     solve_kg_energy,
-    spin_residual_nonrel_limit,
 )
 from .specfun import JacobiParams, hyp2f1_terminating, jacobi_norm_integral, jacobi_poly, jacobi_recurrence
 from .units import UnitConstants
@@ -103,22 +102,27 @@ class RelativisticResiduals:
     bound: bool
 
     def verdict(self) -> Check:
-        flips = self.flips and self.bound  # a case that bound too few states prints False here too
-        return ("relativistic-residuals", self.worst <= 1e-9 and flips,
-                f"{self.levels} levels, max|residual| = {self.worst:.2g}, shooting flips within 1e-8*M: {flips}")
+        detail = f"{self.levels} levels, max|residual| = {self.worst:.2g}, shooting flips within 1e-8*M: {self.flips}"
+        if not self.bound:
+            detail += ", a case bound too few states"
+        return ("relativistic-residuals", self.worst <= 1e-9 and self.flips and self.bound, detail)
 
 
 @dataclass(frozen=True)
 class CrossIdentities:
-    """Worst |E_KG - E_spin| and spin-doublet gap (eV), and worst nonrel-limit residual."""
+    """Worst |E_KG - E_spin| and spin-doublet gap (eV), worst nonrel-limit residual, and
+    the (M, l) cases where a KG or spin state did not bind."""
 
     pair: float
     doublet: float
     limit: float
+    unbound: list[str]
 
     def verdict(self) -> Check:
-        return ("cross-identities", self.pair <= 1e-10 and self.limit <= 1e-10,
-                f"KG/spin max|dE| = {self.pair:.2g} eV, nonrel-limit max|residual| = {self.limit:.2g}")
+        detail = f"KG/spin max|dE| = {self.pair:.2g} eV, nonrel-limit max|residual| = {self.limit:.2g}"
+        if self.unbound:
+            detail += f", no bound state at {'; '.join(self.unbound)}"
+        return ("cross-identities", self.pair <= 1e-10 and self.limit <= 1e-10 and not self.unbound, detail)
 
 
 @dataclass(frozen=True)
@@ -205,19 +209,22 @@ def check_cross_identities(p: PotentialParams, part: ParticleSpec, masses: Seque
     mass, and both nonrelativistic limits at the closed-form levels of p."""
     pair: list[float] = []
     doublet: list[float] = []
+    unbound: list[str] = []
     for M in masses:
         ps = scaled_params(p, part, M)
         for l, kappas in ((0, (-1,)), (1, (1, -2))):
-            e_kg = solve_kg_energy(ps, M, QuantumNumbers(n=1, l=l), hbar_c=hbar_c)[0]
-            spins = [solve_dirac_spin(ps, M, kappa, 0.0, 1, hbar_c=hbar_c)[0] for kappa in kappas]
+            try:
+                e_kg = solve_kg_energy(ps, M, QuantumNumbers(n=1, l=l), hbar_c=hbar_c)[0]
+                spins = [solve_dirac_spin(ps, M, kappa, 0.0, 1, hbar_c=hbar_c)[0] for kappa in kappas]
+            except NoBoundState:
+                unbound.append(f"M={M:g} l={l}")
+                continue
             pair += [abs(e_kg - e) for e in spins]
             doublet.append(float(np.ptp(spins)))
-    limit: list[float] = []
-    for n in range(4):
-        for l in range(3):
-            E = energy_nonrel(p, part, n, l)
-            limit += [abs(f(p, part, E, n, l)) for f in (kg_residual_nonrel_limit, spin_residual_nonrel_limit)]
-    return CrossIdentities(worst_of(pair), worst_of(doublet), worst_of(limit))
+    # spin_residual at Cs = 0 and kappa(kappa+1) = l(l+1) is kg_residual, so one limit covers both
+    limit = [abs(kg_residual_nonrel_limit(p, part, energy_nonrel(p, part, n, l), n, l))
+             for n in range(4) for l in range(3)]
+    return CrossIdentities(worst_of(pair), worst_of(doublet), worst_of(limit), unbound)
 
 
 def check_special_functions() -> SpecialFunctions:

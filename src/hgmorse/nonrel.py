@@ -17,7 +17,8 @@ decisively (the other is off by ~0.2 eV for CH); the eliminated variant is
 kept as `_energy_nonrel_printed`, which the tests hold against the oracle.
 Wavefunctions are the standard s = e^(-alpha r) hypergeometric
 forms, normalized by quadrature (the closed-form constant is exact at n = 0
-but inherits a flawed norm identity at n >= 1, so it is logged, not used).
+but inherits a flawed norm identity at n >= 1, so only the tests compare it
+with the quadrature value).
 """
 
 from __future__ import annotations
@@ -127,25 +128,11 @@ class WavefunctionSpec:
         return wavefun.SWaveform(self.omega, self.phi_exp, self.n, self.alpha)
 
 
-@dataclass(frozen=True)
-class NormalizationResult:
-    """Quadrature-authoritative log norm plus the logged closed-form value."""
-
-    log_quadrature: float
-    log_closed_form: Optional[float]
-
-    @property
-    def closed_over_quadrature(self) -> Optional[float]:
-        if self.log_closed_form is None:
-            return None
-        return math.exp(self.log_closed_form - self.log_quadrature)
-
-
 def log_norm_closed_form(omega: float, phi_exp: float, n: int, alpha: float) -> float:
     """log of the closed-form constant sqrt(n! 2w a G(2w+2f+n+1)/(G(2w+n+1) G(2f+n+1))).
 
-    Exact at n = 0; at n >= 1 it inherits a flawed weighted-norm identity and
-    is only logged against the quadrature value.
+    Exact at n = 0; at n >= 1 it inherits a flawed weighted-norm identity.  A
+    test cross-check of the quadrature log_norm, not used by make_wavefunction.
     """
     return 0.5 * (
         ln_gamma(n + 1.0)
@@ -157,25 +144,12 @@ def log_norm_closed_form(omega: float, phi_exp: float, n: int, alpha: float) -> 
     )
 
 
-def normalization_constant(omega: float, phi_exp: float, n: int, alpha: float) -> NormalizationResult:
-    """Quadrature normalization (authoritative) and the closed form (logged).
-
-    Raises NoBoundState for non-normalizable exponents (omega <= 0 or
-    phi_exp <= 1/2).
-    """
-    w = wavefun.SWaveform(omega, phi_exp, n, alpha)
-    return NormalizationResult(
-        log_quadrature=wavefun.log_norm_quadrature(w),
-        log_closed_form=log_norm_closed_form(omega, phi_exp, n, alpha),
-    )
-
-
 def make_wavefunction(p: PotentialParams, part: ParticleSpec, n: int, l: int) -> WavefunctionSpec:
     """Energy + exponents + quadrature normalization for the (n, l) level."""
     E = energy_nonrel(p, part, n, l)
     omega, phi_exp = wavefunction_exponents(p, part, E, l)
-    norm = normalization_constant(omega, phi_exp, n, p.alpha)
-    return WavefunctionSpec(omega, phi_exp, n, p.alpha, norm.log_quadrature)
+    log_norm = wavefun.log_norm_quadrature(wavefun.SWaveform(omega, phi_exp, n, p.alpha))
+    return WavefunctionSpec(omega, phi_exp, n, p.alpha, log_norm)
 
 
 def radial_wavefunction(spec: WavefunctionSpec, r: float) -> float:

@@ -94,11 +94,12 @@ def centrifugal_approx(alpha: float, r, L: float):
 
     L is the angular coefficient (l(l+1), kappa(kappa+1), ...); the caller
     multiplies by its kinetic prefactor.  Tends to L/r^2 as alpha*r -> 0.
+    L may be as low as -1/4, the least lambda_D (at D = 2, l = 0).
     """
     if not alpha > 0.0:
         raise InvalidParameter(f"alpha must be > 0, got {alpha!r}")
-    if L < 0.0:
-        raise InvalidParameter(f"L must be >= 0, got {L!r}")
+    if L < -0.25:
+        raise InvalidParameter(f"L must be >= -1/4, got {L!r}")
     arr = _check_r(r)
     g = 1.0 / (-np.expm1(-alpha * arr))
     return _match(r, L * alpha**2 * g**2)

@@ -22,17 +22,20 @@ N <= 0 for the bracket numerator N (equivalently the pre-squared relation
 solvers drop the rest.  Every accepted root can be cross-checked by the
 shooting oracle on the corresponding radial equation.
 
-Each equation is described once, as a private sector record: its field
-builder, its branch filter, its printed-equation residual, its ODE
-coefficient and its closed-form log norm, if any.  The field builder does
-the state-only work once and returns E -> fields, where E is a float64
-array of energies or one float.  Each field is a multiple of the equation's
-scale factor S (E+M, M+E-Cs or M-E+Cps over (hbar c)^2), NaN where S is not
-positive, and the residual is NaN on every domain hole.  The root scan
-evaluates the residual on its whole energy grid in one call; bisection, the
-public residuals and the spec builder pass one float through the same code.
-One solver, one residual and one spec/norm builder serve all three sectors;
-the public functions are one-call wrappers over them.
+Each equation is described once, as a private sector record: a sign, a
+label map, its branch filter and its printed-equation residual.  The sign is
++1 for the sum potential of Klein-Gordon and spin symmetry and -1 for the
+pseudospin difference potential, which flips every coupling; the label map
+takes a public state to (angular coefficient, energy shift, n).  From these
+one field builder and one ODE coefficient serve all three equations: the
+scale factor is S = (M + sign*E + shift)/(hbar c)^2, each field is a
+multiple of sign*S, NaN where S is not positive, and the residual is NaN on
+every domain hole.  The field builder does the state-only work once and
+returns E -> fields, where E is a float64 array of energies or one float.
+The root scan evaluates the residual on its whole energy grid in one call;
+bisection, the public residuals and the spec builder pass one float through
+the same code.  One solver, one residual and one spec builder serve all
+three sectors; the public functions are one-call wrappers over them.
 
 The fully expanded printed variants of the three eigenvalue equations carry
 typesetting defects (a dropped coupling term, a sign flip, a missing 1/4);
@@ -50,7 +53,7 @@ import numpy as np
 
 from . import wavefun
 from .errors import InvalidParameter, NoBoundState, NonConvergence
-from .nonrel import NormalizationResult, ParticleSpec, log_norm_closed_form
+from .nonrel import ParticleSpec
 from .potential import PotentialParams, centrifugal_approx, potential_approx
 from .rootfind import RootBracket, bisect, scan_brackets
 from .specfun import ln_gamma
@@ -131,33 +134,82 @@ def _bound_exponents(f: _NUFields) -> tuple[float, float]:
     return math.sqrt(C), 0.5 + math.sqrt(radicand)
 
 
+@dataclass(frozen=True)
+class _Sector:
+    """One relativistic wave equation over the shared quantization core.
+
+    A state is the tuple of labels the equation's public functions take
+    after (p, M[, E]): (qn,) for Klein-Gordon and (kappa, C, n) for the
+    Dirac sectors, C being the spin or pseudospin constant.  labels and
+    describe take the state splatted; printed takes (p, M, E, *state, hbar_c).
+    """
+
+    noun: str  # names the level in NoBoundState messages and the debug log
+    describe: Callable[..., str]  # the state in NoBoundState messages
+    sign: int  # +1 for the sum potential, -1 for the difference potential
+    labels: Callable[..., tuple[float, float, int]]  # state -> (angular coefficient, energy shift, n)
+    keep: Callable[[float], bool]  # branch filter, unless all_roots
+    printed: Callable[..., float]  # printed-equation residual
+
+
+def _fields(
+    sector: _Sector, p: PotentialParams, M: float, state: tuple, hbar_c: float
+) -> tuple[Callable[[np.ndarray], _NUFields], int]:
+    """(E -> fields, n) of one state; the fields are NaN where S is not positive.
+
+    With T = sign*S the Klein-Gordon fields are (-eps_KG, beta, eta, chi,
+    phi_KG, Lambda), the spin ones (gamma1, delta1, delta2, delta0, gamma0,
+    beta1) of the upper-spinor equation and the pseudospin ones (chi0,
+    -chi1, -chi2, -theta2, -theta1, lambda1) of the lower-spinor equation.
+    """
+    hc2, a2, q2 = hbar_c**2, p.alpha**2, p.q**2
+    a, b, De, q, alpha = p.a, p.b, p.D_e, p.q, p.alpha
+    sign = sector.sign
+    angular, shift, n = sector.labels(*state)
+
+    def at(E: np.ndarray) -> _NUFields:
+        S = (M + sign * E + shift) / hc2
+        T = sign * _nan_unless(S > 0.0, S)
+        return _NUFields(T * (sign * M - E + De) / a2, T * a / alpha, T * b / alpha, 2.0 * T * De * q / a2,
+                         T * De * q2 / a2, angular)
+
+    return at, n
+
+
+def _ode(sector: _Sector, p: PotentialParams, M: float, state: tuple, hbar_c: float):
+    """W(r; E) of u'' + W u = 0 for one state's radial equation (shooting oracle)."""
+    sign = sector.sign
+    angular, shift, _ = sector.labels(*state)
+    hc2 = hbar_c**2
+
+    def W(r, E):
+        T = sign * (M + sign * E + shift)
+        return -T * ((sign * M - E) + potential_approx(p, r)) / hc2 - centrifugal_approx(p.alpha, r, angular)
+
+    return W
+
+
+def _dirac_labels(sign: int) -> Callable[[int, float, int], tuple[float, float, int]]:
+    """(kappa, C, n) -> (kappa(kappa + sign), -sign*C, n), so that S = (M + sign*(E - C))/(hbar c)^2."""
+
+    def labels(kappa: int, C: float, n: int) -> tuple[float, float, int]:
+        if kappa == 0:
+            raise InvalidParameter("kappa must be nonzero")
+        return float(kappa * (kappa + sign)), -sign * C, n
+
+    return labels
+
+
 # ---------------------------------------------------------------------------
 # Klein-Gordon (equal scalar and vector potentials, D dimensions)
 # ---------------------------------------------------------------------------
-
-
-def _kg_fields(
-    p: PotentialParams, M: float, qn: QuantumNumbers, hbar_c: float
-) -> Callable[[np.ndarray], _NUFields]:
-    hc2, a2, q2 = hbar_c**2, p.alpha**2, p.q**2
-    a, b, De, q, alpha = p.a, p.b, p.D_e, p.q, p.alpha
-    lam = lambda_D(qn.D, qn.l)
-
-    def at(E: np.ndarray) -> _NUFields:
-        S = (E + M) / hc2
-        S = _nan_unless(S > 0.0, S)
-        # (-eps_KG, beta, eta, chi, phi_KG, Lambda), eps_KG = ((E^2-M^2) - D_e(E+M))/(hbar c alpha)^2
-        return _NUFields(S * (M - E + De) / a2, S * a / alpha, S * b / alpha, 2.0 * S * De * q / a2,
-                         S * De * q2 / a2, lam)
-
-    return at
 
 
 def kg_residual(
     p: PotentialParams, M: float, E: float, qn: QuantumNumbers, hbar_c: float = HBAR_C_EV_ANGSTROM
 ) -> Optional[float]:
     """Normalized quantization defect at E; None on a domain hole."""
-    return _residual(_KG, p, M, E, (qn,), qn.n, hbar_c)
+    return _residual(_KG, p, M, E, (qn,), hbar_c)
 
 
 def kg_residual_nonrel_limit(p: PotentialParams, part: ParticleSpec, E_nl: float, n: int, l: int) -> float:
@@ -203,27 +255,8 @@ def kg_printed_eq_residual(
 
 
 # ---------------------------------------------------------------------------
-# Dirac, spin symmetry
+# Dirac, spin and pseudospin symmetry
 # ---------------------------------------------------------------------------
-
-
-def _spin_fields(
-    p: PotentialParams, M: float, kappa: int, Cs: float, n: int, hbar_c: float
-) -> Callable[[np.ndarray], _NUFields]:
-    if kappa == 0:
-        raise InvalidParameter("kappa must be nonzero")
-    hc2, a2, q2 = hbar_c**2, p.alpha**2, p.q**2
-    a, b, De, q, alpha = p.a, p.b, p.D_e, p.q, p.alpha
-    beta1 = float(kappa * (kappa + 1))
-
-    def at(E: np.ndarray) -> _NUFields:
-        S = (M + E - Cs) / hc2
-        S = _nan_unless(S > 0.0, S)
-        # (gamma1, delta1, delta2, delta0, gamma0, beta1) of the upper-spinor equation
-        return _NUFields(S * (M - E + De) / a2, S * a / alpha, S * b / alpha, 2.0 * S * De * q / a2,
-                         S * De * q2 / a2, beta1)
-
-    return at
 
 
 def spin_residual(
@@ -240,12 +273,7 @@ def spin_residual(
     At Cs = 0 with kappa(kappa+1) = l(l+1) this function is float-identical
     to kg_residual at D = 3.
     """
-    return _residual(_SPIN, p, M, E, (kappa, Cs, n), n, hbar_c)
-
-
-def spin_residual_nonrel_limit(p: PotentialParams, part: ParticleSpec, E_nl: float, n: int, l: int) -> float:
-    """spin_residual (Cs = 0, kappa -> l) under the nonrelativistic substitutions."""
-    return kg_residual_nonrel_limit(p, part, E_nl, n, l)
+    return _residual(_SPIN, p, M, E, (kappa, Cs, n), hbar_c)
 
 
 def spin_printed_eq_residual(
@@ -277,30 +305,6 @@ def spin_printed_eq_residual(
     return (lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
 
 
-# ---------------------------------------------------------------------------
-# Dirac, pseudospin symmetry
-# ---------------------------------------------------------------------------
-
-
-def _pseudospin_fields(
-    p: PotentialParams, M: float, kappa: int, Cps: float, n: int, hbar_c: float
-) -> Callable[[np.ndarray], _NUFields]:
-    if kappa == 0:
-        raise InvalidParameter("kappa must be nonzero")
-    hc2, a2, q2 = hbar_c**2, p.alpha**2, p.q**2
-    a, b, De, q, alpha = p.a, p.b, p.D_e, p.q, p.alpha
-    lambda1 = float(kappa * (kappa - 1))
-
-    def at(E: np.ndarray) -> _NUFields:
-        S = (M - E + Cps) / hc2
-        S = _nan_unless(S > 0.0, S)
-        # (chi0, -chi1, -chi2, -theta2, -theta1, lambda1): the difference potential flips each coupling
-        return _NUFields(S * (M + E - De) / a2, -S * a / alpha, -S * b / alpha, -2.0 * S * De * q / a2,
-                         -S * De * q2 / a2, lambda1)
-
-    return at
-
-
 def pseudospin_residual(
     p: PotentialParams,
     M: float,
@@ -317,7 +321,7 @@ def pseudospin_residual(
     drive it negative on most of the energy axis, which is the supercritical
     1/r^2 collapse region where no bound state exists.
     """
-    return _residual(_PSEUDOSPIN, p, M, E, (kappa, Cps, n), n, hbar_c)
+    return _residual(_PSEUDOSPIN, p, M, E, (kappa, Cps, n), hbar_c)
 
 
 def pseudospin_printed_eq_residual(
@@ -372,8 +376,8 @@ def default_search_interval(p: PotentialParams, M: float) -> tuple[float, float]
 
 
 def _solve(
-    sector: _Sector, p: PotentialParams, M: float, state: tuple, n: int, scan_points: int, tol: float,
-    all_roots: bool, hbar_c: float,
+    sector: _Sector, p: PotentialParams, M: float, state: tuple, scan_points: int, tol: float, all_roots: bool,
+    hbar_c: float,
 ) -> list[float]:
     """All levels of one state in the default_search_interval window, ascending.
 
@@ -385,7 +389,7 @@ def _solve(
     expanded equation defects are logged.
     """
     lo, hi = default_search_interval(p, M)
-    fields = sector.fields(p, M, *state, hbar_c)
+    fields, n = _fields(sector, p, M, state, hbar_c)
 
     def f(E: np.ndarray) -> np.ndarray:
         return _nu_eval(fields(E), n)[0]
@@ -431,10 +435,9 @@ def _solve(
     return [E for E, _ in roots]
 
 
-def _residual(
-    sector: _Sector, p: PotentialParams, M: float, E: float, state: tuple, n: int, hbar_c: float
-) -> Optional[float]:
-    res = float(_nu_eval(sector.fields(p, M, *state, hbar_c)(E), n)[0])
+def _residual(sector: _Sector, p: PotentialParams, M: float, E: float, state: tuple, hbar_c: float) -> Optional[float]:
+    fields, n = _fields(sector, p, M, state, hbar_c)
+    res = float(_nu_eval(fields(E), n)[0])
     return None if math.isnan(res) else res
 
 
@@ -451,7 +454,7 @@ def solve_kg_energy(
     Raises NoBoundState when the window contains no genuine root.  For each
     root the compact and the printed expanded equation defects are logged.
     """
-    return _solve(_KG, p, M, (qn,), qn.n, scan_points, tol, False, hbar_c)
+    return _solve(_KG, p, M, (qn,), scan_points, tol, False, hbar_c)
 
 
 def solve_dirac_spin(
@@ -466,7 +469,7 @@ def solve_dirac_spin(
     hbar_c: float = HBAR_C_EV_ANGSTROM,
 ) -> list[float]:
     """Spin-symmetry levels; positive-energy branch unless all_roots."""
-    return _solve(_SPIN, p, M, (kappa, Cs, n), n, scan_points, tol, all_roots, hbar_c)
+    return _solve(_SPIN, p, M, (kappa, Cs, n), scan_points, tol, all_roots, hbar_c)
 
 
 def solve_dirac_pseudospin(
@@ -481,11 +484,11 @@ def solve_dirac_pseudospin(
     hbar_c: float = HBAR_C_EV_ANGSTROM,
 ) -> list[float]:
     """Pseudospin-symmetry levels; negative-energy branch unless all_roots."""
-    return _solve(_PSEUDOSPIN, p, M, (kappa, Cps, n), n, scan_points, tol, all_roots, hbar_c)
+    return _solve(_PSEUDOSPIN, p, M, (kappa, Cps, n), scan_points, tol, all_roots, hbar_c)
 
 
 # ---------------------------------------------------------------------------
-# radial spinor components and normalization
+# radial components, quadrature-normalized
 # ---------------------------------------------------------------------------
 
 
@@ -509,9 +512,10 @@ def rel_radial_value(spec: RelWavefunctionSpec, r: float) -> float:
 
 
 def _build_spec(
-    sector: _Sector, p: PotentialParams, M: float, E: float, state: tuple, n: int, hbar_c: float
+    sector: _Sector, p: PotentialParams, M: float, E: float, state: tuple, hbar_c: float
 ) -> RelWavefunctionSpec:
-    fields = sector.fields(p, M, *state, hbar_c)(E)
+    at, n = _fields(sector, p, M, state, hbar_c)
+    fields = at(E)
     if math.isnan(fields.eps):
         raise NoBoundState(f"{sector.noun} scale factor is not positive at E={E!r}")
     leading, edge = _bound_exponents(fields)
@@ -519,29 +523,11 @@ def _build_spec(
     return RelWavefunctionSpec(leading, edge, n, p.alpha, wavefun.log_norm_quadrature(w))
 
 
-def _norm(
-    sector: _Sector, p: PotentialParams, M: float, E: float, state: tuple, n: int, hbar_c: float
-) -> NormalizationResult:
-    """Quadrature norm plus the sector's closed form, if it has one."""
-    spec = _build_spec(sector, p, M, E, state, n, hbar_c)
-    closed = None
-    if sector.log_norm_closed is not None:
-        closed = sector.log_norm_closed(spec.leading_exp, spec.edge_exp, n, p.alpha)
-    return NormalizationResult(log_quadrature=spec.log_norm, log_closed_form=closed)
-
-
 def kg_wavefunction_spec(
     p: PotentialParams, M: float, E: float, qn: QuantumNumbers, hbar_c: float = HBAR_C_EV_ANGSTROM
 ) -> RelWavefunctionSpec:
     """Quadrature-normalized Klein-Gordon radial component at a bound E."""
-    return _build_spec(_KG, p, M, E, (qn,), qn.n, hbar_c)
-
-
-def kg_norm(
-    p: PotentialParams, M: float, E: float, qn: QuantumNumbers, hbar_c: float = HBAR_C_EV_ANGSTROM
-) -> NormalizationResult:
-    """Quadrature norm plus the printed closed form, None when its (A-1) factor is nonpositive."""
-    return _norm(_KG, p, M, E, (qn,), qn.n, hbar_c)
+    return _build_spec(_KG, p, M, E, (qn,), hbar_c)
 
 
 def upper_spinor_spec(
@@ -549,15 +535,7 @@ def upper_spinor_spec(
     hbar_c: float = HBAR_C_EV_ANGSTROM,
 ) -> RelWavefunctionSpec:
     """Quadrature-normalized upper-spinor radial component F(r)."""
-    return _build_spec(_SPIN, p, M, E, (kappa, Cs, n), n, hbar_c)
-
-
-def upper_spinor_norm(
-    p: PotentialParams, M: float, E: float, kappa: int, Cs: float = 0.0, n: int = 0,
-    hbar_c: float = HBAR_C_EV_ANGSTROM,
-) -> NormalizationResult:
-    """Quadrature norm plus the logged closed-form constant (exact at n = 0)."""
-    return _norm(_SPIN, p, M, E, (kappa, Cs, n), n, hbar_c)
+    return _build_spec(_SPIN, p, M, E, (kappa, Cs, n), hbar_c)
 
 
 def lower_spinor_spec(
@@ -565,69 +543,15 @@ def lower_spinor_spec(
     hbar_c: float = HBAR_C_EV_ANGSTROM,
 ) -> RelWavefunctionSpec:
     """Quadrature-normalized lower-spinor radial component G(r)."""
-    return _build_spec(_PSEUDOSPIN, p, M, E, (kappa, Cps, n), n, hbar_c)
-
-
-def lower_spinor_norm(
-    p: PotentialParams, M: float, E: float, kappa: int, Cps: float = 0.0, n: int = 0,
-    hbar_c: float = HBAR_C_EV_ANGSTROM,
-) -> NormalizationResult:
-    """Quadrature norm; no closed-form constant exists for this branch."""
-    return _norm(_PSEUDOSPIN, p, M, E, (kappa, Cps, n), n, hbar_c)
-
-
-# ---------------------------------------------------------------------------
-# radial-equation coefficients for the shooting oracle
-# ---------------------------------------------------------------------------
-
-
-def kg_ode_coefficient(p: PotentialParams, M: float, qn: QuantumNumbers, hbar_c: float = HBAR_C_EV_ANGSTROM):
-    """W(r; E) of u'' + W u = 0 for the Klein-Gordon radial equation."""
-    lam = lambda_D(qn.D, qn.l)
-    hc2 = hbar_c**2
-
-    def W(r, E):
-        return ((E * E - M * M) - potential_approx(p, r) * (E + M)) / hc2 - centrifugal_approx(p.alpha, r, lam)
-
-    return W
-
-
-def spin_ode_coefficient(
-    p: PotentialParams, M: float, kappa: int, Cs: float = 0.0, hbar_c: float = HBAR_C_EV_ANGSTROM
-):
-    """W(r; E) for the upper-spinor equation under spin symmetry."""
-    b1 = float(kappa * (kappa + 1))
-    hc2 = hbar_c**2
-
-    def W(r, E):
-        return -(M + E - Cs) * ((M - E) + potential_approx(p, r)) / hc2 - centrifugal_approx(p.alpha, r, b1)
-
-    return W
-
-
-def pseudospin_ode_coefficient(
-    p: PotentialParams, M: float, kappa: int, Cps: float = 0.0, hbar_c: float = HBAR_C_EV_ANGSTROM
-):
-    """W(r; E) for the lower-spinor equation under pseudospin symmetry."""
-    lam1 = float(kappa * (kappa - 1))
-    hc2 = hbar_c**2
-
-    def W(r, E):
-        return -(M + E - potential_approx(p, r)) * (M - E + Cps) / hc2 - centrifugal_approx(p.alpha, r, lam1)
-
-    return W
-
-
-# ---------------------------------------------------------------------------
-# sector records
-# ---------------------------------------------------------------------------
+    return _build_spec(_PSEUDOSPIN, p, M, E, (kappa, Cps, n), hbar_c)
 
 
 def _kg_log_norm_closed(leading: float, edge: float, n: int, alpha: float) -> Optional[float]:
     """The printed Klein-Gordon closed-form log norm (undefined symbol read as A).
 
     The printed constant references Gamma(lambda + n) with lambda undefined;
-    it is evaluated with lambda -> A = 2*leading_exp and logged.  None when
+    it is evaluated with lambda -> A = 2*leading_exp, as a cross-check that
+    the tests hold against the quadrature log_norm of a spec.  None when
     A <= 1 makes its (A-1) factor nonpositive.
     """
     A = 2.0 * leading
@@ -644,51 +568,58 @@ def _kg_log_norm_closed(leading: float, edge: float, n: int, alpha: float) -> Op
     )
 
 
-@dataclass(frozen=True)
-class _Sector:
-    """One relativistic wave equation over the shared quantization core.
+# ---------------------------------------------------------------------------
+# radial-equation coefficients for the shooting oracle
+# ---------------------------------------------------------------------------
 
-    A state is the tuple of labels the equation's public functions take
-    after (p, M[, E]): (qn,) for Klein-Gordon and (kappa, C, n) for the
-    Dirac sectors, C being the spin or pseudospin constant.  fields,
-    printed and ode take the state splatted, then hbar_c.
-    """
 
-    noun: str  # names the level in NoBoundState messages and the debug log
-    describe: Callable[..., str]  # the state in NoBoundState messages
-    fields: Callable  # (p, M, *state) -> (E -> fields, NaN where the scale factor is <= 0)
-    keep: Callable[[float], bool]  # branch filter, unless all_roots
-    printed: Callable[..., float]  # printed-equation residual at (p, M, E, *state)
-    ode: Callable  # (p, M, *state) -> W(r, E) for the shooting oracle
-    log_norm_closed: Optional[Callable[[float, float, int, float], Optional[float]]]  # (leading, edge, n, alpha)
+def kg_ode_coefficient(p: PotentialParams, M: float, qn: QuantumNumbers, hbar_c: float = HBAR_C_EV_ANGSTROM):
+    """W(r; E) of u'' + W u = 0 for the Klein-Gordon radial equation."""
+    return _ode(_KG, p, M, (qn,), hbar_c)
+
+
+def spin_ode_coefficient(
+    p: PotentialParams, M: float, kappa: int, Cs: float = 0.0, hbar_c: float = HBAR_C_EV_ANGSTROM
+):
+    """W(r; E) for the upper-spinor equation under spin symmetry."""
+    return _ode(_SPIN, p, M, (kappa, Cs, 0), hbar_c)  # W does not depend on n
+
+
+def pseudospin_ode_coefficient(
+    p: PotentialParams, M: float, kappa: int, Cps: float = 0.0, hbar_c: float = HBAR_C_EV_ANGSTROM
+):
+    """W(r; E) for the lower-spinor equation under pseudospin symmetry."""
+    return _ode(_PSEUDOSPIN, p, M, (kappa, Cps, 0), hbar_c)
+
+
+# ---------------------------------------------------------------------------
+# sector records
+# ---------------------------------------------------------------------------
 
 
 _KG = _Sector(
     noun="Klein-Gordon",
     describe=repr,
-    fields=_kg_fields,
+    sign=1,
+    labels=lambda qn: (lambda_D(qn.D, qn.l), 0.0, qn.n),
     keep=lambda E: True,
     printed=kg_printed_eq_residual,
-    ode=kg_ode_coefficient,
-    log_norm_closed=_kg_log_norm_closed,
 )
 _SPIN = _Sector(
     noun="spin-symmetry",
     describe=lambda kappa, Cs, n: f"kappa={kappa!r}, n={n!r}",
-    fields=_spin_fields,
+    sign=1,
+    labels=_dirac_labels(1),
     keep=lambda E: E > 0.0,
     printed=spin_printed_eq_residual,
-    ode=lambda p, M, kappa, Cs, n, hbar_c: spin_ode_coefficient(p, M, kappa, Cs, hbar_c),
-    log_norm_closed=log_norm_closed_form,
 )
 _PSEUDOSPIN = _Sector(
     noun="pseudospin",
     describe=lambda kappa, Cps, n: f"kappa={kappa!r}, n={n!r}",
-    fields=_pseudospin_fields,
+    sign=-1,
+    labels=_dirac_labels(-1),
     keep=lambda E: E < 0.0,
     printed=pseudospin_printed_eq_residual,
-    ode=lambda p, M, kappa, Cps, n, hbar_c: pseudospin_ode_coefficient(p, M, kappa, Cps, hbar_c),
-    log_norm_closed=None,
 )
 
 
@@ -705,4 +636,8 @@ def model_functions(model: str) -> tuple[Callable, Callable, Callable, Callable]
         "dirac-spin": (solve_dirac_spin, spin_residual, _SPIN),
         "dirac-pseudospin": (solve_dirac_pseudospin, pseudospin_residual, _PSEUDOSPIN),
     }[model]
-    return solve, residual, sector.printed, sector.ode
+
+    def ode(p: PotentialParams, M: float, *state, hbar_c: float):
+        return _ode(sector, p, M, state, hbar_c)
+
+    return solve, residual, sector.printed, ode

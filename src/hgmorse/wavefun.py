@@ -19,8 +19,8 @@ difference between libm and numpy's exp/log would show in the normalization.
 Every function that takes r takes an array of radii and works elementwise.
 Normalization is done by composite Gauss-Legendre quadrature over the
 support window of the squared envelope (log-offset to stay finite), with
-all nodes in one call; a closed-form constant, where one exists, is
-evaluated separately by the callers and only logged.
+all nodes in one call.  The closed-form constants, where they exist, are
+only test cross-checks of that value.
 """
 
 from __future__ import annotations

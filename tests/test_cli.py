@@ -282,6 +282,28 @@ def test_oracle_check_exit_code_follows_the_records(capsys, monkeypatch):
     assert failing[1].startswith("cross-identities FAIL KG/spin max|dE| = 1 eV, ")
 
 
+def test_oracle_check_reports_unbound_states(capsys):
+    # at alpha = 0.2 the scaled CH well binds no KG or spin n = 1 state at M = 500,
+    # and cases of the residuals check bind too few states: both verdicts print and fail
+    code, out, _ = run(capsys, "oracle-check", "--models", "kg,dirac-spin,dirac-pseudospin",
+                       "--alpha", "0.2", "--molecules", "CH")
+    assert code == EXIT_CHECK_FAILED
+    lines = out.splitlines()
+    assert [line.split(" ", 2)[:2] for line in lines] == [["relativistic-residuals", "FAIL"],
+                                                         ["cross-identities", "FAIL"]]
+    assert lines[0].endswith(", a case bound too few states")
+    assert lines[1].endswith(", no bound state at M=500 l=0; M=500 l=1")
+
+
+def test_residuals_verdict_reports_binding_apart_from_flips():
+    from hgmorse.checks import RelativisticResiduals
+
+    name, ok, detail = RelativisticResiduals(8, 1e-15, True, False).verdict()
+    assert not ok
+    assert detail.endswith("shooting flips within 1e-8*M: True, a case bound too few states")
+    assert RelativisticResiduals(8, 1e-15, False, True).verdict()[2].endswith("within 1e-8*M: False")
+
+
 def test_config_b_sign_flips_yukawa(capsys, tmp_path):
     cfg = tmp_path / "flip.cfg"
     cfg.write_text("b_sign = -1\n")

@@ -12,8 +12,8 @@ from hgmorse.nonrel import (
     _energy_nonrel_printed,
     energy_nonrel,
     level_indices,
+    log_norm_closed_form,
     make_wavefunction,
-    normalization_constant,
     radial_wavefunction,
     schrodinger_ode_coefficient,
     spectrum_table,
@@ -190,20 +190,17 @@ def test_normalization_nan_norm_fails_after_a_unit_one(ch_free):
 
 def test_normalization_closed_form_exact_at_ground(ch_free):
     p, part = ch_free
-    E = energy_nonrel(p, part, 0, 0)
-    omega, phi_exp = wavefunction_exponents(p, part, E, 0)
-    result = normalization_constant(omega, phi_exp, 0, p.alpha)
-    assert result.closed_over_quadrature == pytest.approx(1.0, rel=1e-7)
+    spec = make_wavefunction(p, part, 0, 0)
+    closed = log_norm_closed_form(spec.omega, spec.phi_exp, 0, p.alpha)
+    assert math.exp(closed - spec.log_norm) == pytest.approx(1.0, rel=1e-7)
 
 
 def test_normalization_closed_form_ratio_logged_for_excited(ch_free):
     p, part = ch_free
     ratios = []
     for n in range(4):
-        E = energy_nonrel(p, part, n, 0)
-        omega, phi_exp = wavefunction_exponents(p, part, E, 0)
-        result = normalization_constant(omega, phi_exp, n, p.alpha)
-        ratios.append(result.closed_over_quadrature)
+        spec = make_wavefunction(p, part, n, 0)
+        ratios.append(math.exp(log_norm_closed_form(spec.omega, spec.phi_exp, n, p.alpha) - spec.log_norm))
     assert all(math.isfinite(r) and r > 0 for r in ratios)
     # the flawed identity enters at n >= 1: the ratio drifts off unity
     assert abs(ratios[0] - 1.0) < 1e-6
@@ -212,7 +209,7 @@ def test_normalization_closed_form_ratio_logged_for_excited(ch_free):
 
 def test_normalization_degenerate_edge_raises():
     with pytest.raises(NoBoundState):
-        normalization_constant(5.0, 0.5, 0, 0.025)
+        WavefunctionSpec(omega=5.0, phi_exp=0.5, n=0, alpha=0.025, log_norm=0.0)
     with pytest.raises(NoBoundState):
         WavefunctionSpec(omega=-1.0, phi_exp=2.0, n=0, alpha=0.025, log_norm=0.0)
 

@@ -12,24 +12,23 @@ from hgmorse import relativistic
 from hgmorse.checks import MASS_MATRIX, check_normalization, pseudospin_params, scaled_params
 from hgmorse.errors import InvalidParameter, NoBoundState
 from hgmorse.molecules import builtin_molecules, to_potential_params
-from hgmorse.nonrel import energy_nonrel
+from hgmorse.nonrel import energy_nonrel, log_norm_closed_form
 from hgmorse.oracle import mismatch_sign_change
 from hgmorse.potential import PotentialParams
 from hgmorse.relativistic import (
+    _KG,
+    _PSEUDOSPIN,
+    _SPIN,
     QuantumNumbers,
     RelWavefunctionSpec,
-    _kg_fields,
-    _pseudospin_fields,
-    _spin_fields,
+    _kg_log_norm_closed,
     default_search_interval,
-    kg_norm,
     kg_printed_eq_residual,
     kg_residual,
     kg_residual_nonrel_limit,
     kg_ode_coefficient,
     kg_wavefunction_spec,
     lambda_D,
-    lower_spinor_norm,
     lower_spinor_spec,
     pseudospin_ode_coefficient,
     pseudospin_residual,
@@ -40,8 +39,6 @@ from hgmorse.relativistic import (
     spin_ode_coefficient,
     spin_printed_eq_residual,
     spin_residual,
-    spin_residual_nonrel_limit,
-    upper_spinor_norm,
     upper_spinor_spec,
 )
 from hgmorse.units import HBAR_C_EV_ANGSTROM
@@ -69,9 +66,13 @@ def test_lambda_D_values():
 
 
 # --- field builders -----------------------------------------------------------
-# The sector builders return E -> _NUFields (eps, beta, eta, chi, phi, gamma);
-# every field but the angular gamma is NaN where the scale factor S is not
-# positive.
+# The field builder returns E -> _NUFields (eps, beta, eta, chi, phi, gamma) for
+# a sector and state; every field but the angular gamma is NaN where the scale
+# factor S is not positive.
+
+
+def fields(sector, p, M, *state):
+    return relativistic._fields(sector, p, M, state, HBAR_C_EV_ANGSTROM)[0]
 
 
 def is_hole(f):
@@ -81,7 +82,7 @@ def is_hole(f):
 def test_kg_ansatz_vanishes_at_negative_mass_shell(ch_unit):
     p, _ = ch_unit
     qn = QuantumNumbers(n=0, l=1)
-    at = _kg_fields(p, 10.0, qn, HBAR_C_EV_ANGSTROM)
+    at = fields(_KG, p, 10.0, qn)
     # S = (E+M)/(hbar c)^2 is zero on the shell, a domain hole
     assert is_hole(at(-10.0)) and is_hole(at(-11.0))
     assert kg_residual(p, 10.0, -10.0, qn) is None
@@ -93,7 +94,7 @@ def test_kg_ansatz_vanishes_at_negative_mass_shell(ch_unit):
 def test_kg_ansatz_reference_values(ch_unit):
     p, _ = ch_unit
     M, E = 10.0, 5.0
-    f = _kg_fields(p, M, QuantumNumbers(n=0, l=0), HBAR_C_EV_ANGSTROM)(E)
+    f = fields(_KG, p, M, QuantumNumbers(n=0, l=0))(E)
     hc2 = mp.mpf("1973.29") ** 2
     S = (mp.mpf(repr(E)) + mp.mpf(repr(M))) / hc2
     a2 = mp.mpf("0.025") ** 2
@@ -111,12 +112,12 @@ def test_kg_ansatz_reference_values(ch_unit):
 
 def test_spin_ansatz_edges(ch_unit):
     p, _ = ch_unit
-    f = _spin_fields(p, 10.0, -1, 0.0, 0, HBAR_C_EV_ANGSTROM)(10.0)
+    f = fields(_SPIN, p, 10.0, -1, 0.0, 0)(10.0)
     assert f.eps == 20.0 / HBAR_C_EV_ANGSTROM**2 * p.D_e / p.alpha**2
     # M + E - Cs = 0: the scale factor vanishes, a domain hole
-    assert is_hole(_spin_fields(p, 10.0, 1, 12.0, 0, HBAR_C_EV_ANGSTROM)(2.0))
+    assert is_hole(fields(_SPIN, p, 10.0, 1, 12.0, 0)(2.0))
     assert spin_residual(p, 10.0, 2.0, 1, 12.0) is None
-    assert _spin_fields(p, 10.0, 2, 0.0, 0, HBAR_C_EV_ANGSTROM)(2.0).gamma == 6.0
+    assert fields(_SPIN, p, 10.0, 2, 0.0, 0)(2.0).gamma == 6.0
     with pytest.raises(InvalidParameter):
         solve_dirac_spin(p, 10.0, 0)
     with pytest.raises(InvalidParameter):
@@ -128,7 +129,7 @@ def test_spin_ansatz_edges(ch_unit):
 def test_pseudospin_ansatz_fields(ch_unit):
     p, _ = ch_unit
     M, E, Cps = 100.0, -40.0, 0.0
-    f = _pseudospin_fields(p, M, 2, Cps, 0, HBAR_C_EV_ANGSTROM)(E)
+    f = fields(_PSEUDOSPIN, p, M, 2, Cps, 0)(E)
     assert f.gamma == 2.0
     S = (M - E + Cps) / HBAR_C_EV_ANGSTROM**2
     assert f.eps == pytest.approx(S * (M + E - p.D_e) / p.alpha**2, rel=1e-14)
@@ -168,7 +169,6 @@ def test_nonrel_limit_identity_all_molecules():
             for l in range(3):
                 E = energy_nonrel(p, part, n, l)
                 worst = max(worst, abs(kg_residual_nonrel_limit(p, part, E, n, l)))
-                worst = max(worst, abs(spin_residual_nonrel_limit(p, part, E, n, l)))
     assert worst <= 1e-10
 
 
@@ -283,6 +283,10 @@ def test_shooting_verifies_each_sector(ch_unit):
     pp = pseudospin_params(p, M, HBAR_C_EV_ANGSTROM)
     e_ps = solve_dirac_pseudospin(pp, M, kappa=1, Cps=0.0, n=0)[0]
     assert mismatch_sign_change(pseudospin_ode_coefficient(pp, M, 1, 0.0), e_ps, 1e-8 * M)
+    # D = 2, l = 0 has the attractive angular coefficient lambda_D = -1/4
+    qn2 = QuantumNumbers(n=1, l=0, D=2)
+    e_d2 = solve_kg_energy(ps, M, qn2)[0]
+    assert mismatch_sign_change(kg_ode_coefficient(ps, M, qn2), e_d2, 1e-8 * M)
 
 
 # --- spinor components --------------------------------------------------------
@@ -323,21 +327,22 @@ def test_kg_norm_ratio_logged_for_low_levels(ch_unit):
     for n in range(4):
         qn = QuantumNumbers(n=n, l=0)
         E = solve_kg_energy(ps, M, qn)[0]
-        result = kg_norm(ps, M, E, qn)
-        assert math.isfinite(result.log_quadrature)
-        if result.log_closed_form is not None:
+        spec = kg_wavefunction_spec(ps, M, E, qn)
+        assert math.isfinite(spec.log_norm)
+        closed = _kg_log_norm_closed(spec.leading_exp, spec.edge_exp, n, ps.alpha)
+        if closed is not None:
             # the log-difference is the honest record: the printed constant is
             # off by hundreds of orders of magnitude, so the plain ratio may
             # underflow to 0.0
-            assert math.isfinite(result.log_closed_form - result.log_quadrature)
-            ratio = result.closed_over_quadrature
+            assert math.isfinite(closed - spec.log_norm)
+            ratio = math.exp(closed - spec.log_norm)
             assert math.isfinite(ratio) and ratio >= 0.0
 
 
 def test_spin_ansatz_generic_reference_values(ch_unit):
     p, _ = ch_unit
     M, E, Cs, kappa = 700.0, 123.0, 2.5, -3
-    f = _spin_fields(p, M, kappa, Cs, 0, HBAR_C_EV_ANGSTROM)(E)
+    f = fields(_SPIN, p, M, kappa, Cs, 0)(E)
     hc2 = mp.mpf("1973.29") ** 2
     b0 = mp.mpf(repr(M)) + mp.mpf(repr(E)) - mp.mpf(repr(Cs))
     S = b0 / hc2
@@ -382,9 +387,8 @@ def test_kg_wavefunction_boundaries_and_norm(ch_unit):
     peak = max(abs(rel_radial_value(spec, r)) for r in np.linspace(r_lo, r_hi, 300))
     assert abs(rel_radial_value(spec, 6.0 * r_hi)) < 1e-10 * peak
     assert check_normalization([spec]).worst <= 1e-6
-    result = kg_norm(ps, M, E, qn)
-    assert result.log_quadrature == pytest.approx(spec.log_norm, abs=1e-9)
-    assert result.log_closed_form is None or math.isfinite(result.log_closed_form)
+    closed = _kg_log_norm_closed(spec.leading_exp, spec.edge_exp, 1, ps.alpha)
+    assert closed is None or math.isfinite(closed)
 
 
 def test_upper_spinor_norm_closed_form_exact_at_ground(ch_unit):
@@ -392,9 +396,9 @@ def test_upper_spinor_norm_closed_form_exact_at_ground(ch_unit):
     M = 500.0
     ps = scaled_params(p, part, M)
     E = solve_dirac_spin(ps, M, kappa=-1, Cs=0.0, n=0)[0]
-    result = upper_spinor_norm(ps, M, E, kappa=-1, Cs=0.0, n=0)
-    assert result.closed_over_quadrature == pytest.approx(1.0, rel=1e-7)
     spec = upper_spinor_spec(ps, M, E, kappa=-1, Cs=0.0, n=0)
+    closed = log_norm_closed_form(spec.leading_exp, spec.edge_exp, 0, ps.alpha)
+    assert math.exp(closed - spec.log_norm) == pytest.approx(1.0, rel=1e-7)
     assert check_normalization([spec]).worst <= 1e-6
 
 
@@ -407,7 +411,6 @@ def test_lower_spinor_unit_norm_and_single_node(ch_unit):
     assert check_normalization([spec]).worst <= 1e-6
     w = SWaveform(spec.leading_exp, spec.edge_exp, 1, pp.alpha)
     assert count_nodes(w, spec.log_norm) == 1
-    assert lower_spinor_norm(pp, M, e1, kappa=1, Cps=0.0, n=1).log_closed_form is None
 
 
 def test_pseudospin_n2_states_normalize():

@@ -19,11 +19,12 @@ import pytest
 from hgmorse.checks import MASS_MATRIX, pseudospin_params, scaled_params
 from hgmorse.molecules import builtin_molecules, to_potential_params
 from hgmorse.relativistic import (
+    _KG,
+    _PSEUDOSPIN,
+    _SPIN,
     QuantumNumbers,
-    _kg_fields,
+    _fields,
     _nu_eval,
-    _pseudospin_fields,
-    _spin_fields,
     default_search_interval,
     kg_residual,
     lambda_D,
@@ -106,10 +107,10 @@ SPIN_STATES = [(kappa, 0.0, n) for kappa in (-1, 1, -2) for n in (0, 1)]
 PSEUDOSPIN_STATES = [(kappa, 0.0, n) for kappa in (1, 2, -1) for n in (0, 1)]
 
 SECTORS = {
-    # model: (array builder, frozen scalar builder, public residual, states, pseudospin parameters?)
-    "kg": (_kg_fields, scalar_kg_fields, kg_residual, KG_STATES, False),
-    "dirac-spin": (_spin_fields, scalar_spin_fields, spin_residual, SPIN_STATES, False),
-    "dirac-pseudospin": (_pseudospin_fields, scalar_pseudospin_fields, pseudospin_residual, PSEUDOSPIN_STATES, True),
+    # model: (sector of the array builder, frozen scalar builder, public residual, states, pseudospin parameters?)
+    "kg": (_KG, scalar_kg_fields, kg_residual, KG_STATES, False),
+    "dirac-spin": (_SPIN, scalar_spin_fields, spin_residual, SPIN_STATES, False),
+    "dirac-pseudospin": (_PSEUDOSPIN, scalar_pseudospin_fields, pseudospin_residual, PSEUDOSPIN_STATES, True),
 }
 
 
@@ -127,14 +128,16 @@ def _bits(x):
 
 @pytest.mark.parametrize("model", sorted(SECTORS))
 def test_array_residual_matches_scalar_oracle_bit_for_bit(model):
-    fields, scalar_fields, public_residual, states, pseudospin = SECTORS[model]
+    sector, scalar_fields, public_residual, states, pseudospin = SECTORS[model]
     holes = defined = 0
     for name, M, params in _cases(pseudospin):
         lo, hi = default_search_interval(params, M)
         Es = np.linspace(lo, hi, SCAN_POINTS)
         for state in states:
             n = state[0].n if model == "kg" else state[2]
-            res, N = _nu_eval(fields(params, M, *state, HBAR_C_EV_ANGSTROM)(Es), n)
+            at, fields_n = _fields(sector, params, M, state, HBAR_C_EV_ANGSTROM)
+            assert fields_n == n
+            res, N = _nu_eval(at(Es), n)
             at = scalar_fields(params, M, *state, HBAR_C_EV_ANGSTROM)
             ref = [scalar_nu_eval(at(float(E)), n) for E in Es]
             hole = np.array([r is None for r in ref])
