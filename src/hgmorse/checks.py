@@ -21,7 +21,14 @@ import numpy as np
 from .errors import InvalidParameter, NoBoundState
 from .molecules import Molecule, to_potential_params
 from .nonrel import ParticleSpec, WavefunctionSpec, energy_nonrel, make_wavefunction
-from .oracle import RadialGrid, fd_schrodinger_modes, mismatch_sign_change, oracle_energies, richardson_extrapolate
+from .oracle import (
+    RadialGrid,
+    fd_schrodinger_modes,
+    mismatch_sign_change,
+    oracle_energies,
+    richardson_extrapolate,
+    scipy_extension,
+)
 from .potential import PotentialParams
 from .relativistic import (
     QuantumNumbers,
@@ -270,15 +277,19 @@ def term_sum_value(w: SWaveform, log_norm: float, r: float) -> float:
 
 def check_normalization(specs: Sequence[WavefunctionSpec | RelWavefunctionSpec]) -> Normalization:
     """Adaptive quadrature of each squared eigenfunction, evaluated through the
-    term-sum oracle and scaled by the production log_norm of its spec."""
-    from scipy.integrate import quad
+    term-sum oracle and scaled by the production log_norm of its spec.
 
+    QUADPACK dqagse with the arguments of scipy.integrate.quad(limit=400); a
+    nonzero error flag makes that state's deviation NaN, which fails the check.
+    """
+    qagse = scipy_extension("integrate", "_quadpack")._qagse
     devs: list[float] = []
     for spec in specs:
         w = spec._waveform()
         r_lo, r_hi = support_window(w)
-        integral, _ = quad(lambda r: term_sum_value(w, spec.log_norm, r) ** 2, r_lo, r_hi, limit=400)
-        devs.append(abs(integral - 1.0))
+        integral, _, ier = qagse(lambda r: term_sum_value(w, spec.log_norm, r) ** 2, r_lo, r_hi,
+                                 (), 0, 1.49e-8, 1.49e-8, 400)
+        devs.append(math.nan if ier else abs(integral - 1.0))
     return Normalization(worst_of(devs))
 
 

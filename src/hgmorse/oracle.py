@@ -14,16 +14,24 @@ Two verifiers, each matched to how the energy enters its equation:
   applications", 1990) instead of stepping in Python.
 
 The oracle consumes the approximate potential and centrifugal callables
-directly and never touches the closed forms it checks.  The two FD solvers
-import scipy.linalg when first called, so the paths that never run the FD
-oracle (the relativistic solvers, potential curves, closed-form tables) do
-not pay for importing scipy.
+directly and never touches the closed forms it checks.  The FD solvers call
+LAPACK dstebz/dstein, and the normalization check in checks.py calls QUADPACK
+dqagse, through scipy's compiled extensions, loaded by file path on first use
+(scipy_extension).  The package init of scipy.linalg and scipy.integrate
+costs more than the rest of a CLI call and these three routines use none of
+it; the paths that never run the FD oracle load nothing from scipy at all.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
+from types import ModuleType
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -83,6 +91,46 @@ def default_grid(alpha: float) -> RadialGrid:
     return RadialGrid(_R_MIN, 40.0 / alpha, 20001)
 
 
+@functools.cache
+def scipy_extension(subpackage: str, name: str) -> ModuleType:
+    """scipy's compiled extension scipy/<subpackage>/<name>, loaded by file path once.
+
+    find_spec("scipy") locates the package without importing it, so
+    scipy.<subpackage> is never initialized.  The extension is reused if that
+    package has already imported it; otherwise it is loaded and taken out of
+    sys.modules again, so that a later import of the package loads it as its
+    own submodule.
+    """
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None or scipy.origin is None:
+        raise ModuleNotFoundError("the finite-difference oracle needs scipy")
+    finder = importlib.machinery.FileFinder(
+        os.path.join(os.path.dirname(scipy.origin), subpackage),
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec(f"scipy.{subpackage}.{name}")
+    if spec is None:
+        raise ModuleNotFoundError(f"scipy has no compiled scipy.{subpackage}.{name}")
+    module = sys.modules.get(spec.name)
+    if module is None:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules.pop(spec.name, None)
+    return module
+
+
+def _lapack_info(routine: str, info: int) -> None:
+    if info:
+        raise NonConvergence(f"LAPACK {routine} failed (info={info})")
+
+
+def _stebz(diag: np.ndarray, off: np.ndarray, k: int, order: str):
+    """Lowest k eigenvalues by bisection, called as eigh_tridiagonal(select="i") calls dstebz."""
+    m, w, iblock, isplit, info = scipy_extension("linalg", "_flapack").dstebz(
+        diag, off, 2, 0.0, 1.0, 1, k, 0.0, order)
+    _lapack_info("dstebz", info)
+    return w[:m], iblock, isplit
+
+
 def _fd_matrix(p: PotentialParams, part: "ParticleSpec", l: int, g: RadialGrid, k: int):
     if k < 1:
         raise InvalidParameter(f"need k >= 1 eigenvalues, got {k!r}")
@@ -95,6 +143,8 @@ def _fd_matrix(p: PotentialParams, part: "ParticleSpec", l: int, g: RadialGrid, 
     h = g.spacing
     diag = 2.0 * c / h**2 + potential_approx(p, r) + c * centrifugal_approx(p.alpha, r, float(l * (l + 1)))
     off = np.full(r.size - 1, -c / h**2)
+    if not (np.all(np.isfinite(diag)) and math.isfinite(off[0])):
+        raise NonConvergence("FD matrix is not finite on the grid")
     return diag, off
 
 
@@ -110,12 +160,16 @@ def fd_schrodinger_modes(
     Second-order central differences of
         -(hbar^2/2mu) u'' + [V_approx + (hbar^2/2mu) l(l+1) alpha^2/(1-e^(-alpha r))^2] u = E u
     with u = 0 at both grid ends.  Returns (energies ascending, eigenvectors
-    on the interior nodes as columns).
+    on the interior nodes as columns).  Bisection returns the eigenvalues
+    block by block; inverse iteration (dstein) gives the vectors, and both
+    are then sorted by energy.
     """
-    from scipy.linalg import eigh_tridiagonal
-
     diag, off = _fd_matrix(p, part, l, g, k)
-    return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
+    w, iblock, isplit = _stebz(diag, off, k, "B")
+    v, info = scipy_extension("linalg", "_flapack").dstein(diag, off, w, iblock, isplit)
+    _lapack_info("dstein", info)
+    order = np.argsort(w)
+    return w[order], v[:, order]
 
 
 def fd_schrodinger_eigen(
@@ -126,10 +180,7 @@ def fd_schrodinger_eigen(
     k: int,
 ) -> np.ndarray:
     """Lowest k finite-difference eigenvalues, ascending (see fd_schrodinger_modes)."""
-    from scipy.linalg import eigh_tridiagonal
-
-    diag, off = _fd_matrix(p, part, l, g, k)
-    return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1), eigvals_only=True)
+    return _stebz(*_fd_matrix(p, part, l, g, k), k, "E")[0]
 
 
 def richardson_extrapolate(

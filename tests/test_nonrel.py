@@ -19,7 +19,7 @@ from hgmorse.nonrel import (
     spectrum_table,
     wavefunction_exponents,
 )
-from hgmorse.oracle import fd_schrodinger_modes, oracle_energies, RadialGrid
+from hgmorse.oracle import fd_schrodinger_modes, oracle_energies, RadialGrid, scipy_extension
 from hgmorse.potential import PotentialParams
 from hgmorse.wavefun import SWaveform, support_window
 
@@ -179,11 +179,20 @@ def test_normalization_quadrature_is_unit(ch_free):
     assert check_normalization(specs).worst <= 1e-6
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_normalization_nan_norm_fails_after_a_unit_one(ch_free):
     spec = make_wavefunction(*ch_free, 0, 0)
     # log_norm is validated finite on a spec, so the NaN comes in through a stand-in
     record = check_normalization([spec, SimpleNamespace(_waveform=spec._waveform, log_norm=math.nan)])
+    assert math.isnan(record.worst)
+    assert record.verdict()[1] is False
+
+
+def test_normalization_fails_on_quadpack_error_flag(ch_free, monkeypatch):
+    quadpack = scipy_extension("integrate", "_quadpack")
+    qagse = quadpack._qagse
+    # ier = 2: QUADPACK detected roundoff and could not reach the tolerance
+    monkeypatch.setattr(quadpack, "_qagse", lambda *args: (*qagse(*args)[:2], 2))
+    record = check_normalization([make_wavefunction(*ch_free, 0, 0)])
     assert math.isnan(record.worst)
     assert record.verdict()[1] is False
 

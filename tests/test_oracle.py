@@ -1,11 +1,17 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.integrate._quadpack_py as quadpack_py
+from scipy.integrate import quad
+from scipy.linalg import eigh_tridiagonal
 
-from hgmorse.checks import MASS_MATRIX, pseudospin_params, scaled_params
+from hgmorse import checks, oracle
+from hgmorse.checks import MASS_MATRIX, NORMALIZED_STATES, check_normalization, pseudospin_params, scaled_params
 from hgmorse.errors import GridTooCoarse, InvalidParameter, NoBoundState, NonConvergence
-from hgmorse.nonrel import energy_nonrel, schrodinger_ode_coefficient
+from hgmorse.molecules import builtin_molecules, to_potential_params
+from hgmorse.nonrel import energy_nonrel, make_wavefunction, schrodinger_ode_coefficient
 from hgmorse.oracle import (
     RadialGrid,
     adapted_range,
@@ -322,3 +328,90 @@ def test_shoot_mismatch_rejects_non_finite_coefficient():
         shoot_mismatch(lambda r, E: np.where(r > 2.0, np.inf, E), 1.0, g, 1.0)
     with pytest.raises(NonConvergence):
         shoot_mismatch(lambda r, E: np.full_like(r, E), -1e300, g, 1.0)
+
+
+# The FD solvers and the normalization check call LAPACK and QUADPACK
+# directly; scipy's eigh_tridiagonal(select="i") and quad(limit=400) are the
+# oracles they must reproduce bit for bit.
+
+ALPHA = 0.025
+MOLECULES = builtin_molecules()
+
+
+def eigh_tridiagonal_reference(diag, off, k, eigvals_only):
+    return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1), eigvals_only=eigvals_only)
+
+
+def oracle_energy_grids(p, part, l, k):
+    """The grids oracle_energies solves on: adapted_range's coarse full-range
+    grid, the 20001-point adapted grid and its refinement."""
+    g = RadialGrid(oracle._R_MIN, adapted_range(p, part, l, k), 20001)
+    return RadialGrid(oracle._R_MIN, 40.0 / p.alpha, 4001), g, g.refined()
+
+
+@pytest.mark.parametrize("l", (0, 2))
+@pytest.mark.parametrize("mol", MOLECULES, ids=lambda mol: mol.name)
+def test_fd_eigenvalues_equal_eigh_tridiagonal(mol, l):
+    p, part = to_potential_params(mol, 1.0, 1.0, ALPHA)
+    for g in oracle_energy_grids(p, part, l, 4):
+        diag, off = oracle._fd_matrix(p, part, l, g, 4)
+        assert np.array_equal(fd_schrodinger_eigen(p, part, l, g, 4),
+                              eigh_tridiagonal_reference(diag, off, 4, eigvals_only=True))
+
+
+@pytest.mark.parametrize("points", (2001, 4001))
+def test_box_self_test_modes_equal_eigh_tridiagonal(ch_unit, points):
+    # the grids and particle of checks.check_box_self_test for the default molecule
+    _, part = ch_unit
+    p, g = box_setup(), RadialGrid(1e-9, 10.0 + 1e-9, points)
+    diag, off = oracle._fd_matrix(p, part, 0, g, 4)
+    w_ref, v_ref = eigh_tridiagonal_reference(diag, off, 4, eigvals_only=False)
+    w, v = fd_schrodinger_modes(p, part, 0, g, 4)
+    assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+    assert np.array_equal(fd_schrodinger_eigen(p, part, 0, g, 4), eigh_tridiagonal_reference(diag, off, 4, eigvals_only=True))
+
+
+@pytest.mark.parametrize("mol", MOLECULES, ids=lambda mol: mol.name)
+def test_normalization_qagse_call_equals_quad(mol, monkeypatch):
+    qagse = oracle.scipy_extension("integrate", "_quadpack")._qagse
+    ours, quads = [], []
+
+    def recorder(log):
+        def call(func, *args):
+            out = qagse(func, *args)
+            log.append((args, out))
+            return out
+        return call
+
+    def production(func, *args):
+        out = recorder(ours)(func, *args)
+        quad(func, args[0], args[1], limit=400)  # now, while the integrand's state is current
+        return out
+
+    # quad's own call is recorded where quad looks the kernel up; the check gets a stand-in
+    # because the loaded kernel may be that same module
+    monkeypatch.setattr(quadpack_py, "_quadpack", SimpleNamespace(_qagse=recorder(quads)))
+    monkeypatch.setattr(checks, "scipy_extension", lambda *path: SimpleNamespace(_qagse=production))
+    p, part = to_potential_params(mol, 1.0, 1.0, ALPHA)
+    assert check_normalization([make_wavefunction(p, part, n, l) for n, l in NORMALIZED_STATES]).verdict()[1]
+    assert len(ours) == len(NORMALIZED_STATES)
+    # the same arguments after the integrand, and the same integral, abserr and ier
+    assert ours == quads
+    assert all(ier == 0 for _, (_, _, ier) in ours)
+
+
+@pytest.mark.parametrize("routine", ("dstebz", "dstein"))
+def test_fd_modes_raise_on_lapack_error(ch_unit, monkeypatch, routine):
+    lapack = oracle.scipy_extension("linalg", "_flapack")
+    kernel = getattr(lapack, routine)
+    monkeypatch.setattr(lapack, routine, lambda *args: (*kernel(*args)[:-1], 1))
+    with pytest.raises(NonConvergence, match=routine):
+        fd_schrodinger_modes(*ch_unit, 0, RadialGrid(1e-3, 40.0, 2001), 4)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_fd_rejects_non_finite_matrix(ch_unit):
+    _, part = ch_unit
+    p = PotentialParams(a=0.0, b=0.0, D_e=1e308, r_e=1.0, alpha=1.0)
+    with pytest.raises(NonConvergence):
+        fd_schrodinger_eigen(p, part, 0, RadialGrid(1e-3, 40.0, 2001), 4)
