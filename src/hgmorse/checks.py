@@ -243,7 +243,7 @@ def check_special_functions() -> SpecialFunctions:
         varth = float(rng.uniform(-0.9, 50.0))
         x = float(rng.uniform(-1.0, 1.0))
         direct = jacobi_poly(JacobiParams(theta, varth, n), x)
-        rec = float(jacobi_recurrence(n, theta, varth, x))
+        rec = jacobi_recurrence(JacobiParams(theta, varth, n), x)
         devs.append(abs(direct - rec) / max(1.0, abs(rec)))
     return SpecialFunctions(worst_of(devs), abs(jacobi_norm_integral(1.0, 1.0, 0) - 1.0 / 3.0))
 
@@ -285,7 +285,7 @@ def check_normalization(specs: Sequence[WavefunctionSpec | RelWavefunctionSpec])
     qagse = scipy_extension("integrate", "_quadpack")._qagse
     devs: list[float] = []
     for spec in specs:
-        w = spec._waveform()
+        w = spec.waveform
         r_lo, r_hi = support_window(w)
         integral, _, ier = qagse(lambda r: term_sum_value(w, spec.log_norm, r) ** 2, r_lo, r_hi,
                                  (), 0, 1.49e-8, 1.49e-8, 400)

@@ -17,14 +17,15 @@ decisively (the other is off by ~0.2 eV for CH); the eliminated variant is
 kept as `_energy_nonrel_printed`, which the tests hold against the oracle.
 Wavefunctions are the standard s = e^(-alpha r) hypergeometric
 forms, normalized by quadrature (the closed-form constant is exact at n = 0
-but inherits a flawed norm identity at n >= 1, so only the tests compare it
-with the quadrature value).
+but inherits a flawed norm identity at n >= 1; it lives in the tests, which
+compare it with the quadrature value).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -33,7 +34,6 @@ from . import wavefun
 from .errors import InvalidParameter, NoBoundState
 from .oracle import oracle_energies
 from .potential import PotentialParams, centrifugal_approx, potential_approx
-from .specfun import ln_gamma
 from .units import HBAR_C_EV_ANGSTROM
 
 
@@ -120,28 +120,14 @@ class WavefunctionSpec:
     log_norm: float
 
     def __post_init__(self) -> None:
-        wavefun.SWaveform(self.omega, self.phi_exp, self.n, self.alpha)  # invariant check
+        self.waveform  # invariant check
         if not math.isfinite(self.log_norm):
             raise InvalidParameter(f"log_norm must be finite, got {self.log_norm!r}")
 
-    def _waveform(self) -> wavefun.SWaveform:
+    @cached_property
+    def waveform(self) -> wavefun.SWaveform:
+        """The engine's view of this state, with its per-state constants."""
         return wavefun.SWaveform(self.omega, self.phi_exp, self.n, self.alpha)
-
-
-def log_norm_closed_form(omega: float, phi_exp: float, n: int, alpha: float) -> float:
-    """log of the closed-form constant sqrt(n! 2w a G(2w+2f+n+1)/(G(2w+n+1) G(2f+n+1))).
-
-    Exact at n = 0; at n >= 1 it inherits a flawed weighted-norm identity.  A
-    test cross-check of the quadrature log_norm, not used by make_wavefunction.
-    """
-    return 0.5 * (
-        ln_gamma(n + 1.0)
-        + math.log(2.0 * omega)
-        + math.log(alpha)
-        + ln_gamma(2.0 * omega + 2.0 * phi_exp + n + 1.0)
-        - ln_gamma(2.0 * omega + n + 1.0)
-        - ln_gamma(2.0 * phi_exp + n + 1.0)
-    )
 
 
 def make_wavefunction(p: PotentialParams, part: ParticleSpec, n: int, l: int) -> WavefunctionSpec:
@@ -154,7 +140,7 @@ def make_wavefunction(p: PotentialParams, part: ParticleSpec, n: int, l: int) ->
 
 def radial_wavefunction(spec: WavefunctionSpec, r: float) -> float:
     """Normalized u(r); vanishes at both ends of (0, infinity)."""
-    return float(wavefun.value(spec._waveform(), spec.log_norm, r))
+    return float(wavefun.value(spec.waveform, spec.log_norm, r))
 
 
 def schrodinger_ode_coefficient(p: PotentialParams, part: ParticleSpec, l: int):

@@ -47,6 +47,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -56,7 +57,6 @@ from .errors import InvalidParameter, NoBoundState, NonConvergence
 from .nonrel import ParticleSpec
 from .potential import PotentialParams, centrifugal_approx, potential_approx
 from .rootfind import RootBracket, bisect, scan_brackets
-from .specfun import ln_gamma
 from .units import HBAR_C_EV_ANGSTROM
 
 log = logging.getLogger(__name__)
@@ -502,13 +502,15 @@ class RelWavefunctionSpec:
     alpha: float
     log_norm: float
 
-    def _waveform(self) -> wavefun.SWaveform:
+    @cached_property
+    def waveform(self) -> wavefun.SWaveform:
+        """The engine's view of this state, with its per-state constants."""
         return wavefun.SWaveform(self.leading_exp, self.edge_exp, self.n, self.alpha)
 
 
 def rel_radial_value(spec: RelWavefunctionSpec, r: float) -> float:
     """Normalized radial component at r."""
-    return float(wavefun.value(spec._waveform(), spec.log_norm, r))
+    return float(wavefun.value(spec.waveform, spec.log_norm, r))
 
 
 def _build_spec(
@@ -544,28 +546,6 @@ def lower_spinor_spec(
 ) -> RelWavefunctionSpec:
     """Quadrature-normalized lower-spinor radial component G(r)."""
     return _build_spec(_PSEUDOSPIN, p, M, E, (kappa, Cps, n), hbar_c)
-
-
-def _kg_log_norm_closed(leading: float, edge: float, n: int, alpha: float) -> Optional[float]:
-    """The printed Klein-Gordon closed-form log norm (undefined symbol read as A).
-
-    The printed constant references Gamma(lambda + n) with lambda undefined;
-    it is evaluated with lambda -> A = 2*leading_exp, as a cross-check that
-    the tests hold against the quadrature log_norm of a spec.  None when
-    A <= 1 makes its (A-1) factor nonpositive.
-    """
-    A = 2.0 * leading
-    if A <= 1.0:
-        return None
-    d = edge - 0.5
-    return 0.5 * (
-        ln_gamma(n + 1.0)
-        + math.log(alpha)
-        + math.log(A - 1.0)
-        + ln_gamma(A + d + n + 1.0)
-        - ln_gamma(A + n)
-        - ln_gamma(d + n + 2.0)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 Jacobi polynomials are evaluated two independent ways, both exact-degree:
 
-* `jacobi_recurrence` runs the three-term degree recurrence (DLMF 18.9.2)
-  elementwise on a float64 array.  It is the production path: `wavefun`
-  evaluates every eigenfunction through it, on all quadrature nodes at once.
+* `jacobi_recurrence` runs the three-term degree recurrence (DLMF 18.9.2) on
+  a float or elementwise on a float64 array.  It is the production path:
+  `wavefun` evaluates every eigenfunction through it, one r or all at once.
 * `jacobi_poly` sums the n+1 terms of the terminating hypergeometric series
   (`hyp2f1_terminating`, with an exact-rational rerun when the alternating
   sum cancels).  It is the oracle that the `special-functions` check and the
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -91,6 +92,15 @@ class JacobiParams:
         if self.n < 0:
             raise InvalidParameter(f"degree must be >= 0, got {self.n!r}")
 
+    @cached_property
+    def recurrence(self) -> tuple[tuple[float, float, float, float], ...]:
+        """(c1, d, e, c3) for k = 2..n, the x-free factors of the coefficients
+        c1, c2 = d (e x + a^2 - b^2) and c3 of `jacobi_recurrence`."""
+        a, b = self.theta, self.vartheta
+        return tuple((2.0 * k * (k + a + b) * (2.0 * k + a + b - 2.0), 2.0 * k + a + b - 1.0,
+                      (2.0 * k + a + b) * (2.0 * k + a + b - 2.0),
+                      2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + a + b)) for k in range(2, self.n + 1))
+
 
 def jacobi_poly(p: JacobiParams, x: float) -> float:
     """P_n^(theta, vartheta)(x) via the terminating hypergeometric sum.
@@ -102,28 +112,26 @@ def jacobi_poly(p: JacobiParams, x: float) -> float:
     return pref * hyp2f1_terminating(p.n, p.theta + p.vartheta + p.n + 1.0, p.theta + 1.0, 0.5 * (1.0 - x))
 
 
-def jacobi_recurrence(n: int, a: float, b: float, x) -> np.ndarray:
-    """P_n^(a, b)(x) elementwise on a float64 array, by the degree recurrence.
+def jacobi_recurrence(p: JacobiParams, x):
+    """P_n^(a, b)(x) by the degree recurrence, with (a, b) = (theta, vartheta):
 
     2k (k+a+b) (2k+a+b-2) P_k = (2k+a+b-1) ((2k+a+b)(2k+a+b-2) x + a^2 - b^2) P_{k-1}
                                 - 2 (k+a-1) (k+b-1) (2k+a+b) P_{k-2},
 
-    started from P_0 = 1 and P_1 = (a+1) + (a+b+2)(x-1)/2.  The result has
-    the shape of x.
+    started from P_0 = 1 and P_1 = (a+1) + (a+b+2)(x-1)/2.  A Python float x
+    gives a float; anything else is taken as a float64 array and gives the
+    same values elementwise, in the shape of x.
     """
-    if n < 0:
-        raise InvalidParameter(f"degree must be >= 0, got {n!r}")
-    x = np.asarray(x, dtype=float)
-    if n == 0:
-        return np.ones_like(x)
-    p_prev = np.ones_like(x)
-    p = (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0
-    for k in range(2, n + 1):
-        c1 = 2.0 * k * (k + a + b) * (2.0 * k + a + b - 2.0)
-        c2 = (2.0 * k + a + b - 1.0) * ((2.0 * k + a + b) * (2.0 * k + a + b - 2.0) * x + a * a - b * b)
-        c3 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + a + b)
-        p, p_prev = (c2 * p - c3 * p_prev) / c1, p
-    return p
+    if not isinstance(x, float):
+        x = np.asarray(x, dtype=float)
+    if p.n == 0:
+        return 1.0 if isinstance(x, float) else np.ones_like(x)
+    a, b = p.theta, p.vartheta
+    aa, bb = a * a, b * b
+    p_prev, p_k = 1.0, (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0
+    for c1, d, e, c3 in p.recurrence:
+        p_k, p_prev = (d * (e * x + aa - bb) * p_k - c3 * p_prev) / c1, p_k
+    return p_k
 
 
 def jacobi_norm_integral(x_exp: float, y_exp: float, n: int) -> float:

@@ -8,7 +8,7 @@ Every bound eigenfunction produced by this package has the same shape,
 with leading > 0 controlling the r -> infinity decay and edge > 1/2 the
 r -> 0 vanishing.  The polynomial factor is the Jacobi polynomial
 P_n^(2*leading, 2*edge - 1)(1 - 2s), which `specfun.jacobi_recurrence`
-evaluates on a whole array of nodes at once.
+evaluates on a whole array of nodes at once or at one node.
 
 Molecular parameters push `leading` to ~1e4, so the envelope under/overflows
 doubles by hundreds of orders of magnitude; everything here is therefore
@@ -16,22 +16,24 @@ computed in log space.  The envelope terms (s, log s, log(1 - s)) go through
 libm one node at a time: log s is multiplied by `leading`, so a last-bit
 difference between libm and numpy's exp/log would show in the normalization.
 
-Every function that takes r takes an array of radii and works elementwise.
-Normalization is done by composite Gauss-Legendre quadrature over the
-support window of the squared envelope (log-offset to stay finite), with
-all nodes in one call.  The closed-form constants, where they exist, are
-only test cross-checks of that value.
+A function that takes r gives Python floats for a float r, and arrays of the
+shape of r for an array.  Both take the same envelope, recurrence and numpy
+log/exp, so a float r gives bit for bit the element an array would; the
+per-state constants are computed once per `SWaveform`.  Normalization is by
+composite Gauss-Legendre quadrature over the support window of the squared
+envelope (log-offset to stay finite), with all nodes in one call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidParameter, NoBoundState
-from .specfun import jacobi_recurrence, pochhammer
+from .specfun import JacobiParams, jacobi_recurrence, pochhammer
 
 #: log-drop below the envelope peak at which the support window is truncated
 _WINDOW_DROP = 160.0
@@ -56,36 +58,62 @@ class SWaveform:
         if not self.alpha > 0.0:
             raise InvalidParameter(f"alpha must be > 0, got {self.alpha!r}")
 
+    @cached_property
+    def jacobi(self) -> JacobiParams:
+        """The polynomial factor P_n^(2*leading, 2*edge - 1)."""
+        return JacobiParams(2.0 * self.leading, 2.0 * self.edge - 1.0, self.n)
 
-def hypergeometric_factor(w: SWaveform, s: np.ndarray) -> np.ndarray:
-    """2F1(-n, n + 2*leading + 2*edge; 2*leading + 1; s) elementwise.
+    @cached_property
+    def pref(self) -> float:
+        """(2*leading + 1)_n / n!, the ratio of the Jacobi polynomial to the 2F1."""
+        return pochhammer(2.0 * self.leading + 1.0, self.n) / math.factorial(self.n)
+
+    @cached_property
+    def log_pref(self) -> float:
+        """log of `pref`, summed term by term."""
+        return sum(math.log(2.0 * self.leading + 1.0 + k) for k in range(self.n)) - math.lgamma(self.n + 1.0)
+
+
+def hypergeometric_factor(w: SWaveform, s):
+    """2F1(-n, n + 2*leading + 2*edge; 2*leading + 1; s), for a float or elementwise.
 
     Uses (2L+1)_n/n! * 2F1(-n, n+2L+2e; 2L+1; s) = P_n^(2L, 2e-1)(1 - 2s).
     """
-    pref = pochhammer(2.0 * w.leading + 1.0, w.n) / math.factorial(w.n)
-    return jacobi_recurrence(w.n, 2.0 * w.leading, 2.0 * w.edge - 1.0, 1.0 - 2.0 * s) / pref
+    return jacobi_recurrence(w.jacobi, 1.0 - 2.0 * s) / w.pref
 
 
-def log_abs_and_sign(w: SWaveform, r) -> tuple[np.ndarray, np.ndarray]:
+def _envelope(t: float) -> tuple[float, float, float]:
+    """(s, log s, log(1 - s)) at t = -alpha r, through libm; far out in the
+    window s underflows to 0 while log s = t stays finite."""
+    s = math.exp(t)
+    return s, (t if s == 0.0 else math.log(s)), math.log(-math.expm1(t))
+
+
+def log_abs_and_sign(w: SWaveform, r):
     """(log|u_raw(r)|, sign) of the unnormalized eigenfunction; every r > 0.
 
-    Both arrays have the shape of r.  Where the polynomial factor vanishes,
-    log|u_raw| is -inf and the sign is +1.
+    Two floats for a float r, else two arrays of the shape of r.  Where the
+    polynomial factor vanishes, log|u_raw| is -inf and the sign is +1.
     """
-    r = np.asarray(r, dtype=float)
-    if not np.all(r > 0.0):
-        raise InvalidParameter(f"r must be > 0, got {r[~(r > 0.0)].flat[0]!r}")
-    env = []
-    for t in (-w.alpha * r).ravel().tolist():
-        s = math.exp(t)
-        # far out in the window s underflows to 0 while log s = -alpha r stays finite
-        env.append((s, t if s == 0.0 else math.log(s), math.log(-math.expm1(t))))
-    s, log_s, log_one_m_s = (col.reshape(r.shape) for col in np.array(env).reshape(-1, 3).T)
+    scalar = isinstance(r, float)
+    if scalar:
+        if not r > 0.0:
+            raise InvalidParameter(f"r must be > 0, got {r!r}")
+        s, log_s, log_one_m_s = _envelope(-w.alpha * r)
+    else:
+        r = np.asarray(r, dtype=float)
+        if not np.all(r > 0.0):
+            raise InvalidParameter(f"r must be > 0, got {r[~(r > 0.0)].flat[0]!r}")
+        env = np.array([_envelope(t) for t in (-w.alpha * r).ravel().tolist()]).reshape(-1, 3)
+        s, log_s, log_one_m_s = (col.reshape(r.shape) for col in env.T)
     hyp = hypergeometric_factor(w, s)
-    log_pref = sum(math.log(2.0 * w.leading + 1.0 + k) for k in range(w.n)) - math.lgamma(w.n + 1.0)
-    log_env = w.leading * log_s + w.edge * log_one_m_s
+    log_env = w.leading * log_s + w.edge * log_one_m_s + w.log_pref
+    if scalar:
+        # numpy's log, not libm's: the two differ in the last bit at some points
+        log_hyp = float(np.log(abs(hyp))) if hyp != 0.0 else -math.inf
+        return log_env + log_hyp, 1.0 if hyp == 0.0 else math.copysign(1.0, hyp)
     with np.errstate(divide="ignore"):
-        la = log_env + log_pref + np.log(np.abs(hyp))
+        la = log_env + np.log(np.abs(hyp))
     return la, np.where(hyp == 0.0, 1.0, np.copysign(1.0, hyp))
 
 
@@ -124,20 +152,12 @@ def log_norm_quadrature(w: SWaveform) -> float:
     return -0.5 * (m + math.log(integral))
 
 
-def value(w: SWaveform, log_norm: float, r) -> np.ndarray:
+def value(w: SWaveform, log_norm: float, r):
     """Normalized eigenfunction values at r (log-space product, always finite).
 
-    The result has the shape of r; it is 0.0 where the polynomial factor vanishes.
+    A float for a float r, else an array of the shape of r; it is 0.0 where
+    the polynomial factor vanishes.
     """
     la, sign = log_abs_and_sign(w, r)
-    return sign * np.exp(la + log_norm)
-
-
-def count_nodes(w: SWaveform, log_norm: float) -> int:
-    """Strict interior sign changes over 4000 samples of the support window."""
-    r_lo, r_hi = support_window(w)
-    vals = value(w, log_norm, np.linspace(r_lo, r_hi, 4000))
-    scale = np.abs(vals).max()
-    keep = np.abs(vals) > 1e-9 * scale
-    signs = np.sign(vals[keep])
-    return int(np.sum(signs[1:] * signs[:-1] < 0.0))
+    u = sign * np.exp(la + log_norm)
+    return float(u) if isinstance(r, float) else u

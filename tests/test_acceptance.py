@@ -22,7 +22,7 @@ from scipy.integrate import quad
 
 from hgmorse import checks
 from hgmorse.molecules import builtin_molecules, to_potential_params
-from hgmorse.nonrel import log_norm_closed_form, make_wavefunction
+from hgmorse.nonrel import make_wavefunction
 from hgmorse.relativistic import (
     QuantumNumbers,
     kg_wavefunction_spec,
@@ -43,6 +43,7 @@ from hgmorse.validate import (
     qualitative_gates,
     score,
 )
+from wavefun_helpers import log_norm_closed_form
 
 ALPHA = 0.025
 MASSES = (50.0, 500.0, 5000.0)
@@ -111,7 +112,7 @@ def test_ac5_special_functions():
         b = float(rng.uniform(-0.9, 50.0))
         x = float(rng.uniform(-1.0, 1.0))
         direct = jacobi_poly(JacobiParams(a, b, n), x)
-        rec = float(jacobi_recurrence(n, a, b, x))
+        rec = float(jacobi_recurrence(JacobiParams(a, b, n), x))
         rec_devs.append(abs(direct - rec) / max(abs(direct), abs(rec), 1.0))
     quad_devs = []
     for _ in range(200):

@@ -12,7 +12,6 @@ from hgmorse.nonrel import (
     _energy_nonrel_printed,
     energy_nonrel,
     level_indices,
-    log_norm_closed_form,
     make_wavefunction,
     radial_wavefunction,
     schrodinger_ode_coefficient,
@@ -22,6 +21,7 @@ from hgmorse.nonrel import (
 from hgmorse.oracle import fd_schrodinger_modes, oracle_energies, RadialGrid, scipy_extension
 from hgmorse.potential import PotentialParams
 from hgmorse.wavefun import SWaveform, support_window
+from wavefun_helpers import count_nodes, log_norm_closed_form
 
 
 def test_energy_rejects_negative_quantum_numbers(ch_free):
@@ -135,8 +135,6 @@ def test_wavefunction_vanishes_at_boundaries(ch_free):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_wavefunction_node_counts(ch_free, n):
-    from hgmorse.wavefun import count_nodes
-
     p, part = ch_free
     spec = make_wavefunction(p, part, n, 0)
     w = SWaveform(spec.omega, spec.phi_exp, n, p.alpha)
@@ -182,7 +180,7 @@ def test_normalization_quadrature_is_unit(ch_free):
 def test_normalization_nan_norm_fails_after_a_unit_one(ch_free):
     spec = make_wavefunction(*ch_free, 0, 0)
     # log_norm is validated finite on a spec, so the NaN comes in through a stand-in
-    record = check_normalization([spec, SimpleNamespace(_waveform=spec._waveform, log_norm=math.nan)])
+    record = check_normalization([spec, SimpleNamespace(waveform=spec.waveform, log_norm=math.nan)])
     assert math.isnan(record.worst)
     assert record.verdict()[1] is False
 

@@ -12,7 +12,7 @@ from hgmorse import relativistic
 from hgmorse.checks import MASS_MATRIX, check_normalization, pseudospin_params, scaled_params
 from hgmorse.errors import InvalidParameter, NoBoundState
 from hgmorse.molecules import builtin_molecules, to_potential_params
-from hgmorse.nonrel import energy_nonrel, log_norm_closed_form
+from hgmorse.nonrel import energy_nonrel
 from hgmorse.oracle import mismatch_sign_change
 from hgmorse.potential import PotentialParams
 from hgmorse.relativistic import (
@@ -21,7 +21,6 @@ from hgmorse.relativistic import (
     _SPIN,
     QuantumNumbers,
     RelWavefunctionSpec,
-    _kg_log_norm_closed,
     default_search_interval,
     kg_printed_eq_residual,
     kg_residual,
@@ -42,7 +41,8 @@ from hgmorse.relativistic import (
     upper_spinor_spec,
 )
 from hgmorse.units import HBAR_C_EV_ANGSTROM
-from hgmorse.wavefun import SWaveform, count_nodes, support_window
+from hgmorse.wavefun import SWaveform, support_window
+from wavefun_helpers import count_nodes, kg_log_norm_closed, log_norm_closed_form
 
 mp.mp.dps = 40
 
@@ -329,7 +329,7 @@ def test_kg_norm_ratio_logged_for_low_levels(ch_unit):
         E = solve_kg_energy(ps, M, qn)[0]
         spec = kg_wavefunction_spec(ps, M, E, qn)
         assert math.isfinite(spec.log_norm)
-        closed = _kg_log_norm_closed(spec.leading_exp, spec.edge_exp, n, ps.alpha)
+        closed = kg_log_norm_closed(spec.leading_exp, spec.edge_exp, n, ps.alpha)
         if closed is not None:
             # the log-difference is the honest record: the printed constant is
             # off by hundreds of orders of magnitude, so the plain ratio may
@@ -387,7 +387,7 @@ def test_kg_wavefunction_boundaries_and_norm(ch_unit):
     peak = max(abs(rel_radial_value(spec, r)) for r in np.linspace(r_lo, r_hi, 300))
     assert abs(rel_radial_value(spec, 6.0 * r_hi)) < 1e-10 * peak
     assert check_normalization([spec]).worst <= 1e-6
-    closed = _kg_log_norm_closed(spec.leading_exp, spec.edge_exp, 1, ps.alpha)
+    closed = kg_log_norm_closed(spec.leading_exp, spec.edge_exp, 1, ps.alpha)
     assert closed is None or math.isfinite(closed)
 
 

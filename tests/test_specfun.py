@@ -129,7 +129,7 @@ def test_jacobi_value_at_one():
 def test_jacobi_matches_recurrence_reference_case():
     p = JacobiParams(1.37, 0.42, 4)
     direct = jacobi_poly(p, -0.3)
-    assert direct == pytest.approx(float(jacobi_recurrence(4, 1.37, 0.42, -0.3)), rel=1e-12)
+    assert direct == pytest.approx(jacobi_recurrence(p, -0.3), rel=1e-12)
 
 
 def test_jacobi_matches_recurrence_randomized():
@@ -141,7 +141,7 @@ def test_jacobi_matches_recurrence_randomized():
         b = float(rng.uniform(-0.9, 50.0))
         x = float(rng.uniform(-1.0, 1.0))
         direct = jacobi_poly(JacobiParams(a, b, n), x)
-        rec = float(jacobi_recurrence(n, a, b, x))
+        rec = float(jacobi_recurrence(JacobiParams(a, b, n), x))
         worst = max(worst, abs(direct - rec) / max(abs(direct), abs(rec), 1.0))
     assert worst <= 1e-12
 
@@ -205,9 +205,12 @@ def test_norm_integral_rejects_nonintegrable_exponents():
 def test_jacobi_recurrence_elementwise_on_arrays():
     x = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
     for n in (0, 1, 5):
-        got = jacobi_recurrence(n, 2.3, 0.7, x)
+        p = JacobiParams(2.3, 0.7, n)
+        got = jacobi_recurrence(p, x)
         assert got.shape == x.shape
-        assert got.tolist() == [[float(jacobi_recurrence(n, 2.3, 0.7, v)) for v in row] for row in x.tolist()]
-    assert jacobi_recurrence(3, 2.3, 0.7, 0.4).shape == ()
+        # a float x stays a float and gives the array's element bit for bit
+        assert got.tolist() == [[jacobi_recurrence(p, v) for v in row] for row in x.tolist()]
+        assert type(jacobi_recurrence(p, 0.4)) is float
+        assert np.shape(jacobi_recurrence(p, np.array(0.4))) == ()
     with pytest.raises(InvalidParameter):
-        jacobi_recurrence(-1, 1.0, 1.0, x)
+        jacobi_recurrence(JacobiParams(1.0, 1.0, -1), x)

@@ -1,11 +1,13 @@
-"""The array wavefunction engine against independent oracles.
+"""The wavefunction engine against independent oracles, and its one-radius path.
 
 `wavefun` evaluates the polynomial factor by the Jacobi degree recurrence on
-whole arrays.  The oracles here are the term-by-term 2F1 sum with its
-exact-rational fallback (`checks.term_sum_log_abs_and_sign`), and
-`mpmath.hyp2f1` for large exponents.
+whole arrays or at one float radius.  The oracles here are the term-by-term
+2F1 sum with its exact-rational fallback (`checks.term_sum_log_abs_and_sign`),
+and `mpmath.hyp2f1` for large exponents.  A float radius must give bit for
+bit the element that the array path gives.
 """
 
+import functools
 import math
 
 import mpmath as mp
@@ -15,20 +17,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from hgmorse.checks import scaled_params, term_sum_log_abs_and_sign, term_sum_value
+from hgmorse.checks import pseudospin_params, scaled_params, term_sum_log_abs_and_sign, term_sum_value
 from hgmorse.errors import InvalidParameter
 from hgmorse.molecules import builtin_molecules, find_molecule, to_potential_params
-from hgmorse.nonrel import energy_nonrel, make_wavefunction, wavefunction_exponents
+from hgmorse.nonrel import (
+    WavefunctionSpec,
+    energy_nonrel,
+    make_wavefunction,
+    radial_wavefunction,
+    wavefunction_exponents,
+)
 from hgmorse.relativistic import (
     QuantumNumbers,
+    RelWavefunctionSpec,
     kg_wavefunction_spec,
+    lower_spinor_spec,
+    rel_radial_value,
+    solve_dirac_pseudospin,
     solve_dirac_spin,
     solve_kg_energy,
     upper_spinor_spec,
 )
+from hgmorse.units import HBAR_C_EV_ANGSTROM
 from hgmorse.wavefun import (
     SWaveform,
-    count_nodes,
     hypergeometric_factor,
     log_abs_and_sign,
     log_norm_quadrature,
@@ -36,6 +48,7 @@ from hgmorse.wavefun import (
     support_window,
     value,
 )
+from wavefun_helpers import count_nodes
 
 ALPHA = 0.025
 NAMES = [mol.name for mol in builtin_molecules()]
@@ -148,6 +161,74 @@ def test_zero_of_polynomial_factor():
     u = value(w, log_norm_quadrature(w), r)
     assert u[1] == 0.0 and u[0] != 0.0 and u[2] != 0.0
     assert term_sum_log_abs_and_sign(w, math.log(2.0)) == (-math.inf, 1.0)
+    # the float path hits the same zero
+    assert hypergeometric_factor(w, 0.5) == 0.0
+    assert log_abs_and_sign(w, math.log(2.0)) == (-math.inf, 1.0)
+    log_norm = log_norm_quadrature(w)
+    for spec, f in ((WavefunctionSpec(1.5, 2.0, 1, 1.0, log_norm), radial_wavefunction),
+                    (RelWavefunctionSpec(1.5, 2.0, 1, 1.0, log_norm), rel_radial_value)):
+        assert [f(spec, x) for x in r.tolist()] == u.tolist()
+
+
+@functools.cache
+def _one_radius_specs():
+    """(evaluator, spec) from all four spec builders: nonrel N2 l = 1 at
+    n = 0..8, and n = 0..2 of Klein-Gordon l = 0, Dirac-spin kappa = -2 (CH,
+    M = 500 eV) and pseudospin kappa = 1 (CH, M = 5000 eV, where n = 2 binds)."""
+    p, part = to_potential_params(find_molecule("N2"), 1.0, 1.0, ALPHA)
+    out = [(radial_wavefunction, make_wavefunction(p, part, n, 1)) for n in range(9)]
+    p, part = to_potential_params(find_molecule("CH"), 1.0, 1.0, ALPHA)
+    ps = scaled_params(p, part, 500.0)
+    pp = pseudospin_params(p, 5000.0, HBAR_C_EV_ANGSTROM)
+    for n in range(3):
+        qn = QuantumNumbers(n=n, l=0)
+        out.append((rel_radial_value, kg_wavefunction_spec(ps, 500.0, solve_kg_energy(ps, 500.0, qn)[0], qn)))
+        E = solve_dirac_spin(ps, 500.0, -2, 0.0, n)[0]
+        out.append((rel_radial_value, upper_spinor_spec(ps, 500.0, E, -2, 0.0, n)))
+        E = solve_dirac_pseudospin(pp, 5000.0, 1, 0.0, n)[0]
+        out.append((rel_radial_value, lower_spinor_spec(pp, 5000.0, E, 1, 0.0, n)))
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(i=st.integers(0, 17),
+       fractions=st.lists(st.floats(-0.3, 1.5), min_size=1, max_size=12),
+       far=st.lists(st.floats(750.0, 1e5), max_size=3))
+def test_float_radius_is_bit_identical_to_array_element(i, fractions, far):
+    f, spec = _one_radius_specs()[i]
+    w = spec.waveform
+    r_lo, r_hi = support_window(w)
+    # inside and around the support window, and far past it, where alpha r
+    # > 745 makes s = e^(-alpha r) underflow to 0 (the log s = -alpha r branch)
+    rs = [max(r_lo + x * (r_hi - r_lo), 1e-6) for x in fractions] + [t / w.alpha for t in far]
+    u = value(w, spec.log_norm, np.array(rs))
+    la, sign = log_abs_and_sign(w, np.array(rs))
+    for k, r in enumerate(rs):
+        got = f(spec, r)
+        assert type(got) is float and got == u[k], (i, r)
+        assert log_abs_and_sign(w, r) == (la[k], sign[k]), (i, r)
+
+
+@pytest.mark.parametrize("which", ["nonrel", "rel"])
+def test_float_radius_returns_float_and_0d_array_keeps_shape(which):
+    f, spec = _one_radius_specs()[3] if which == "nonrel" else _one_radius_specs()[10]
+    w = spec.waveform
+    r = 0.5 * sum(support_window(w))
+    assert type(f(spec, r)) is float
+    assert type(value(w, spec.log_norm, r)) is float
+    assert all(type(x) is float for x in log_abs_and_sign(w, r))
+    la, sign = log_abs_and_sign(w, np.array(r))
+    u = value(w, spec.log_norm, np.array(r))
+    assert la.shape == sign.shape == u.shape == ()
+    assert u == f(spec, r)
+
+
+@pytest.mark.parametrize("r", [0.0, -1.0, math.nan, -math.inf])
+@pytest.mark.parametrize("which", ["nonrel", "rel"])
+def test_float_radius_input_check(which, r):
+    f, spec = _one_radius_specs()[3] if which == "nonrel" else _one_radius_specs()[10]
+    with pytest.raises(InvalidParameter):
+        f(spec, r)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
