@@ -26,12 +26,10 @@ from .nonrel import (
     energy_nonrel,
     make_wavefunction,
     radial_wavefunction,
-    spectrum_table,
     wavefunction_exponents,
 )
 from .oracle import (
     RadialGrid,
-    default_grid,
     fd_schrodinger_eigen,
     oracle_energies,
     richardson_extrapolate,

@@ -10,6 +10,7 @@ codes: 0 success, 1 acceptance/check failure, 2 usage or parameter error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -21,7 +22,8 @@ import numpy as np
 from . import validate as validate_mod
 from .errors import GridTooCoarse, InvalidParameter, NoBoundState, ParseError, SolverError
 from .molecules import Molecule, find_molecule, load_molecules, to_potential_params
-from .nonrel import ParticleSpec, energy_nonrel, level_indices, spectrum_table
+from .nonrel import ParticleSpec, energy_nonrel, level_indices
+from .oracle import oracle_energies
 from .potential import PotentialParams, potential_curve
 from .relativistic import QuantumNumbers, model_functions
 from .units import UnitConstants, read_config
@@ -35,10 +37,11 @@ EXIT_NO_BOUND_STATE = 3
 _CONFIG_KEYS = ("hbar_c", "cm_inv_to_ev", "amu_to_ev", "b_sign")
 
 
-def _fmt(x: Optional[float]) -> str:
+def _fmt(x) -> str:
+    """One CSV cell: empty for None, 17 significant digits for a float, str otherwise."""
     if x is None:
         return ""
-    return f"{x:.17g}"
+    return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
 def _emit(stream, lines) -> None:
@@ -103,98 +106,103 @@ def _parse_kappas(text: str) -> list[int]:
     return _distinct(kappas, "--kappa", text)
 
 
-def _dirac_states(args) -> list[tuple[int, int]]:
-    """The (n, kappa) pairs of a Dirac levels table or sweep, in output order."""
+def _states(args) -> list[tuple[int, int, tuple]]:
+    """(n, second label, state) of each level a levels table or sweep asks for, in output order.
+
+    The second label is l for nonrel and kg and kappa for the Dirac models.
+    The state is what follows (p, M) in the model's solver: (n, l) for
+    energy_nonrel, (qn,) for kg and (kappa, C, n) for the Dirac models.
+    """
     if args.n_max < 0:
         raise InvalidParameter(f"--n-max must be >= 0, got {args.n_max!r}")
-    kappas = _parse_kappas(args.kappa)
-    return [(n, kappa) for n in range(args.n_max + 1) for kappa in kappas]
-
-
-def _relativistic_levels(args, p: PotentialParams, hbar_c: float):
-    """Solve each requested state of a relativistic model, in output order.
-
-    Yields (labels, energies, defects): labels holds the n, l, kappa and D
-    columns, energies is None when the state has no bound level, and
-    defects(E) gives the (residual, cross_check_residual) pair of a root.
-    """
-    solve, residual, printed, _ = model_functions(args.model)
-    M = args.mass
-    opts = {"scan_points": args.scan_points, "tol": args.tol, "hbar_c": hbar_c}
-    if args.model == "kg":
+    if args.model in ("nonrel", "kg"):
         l_max = args.n_max if args.l_max is None else args.l_max
-        states = [({"n": n, "l": l, "kappa": None, "D": args.dimension},
-                   (QuantumNumbers(n=n, l=l, D=args.dimension),))
-                  for n, l in level_indices(args.n_max, l_max, args.rectangular)]
+        pairs = level_indices(args.n_max, l_max, args.rectangular)
     else:
-        C = args.cs if args.model == "dirac-spin" else args.cps
+        pairs = [(n, kappa) for n in range(args.n_max + 1) for kappa in _parse_kappas(args.kappa)]
+    if args.model == "nonrel":
+        return [(n, l, (n, l)) for n, l in pairs]
+    if args.mass is None:
+        raise InvalidParameter(f"--mass is required for model {args.model!r}")
+    if not (math.isfinite(args.mass) and args.mass > 0.0):
+        raise InvalidParameter(f"--mass must be finite and > 0, got {args.mass!r}")
+    if args.model == "kg":
+        return [(n, l, (QuantumNumbers(n=n, l=l, D=args.dimension),)) for n, l in pairs]
+    C = args.cs if args.model == "dirac-spin" else args.cps
+    return [(n, kappa, (kappa, C, n)) for n, kappa in pairs]
+
+
+def _solve_states(args, p: PotentialParams, part: ParticleSpec, states: list[tuple[int, int, tuple]]):
+    """Solve each state of _states(args) at the potential p, in order, with part's hbar c.
+
+    Yields (n, second label, energies, defects): energies is None when the
+    state has no bound level, and defects(E) gives the (residual,
+    cross_check_residual) pair of a root, both None for nonrel.
+    """
+    if args.model == "nonrel":
+        for n, l, state in states:
+            yield n, l, [energy_nonrel(p, part, *state)], lambda E: (None, None)
+        return
+    solve, residual, printed, _ = model_functions(args.model)
+    M, hbar_c = args.mass, part.hbar_c
+    opts = {"scan_points": args.scan_points, "tol": args.tol, "hbar_c": hbar_c}
+    if args.model != "kg":
         opts["all_roots"] = args.all_roots
-        states = [({"n": n, "l": None, "kappa": kappa, "D": None}, (kappa, C, n)) for n, kappa in _dirac_states(args)]
-    for labels, state in states:
+    for n, second, state in states:
         try:
             energies = solve(p, M, *state, **opts)
         except NoBoundState:
             energies = None
 
-        def defects(E: float, state=state) -> tuple[Optional[float], float]:
+        def defects(E: float, state=state) -> tuple[Optional[float], Optional[float]]:
             return residual(p, M, E, *state, hbar_c=hbar_c), printed(p, M, E, *state, hbar_c=hbar_c)
 
-        yield labels, energies, defects
+        yield n, second, energies, defects
 
 
 def cmd_levels(args, out) -> int:
-    name, params, part, units = _load_setup(args)
-    l_max = args.n_max if args.l_max is None else args.l_max
+    name, params, part, _ = _load_setup(args)
+    states = _states(args)
+    oracle = args.oracle and args.model == "nonrel"
+    oracle_cols: dict[int, np.ndarray] = {}
+    if oracle:
+        # one extrapolated FD solve per l column supplies every n
+        for l in sorted({l for _, l, _ in states}):
+            k = max(n for n, ll, _ in states if ll == l) + 1
+            oracle_cols[l], _ = oracle_energies(params, part, l, k, points=args.grid_points)
+    l_label = args.model in ("nonrel", "kg")
     rows: list[dict] = []
-    any_ok = False
-    if args.model == "nonrel":
-        for row in spectrum_table(name, params, part, args.n_max, l_max, oracle=args.oracle,
-                                  oracle_points=args.grid_points, rectangular=args.rectangular):
-            rows.append({
-                "molecule": row.molecule, "model": row.model, "n": row.n, "l": row.l,
-                "kappa": None, "D": None, "E_eV": row.E_eV,
-                "oracle_E_eV": row.oracle_E_eV, "abs_dev_eV": row.abs_dev_eV,
-                "residual": None, "cross_check_residual": None, "status": "ok",
-            })
-        any_ok = bool(rows)
-    else:
-        if args.mass is None:
-            raise InvalidParameter(f"--mass is required for model {args.model!r}")
-        for labels, energies, defects in _relativistic_levels(args, params, units.hbar_c):
-            row = {"molecule": name, "model": args.model, **labels, "oracle_E_eV": None, "abs_dev_eV": None}
-            if energies is None:
-                rows.append({**row, "E_eV": None, "residual": None, "cross_check_residual": None,
-                             "status": "no_bound_state"})
-                continue
-            any_ok = True
-            for E in energies:
-                res, cross = defects(E)
-                rows.append({**row, "E_eV": E, "residual": res, "cross_check_residual": cross, "status": "ok"})
-    if not any_ok:
+    for n, second, energies, defects in _solve_states(args, params, part, states):
+        row = {"molecule": name, "model": args.model, "n": n, "l": second if l_label else None,
+               "kappa": None if l_label else second, "D": args.dimension if args.model == "kg" else None,
+               "oracle_E_eV": None, "abs_dev_eV": None}
+        if energies is None:
+            rows.append({**row, "E_eV": None, "residual": None, "cross_check_residual": None,
+                         "status": "no_bound_state"})
+            continue
+        for E in energies:
+            if oracle:
+                oe = float(oracle_cols[second][n])
+                row.update(oracle_E_eV=oe, abs_dev_eV=abs(E - oe))
+            res, cross = defects(E)
+            rows.append({**row, "E_eV": E, "residual": res, "cross_check_residual": cross, "status": "ok"})
+    if all(r["status"] != "ok" for r in rows):
         print("no bound states for any requested level", file=sys.stderr)
         return EXIT_NO_BOUND_STATE
     if args.format == "json":
-        print(json.dumps({"rows": rows}, sort_keys=True, indent=None, separators=(",", ":"),
-                         default=lambda v: None), file=out)
+        print(json.dumps({"rows": rows}, sort_keys=True, indent=None, separators=(",", ":")), file=out)
     else:
-        if args.model == "nonrel":
-            _emit(out, ["molecule,model,n,l,E_eV,oracle_E_eV,abs_dev_eV"])
-            for r in rows:
-                _emit(out, [f"{r['molecule']},{r['model']},{r['n']},{r['l']},{_fmt(r['E_eV'])},"
-                            f"{_fmt(r['oracle_E_eV'])},{_fmt(r['abs_dev_eV'])}"])
-        else:
-            _emit(out, ["molecule,model,n,l,kappa,D,E_eV,residual,cross_check_residual"])
-            for r in rows:
-                l_txt = "" if r["l"] is None else str(r["l"])
-                k_txt = "" if r["kappa"] is None else str(r["kappa"])
-                d_txt = "" if r["D"] is None else str(r["D"])
-                if r["status"] != "ok":
-                    # keep data rows strictly on the documented columns;
-                    # unsolved states surface as deterministic comments
-                    _emit(out, [f"# {r['status']}: n={r['n']} l={l_txt} kappa={k_txt}"])
-                else:
-                    _emit(out, [f"{r['molecule']},{r['model']},{r['n']},{l_txt},{k_txt},{d_txt},"
-                                f"{_fmt(r['E_eV'])},{_fmt(r['residual'])},{_fmt(r['cross_check_residual'])}"])
+        header = ("molecule,model,n,l,E_eV,oracle_E_eV,abs_dev_eV" if args.model == "nonrel"
+                  else "molecule,model,n,l,kappa,D,E_eV,residual,cross_check_residual")
+        columns = header.split(",")
+        _emit(out, [header])
+        for r in rows:
+            if r["status"] != "ok":
+                # keep data rows strictly on the documented columns;
+                # unsolved states surface as deterministic comments
+                _emit(out, [f"# {r['status']}: n={r['n']} l={_fmt(r['l'])} kappa={_fmt(r['kappa'])}"])
+            else:
+                _emit(out, [",".join(_fmt(r[c]) for c in columns)])
     return EXIT_OK
 
 
@@ -211,49 +219,27 @@ def cmd_potential(args, out) -> int:
 
 
 def cmd_sweep(args, out) -> int:
-    name, params, part, units = _load_setup(args)
+    _, params, part, units = _load_setup(args)
     if args.steps < 2:
         raise InvalidParameter(f"--steps must be >= 2, got {args.steps!r}")
-    if args.model != "nonrel" and args.mass is None:
-        raise InvalidParameter(f"--mass is required for model {args.model!r}")
+    states = _states(args)
     values = np.linspace(args.start, args.stop, args.steps)
-    l_max = args.n_max if args.l_max is None else args.l_max
-    if args.model in ("nonrel", "kg"):
-        keys = level_indices(args.n_max, l_max, args.rectangular)
-    else:
-        keys = _dirac_states(args)
+    field = {"De": "D_e", "re": "r_e"}.get(args.param, args.param)
+    scale = units.cm_inv_to_ev if args.param == "De" else 1.0
     rows = []
-    series: dict[tuple[int, int], list[float]] = {key: [] for key in keys}
+    series: dict[tuple[int, int], list[float]] = {(n, second): [] for n, second, _ in states}
     for value in values:
-        a, b, alpha = params.a, params.b, params.alpha
-        De, re, mu = params.D_e, params.r_e, part.mu_energy
-        if args.param == "a":
-            a = float(value)
-        elif args.param == "b":
-            b = float(value)
-        elif args.param == "alpha":
-            alpha = float(value)
-        elif args.param == "De":
-            De = float(value) * units.cm_inv_to_ev
-        elif args.param == "re":
-            re = float(value)
         try:
-            p_i = PotentialParams(a=a, b=b, D_e=De, r_e=re, alpha=alpha)
+            p_i = dataclasses.replace(params, **{field: float(value) * scale})
         except InvalidParameter:
-            for key in keys:
-                rows.append((float(value), key[0], key[1], None, "invalid_parameter"))
-                series[key].append(math.nan)
+            for key, column in series.items():
+                rows.append((float(value), *key, None, "invalid_parameter"))
+                column.append(math.nan)
             continue
-        if args.model == "nonrel":
-            part_i = ParticleSpec(mu, units.hbar_c)
-            states = [(n, l, energy_nonrel(p_i, part_i, n, l), "ok") for n, l in keys]
-        else:
-            states = [(labels["n"], labels["l"] if labels["kappa"] is None else labels["kappa"],
-                       None if energies is None else energies[0], "ok" if energies else "no_bound_state")
-                      for labels, energies, _ in _relativistic_levels(args, p_i, units.hbar_c)]
-        for n, second, E, status in states:
-            rows.append((float(value), n, second, E, status))
-            series[(n, second)].append(E if E is not None else math.nan)
+        for n, second, energies, _ in _solve_states(args, p_i, part, states):
+            E = None if energies is None else energies[0]
+            rows.append((float(value), n, second, E, "ok" if energies else "no_bound_state"))
+            series[(n, second)].append(math.nan if E is None else E)
     second_label = "l" if args.model in ("nonrel", "kg") else "kappa"
     shapes = []
     for (n, second), column in series.items():
@@ -277,8 +263,7 @@ def cmd_sweep(args, out) -> int:
         }, sort_keys=True), file=out)
     else:
         _emit(out, [f"{args.param},n,{second_label},E_eV,status"])
-        for v, n, second, E, status in rows:
-            _emit(out, [f"{v:.17g},{n},{second},{_fmt(E)},{status}"])
+        _emit(out, [",".join(map(_fmt, row)) for row in rows])
         for line in shapes:
             _emit(out, [f"# shape {line}"])
     return EXIT_OK

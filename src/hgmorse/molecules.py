@@ -90,13 +90,6 @@ def load_molecules(path) -> list[Molecule]:
     return out
 
 
-def serialize_molecules(molecules: Iterable[Molecule]) -> str:
-    lines = [CSV_HEADER]
-    for m in molecules:
-        lines.append(f"{m.name},{m.De_cm:.17g},{m.re_angstrom:.17g},{m.mu_amu:.17g}")
-    return "\n".join(lines) + "\n"
-
-
 def to_potential_params(
     m: Molecule,
     a: float,

@@ -26,14 +26,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
-
-import numpy as np
 
 from . import wavefun
 from .errors import InvalidParameter, NoBoundState
-from .oracle import oracle_energies
-from .potential import PotentialParams, centrifugal_approx, potential_approx
+from .potential import PotentialParams
 from .units import HBAR_C_EV_ANGSTROM
 
 
@@ -143,27 +139,6 @@ def radial_wavefunction(spec: WavefunctionSpec, r: float) -> float:
     return float(wavefun.value(spec.waveform, spec.log_norm, r))
 
 
-def schrodinger_ode_coefficient(p: PotentialParams, part: ParticleSpec, l: int):
-    """W(r; E) of u'' + W u = 0 for the approximated radial equation."""
-    T = part.two_mu_over_hbar2
-
-    def W(r, E):
-        return T * (E - potential_approx(p, r)) - centrifugal_approx(p.alpha, r, float(l * (l + 1)))
-
-    return W
-
-
-@dataclass(frozen=True)
-class SpectrumRow:
-    molecule: str
-    model: str
-    n: int
-    l: int
-    E_eV: float
-    oracle_E_eV: Optional[float] = None
-    abs_dev_eV: Optional[float] = None
-
-
 def level_indices(n_max: int, l_max: int, rectangular: bool = False) -> list[tuple[int, int]]:
     """Triangular (l <= n) or rectangular (n, l) iteration order."""
     if n_max < 0 or l_max < 0:
@@ -175,33 +150,3 @@ def level_indices(n_max: int, l_max: int, rectangular: bool = False) -> list[tup
             out.append((n, l))
     return out
 
-
-def spectrum_table(
-    molecule_name: str,
-    p: PotentialParams,
-    part: ParticleSpec,
-    n_max: int,
-    l_max: int,
-    oracle: bool = False,
-    oracle_points: int = 20001,
-    rectangular: bool = False,
-) -> tuple[SpectrumRow, ...]:
-    """Closed-form level rows laid out triangularly, with optional oracle deviations.
-
-    In oracle mode one extrapolated FD solve per l column supplies every n.
-    """
-    pairs = level_indices(n_max, l_max, rectangular)
-    oracle_cols: dict[int, np.ndarray] = {}
-    if oracle:
-        for l in sorted({l for _, l in pairs}):
-            k = max(n for n, ll in pairs if ll == l) + 1
-            oracle_cols[l], _ = oracle_energies(p, part, l, k, points=oracle_points)
-    rows = []
-    for n, l in pairs:
-        E = energy_nonrel(p, part, n, l)
-        if oracle:
-            oe = float(oracle_cols[l][n])
-            rows.append(SpectrumRow(molecule_name, "nonrel", n, l, E, oe, abs(E - oe)))
-        else:
-            rows.append(SpectrumRow(molecule_name, "nonrel", n, l, E))
-    return tuple(rows)

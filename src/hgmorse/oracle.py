@@ -86,11 +86,6 @@ class RadialGrid:
         return RadialGrid(self.r_min, self.r_max, 2 * self.points - 1)
 
 
-def default_grid(alpha: float) -> RadialGrid:
-    """Default oracle grid: 20001 points, r_max = 40/alpha (40 screening lengths)."""
-    return RadialGrid(_R_MIN, 40.0 / alpha, 20001)
-
-
 @functools.cache
 def scipy_extension(subpackage: str, name: str) -> ModuleType:
     """scipy's compiled extension scipy/<subpackage>/<name>, loaded by file path once.

@@ -41,7 +41,7 @@ class PotentialParams:
     a, b are the Coulomb/Yukawa strengths in eV*A, D_e the well depth in eV,
     r_e the equilibrium bond length in A, alpha the screening parameter in
     1/A.  b may be negative (attractive-Yukawa convention, see the b_sign
-    configuration switch at the ingestion layer).
+    configuration switch at the ingestion layer).  All five must be finite.
     """
 
     a: float
@@ -52,6 +52,9 @@ class PotentialParams:
     q: float = field(init=False)
 
     def __post_init__(self) -> None:
+        for name in ("a", "b", "D_e", "r_e", "alpha"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParameter(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.D_e >= 0.0:
             raise InvalidParameter(f"D_e must be >= 0, got {self.D_e!r}")
         object.__setattr__(self, "q", q_of(self.alpha, self.r_e))

@@ -549,30 +549,6 @@ def lower_spinor_spec(
 
 
 # ---------------------------------------------------------------------------
-# radial-equation coefficients for the shooting oracle
-# ---------------------------------------------------------------------------
-
-
-def kg_ode_coefficient(p: PotentialParams, M: float, qn: QuantumNumbers, hbar_c: float = HBAR_C_EV_ANGSTROM):
-    """W(r; E) of u'' + W u = 0 for the Klein-Gordon radial equation."""
-    return _ode(_KG, p, M, (qn,), hbar_c)
-
-
-def spin_ode_coefficient(
-    p: PotentialParams, M: float, kappa: int, Cs: float = 0.0, hbar_c: float = HBAR_C_EV_ANGSTROM
-):
-    """W(r; E) for the upper-spinor equation under spin symmetry."""
-    return _ode(_SPIN, p, M, (kappa, Cs, 0), hbar_c)  # W does not depend on n
-
-
-def pseudospin_ode_coefficient(
-    p: PotentialParams, M: float, kappa: int, Cps: float = 0.0, hbar_c: float = HBAR_C_EV_ANGSTROM
-):
-    """W(r; E) for the lower-spinor equation under pseudospin symmetry."""
-    return _ode(_PSEUDOSPIN, p, M, (kappa, Cps, 0), hbar_c)
-
-
-# ---------------------------------------------------------------------------
 # sector records
 # ---------------------------------------------------------------------------
 

@@ -40,7 +40,10 @@ def packaged_reference_path():
 
 
 def load_reference(path=None) -> list[ReferenceRow]:
-    """Read the reference CSV and check its shape (5 molecules x 21 rows)."""
+    """Parse the reference CSV (packaged when path is None); ParseError on a bad line or no rows.
+
+    The 5 molecules x 21 rows shape is checked apart, by check_reference_shape.
+    """
     if path is None:
         text = packaged_reference_path().read_text(encoding="utf-8")
         source = "<packaged>"

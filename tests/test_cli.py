@@ -19,7 +19,7 @@ from hgmorse.relativistic import (
     spin_printed_eq_residual,
     spin_residual,
 )
-from hgmorse.units import HBAR_C_EV_ANGSTROM
+from hgmorse.units import CM_INV_TO_EV, HBAR_C_EV_ANGSTROM
 from hgmorse.validate import calibrate, load_reference
 
 
@@ -68,9 +68,40 @@ def test_levels_json_format(capsys):
     assert len(payload["rows"]) == 3
 
 
-def test_levels_relativistic_kg(capsys, ch_unit):
-    from hgmorse.units import CM_INV_TO_EV
+def _nonrel_rows(capsys, *argv):
+    """(n, l, E, oracle E, deviation) of a nonrel CH table at a = b = 0, parsed once from CSV and once from JSON."""
+    common = ("levels", "--molecule", "CH", "--a", "0", "--b", "0", *argv)
+    code, out, _ = run(capsys, *common)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "molecule,model,n,l,E_eV,oracle_E_eV,abs_dev_eV"
+    csv_rows = []
+    for line in lines[1:]:
+        _, _, n, l, E, oracle_E, dev = line.split(",")
+        csv_rows.append((int(n), int(l), float(E), float(oracle_E) if oracle_E else None,
+                         float(dev) if dev else None))
+    code, out, _ = run(capsys, *common, "--format", "json")
+    assert code == 0
+    json_rows = [(r["n"], r["l"], r["E_eV"], r["oracle_E_eV"], r["abs_dev_eV"]) for r in json.loads(out)["rows"]]
+    return csv_rows, json_rows
 
+
+def test_levels_single_row_has_empty_oracle_columns(capsys):
+    for rows in _nonrel_rows(capsys, "--n-max", "0", "--l-max", "0"):
+        assert len(rows) == 1
+        assert rows[0][:2] == (0, 0)
+        assert rows[0][3] is None and rows[0][4] is None
+
+
+def test_levels_oracle_columns(capsys):
+    for rows in _nonrel_rows(capsys, "--n-max", "1", "--l-max", "1", "--oracle"):
+        assert [(n, l) for n, l, *_ in rows] == [(0, 0), (1, 0), (1, 1)]
+        for _, _, E, oracle_E, dev in rows:
+            assert dev is not None and dev <= 5e-4
+            assert dev == abs(E - oracle_E)
+
+
+def test_levels_relativistic_kg(capsys, ch_unit):
     p, part = ch_unit
     scale = part.mu_energy / 500.0
     code, out, _ = run(capsys, "levels", "--model", "kg",
@@ -93,8 +124,6 @@ def test_levels_exit_3_when_nothing_bound(capsys):
 
 
 def test_levels_kappa_list_parses_space_separated(capsys, ch_unit):
-    from hgmorse.units import CM_INV_TO_EV
-
     p, part = ch_unit
     scale = part.mu_energy / 500.0
     common = ("levels", "--model", "dirac-spin", "--De-cm", str(p.D_e * scale / CM_INV_TO_EV),
@@ -149,6 +178,32 @@ def test_sweep_b_reports_shape(capsys):
     assert "non-monotonic" in shape_lines[0]
 
 
+@pytest.mark.parametrize("param,start,stop", [("De", "20000", "40000"), ("re", "0.9", "1.4")])
+def test_sweep_De_and_re_match_energy_nonrel(capsys, param, start, stop):
+    code, out, _ = run(capsys, "sweep", "--molecule", "CH", "--a", "1", "--b", "0.5", "--param", param,
+                       "--from", start, "--to", stop, "--steps", "3", "--n-max", "1")
+    assert code == 0
+    p, part = to_potential_params(find_molecule("CH"), 1.0, 0.5, 0.025)
+    expected = [f"{param},n,l,E_eV,status"]
+    for value in np.linspace(float(start), float(stop), 3):
+        De = float(value) * CM_INV_TO_EV if param == "De" else p.D_e
+        re = float(value) if param == "re" else p.r_e
+        p_i = PotentialParams(a=1.0, b=0.5, D_e=De, r_e=re, alpha=0.025)
+        for n, l in ((0, 0), (1, 0), (1, 1)):
+            expected.append(f"{float(value):.17g},{n},{l},{energy_nonrel(p_i, part, n, l):.17g},ok")
+    lines = out.splitlines()
+    assert lines[:len(expected)] == expected
+    assert all(line.startswith("# shape") for line in lines[len(expected):])
+
+
+def test_sweep_nan_step_is_an_invalid_parameter_row(capsys):
+    code, out, _ = run(capsys, "sweep", "--molecule", "CH", "--param", "a", "--from", "nan", "--to", "1",
+                       "--steps", "3", "--n-max", "0")
+    assert code == 0
+    E = energy_nonrel(*to_potential_params(find_molecule("CH"), 1.0, 0.0, 0.025), 0, 0)
+    assert out.splitlines()[1:4] == ["nan,0,0,,invalid_parameter", "nan,0,0,,invalid_parameter", f"1,0,0,{E:.17g},ok"]
+
+
 def test_validate_packaged_reference(capsys):
     code, out, _ = run(capsys, "validate", "--calibrate", "--no-timestamp")
     assert code == 0
@@ -196,8 +251,6 @@ def test_validate_missing_reference(capsys, tmp_path):
 
 
 def test_sweep_relativistic_flags_unbound_points(capsys, ch_unit):
-    from hgmorse.units import CM_INV_TO_EV
-
     p, part = ch_unit
     scale = part.mu_energy / 500.0
     code, out, _ = run(capsys, "sweep", "--model", "kg", "--param", "a",
@@ -214,6 +267,31 @@ def test_sweep_relativistic_requires_mass(capsys):
     code, _, err = run(capsys, "sweep", "--model", "kg", "--molecule", "CH", "--param", "a",
                        "--from", "0", "--to", "1", "--steps", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("levels", "--molecule", "CH", "--a", "nan"),
+    ("levels", "--molecule", "CH", "--b", "inf"),
+    ("levels", "--molecule", "CH", "--alpha", "inf"),
+    ("potential", "--molecule", "CH", "--a", "nan"),
+])
+def test_non_finite_potential_parameter_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in err
+
+
+@pytest.mark.parametrize("mass", ["-5", "nan", "0", "inf"])
+@pytest.mark.parametrize("command", [
+    ("levels",),
+    ("sweep", "--param", "a", "--from", "0", "--to", "1", "--steps", "2"),
+])
+def test_mass_must_be_finite_and_positive(capsys, command, mass):
+    code, out, err = run(capsys, *command, "--model", "kg", "--molecule", "CH", f"--mass={mass}")
+    assert code == 2
+    assert out == ""
+    assert "--mass must be finite and > 0" in err
 
 
 def test_oracle_check_details_csv(capsys):
@@ -385,8 +463,6 @@ def test_usage_error_exit_code(capsys):
 def _spin_case():
     """Explicit-mode CLI arguments and library parameters of CH scaled to M = 500 eV."""
     from hgmorse.molecules import Molecule
-    from hgmorse.units import CM_INV_TO_EV
-
     p, part = to_potential_params(find_molecule("CH"), 1.0, 1.0, 0.025)
     s = part.mu_energy / 500.0
     De_cm = p.D_e * s / CM_INV_TO_EV

@@ -2,11 +2,11 @@ import pytest
 
 from hgmorse.errors import InvalidParameter, ParseError
 from hgmorse.molecules import (
+    CSV_HEADER,
     Molecule,
     builtin_molecules,
     find_molecule,
     load_molecules,
-    serialize_molecules,
     to_potential_params,
 )
 
@@ -29,6 +29,13 @@ def test_molecule_validation():
         Molecule("", 1.0, 1.0, 1.0)
     with pytest.raises(InvalidParameter):
         Molecule("X", -1.0, 1.0, 1.0)
+
+
+def serialize_molecules(molecules):
+    lines = [CSV_HEADER]
+    for m in molecules:
+        lines.append(f"{m.name},{m.De_cm:.17g},{m.re_angstrom:.17g},{m.mu_amu:.17g}")
+    return "\n".join(lines) + "\n"
 
 
 def test_round_trip(tmp_path):

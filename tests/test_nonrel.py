@@ -14,13 +14,12 @@ from hgmorse.nonrel import (
     level_indices,
     make_wavefunction,
     radial_wavefunction,
-    schrodinger_ode_coefficient,
-    spectrum_table,
     wavefunction_exponents,
 )
 from hgmorse.oracle import fd_schrodinger_modes, oracle_energies, RadialGrid, scipy_extension
 from hgmorse.potential import PotentialParams
 from hgmorse.wavefun import SWaveform, support_window
+from ode_helpers import schrodinger_ode_coefficient
 from wavefun_helpers import count_nodes, log_norm_closed_form
 
 
@@ -228,19 +227,3 @@ def test_level_indices_layouts():
         (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)
     ]
 
-
-def test_spectrum_table_single_row(ch_free):
-    p, part = ch_free
-    rows = spectrum_table("CH", p, part, 0, 0)
-    assert len(rows) == 1
-    assert (rows[0].n, rows[0].l) == (0, 0)
-    assert rows[0].oracle_E_eV is None and rows[0].abs_dev_eV is None
-
-
-def test_spectrum_table_oracle_mode(ch_free):
-    p, part = ch_free
-    rows = spectrum_table("CH", p, part, 1, 1, oracle=True)
-    assert [(row.n, row.l) for row in rows] == [(0, 0), (1, 0), (1, 1)]
-    for row in rows:
-        assert row.abs_dev_eV is not None and row.abs_dev_eV <= 5e-4
-        assert row.abs_dev_eV == abs(row.E_eV - row.oracle_E_eV)

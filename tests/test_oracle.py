@@ -11,11 +11,10 @@ from hgmorse import checks, oracle
 from hgmorse.checks import MASS_MATRIX, NORMALIZED_STATES, check_normalization, pseudospin_params, scaled_params
 from hgmorse.errors import GridTooCoarse, InvalidParameter, NoBoundState, NonConvergence
 from hgmorse.molecules import builtin_molecules, to_potential_params
-from hgmorse.nonrel import energy_nonrel, make_wavefunction, schrodinger_ode_coefficient
+from hgmorse.nonrel import energy_nonrel, make_wavefunction
 from hgmorse.oracle import (
     RadialGrid,
     adapted_range,
-    default_grid,
     fd_schrodinger_eigen,
     fd_schrodinger_modes,
     oracle_energies,
@@ -26,15 +25,13 @@ from hgmorse.oracle import (
 from hgmorse.potential import PotentialParams
 from hgmorse.relativistic import (
     QuantumNumbers,
-    kg_ode_coefficient,
-    pseudospin_ode_coefficient,
     solve_dirac_pseudospin,
     solve_dirac_spin,
     solve_kg_energy,
-    spin_ode_coefficient,
 )
 from hgmorse.rootfind import bisect, scan_brackets
 from hgmorse.units import DEFAULT_UNITS
+from ode_helpers import ode_coefficient, schrodinger_ode_coefficient
 
 
 def rk4_reference_mismatch(ode, E, g, r_match):
@@ -122,6 +119,11 @@ def test_radial_grid_validation():
         RadialGrid(0.0, 1.0, 101)
     with pytest.raises(InvalidParameter):
         RadialGrid(1e-3, 10.0, 50)
+
+
+def default_grid(alpha):
+    """The stock oracle grid: 20001 points, r_max = 40/alpha (40 screening lengths)."""
+    return RadialGrid(oracle._R_MIN, 40.0 / alpha, 20001)
 
 
 def test_default_grid_range():
@@ -275,16 +277,16 @@ def ac3_shooting_cases(p, part, M):
     cases = []
     for n, l in ((0, 0), (1, 0), (1, 1)):
         qn = QuantumNumbers(n=n, l=l)
-        cases.append((kg_ode_coefficient(ps, M, qn), solve_kg_energy(ps, M, qn)[0]))
+        cases.append((ode_coefficient("kg", ps, M, qn), solve_kg_energy(ps, M, qn)[0]))
     for kappa in (1, -2):
-        cases.append((spin_ode_coefficient(ps, M, kappa, 0.0), solve_dirac_spin(ps, M, kappa, 0.0, 1)[0]))
+        cases.append((ode_coefficient("dirac-spin", ps, M, kappa, 0.0, 0), solve_dirac_spin(ps, M, kappa, 0.0, 1)[0]))
     pps = pseudospin_params(p, M, hc)
     for kappa, n in ((1, 0), (1, 1), (2, 0)):
         try:
             E = solve_dirac_pseudospin(pps, M, kappa, 0.0, n)[0]
         except NoBoundState:
             continue
-        cases.append((pseudospin_ode_coefficient(pps, M, kappa, 0.0), E))
+        cases.append((ode_coefficient("dirac-pseudospin", pps, M, kappa, 0.0, 0), E))
     return cases
 
 

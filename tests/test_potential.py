@@ -169,3 +169,11 @@ def test_curve_rejects_bad_range(ch_free):
         potential_curve(p, 3.0, 1.0, 10)
     with pytest.raises(InvalidParameter):
         potential_curve(p, 1.0, 3.0, 1)
+
+
+@pytest.mark.parametrize("name", ["a", "b", "D_e", "r_e", "alpha"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite_values(name, value):
+    fields = {"a": 1.0, "b": 1.0, "D_e": 4.0, "r_e": 1.1, "alpha": 0.025, name: value}
+    with pytest.raises(InvalidParameter, match=f"{name} must be finite"):
+        PotentialParams(**fields)

@@ -25,23 +25,21 @@ from hgmorse.relativistic import (
     kg_printed_eq_residual,
     kg_residual,
     kg_residual_nonrel_limit,
-    kg_ode_coefficient,
     kg_wavefunction_spec,
     lambda_D,
     lower_spinor_spec,
-    pseudospin_ode_coefficient,
     pseudospin_residual,
     rel_radial_value,
     solve_dirac_pseudospin,
     solve_dirac_spin,
     solve_kg_energy,
-    spin_ode_coefficient,
     spin_printed_eq_residual,
     spin_residual,
     upper_spinor_spec,
 )
 from hgmorse.units import HBAR_C_EV_ANGSTROM
 from hgmorse.wavefun import SWaveform, support_window
+from ode_helpers import ode_coefficient
 from wavefun_helpers import count_nodes, kg_log_norm_closed, log_norm_closed_form
 
 mp.mp.dps = 40
@@ -277,16 +275,16 @@ def test_shooting_verifies_each_sector(ch_unit):
     ps = scaled_params(p, part, M)
     qn = QuantumNumbers(n=1, l=1)
     e_kg = solve_kg_energy(ps, M, qn)[0]
-    assert mismatch_sign_change(kg_ode_coefficient(ps, M, qn), e_kg, 1e-8 * M)
+    assert mismatch_sign_change(ode_coefficient("kg", ps, M, qn), e_kg, 1e-8 * M)
     e_sp = solve_dirac_spin(ps, M, kappa=-2, Cs=0.0, n=1)[0]
-    assert mismatch_sign_change(spin_ode_coefficient(ps, M, -2, 0.0), e_sp, 1e-8 * M)
+    assert mismatch_sign_change(ode_coefficient("dirac-spin", ps, M, -2, 0.0, 0), e_sp, 1e-8 * M)
     pp = pseudospin_params(p, M, HBAR_C_EV_ANGSTROM)
     e_ps = solve_dirac_pseudospin(pp, M, kappa=1, Cps=0.0, n=0)[0]
-    assert mismatch_sign_change(pseudospin_ode_coefficient(pp, M, 1, 0.0), e_ps, 1e-8 * M)
+    assert mismatch_sign_change(ode_coefficient("dirac-pseudospin", pp, M, 1, 0.0, 0), e_ps, 1e-8 * M)
     # D = 2, l = 0 has the attractive angular coefficient lambda_D = -1/4
     qn2 = QuantumNumbers(n=1, l=0, D=2)
     e_d2 = solve_kg_energy(ps, M, qn2)[0]
-    assert mismatch_sign_change(kg_ode_coefficient(ps, M, qn2), e_d2, 1e-8 * M)
+    assert mismatch_sign_change(ode_coefficient("kg", ps, M, qn2), e_d2, 1e-8 * M)
 
 
 # --- spinor components --------------------------------------------------------
@@ -449,14 +447,14 @@ def test_relativistic_wavefunctions_solve_their_equations(ch_unit):
     ps = scaled_params(p, part, M)
     qn = QuantumNumbers(n=1, l=1)
     e_kg = solve_kg_energy(ps, M, qn)[0]
-    assert _ode_defect(kg_wavefunction_spec(ps, M, e_kg, qn), kg_ode_coefficient(ps, M, qn), e_kg) <= 1e-2
+    assert _ode_defect(kg_wavefunction_spec(ps, M, e_kg, qn), ode_coefficient("kg", ps, M, qn), e_kg) <= 1e-2
     e_sp = solve_dirac_spin(ps, M, kappa=1, Cs=0.0, n=1)[0]
     assert _ode_defect(upper_spinor_spec(ps, M, e_sp, 1, 0.0, 1),
-                       spin_ode_coefficient(ps, M, 1, 0.0), e_sp) <= 1e-2
+                       ode_coefficient("dirac-spin", ps, M, 1, 0.0, 0), e_sp) <= 1e-2
     pp = pseudospin_params(p, M, HBAR_C_EV_ANGSTROM)
     e_ps = solve_dirac_pseudospin(pp, M, kappa=2, Cps=0.0, n=0)[0]
     assert _ode_defect(lower_spinor_spec(pp, M, e_ps, 2, 0.0, 0),
-                       pseudospin_ode_coefficient(pp, M, 2, 0.0), e_ps) <= 1e-2
+                       ode_coefficient("dirac-pseudospin", pp, M, 2, 0.0, 0), e_ps) <= 1e-2
 
 
 def test_spinor_rejects_unbound_energy(ch_unit):
