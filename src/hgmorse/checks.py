@@ -28,6 +28,7 @@ from .oracle import (
     oracle_energies,
     richardson_extrapolate,
     scipy_extension,
+    thread_map,
 )
 from .potential import PotentialParams
 from .relativistic import (
@@ -169,13 +170,16 @@ def check_oracle_equivalence(mol: Molecule, alpha: float, u: UnitConstants, poin
     """Closed form against the FD oracle for n <= 3, l <= 2 of one molecule, with
     the comparison rows in the documented CSV layout."""
     t0 = time.perf_counter()
+    strengths = [to_potential_params(mol, a, b, alpha, u) for a, b in ((0.0, 0.0), (1.0, 1.0))]
+    # the six (strength pair, l) FD solves are independent, so they run in parallel
+    solved = iter(thread_map(oracle_energies, [(params, part, l, 4, points)
+                                               for params, part in strengths for l in range(3)]))
     rows: list[str] = []
     devs: list[list[float]] = []
-    for a, b in ((0.0, 0.0), (1.0, 1.0)):
-        params, part = to_potential_params(mol, a, b, alpha, u)
+    for params, part in strengths:
         devs.append([])
         for l in range(3):
-            fd, _ = oracle_energies(params, part, l, 4, points=points)
+            fd, _ = next(solved)
             for n in range(4):
                 closed = energy_nonrel(params, part, n, l)
                 dev = abs(closed - float(fd[n]))

@@ -23,7 +23,7 @@ from . import validate as validate_mod
 from .errors import GridTooCoarse, InvalidParameter, NoBoundState, ParseError, SolverError
 from .molecules import Molecule, find_molecule, load_molecules, to_potential_params
 from .nonrel import ParticleSpec, energy_nonrel, level_indices
-from .oracle import oracle_energies
+from .oracle import oracle_energies, thread_map
 from .potential import PotentialParams, potential_curve
 from .relativistic import QuantumNumbers, model_functions
 from .units import UnitConstants, read_config
@@ -166,10 +166,10 @@ def cmd_levels(args, out) -> int:
     oracle = args.oracle and args.model == "nonrel"
     oracle_cols: dict[int, np.ndarray] = {}
     if oracle:
-        # one extrapolated FD solve per l column supplies every n
-        for l in sorted({l for _, l, _ in states}):
-            k = max(n for n, ll, _ in states if ll == l) + 1
-            oracle_cols[l], _ = oracle_energies(params, part, l, k, points=args.grid_points)
+        # one extrapolated FD solve per l column supplies every n; the columns solve in parallel
+        ls = sorted({l for _, l, _ in states})
+        jobs = [(params, part, l, max(n for n, ll, _ in states if ll == l) + 1, args.grid_points) for l in ls]
+        oracle_cols = {l: energies for l, (energies, _) in zip(ls, thread_map(oracle_energies, jobs))}
     l_label = args.model in ("nonrel", "kg")
     rows: list[dict] = []
     for n, second, energies, defects in _solve_states(args, params, part, states):

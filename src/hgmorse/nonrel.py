@@ -71,8 +71,17 @@ def _level(p: PotentialParams, part: ParticleSpec, n: int, l: int, phi_sign: flo
 
 
 def energy_nonrel(p: PotentialParams, part: ParticleSpec, n: int, l: int) -> float:
-    """Closed-form level E(n, l) in eV (oracle-verified transcription)."""
-    return _level(p, part, n, l, -1.0)
+    """Closed-form level E(n, l) in eV (oracle-verified transcription).
+
+    Raises InvalidParameter when finite inputs overflow the closed form.
+    """
+    try:
+        E = _level(p, part, n, l, -1.0)
+    except OverflowError:
+        E = math.nan
+    if not math.isfinite(E):
+        raise InvalidParameter(f"E(n={n}, l={l}) is not finite: the closed form overflows at these parameters")
+    return E
 
 
 def _energy_nonrel_printed(p: PotentialParams, part: ParticleSpec, n: int, l: int) -> float:

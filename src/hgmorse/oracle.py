@@ -20,10 +20,15 @@ dqagse, through scipy's compiled extensions, loaded by file path on first use
 (scipy_extension).  The package init of scipy.linalg and scipy.integrate
 costs more than the rest of a CLI call and these three routines use none of
 it; the paths that never run the FD oracle load nothing from scipy at all.
+dstebz, the bisection that dominates an FD solve, is called through the
+f2py object's own C pointer with ctypes, which releases the GIL; thread_map
+runs independent solves on up to one thread per usable CPU, so their
+bisections overlap.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import importlib.machinery
 import importlib.util
@@ -32,7 +37,7 @@ import os
 import sys
 from dataclasses import dataclass
 from types import ModuleType
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -54,6 +59,11 @@ _SHOOT_R_CAP = 1600.0
 #: target phase per step k*h of a shooting grid, and its point budget
 _KH_TARGET = 0.01
 _SHOOT_MAX_POINTS = 400_000
+
+#: dstebz(range, order, n, vl, vu, il, iu, abstol, d, e, m, nsplit, w, iblock,
+#: isplit, work, iwork, info): two CHARACTER*1 flags, then every argument by
+#: reference; integers are C ints, as in scipy's f2py signature
+_DSTEBZ_ARGS = (ctypes.c_char_p,) * 2 + (ctypes.c_void_p,) * 16
 
 #: RK4 steps multiplied into one propagator before it is applied to the
 #: shooting state; bounds the working arrays to a few hundred kB
@@ -118,12 +128,55 @@ def _lapack_info(routine: str, info: int) -> None:
         raise NonConvergence(f"LAPACK {routine} failed (info={info})")
 
 
+@functools.cache
+def _dstebz() -> Callable:
+    """LAPACK dstebz as a ctypes function that releases the GIL while it runs.
+
+    The address is the one scipy's f2py dstebz wrapper calls, read from that
+    object's _cpointer capsule, so every scipy build bisects with the same
+    routine whatever its symbol is named.
+    """
+    capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    address = capsule_pointer(scipy_extension("linalg", "_flapack").dstebz._cpointer, None)
+    return ctypes.CFUNCTYPE(None, *_DSTEBZ_ARGS)(address)
+
+
 def _stebz(diag: np.ndarray, off: np.ndarray, k: int, order: str):
     """Lowest k eigenvalues by bisection, called as eigh_tridiagonal(select="i") calls dstebz."""
-    m, w, iblock, isplit, info = scipy_extension("linalg", "_flapack").dstebz(
-        diag, off, 2, 0.0, 1.0, 1, k, 0.0, order)
-    _lapack_info("dstebz", info)
-    return w[:m], iblock, isplit
+    d, e = np.ascontiguousarray(diag, dtype=float), np.ascontiguousarray(off, dtype=float)
+    n = d.size
+    if not (d.ndim == e.ndim == 1 and e.size == n - 1 and 1 <= k <= n):
+        raise InvalidParameter(f"dstebz needs n diagonal and n - 1 off-diagonal entries, 1 <= k <= n; "
+                               f"got shapes {d.shape}, {e.shape} and k = {k!r}")
+    w, iblock, isplit = np.zeros(n), np.zeros(n, np.intc), np.zeros(n, np.intc)
+    work, iwork = np.empty(4 * n), np.empty(3 * n, np.intc)
+    m, nsplit, info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
+    ref = ctypes.byref
+    _dstebz()(b"I", order.encode(), ref(ctypes.c_int(n)), ref(ctypes.c_double(0.0)), ref(ctypes.c_double(1.0)),
+              ref(ctypes.c_int(1)), ref(ctypes.c_int(k)), ref(ctypes.c_double(0.0)), d.ctypes.data, e.ctypes.data,
+              ref(m), ref(nsplit), w.ctypes.data, iblock.ctypes.data, isplit.ctypes.data,
+              work.ctypes.data, iwork.ctypes.data, ref(info))
+    _lapack_info("dstebz", info.value)
+    return w[: m.value], iblock, isplit
+
+
+def thread_map(fn: Callable, jobs: Sequence[tuple]) -> list:
+    """[fn(*job) for job in jobs], run on up to one thread per CPU this process may use.
+
+    Meant for independent FD solves, whose dstebz bisections run without the
+    GIL.  The first exception in job order is raised once every job has ended.
+    """
+    _dstebz()  # functools.cache is not a lock: resolve it before any worker can race for it
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(len(jobs), cpus)
+    if workers <= 1:
+        return [fn(*job) for job in jobs]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(fn, *job) for job in jobs]
+    return [future.result() for future in futures]
 
 
 def _fd_matrix(p: PotentialParams, part: "ParticleSpec", l: int, g: RadialGrid, k: int):

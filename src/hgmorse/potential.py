@@ -15,6 +15,7 @@ is carried over unchanged.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +32,10 @@ def q_of(alpha: float, r_e: float) -> float:
         raise InvalidParameter(f"alpha must be > 0, got {alpha!r}")
     if not r_e > 0.0:
         raise InvalidParameter(f"r_e must be > 0, got {r_e!r}")
-    return math.expm1(alpha * r_e)
+    try:
+        return math.expm1(alpha * r_e)
+    except OverflowError:
+        raise InvalidParameter(f"q = e^(alpha*r_e) - 1 overflows at alpha*r_e = {alpha * r_e!r}") from None
 
 
 @dataclass(frozen=True)
@@ -41,7 +45,8 @@ class PotentialParams:
     a, b are the Coulomb/Yukawa strengths in eV*A, D_e the well depth in eV,
     r_e the equilibrium bond length in A, alpha the screening parameter in
     1/A.  b may be negative (attractive-Yukawa convention, see the b_sign
-    configuration switch at the ingestion layer).  All five must be finite.
+    configuration switch at the ingestion layer).  All five must be finite,
+    and alpha such that neither q nor 1/alpha^2 overflows.
     """
 
     a: float
@@ -58,6 +63,8 @@ class PotentialParams:
         if not self.D_e >= 0.0:
             raise InvalidParameter(f"D_e must be >= 0, got {self.D_e!r}")
         object.__setattr__(self, "q", q_of(self.alpha, self.r_e))
+        if self.alpha * self.alpha < sys.float_info.min:  # the closed forms divide by alpha^2
+            raise InvalidParameter(f"alpha^2 underflows at alpha = {self.alpha!r}")
 
 
 def _check_r(r) -> np.ndarray:
@@ -113,8 +120,8 @@ def potential_curve(p: PotentialParams, r_min: float, r_max: float, samples: int
 
     Returns an array of shape (samples, 3).
     """
-    if not (0.0 < r_min < r_max):
-        raise InvalidParameter(f"need 0 < r_min < r_max, got ({r_min!r}, {r_max!r})")
+    if not (0.0 < r_min < r_max < math.inf):
+        raise InvalidParameter(f"need 0 < r_min < r_max < inf, got ({r_min!r}, {r_max!r})")
     if samples < 2:
         raise InvalidParameter(f"samples must be >= 2, got {samples!r}")
     r = np.linspace(r_min, r_max, samples)

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,8 @@ from hgmorse.relativistic import (
 )
 from hgmorse.units import CM_INV_TO_EV, HBAR_C_EV_ANGSTROM
 from hgmorse.validate import calibrate, load_reference
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -282,6 +288,36 @@ def test_non_finite_potential_parameter_is_a_usage_error(capsys, argv):
     assert "must be finite" in err
 
 
+@pytest.mark.parametrize("alpha,message", [("1000", "overflows"), ("1e-300", "underflows")])
+def test_out_of_range_alpha_is_a_usage_error(capsys, alpha, message):
+    code, out, err = run(capsys, "levels", "--molecule", "CH", "--alpha", alpha)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
+def test_sweep_out_of_range_alpha_step_is_an_invalid_parameter_row(capsys):
+    code, out, _ = run(capsys, "sweep", "--molecule", "CH", "--param", "alpha", "--from", "0.02", "--to", "1000",
+                       "--steps", "2")
+    assert code == 0
+    E = energy_nonrel(*to_potential_params(find_molecule("CH"), 0.0, 0.0, 0.02), 0, 0)
+    assert out.splitlines()[1:3] == [f"0.02,0,0,{E:.17g},ok", "1000,0,0,,invalid_parameter"]
+
+
+def test_potential_infinite_r_max_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "potential", "--molecule", "CH", "--r-max", "inf", "--samples", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_non_finite_energy_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "levels", "--molecule", "CH", "--a", "1e308", "--b", "1e308", "--n-max", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "not finite" in err
+
+
 @pytest.mark.parametrize("mass", ["-5", "nan", "0", "inf"])
 @pytest.mark.parametrize("command", [
     ("levels",),
@@ -323,6 +359,35 @@ def test_oracle_check_details_runs_each_fd_comparison_once(capsys, monkeypatch):
     assert sum(line.startswith("nonrel,") for line in lines) == 2 * 24
     assert [line.split(" ", 2)[:2] for line in lines if line.startswith("oracle-equivalence")] == \
         [["oracle-equivalence", "PASS"]] * 2
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_levels_oracle_pinned_to_one_cpu_prints_the_same_bytes():
+    # pinned, the oracle columns solve one after another; unpinned, on up to one thread per CPU
+    argv = ["levels", "--molecule", "CH", "--a", "2.375", "--b", "0.51", "--n-max", "3", "--oracle"]
+    child = ("import os, sys\n"
+             "if sys.argv[1] == 'pin':\n"
+             "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+             "from hgmorse.cli import main\n"
+             "sys.exit(main(sys.argv[2:]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    pinned, free = (subprocess.run([sys.executable, "-c", child, mode, *argv], capture_output=True, env=env,
+                                   timeout=300) for mode in ("pin", "free"))
+    assert pinned.returncode == free.returncode == 0
+    assert pinned.stdout == free.stdout
+    assert len(pinned.stdout.splitlines()) == 1 + 10
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_oracle_worker_error_keeps_its_exit_code(capsys, monkeypatch):
+    # three l columns on three workers; every one meets a non-finite FD matrix
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    code, out, err = run(capsys, "levels", "--molecule", "CH", "--a", "1e306", "--b", "1e306",
+                         "--n-max", "2", "--oracle")
+    assert code == EXIT_CHECK_FAILED
+    assert out == ""
+    assert err == "solver failure: FD matrix is not finite on the grid\n"
 
 
 @pytest.mark.parametrize("option,value", [("--molecules", "CH,CH"), ("--molecules", "CH,NO,CH"),

@@ -50,6 +50,15 @@ def _scipy_modules_after(*steps):
     return json.loads(run.stdout)
 
 
+def test_cli_import_does_not_import_the_thread_pool():
+    # the FD oracle imports concurrent.futures when it first spreads solves over threads
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, hgmorse.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
 def test_cli_paths_without_the_fd_oracle_do_not_import_scipy():
     assert _scipy_modules_after(KG_LEVELS, NONREL_LEVELS, POTENTIAL) == [[], [], [], []]
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -29,6 +30,14 @@ def test_energy_rejects_negative_quantum_numbers(ch_free):
         energy_nonrel(p, part, -1, 0)
     with pytest.raises(InvalidParameter):
         energy_nonrel(p, part, 0, -1)
+
+
+@pytest.mark.parametrize("a,b", [(1e308, 1e308), (1e200, 0.0)])
+def test_energy_rejects_an_overflowing_closed_form(ch_free, a, b):
+    # nan from inf - inf at the first pair, OverflowError from a square at the second
+    p, part = ch_free
+    with pytest.raises(InvalidParameter, match="not finite"):
+        energy_nonrel(dataclasses.replace(p, a=a, b=b), part, 0, 0)
 
 
 def test_energy_l_zero_has_no_centrifugal_term(ch_unit):

@@ -1,4 +1,6 @@
 import math
+import os
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -205,6 +207,13 @@ def test_fd_rejects_too_many_levels(ch_free):
         fd_schrodinger_eigen(p, part, 0, RadialGrid(1e-3, 10.0, 101), 20)
 
 
+@pytest.mark.parametrize("diag,off,k", [(np.ones(5), np.ones(5), 1), (np.ones(5), np.ones(4), 6),
+                                         (np.ones(5), np.ones(4), 0), (np.ones((2, 3)), np.ones(5), 1)])
+def test_stebz_checks_sizes_before_the_call(diag, off, k):
+    with pytest.raises(InvalidParameter, match="dstebz needs"):
+        oracle._stebz(diag, off, k, "E")
+
+
 def test_richardson_trivial_and_synthetic():
     assert richardson_extrapolate(2.0, 2.0, 2.0, 2) == (2.0, 0.0)
     exact, c = 1.37, 0.4
@@ -402,13 +411,61 @@ def test_normalization_qagse_call_equals_quad(mol, monkeypatch):
     assert all(ier == 0 for _, (_, _, ier) in ours)
 
 
+def _fail_dstebz(monkeypatch):
+    # the ctypes routine _stebz calls: run it, then report info = 1 through its last argument
+    kernel = oracle._dstebz()
+
+    def failing(*args):
+        kernel(*args)
+        args[-1]._obj.value = 1
+
+    monkeypatch.setattr(oracle, "_dstebz", lambda: failing)
+
+
+def _fail_dstein(monkeypatch):
+    lapack = oracle.scipy_extension("linalg", "_flapack")
+    kernel = lapack.dstein
+    monkeypatch.setattr(lapack, "dstein", lambda *args: (*kernel(*args)[:-1], 1))
+
+
 @pytest.mark.parametrize("routine", ("dstebz", "dstein"))
 def test_fd_modes_raise_on_lapack_error(ch_unit, monkeypatch, routine):
-    lapack = oracle.scipy_extension("linalg", "_flapack")
-    kernel = getattr(lapack, routine)
-    monkeypatch.setattr(lapack, routine, lambda *args: (*kernel(*args)[:-1], 1))
+    {"dstebz": _fail_dstebz, "dstein": _fail_dstein}[routine](monkeypatch)
     with pytest.raises(NonConvergence, match=routine):
         fd_schrodinger_modes(*ch_unit, 0, RadialGrid(1e-3, 40.0, 2001), 4)
+
+
+@pytest.mark.parametrize("strength", (0.0, 1.0))
+def test_thread_map_oracle_energies_equal_serial(monkeypatch, strength):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    jobs = []
+    for mol in MOLECULES:
+        p, part = to_potential_params(mol, strength, strength, ALPHA)
+        jobs += [(p, part, l, 4) for l in range(3)]
+    serial = [oracle_energies(*job) for job in jobs]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it allows
+    try:
+        parallel = oracle.thread_map(oracle_energies, jobs)
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(parallel) == len(serial)
+    for (e_s, err_s), (e_p, err_p) in zip(serial, parallel):
+        assert np.array_equal(e_s, e_p) and np.array_equal(err_s, err_p)
+
+
+def test_thread_map_keeps_job_order_and_raises_the_first_error(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert oracle.thread_map(lambda a, b: a - b, [(i, 1) for i in range(7)]) == list(range(-1, 6))
+    assert oracle.thread_map(abs, []) == []
+
+    def job(i):
+        if i in (2, 4):
+            raise NonConvergence(f"job {i}")
+        return i
+
+    with pytest.raises(NonConvergence, match="job 2"):
+        oracle.thread_map(job, [(i,) for i in range(6)])
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

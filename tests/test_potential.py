@@ -49,6 +49,17 @@ def test_q_of_rejects_nonpositive():
         q_of(0.025, -1.0)
 
 
+def test_q_of_rejects_overflow():
+    with pytest.raises(InvalidParameter, match="overflows"):
+        q_of(1000.0, 1.1198)
+
+
+@pytest.mark.parametrize("alpha", [1e-300, 1e-160])
+def test_params_reject_alpha_whose_square_underflows(alpha):
+    with pytest.raises(InvalidParameter, match="underflows"):
+        PotentialParams(a=1.0, b=1.0, D_e=4.0, r_e=1.1, alpha=alpha)
+
+
 def test_params_derive_q():
     p = PotentialParams(a=0.0, b=0.0, D_e=1.0, r_e=1.1198, alpha=0.025)
     assert p.q == q_of(0.025, 1.1198)
@@ -169,6 +180,8 @@ def test_curve_rejects_bad_range(ch_free):
         potential_curve(p, 3.0, 1.0, 10)
     with pytest.raises(InvalidParameter):
         potential_curve(p, 1.0, 3.0, 1)
+    with pytest.raises(InvalidParameter):
+        potential_curve(p, 1.0, math.inf, 3)
 
 
 @pytest.mark.parametrize("name", ["a", "b", "D_e", "r_e", "alpha"])
