@@ -15,7 +15,7 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -126,38 +126,43 @@ def _states(args) -> list[tuple[int, int, tuple]]:
         raise InvalidParameter(f"--mass is required for model {args.model!r}")
     if not (math.isfinite(args.mass) and args.mass > 0.0):
         raise InvalidParameter(f"--mass must be finite and > 0, got {args.mass!r}")
+    if args.scan_points < 2 or not args.tol > 0.0:
+        raise InvalidParameter(f"need --scan-points >= 2 and --tol > 0, got {args.scan_points!r} and {args.tol!r}")
     if args.model == "kg":
         return [(n, l, (QuantumNumbers(n=n, l=l, D=args.dimension),)) for n, l in pairs]
     C = args.cs if args.model == "dirac-spin" else args.cps
     return [(n, kappa, (kappa, C, n)) for n, kappa in pairs]
 
 
-def _solve_states(args, p: PotentialParams, part: ParticleSpec, states: list[tuple[int, int, tuple]]):
-    """Solve each state of _states(args) at the potential p, in order, with part's hbar c.
+def _level_solver(args, part: ParticleSpec) -> Callable:
+    """The solver of args.model at part's hbar c, as level(p, state) for a state of _states(args).
 
-    Yields (n, second label, energies, defects): energies is None when the
-    state has no bound level, and defects(E) gives the (residual,
-    cross_check_residual) pair of a root, both None for nonrel.
+    level returns (energies, defects): energies is None when the state has
+    no bound level, and defects(E) gives the (residual,
+    cross_check_residual) pair of a root, both None for nonrel.  An
+    InvalidParameter that level raises comes from p, since _states has
+    checked the options.
     """
     if args.model == "nonrel":
-        for n, l, state in states:
-            yield n, l, [energy_nonrel(p, part, *state)], lambda E: (None, None)
-        return
+        return lambda p, state: ([energy_nonrel(p, part, *state)], lambda E: (None, None))
     solve, residual, printed, _ = model_functions(args.model)
     M, hbar_c = args.mass, part.hbar_c
     opts = {"scan_points": args.scan_points, "tol": args.tol, "hbar_c": hbar_c}
     if args.model != "kg":
         opts["all_roots"] = args.all_roots
-    for n, second, state in states:
+
+    def level(p: PotentialParams, state: tuple):
         try:
             energies = solve(p, M, *state, **opts)
         except NoBoundState:
             energies = None
 
-        def defects(E: float, state=state) -> tuple[Optional[float], Optional[float]]:
+        def defects(E: float) -> tuple[Optional[float], Optional[float]]:
             return residual(p, M, E, *state, hbar_c=hbar_c), printed(p, M, E, *state, hbar_c=hbar_c)
 
-        yield n, second, energies, defects
+        return energies, defects
+
+    return level
 
 
 def cmd_levels(args, out) -> int:
@@ -171,8 +176,10 @@ def cmd_levels(args, out) -> int:
         jobs = [(params, part, l, max(n for n, ll, _ in states if ll == l) + 1, args.grid_points) for l in ls]
         oracle_cols = {l: energies for l, (energies, _) in zip(ls, thread_map(oracle_energies, jobs))}
     l_label = args.model in ("nonrel", "kg")
+    level = _level_solver(args, part)
     rows: list[dict] = []
-    for n, second, energies, defects in _solve_states(args, params, part, states):
+    for n, second, state in states:
+        energies, defects = level(params, state)
         row = {"molecule": name, "model": args.model, "n": n, "l": second if l_label else None,
                "kappa": None if l_label else second, "D": args.dimension if args.model == "kg" else None,
                "oracle_E_eV": None, "abs_dev_eV": None}
@@ -226,19 +233,25 @@ def cmd_sweep(args, out) -> int:
     values = np.linspace(args.start, args.stop, args.steps)
     field = {"De": "D_e", "re": "r_e"}.get(args.param, args.param)
     scale = units.cm_inv_to_ev if args.param == "De" else 1.0
+    level = _level_solver(args, part)
     rows = []
     series: dict[tuple[int, int], list[float]] = {(n, second): [] for n, second, _ in states}
     for value in values:
         try:
             p_i = dataclasses.replace(params, **{field: float(value) * scale})
         except InvalidParameter:
-            for key, column in series.items():
-                rows.append((float(value), *key, None, "invalid_parameter"))
-                column.append(math.nan)
-            continue
-        for n, second, energies, _ in _solve_states(args, p_i, part, states):
-            E = None if energies is None else energies[0]
-            rows.append((float(value), n, second, E, "ok" if energies else "no_bound_state"))
+            p_i = None
+        for n, second, state in states:
+            energies, status = None, "invalid_parameter"
+            if p_i is not None:
+                try:
+                    energies, _ = level(p_i, state)
+                except InvalidParameter:  # e.g. a closed form that overflows at this step
+                    pass
+                else:
+                    status = "ok" if energies else "no_bound_state"
+            E = energies[0] if energies else None
+            rows.append((float(value), n, second, E, status))
             series[(n, second)].append(math.nan if E is None else E)
     second_label = "l" if args.model in ("nonrel", "kg") else "kappa"
     shapes = []

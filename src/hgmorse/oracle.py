@@ -7,11 +7,16 @@ Two verifiers, each matched to how the energy enters its equation:
   extrapolation over a doubled grid; and
 * a two-sided RK4 shooting integrator returning the log-derivative mismatch
   at a match point, for the relativistic radial equations where E enters the
-  coefficient nonlinearly.  The radial equation is linear in (u, u'), so
-  each RK4 step is an exact 2x2 matrix; the integrator builds them in numpy
-  and multiplies them in fixed-size chunks by a rescaled pairwise ordered
-  product (the associative-scan idea of Blelloch, "Prefix sums and their
-  applications", 1990) instead of stepping in Python.
+  coefficient nonlinearly.  It integrates in the Langer variable x = ln r,
+  u = r^(1/2) v (Langer, Phys. Rev. 51, 669, 1937), where the coefficient
+  tends to a constant as r -> 0 and the regular solution is the one that
+  decays toward the origin, also where the origin is limit-circle (r^2 W ->
+  c with 0 < c < 1/4; Everitt, "A catalogue of Sturm-Liouville differential
+  equations", 2005).  The equation is linear in (v, v'), so each RK4 step is
+  an exact 2x2 matrix; the integrator builds them in numpy and multiplies
+  them in fixed-size chunks by a rescaled pairwise ordered product (the
+  associative-scan idea of Blelloch, "Prefix sums and their applications",
+  1990) instead of stepping in Python.
 
 The oracle consumes the approximate potential and centrifugal callables
 directly and never touches the closed forms it checks.  The FD solvers call
@@ -50,13 +55,15 @@ if TYPE_CHECKING:  # pragma: no cover
 #: n-fold suppression used when truncating the radial domain
 _TAIL_FOLDS = 50.0
 
-#: inner end (A) of every oracle grid; the FD box and the shooting span start here
+#: inner end (A) of the FD box
 _R_MIN = 1e-3
 
-#: outer end (A) of the span a shooting grid is cut from
+#: ends (A) of the span a shooting grid is cut from; at 1e-9 A, r^2 W has
+#: reached its r -> 0 limit for every model's coefficient
+_SHOOT_R_MIN = 1e-9
 _SHOOT_R_CAP = 1600.0
 
-#: target phase per step k*h of a shooting grid, and its point budget
+#: target phase per x-step sqrt(|Q|)*dx of a shooting grid, and its point budget
 _KH_TARGET = 0.01
 _SHOOT_MAX_POINTS = 400_000
 
@@ -72,7 +79,11 @@ _CHUNK_STEPS = 8192
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform radial grid with Dirichlet ends."""
+    """Radial span [r_min, r_max] and its point count.
+
+    The FD oracle puts its nodes uniformly in r (nodes, spacing, refined),
+    with Dirichlet ends; the shooting oracle puts them uniformly in ln r.
+    """
 
     r_min: float
     r_max: float
@@ -337,51 +348,40 @@ def shoot_mismatch(
     """Log-derivative mismatch u'_L/u_L - u'_R/u_R at r_match.
 
     `ode` maps (r array, E) to the coefficient W of u'' + W(r; E) u = 0.
-    Integrates rightward from g.r_min and leftward from g.r_max with
-    classical fixed-step RK4 (coefficient sampled on a half-step grid).  The
-    equation is linear, so every step is an exact 2x2 map of (u, u'); the
-    steps are multiplied together in chunks of _CHUNK_STEPS and each chunk's
-    propagator is applied to the state, with rescaling throughout to dodge
-    overflow; the log-derivatives are scale invariant.  The mismatch changes
-    sign as E crosses an eigenvalue; it is returned as +inf when a
-    match-point node makes it undefined.
+    With x = ln r and u = r^(1/2) v this reads v'' + Q v = 0, Q = r^2 W - 1/4,
+    integrated on g.points nodes uniform in x, rightward from g.r_min and
+    leftward from g.r_max, by classical fixed-step RK4 (Q sampled on a
+    half-step grid).  Each end starts from the solution that decays toward
+    it, (v, v') = (1, +-sqrt(-Q)), or from (0, +-1) where Q >= 0; as r -> 0
+    Q tends to a constant, so that is the regular branch there.  Every step
+    is an exact 2x2 map of (v, v'); chunks of _CHUNK_STEPS steps are
+    multiplied into one propagator and applied to the state, rescaled
+    against overflow.  As u'/u = (v'/v + 1/2)/r, the mismatch is
+    (v'_L/v_L - v'_R/v_R)/r at the match node.  It changes sign as E
+    crosses an eigenvalue, and is +inf when a match-point node makes it
+    undefined.
     """
     if not (g.r_min < r_match < g.r_max):
         raise InvalidParameter(f"r_match must lie inside the grid, got {r_match!r}")
     n = g.points
-    h = g.spacing
-    i_match = int(round((r_match - g.r_min) / h))
-    i_match = min(max(i_match, 1), n - 2)
-    r_half = np.linspace(g.r_min, g.r_max, 2 * n - 1)
-    W = np.asarray(ode(r_half, E), dtype=float)
-    if not np.all(np.isfinite(W)):
+    x_min = math.log(g.r_min)
+    h = (math.log(g.r_max) - x_min) / (n - 1)
+    i_match = min(max(int(round((math.log(r_match) - x_min) / h)), 1), n - 2)
+    r_half = np.exp(np.linspace(x_min, math.log(g.r_max), 2 * n - 1))
+    Q = r_half * r_half * np.asarray(ode(r_half, E), dtype=float) - 0.25
+    if not np.all(np.isfinite(Q)):
         raise NonConvergence("ODE coefficient is not finite on the grid")
 
-    def launch(step: int) -> tuple[float, float]:
-        # starting inside an attractive 1/r^2 region (limit-circle origin) a
-        # Dirichlet seed mixes in the irregular branch; seed the regular
-        # Frobenius solution r^p (1 + c1 r) instead, with the local
-        # coefficient expansion W ~ c/r^2 + w1/r fitted on the first two
-        # nodes.  In a forbidden region the growing mode dominates whatever
-        # is seeded, so (0, +-1) is fine.
-        if step < 0:
-            return 0.0, -1.0
-        r0, r1 = float(r_half[0]), float(r_half[1])
-        W0, W1 = float(W[0]), float(W[1])
-        c = (W0 * r0 * r0 * r1 - W1 * r1 * r1 * r0) / (r1 - r0)
-        if W0 > 0.0 and 0.0 < c < 0.25:
-            w1 = (W1 * r1 * r1 - W0 * r0 * r0) / (r1 - r0)
-            p_reg = 0.5 + math.sqrt(0.25 - c)
-            return 1.0, p_reg / r0 - w1 / (2.0 * p_reg)
-        return 0.0, 1.0
+    def seed(q: float, sign: float) -> tuple[float, float]:
+        return (1.0, sign * math.sqrt(-q)) if q < 0.0 else (0.0, sign)
 
-    def integrate(Ws: np.ndarray, steps: int, hs: float, u: float, v: float) -> tuple[float, float]:
-        # step k samples W at Ws[2k], Ws[2k + 1] and Ws[2k + 2]
+    def integrate(Qs: np.ndarray, steps: int, hs: float, u: float, v: float) -> tuple[float, float]:
+        # step k samples Q at Qs[2k], Qs[2k + 1] and Qs[2k + 2]
         for start in range(0, steps, _CHUNK_STEPS):
             stop = min(start + _CHUNK_STEPS, steps)
             a, b, c, d = _ordered_product(*_rk4_step_matrices(
-                Ws[2 * start : 2 * stop : 2], Ws[2 * start + 1 : 2 * stop : 2],
-                Ws[2 * start + 2 : 2 * stop + 1 : 2], hs))
+                Qs[2 * start : 2 * stop : 2], Qs[2 * start + 1 : 2 * stop : 2],
+                Qs[2 * start + 2 : 2 * stop + 1 : 2], hs))
             u, v = a * u + b * v, c * u + d * v
             if not (math.isfinite(u) and math.isfinite(v)):
                 raise NonConvergence("shooting state became non-finite despite rescaling")
@@ -389,72 +389,40 @@ def shoot_mismatch(
             u, v = u / m, v / m
         return u, v
 
-    u_l, v_l = integrate(W, i_match, h, *launch(+1))
+    u_l, v_l = integrate(Q, i_match, h, *seed(float(Q[0]), 1.0))
     # leftward from g.r_max: the same recursion over the reversed samples
-    u_r, v_r = integrate(W[::-1], n - 1 - i_match, -h, *launch(-1))
+    u_r, v_r = integrate(Q[::-1], n - 1 - i_match, -h, *seed(float(Q[-1]), -1.0))
     if u_l == 0.0 or u_r == 0.0:
         return math.inf
-    return v_l / u_l - v_r / u_r
+    return (v_l / u_l - v_r / u_r) / float(r_half[2 * i_match])
 
 
 def shooting_grid(ode: Callable[[np.ndarray, float], np.ndarray], E: float) -> tuple[RadialGrid, float]:
-    """Grid and match point adapted to the local wavelength of one solution.
+    """Span, point count and match point of one solution, in x = ln r (see shoot_mismatch).
 
-    The span is truncated 50 decay lengths past the classically allowed
-    region and the spacing targets k*h <= _KH_TARGET, where k is the largest
-    local wavenumber sqrt(|W|).  The match point is the maximum of W, i.e.
-    the minimum of the effective potential.
+    Q = r^2 W - 1/4 is scanned on a geometric span from _SHOOT_R_MIN to
+    _SHOOT_R_CAP.  The span is cut 50 e-folds of sqrt(-Q) past the allowed
+    region (Q > 0) on each side that gets that far, and the point count
+    keeps the accumulated phase and decay per x-step near _KH_TARGET.  The
+    match point is the maximum of Q, where the solution is large.
     """
-    rr = np.geomspace(_R_MIN, _SHOOT_R_CAP, 16000)
-    W = np.asarray(ode(rr, E), dtype=float)
-    inside = np.nonzero(W > 0.0)[0]
+    rr = np.geomspace(_SHOOT_R_MIN, _SHOOT_R_CAP, 16000)
+    Q = rr * rr * np.asarray(ode(rr, E), dtype=float) - 0.25
+    inside = np.nonzero(Q > 0.0)[0]
     if inside.size == 0:
         raise NonConvergence("no classically allowed region at this energy")
-    # accumulate the local decay exponent outside the allowed region; the
-    # asymptotic rate alone misplaces the cutoffs because the potential
-    # approaches its limit on the slow 1/alpha scale while the inner core
-    # can be orders of magnitude stiffer than the well
-    kappa = np.sqrt(np.maximum(-W, 0.0))
-    dr = np.diff(rr)
-    seg = 0.5 * (kappa[:-1] + kappa[1:]) * dr
+    # phase (Q > 0) or decay (Q < 0) over each scan interval
+    speed = np.sqrt(np.abs(Q))
+    seg = 0.5 * (speed[:-1] + speed[1:]) * (math.log(_SHOOT_R_CAP / _SHOOT_R_MIN) / (rr.size - 1))
     i_first, i_last = int(inside[0]), int(inside[-1])
-    lo_idx = 0
-    if i_first > 0:
-        folds_in = np.cumsum(seg[:i_first][::-1])  # integrate leftward from the turning point
-        past = np.nonzero(folds_in >= _TAIL_FOLDS)[0]
-        if past.size:
-            lo_idx = i_first - 1 - int(past[0])
-    hi_idx = rr.size - 1
-    if i_last < rr.size - 1:
-        folds_out = np.cumsum(seg[i_last:])
-        past = np.nonzero(folds_out >= _TAIL_FOLDS)[0]
-        if past.size:
-            hi_idx = i_last + 1 + int(past[0])
-    # budget points by accumulated phase/decay, not peak wavenumber x span
-    speed = np.sqrt(np.abs(W))
-
-    def build(i_lo: int, i_hi: int) -> RadialGrid:
-        r_lo, r_hi = float(rr[i_lo]), float(rr[i_hi])
-        total = float(np.sum(0.5 * (speed[i_lo:i_hi] + speed[i_lo + 1 : i_hi + 1]) * dr[i_lo:i_hi]))
-        points = int(1.5 * total / _KH_TARGET) + 2
-        points = min(max(points, 3001, int((r_hi - r_lo) / 0.02)), _SHOOT_MAX_POINTS)
-        return RadialGrid(r_lo, r_hi, points)
-
-    grid = build(lo_idx, hi_idx)
-    if W[lo_idx] > 0.0:
-        # limit-circle start: advance the left end until the step resolves
-        # the local wavenumber (the shaved phase is negligible there)
-        resolvable = np.nonzero(speed * grid.spacing <= 0.1)[0]
-        resolvable = resolvable[(resolvable >= lo_idx) & (resolvable < i_last)]
-        if resolvable.size:
-            lo_idx = int(resolvable[0])
-            grid = build(lo_idx, hi_idx)
-    # match where the solution is large: r^2-weighted maximum of W over the
-    # allowed region (the bare maximum can sit inside an attractive core)
-    window = slice(lo_idx, hi_idx + 1)
-    weight = np.where(W[window] > 0.0, W[window] * rr[window] ** 2, -np.inf)
-    r_match = float(rr[lo_idx + int(np.argmax(weight))])
-    r_match = min(max(r_match, grid.r_min + 2.0 * grid.spacing), grid.r_max - 2.0 * grid.spacing)
+    folds_in = np.cumsum(seg[:i_first][::-1])  # leftward from the inner turning point
+    lo = max(i_first - 1 - int(np.searchsorted(folds_in, _TAIL_FOLDS)), 0)
+    folds_out = np.cumsum(seg[i_last:])
+    hi = min(i_last + 1 + int(np.searchsorted(folds_out, _TAIL_FOLDS)), rr.size - 1)
+    points = min(max(int(1.5 * float(np.sum(seg[lo:hi])) / _KH_TARGET) + 2, 3001), _SHOOT_MAX_POINTS)
+    grid = RadialGrid(float(rr[lo]), float(rr[hi]), points)
+    edge = math.exp(2.0 * math.log(grid.r_max / grid.r_min) / (points - 1))  # two x-steps
+    r_match = min(max(float(rr[int(np.argmax(Q))]), grid.r_min * edge), grid.r_max / edge)
     return grid, r_match
 
 

@@ -304,6 +304,22 @@ def test_sweep_out_of_range_alpha_step_is_an_invalid_parameter_row(capsys):
     assert out.splitlines()[1:3] == [f"0.02,0,0,{E:.17g},ok", "1000,0,0,,invalid_parameter"]
 
 
+def test_sweep_non_finite_closed_form_is_an_invalid_parameter_row(capsys):
+    code, out, _ = run(capsys, "sweep", "--molecule", "CH", "--param", "a", "--from", "0", "--to", "1e308",
+                       "--steps", "2")
+    assert code == 0
+    E = energy_nonrel(*to_potential_params(find_molecule("CH"), 0.0, 0.0, 0.025), 0, 0)
+    assert out.splitlines()[1:3] == [f"0,0,0,{E:.17g},ok", "1e+308,0,0,,invalid_parameter"]
+
+
+@pytest.mark.parametrize("option", (("--scan-points", "1"), ("--tol", "0")))
+def test_sweep_relativistic_solver_option_is_a_usage_error(capsys, option):
+    code, out, err = run(capsys, "sweep", "--model", "dirac-spin", "--molecule", "CH", "--mass", "500",
+                         "--param", "a", "--from", "0", "--to", "1e308", "--steps", "2", *option)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
 def test_potential_infinite_r_max_is_a_usage_error(capsys):
     code, out, err = run(capsys, "potential", "--molecule", "CH", "--r-max", "inf", "--samples", "3")
     assert code == 2
@@ -647,6 +663,15 @@ def test_repeated_kappa_is_a_usage_error(capsys, argv):
     assert out == ""
     assert "repeated" in err
 
+
+def test_oracle_check_pseudospin_shooting_flips_at_alpha_0_2(capsys):
+    # near r = 0 the pseudospin equation is limit-circle at M = 500 and 5000 eV;
+    # the shooting oracle confirms all three roots.  The verdict still fails
+    # because no pseudospin state binds at M = 50 eV at this alpha
+    code, out, _ = run(capsys, "oracle-check", "--models", "dirac-pseudospin", "--alpha", "0.2", "--molecules", "CH")
+    assert code == EXIT_CHECK_FAILED
+    assert out == ("relativistic-residuals FAIL 3 levels, max|residual| = 2.7e-15, "
+                   "shooting flips within 1e-8*M: True, a case bound too few states\n")
 
 def test_oracle_check_scoped_to_pseudospin(capsys):
     from hgmorse.checks import MASS_MATRIX

@@ -5,7 +5,9 @@ list. The relativistic `levels` tables run on CH at a = b = 1 with every
 strength scaled by mu c^2/M (kg, dirac-spin) or with the pseudospin
 strengths of checks.pseudospin_params (a = 0). The CLI golden covers a
 nonrelativistic table with its oracle columns, a sweep, the calibrated
-validation report and the oracle-check battery, whose wall times are
+validation report and the oracle-check battery on CH. The oracle-check
+golden runs every model family over CH and HCl, so it covers the shooting
+oracle's flips and the FD comparison rows of two molecules. Wall times are
 dropped. Regenerate them only for a deliberate output change:
 
     PYTHONPATH=src python tests/test_levels_golden.py
@@ -47,7 +49,12 @@ CLI_COMMANDS = [
     ("oracle-check", "--details", "--models", "nonrel,kg,dirac-spin,dirac-pseudospin", "--molecules", "CH"),
 ]
 
-GOLDENS = {"relativistic_levels.golden": LEVELS_COMMANDS, "cli_outputs.golden": CLI_COMMANDS}
+ORACLE_CHECK_COMMANDS = [
+    ("oracle-check", "--details", "--models", "nonrel,kg,dirac-spin,dirac-pseudospin", "--molecules", "CH,HCl"),
+]
+
+GOLDENS = {"relativistic_levels.golden": LEVELS_COMMANDS, "cli_outputs.golden": CLI_COMMANDS,
+           "oracle_check.golden": ORACLE_CHECK_COMMANDS}
 
 _WALL_TIME = re.compile(r" in \d+\.\d s$", re.MULTILINE)
 
@@ -69,6 +76,10 @@ def test_relativistic_levels_match_golden():
 
 def test_cli_outputs_match_golden():
     assert render(CLI_COMMANDS) == (DATA / "cli_outputs.golden").read_text()
+
+
+def test_oracle_check_matches_golden():
+    assert render(ORACLE_CHECK_COMMANDS) == (DATA / "oracle_check.golden").read_text()
 
 
 if __name__ == "__main__":

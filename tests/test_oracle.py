@@ -6,74 +6,67 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.integrate._quadpack_py as quadpack_py
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
+from scipy.optimize import brentq
+from scipy.special import jv
 
 from hgmorse import checks, oracle
 from hgmorse.checks import MASS_MATRIX, NORMALIZED_STATES, check_normalization, pseudospin_params, scaled_params
 from hgmorse.errors import GridTooCoarse, InvalidParameter, NoBoundState, NonConvergence
-from hgmorse.molecules import builtin_molecules, to_potential_params
+from hgmorse.molecules import builtin_molecules, find_molecule, to_potential_params
 from hgmorse.nonrel import energy_nonrel, make_wavefunction
 from hgmorse.oracle import (
     RadialGrid,
     adapted_range,
     fd_schrodinger_eigen,
     fd_schrodinger_modes,
+    mismatch_sign_change,
     oracle_energies,
     richardson_extrapolate,
     shoot_mismatch,
     shooting_grid,
 )
 from hgmorse.potential import PotentialParams
-from hgmorse.relativistic import (
-    QuantumNumbers,
-    solve_dirac_pseudospin,
-    solve_dirac_spin,
-    solve_kg_energy,
-)
+from hgmorse.relativistic import model_functions
 from hgmorse.rootfind import bisect, scan_brackets
 from hgmorse.units import DEFAULT_UNITS
-from ode_helpers import ode_coefficient, schrodinger_ode_coefficient
+from ode_helpers import schrodinger_ode_coefficient
+
+ALPHA = 0.025
+MOLECULES = builtin_molecules()
 
 
 def rk4_reference_mismatch(ode, E, g, r_match):
     """Step-by-step scalar RK4 version of oracle.shoot_mismatch.
 
     The reference the chunked propagator products are checked against: the
-    same launch, half-step sampling and mismatch, advanced one step at a time
-    with (u, u') rescaled whenever it passes 1e100.
+    same x = ln r nodes, seeds, half-step sampling and mismatch, advanced one
+    step at a time with (v, v') rescaled whenever it passes 1e100.
     """
     if not (g.r_min < r_match < g.r_max):
         raise InvalidParameter(f"r_match must lie inside the grid, got {r_match!r}")
     n = g.points
-    h = g.spacing
-    i_match = int(round((r_match - g.r_min) / h))
+    x_min, x_max = math.log(g.r_min), math.log(g.r_max)
+    h = (x_max - x_min) / (n - 1)
+    i_match = int(round((math.log(r_match) - x_min) / h))
     i_match = min(max(i_match, 1), n - 2)
-    r_half = np.linspace(g.r_min, g.r_max, 2 * n - 1)
-    W = np.asarray(ode(r_half, E), dtype=float)
-    if not np.all(np.isfinite(W)):
+    r_half = np.exp(np.linspace(x_min, x_max, 2 * n - 1))
+    Q = r_half**2 * np.asarray(ode(r_half, E), dtype=float) - 0.25
+    if not np.all(np.isfinite(Q)):
         raise NonConvergence("ODE coefficient is not finite on the grid")
 
-    def launch(step):
-        if step < 0:
-            return 0.0, -1.0
-        r0, r1 = float(r_half[0]), float(r_half[1])
-        W0, W1 = float(W[0]), float(W[1])
-        c = (W0 * r0 * r0 * r1 - W1 * r1 * r1 * r0) / (r1 - r0)
-        if W0 > 0.0 and 0.0 < c < 0.25:
-            w1 = (W1 * r1 * r1 - W0 * r0 * r0) / (r1 - r0)
-            p_reg = 0.5 + math.sqrt(0.25 - c)
-            return 1.0, p_reg / r0 - w1 / (2.0 * p_reg)
-        return 0.0, 1.0
-
     def integrate(i0, i1, step):
-        u, v = launch(step)
+        q = Q[2 * i0]
+        u, v = (1.0, step * math.sqrt(-q)) if q < 0.0 else (0.0, float(step))
         i = i0
         hs = step * h
         while i != i1:
-            w0 = W[2 * i]
-            wh = W[2 * i + step]
-            w1 = W[2 * i + 2 * step]
+            w0 = Q[2 * i]
+            wh = Q[2 * i + step]
+            w1 = Q[2 * i + 2 * step]
             k1u, k1v = v, -w0 * u
             u2 = u + 0.5 * hs * k1u
             k2u, k2v = v + 0.5 * hs * k1v, -wh * u2
@@ -96,7 +89,7 @@ def rk4_reference_mismatch(ode, E, g, r_match):
     u_r, v_r = integrate(n - 1, i_match, -1)
     if u_l == 0.0 or u_r == 0.0:
         return math.inf
-    return v_l / u_l - v_r / u_r
+    return (v_l / u_l - v_r / u_r) / r_half[2 * i_match]
 
 
 def assert_matches_reference(ode, E, g, r_match):
@@ -279,56 +272,106 @@ def test_shooting_grid_requires_allowed_region(ch_free):
         shooting_grid(W, -10.0)  # far below the well: nowhere classically allowed
 
 
-def ac3_shooting_cases(p, part, M):
-    """(ode, closed-form E) for every level of the AC-3 shooting matrix at mass M."""
-    hc = DEFAULT_UNITS.hbar_c
-    ps = scaled_params(p, part, M)
-    cases = []
-    for n, l in ((0, 0), (1, 0), (1, 1)):
-        qn = QuantumNumbers(n=n, l=l)
-        cases.append((ode_coefficient("kg", ps, M, qn), solve_kg_energy(ps, M, qn)[0]))
-    for kappa in (1, -2):
-        cases.append((ode_coefficient("dirac-spin", ps, M, kappa, 0.0, 0), solve_dirac_spin(ps, M, kappa, 0.0, 1)[0]))
-    pps = pseudospin_params(p, M, hc)
-    for kappa, n in ((1, 0), (1, 1), (2, 0)):
-        try:
-            E = solve_dirac_pseudospin(pps, M, kappa, 0.0, n)[0]
-        except NoBoundState:
-            continue
-        cases.append((ode_coefficient("dirac-pseudospin", pps, M, kappa, 0.0, 0), E))
-    return cases
-
-
 @pytest.mark.parametrize("M", MASS_MATRIX)
-def test_propagator_matches_scalar_reference(ch_unit, M):
+def test_propagator_matches_scalar_reference(M):
     # the product of step propagators rounds in another order than the
     # scalar loop; signs must agree, values to 1e-4 relative
-    p, part = ch_unit
-    cases = ac3_shooting_cases(p, part, M)
-    assert len(cases) >= 6
-    for ode, E in cases:
+    roots = oracle_check_roots(find_molecule("CH"), ALPHA, (M,))
+    assert len(roots) >= 6
+    for _, _, ode, E in roots:
         grid, r_match = shooting_grid(ode, E)
         for dE in (-1e-3 * M, -1e-8 * M, 1e-8 * M, 1e-3 * M):
             assert_matches_reference(ode, E + dE, grid, r_match)
 
 
-def test_propagator_matches_reference_on_frobenius_launch():
-    # W ~ c/r^2 with 0 < c < 1/4 at the left end: the regular Frobenius
-    # branch seeds the rightward integration
-    ode = lambda r, E: 0.2 / r**2 + E
-    g = RadialGrid(1e-2, 20.0, 20001)
+def test_propagator_seeds_the_regular_branch_at_a_limit_circle_origin():
+    # W = c/r^2 + E with 0 < c < 1/4: both solutions r^(1/2 +- nu), nu = sqrt(1/4 - c),
+    # vanish at r = 0, so a wall there does not pick the regular one.  In x = ln r the
+    # regular one is the seed that decays toward the origin; with u(L) = 0 the levels
+    # are E = (j/L)^2 at the zeros j of J_nu
+    c, L = 0.2, 20.0
+    ode = lambda r, E: c / r**2 + E
+    g = RadialGrid(1e-9, L, 20001)
     for E in (0.5, 1.0, 2.0):
         assert_matches_reference(ode, E, g, 10.0)
+    E0 = (brentq(lambda z: jv(math.sqrt(0.25 - c), z), 1.0, 4.0) / L) ** 2
+    assert shoot_mismatch(ode, E0 * (1.0 - 1e-8), g, 10.0) > 0.0 > shoot_mismatch(ode, E0 * (1.0 + 1e-8), g, 10.0)
 
 
 def test_propagator_rescales_through_deep_forbidden_region():
-    # u'' = kappa^2 u grows by e^2000 on each side of the match point, and by
-    # e^819 (past overflow) within one chunk of propagator products
+    # u'' = kappa^2 u grows by e^1800 and e^2000 on the two sides of the match
+    # point, and by e^1840 (past overflow) within one chunk of propagator
+    # products; kappa*r*dx stays below 0.3 on the x = ln r steps
     kappa = 200.0
     ode = lambda r, E: np.full_like(r, -E)
-    g = RadialGrid(1e-3, 20.0, 40001)
+    g = RadialGrid(1.0, 20.0, 40001)
     mismatch = assert_matches_reference(ode, kappa**2, g, 10.0)
     assert mismatch == pytest.approx(2.0 * kappa, rel=1e-6)
+
+
+def oracle_check_roots(mol, alpha, masses=MASS_MATRIX, models=None):
+    """(M, n, ode, E) of every root that check_relativistic_residuals tests for mol at a = b = 1."""
+    hc = DEFAULT_UNITS.hbar_c
+    p, part = to_potential_params(mol, 1.0, 1.0, alpha)
+    out = []
+    for M in masses:
+        for model, states, _ in checks.RELATIVISTIC_STATES:
+            if models is not None and model not in models:
+                continue
+            params = pseudospin_params(p, M, hc) if model == "dirac-pseudospin" else scaled_params(p, part, M)
+            solve, _, _, ode = model_functions(model)
+            for state in states:
+                try:
+                    roots = solve(params, M, *state, hbar_c=hc)
+                except NoBoundState:
+                    continue
+                n = state[0].n if model == "kg" else state[2]
+                out += [(M, n, ode(params, M, *state, hbar_c=hc), E) for E in roots]
+    return out
+
+
+def langer_fd_eigenvalue(ode, E, g, points, n):
+    """Eigenvalue n (from 0, ascending) of -v'' - Q(x; E) v with Q = r^2 W - 1/4, by
+    second-order differences on `points` nodes uniform in x = ln r over g's span, v = 0
+    at both ends, Richardson-extrapolated from the halved spacing.
+
+    An explicit bisection tolerance: the default, ulp times the matrix norm (~1e-8 here),
+    is as large as the shift that the 1e-8*M window gives the eigenvalue.
+    """
+    out = []
+    for pts in (points, 2 * points - 1):
+        x = np.linspace(math.log(g.r_min), math.log(g.r_max), pts)
+        h = x[1] - x[0]
+        r = np.exp(x[1:-1])
+        Q = r * r * ode(r, E) - 0.25
+        out.append(eigh_tridiagonal(2.0 / h**2 - Q, np.full(r.size - 1, -1.0 / h**2), eigvals_only=True,
+                                    select="i", select_range=(n, n), tol=1e-15)[0])
+    return richardson_extrapolate(out[0], out[1], 2.0, 2)[0]
+
+
+@pytest.mark.parametrize("alpha", (0.025, 0.2))
+def test_langer_fd_confirms_the_level_index_of_every_root(alpha):
+    # the second relativistic oracle: at fixed E the Langer FD operator on the
+    # shooting span has eigenvalue lambda_n(E) = 0 at a level with n nodes, so
+    # its (n+1)-th eigenvalue must change sign across the 1e-8*M window and
+    # exactly n lie below it (Sturm oscillation)
+    roots = oracle_check_roots(find_molecule("CH"), alpha)
+    assert len(roots) >= 8
+    for M, n, ode, E in roots:
+        g, _ = shooting_grid(ode, E)
+        lo, hi = (langer_fd_eigenvalue(ode, E + dE, g, 4001, n) for dE in (-1e-8 * M, 1e-8 * M))
+        assert lo * hi < 0.0, (M, n, E, lo, hi)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(mol=st.sampled_from(MOLECULES), alpha=st.floats(0.02, 0.2), M=st.sampled_from(MASS_MATRIX),
+       model=st.sampled_from([model for model, _, _ in checks.RELATIVISTIC_STATES]))
+def test_residual_roots_are_exactly_the_shooting_flips(mol, alpha, M, model):
+    # every root a solver returns flips the shooting mismatch within 1e-8*M,
+    # and the windows 3e-6*M away from it do not
+    for _, _, ode, E in oracle_check_roots(mol, alpha, (M,), (model,)):
+        assert mismatch_sign_change(ode, E, 1e-8 * M)
+        assert not any(mismatch_sign_change(ode, E + dE, 1e-8 * M) for dE in (-3e-6 * M, 3e-6 * M))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
@@ -344,9 +387,6 @@ def test_shoot_mismatch_rejects_non_finite_coefficient():
 # The FD solvers and the normalization check call LAPACK and QUADPACK
 # directly; scipy's eigh_tridiagonal(select="i") and quad(limit=400) are the
 # oracles they must reproduce bit for bit.
-
-ALPHA = 0.025
-MOLECULES = builtin_molecules()
 
 
 def eigh_tridiagonal_reference(diag, off, k, eigvals_only):
