@@ -130,7 +130,9 @@ def _states(args) -> list[tuple[int, int, tuple]]:
         raise InvalidParameter(f"need --scan-points >= 2 and --tol > 0, got {args.scan_points!r} and {args.tol!r}")
     if args.model == "kg":
         return [(n, l, (QuantumNumbers(n=n, l=l, D=args.dimension),)) for n, l in pairs]
-    C = args.cs if args.model == "dirac-spin" else args.cps
+    option, C = ("--cs", args.cs) if args.model == "dirac-spin" else ("--cps", args.cps)
+    if not math.isfinite(C):
+        raise InvalidParameter(f"{option} must be finite, got {C!r}")
     return [(n, kappa, (kappa, C, n)) for n, kappa in pairs]
 
 
@@ -401,17 +403,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _glue_kappa_values(argv: list[str]) -> list[str]:
-    """Rewrite `--kappa -1,1,-2` as `--kappa=-1,1,-2`.
+def _glue_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite `--option -1e-1` as `--option=-1e-1`.
 
-    argparse reads a dash-led value that is not a plain negative number as
-    an option string, so the documented comma list would otherwise parse
-    only in the `=` form.
+    argparse reads a dash-led value that is not a plain negative number (an
+    exponent form, the comma list `--kappa -1,1,-2`) as an option string.  No
+    option starts with a dash and then a digit or a point.
     """
     out: list[str] = []
     for token in argv:
-        if out and out[-1] == "--kappa" and token[:1] == "-" and token[1:2].isdigit():
-            out[-1] = f"--kappa={token}"
+        option = out[-1] if out else ""
+        dash_value = token[:1] == "-" and (token[1:2].isdigit() or token[1:2] == ".")
+        if dash_value and option[:2] == "--" and len(option) > 2 and "=" not in option:
+            out[-1] = f"{option}={token}"
         else:
             out.append(token)
     return out
@@ -420,7 +424,7 @@ def _glue_kappa_values(argv: list[str]) -> list[str]:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(_glue_kappa_values(sys.argv[1:] if argv is None else list(argv)))
+        args = parser.parse_args(_glue_negative_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

@@ -81,8 +81,9 @@ _CHUNK_STEPS = 8192
 class RadialGrid:
     """Radial span [r_min, r_max] and its point count.
 
-    The FD oracle puts its nodes uniformly in r (nodes, spacing, refined),
-    with Dirichlet ends; the shooting oracle puts them uniformly in ln r.
+    Each oracle lays out its own nodes on the span: the FD oracle uniformly
+    in r, with Dirichlet ends (_fd_matrix), the shooting oracle uniformly in
+    ln r (shoot_mismatch).
     """
 
     r_min: float
@@ -95,15 +96,8 @@ class RadialGrid:
         if self.points < 100:
             raise InvalidParameter(f"points must be >= 100, got {self.points!r}")
 
-    @property
-    def spacing(self) -> float:
-        return (self.r_max - self.r_min) / (self.points - 1)
-
-    def nodes(self) -> np.ndarray:
-        return np.linspace(self.r_min, self.r_max, self.points)
-
     def refined(self) -> "RadialGrid":
-        """Same interval with the spacing exactly halved."""
+        """Same span with the node step exactly halved, in r and in ln r alike."""
         return RadialGrid(self.r_min, self.r_max, 2 * self.points - 1)
 
 
@@ -198,8 +192,8 @@ def _fd_matrix(p: PotentialParams, part: "ParticleSpec", l: int, g: RadialGrid, 
     if k > g.points // 10:
         raise GridTooCoarse(f"{k} levels requested from a {g.points}-point grid")
     c = part.kinetic_scale  # hbar^2/(2 mu), eV*A^2
-    r = g.nodes()[1:-1]
-    h = g.spacing
+    r = np.linspace(g.r_min, g.r_max, g.points)[1:-1]
+    h = (g.r_max - g.r_min) / (g.points - 1)
     diag = 2.0 * c / h**2 + potential_approx(p, r) + c * centrifugal_approx(p.alpha, r, float(l * (l + 1)))
     off = np.full(r.size - 1, -c / h**2)
     if not (np.all(np.isfinite(diag)) and math.isfinite(off[0])):

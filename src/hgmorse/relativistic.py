@@ -34,7 +34,8 @@ every domain hole.  The field builder does the state-only work once and
 returns E -> fields, where E is a float64 array of energies or one float.
 The root scan evaluates the residual on its whole energy grid in one call;
 bisection, the public residuals and the spec builder pass one float through
-the same code.  One solver, one residual and one spec builder serve all
+the same code; kg_residual_nonrel_limit builds its substituted fields by
+the same formulas.  One solver, one residual and one spec builder serve all
 three sectors; the public functions are one-call wrappers over them.
 
 The fully expanded printed variants of the three eigenvalue equations carry
@@ -152,6 +153,16 @@ class _Sector:
     printed: Callable[..., float]  # printed-equation residual
 
 
+def _nu_fields(p: PotentialParams, T, minus_binding, angular: float) -> _NUFields:
+    """Fields of scale factor T and binding term minus_binding, floats or arrays of one shape.
+
+    _fields passes T = sign*S and sign*M - E, kg_residual_nonrel_limit 2 mu/hbar^2 and -E_nl.
+    """
+    a2 = p.alpha**2
+    return _NUFields(T * (minus_binding + p.D_e) / a2, T * p.a / p.alpha, T * p.b / p.alpha,
+                     2.0 * T * p.D_e * p.q / a2, T * p.D_e * p.q**2 / a2, angular)
+
+
 def _fields(
     sector: _Sector, p: PotentialParams, M: float, state: tuple, hbar_c: float
 ) -> tuple[Callable[[np.ndarray], _NUFields], int]:
@@ -162,16 +173,13 @@ def _fields(
     beta1) of the upper-spinor equation and the pseudospin ones (chi0,
     -chi1, -chi2, -theta2, -theta1, lambda1) of the lower-spinor equation.
     """
-    hc2, a2, q2 = hbar_c**2, p.alpha**2, p.q**2
-    a, b, De, q, alpha = p.a, p.b, p.D_e, p.q, p.alpha
+    hc2 = hbar_c**2
     sign = sector.sign
     angular, shift, n = sector.labels(*state)
 
     def at(E: np.ndarray) -> _NUFields:
         S = (M + sign * E + shift) / hc2
-        T = sign * _nan_unless(S > 0.0, S)
-        return _NUFields(T * (sign * M - E + De) / a2, T * a / alpha, T * b / alpha, 2.0 * T * De * q / a2,
-                         T * De * q2 / a2, angular)
+        return _nu_fields(p, sign * _nan_unless(S > 0.0, S), sign * M - E, angular)
 
     return at, n
 
@@ -215,20 +223,10 @@ def kg_residual(
 def kg_residual_nonrel_limit(p: PotentialParams, part: ParticleSpec, E_nl: float, n: int, l: int) -> float:
     """kg_residual under the substitutions M+E -> 2 mu/hbar^2, M-E -> -E_nl.
 
-    Evaluated at a closed-form nonrelativistic level this is an algebraic
-    identity and returns rounding noise (~1e-16).
+    Built by the field formulas of every residual; at a closed-form
+    nonrelativistic level it is an algebraic identity (rounding noise ~1e-16).
     """
-    S = part.two_mu_over_hbar2
-    a2 = p.alpha**2
-    fields = _NUFields(
-        eps=S * (-E_nl + p.D_e) / a2,
-        beta=S * p.a / p.alpha,
-        eta=S * p.b / p.alpha,
-        chi=2.0 * S * p.D_e * p.q / a2,
-        phi=S * p.D_e * p.q**2 / a2,
-        gamma=float(l * (l + 1)),
-    )
-    res = float(_nu_eval(fields, n)[0])
+    res = float(_nu_eval(_nu_fields(p, part.two_mu_over_hbar2, -E_nl, float(l * (l + 1))), n)[0])
     if math.isnan(res):
         raise NoBoundState("substituted residual undefined")
     return res
@@ -364,15 +362,13 @@ def default_search_interval(p: PotentialParams, M: float) -> tuple[float, float]
 
     The approximate potential tends to D_e - a*alpha at infinity, so bound
     energies satisfy (E+M)(E - M - D_e + a*alpha) < 0 rather than lying in
-    the bare mass gap.
+    the bare mass gap.  Raises InvalidParameter unless M is finite and > 0.
     """
-    margin = 1e-6 * abs(M)
+    if not (math.isfinite(M) and M > 0.0):
+        raise InvalidParameter(f"the mass M must be finite and > 0, got {M!r}")
+    margin = 1e-6 * M
     v_inf = max(p.D_e - p.a * p.alpha, 0.0)
-    lo = -M + margin
-    hi = M + v_inf - margin
-    if hi <= lo:
-        hi = M - margin
-    return lo, hi
+    return -M + margin, M + v_inf - margin
 
 
 def _solve(

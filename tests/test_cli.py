@@ -346,6 +346,34 @@ def test_mass_must_be_finite_and_positive(capsys, command, mass):
     assert "--mass must be finite and > 0" in err
 
 
+@pytest.mark.parametrize("option,value", [("--cs", "nan"), ("--cs", "-inf"), ("--cps", "inf"), ("--cps", "nan")])
+@pytest.mark.parametrize("command", [
+    ("levels",),
+    ("sweep", "--param", "a", "--from", "0", "--to", "1", "--steps", "2"),
+])
+def test_spin_constant_must_be_finite(capsys, command, option, value):
+    model = "dirac-spin" if option == "--cs" else "dirac-pseudospin"
+    code, out, err = run(capsys, *command, "--model", model, "--molecule", "CH", "--a", "1", "--b", "1",
+                         "--mass", "500", "--n-max", "0", f"{option}={value}")
+    assert code == 2
+    assert out == ""
+    assert f"{option} must be finite" in err
+
+
+@pytest.mark.parametrize("argv,option,value", [
+    (("levels", "--molecule", "CH", "--a", "1", "--n-max", "1"), "--b", "-1e-1"),
+    (("levels", "--molecule", "CH", "--a", "1", "--n-max", "1"), "--b", "-.5e-1"),
+    (("sweep", "--molecule", "CH", "--param", "b", "--to", "0", "--steps", "2"), "--from", "-2E-1"),
+    (("sweep", "--molecule", "CH", "--param", "b", "--from", "-1", "--steps", "2"), "--to", "-1e-2"),
+    (("levels", "--model", "dirac-spin", "--molecule", "CH", "--mass", "500", "--n-max", "0"), "--cs", "-1e-3"),
+    (("levels", "--model", "dirac-pseudospin", "--molecule", "CH", "--mass", "500", "--n-max", "0"), "--cps", "-1e3"),
+])
+def test_dash_led_option_value_parses_as_in_the_equals_form(capsys, argv, option, value):
+    spaced = run(capsys, *argv, option, value)
+    assert spaced[0] != 2
+    assert spaced == run(capsys, *argv, f"{option}={value}")
+
+
 def test_oracle_check_details_csv(capsys):
     code, out, _ = run(capsys, "oracle-check", "--models", "nonrel", "--details")
     assert code == 0

@@ -30,7 +30,7 @@ from hgmorse.oracle import (
     shooting_grid,
 )
 from hgmorse.potential import PotentialParams
-from hgmorse.relativistic import model_functions
+from hgmorse.relativistic import QuantumNumbers, model_functions
 from hgmorse.rootfind import bisect, scan_brackets
 from hgmorse.units import DEFAULT_UNITS
 from ode_helpers import schrodinger_ode_coefficient
@@ -108,7 +108,6 @@ def box_setup():
 
 def test_radial_grid_validation():
     g = RadialGrid(1e-3, 10.0, 101)
-    assert g.spacing == pytest.approx((10.0 - 1e-3) / 100)
     assert g.refined().points == 201
     with pytest.raises(InvalidParameter):
         RadialGrid(0.0, 1.0, 101)
@@ -156,6 +155,21 @@ def test_fd_matches_closed_form_ground_state(ch_free):
     fd, err = oracle_energies(p, part, 0, 1)
     assert abs(float(fd[0]) - energy_nonrel(p, part, 0, 0)) <= 5e-4
     assert err[0] < 1e-6
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(mol=st.sampled_from(MOLECULES), a=st.floats(0.0, 5.0), b=st.floats(0.0, 5.0),
+       alpha=st.floats(0.02, 0.04), l=st.integers(0, 2))
+def test_closed_form_levels_keep_the_fd_level_order(mol, a, b, alpha, l):
+    # E(n, l) for n <= 3 rises strictly with n, lies nearest FD level n of five,
+    # and within the AC-1 tolerance of it
+    p, part = to_potential_params(mol, a, b, alpha)
+    closed = np.array([energy_nonrel(p, part, n, l) for n in range(4)])
+    fd, _ = oracle_energies(p, part, l, 5)
+    assert np.all(np.diff(closed) > 0.0)
+    for n, E in enumerate(closed):
+        assert int(np.argmin(np.abs(fd - E))) == n
+        assert abs(E - fd[n]) <= 5e-4
 
 
 def test_default_grid_resolves_ch_ground(ch_free):
@@ -270,6 +284,22 @@ def test_shooting_grid_requires_allowed_region(ch_free):
     W = schrodinger_ode_coefficient(p, part, 0)
     with pytest.raises(NonConvergence):
         shooting_grid(W, -10.0)  # far below the well: nowhere classically allowed
+
+
+def test_shooting_grid_keeps_the_match_point_inside_above_the_continuum(ch_unit):
+    # above the continuum Q > 0 up to the scan's 1600 A cap, so the maximum of Q
+    # sits at the span's outer end; the match point is clamped two x-steps inside
+    p, part = ch_unit
+    M = 500.0
+    params = scaled_params(p, part, M)
+    ode = model_functions("kg")[3](params, M, QuantumNumbers(n=0), hbar_c=DEFAULT_UNITS.hbar_c)
+    E = M + params.D_e
+    assert ode(np.array([oracle._SHOOT_R_CAP]), E)[0] > 0.0
+    g, r_match = shooting_grid(ode, E)
+    assert g.r_max == oracle._SHOOT_R_CAP
+    step = math.log(g.r_max / g.r_min) / (g.points - 1)
+    assert min(math.log(r_match / g.r_min), math.log(g.r_max / r_match)) >= 2.0 * step * (1.0 - 1e-9)
+    assert math.isfinite(shoot_mismatch(ode, E, g, r_match))
 
 
 @pytest.mark.parametrize("M", MASS_MATRIX)

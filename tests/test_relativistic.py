@@ -154,6 +154,17 @@ def test_kg_no_bound_state_for_free_particle():
         solve_kg_energy(p, 100.0, QuantumNumbers(n=0, l=0))
 
 
+@pytest.mark.parametrize("M", [0.0, -1.0, math.nan, math.inf])
+def test_solvers_reject_a_mass_that_is_not_finite_and_positive(ch_unit, M):
+    p, _ = ch_unit
+    with pytest.raises(InvalidParameter, match="finite and > 0"):
+        default_search_interval(p, M)
+    with pytest.raises(InvalidParameter, match="finite and > 0"):
+        solve_kg_energy(p, M, QuantumNumbers(n=0, l=0))
+    with pytest.raises(InvalidParameter, match="finite and > 0"):
+        solve_dirac_pseudospin(p, M, 1, 0.0, 0)
+
+
 def test_kg_residual_undefined_below_mass_shell(ch_unit):
     p, _ = ch_unit
     assert kg_residual(p, 10.0, -11.0, QuantumNumbers(n=0, l=0)) is None
