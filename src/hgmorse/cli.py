@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import validate as validate_mod
-from .errors import GridTooCoarse, InvalidParameter, NoBoundState, ParseError, SolverError
+from .errors import InvalidParameter, NoBoundState, ParseError, SolverError
 from .molecules import Molecule, find_molecule, load_molecules, to_potential_params
 from .nonrel import ParticleSpec, energy_nonrel, level_indices
 from .oracle import oracle_energies, thread_map
@@ -168,11 +168,12 @@ def _level_solver(args, part: ParticleSpec) -> Callable:
 
 
 def cmd_levels(args, out) -> int:
+    if args.oracle and args.model != "nonrel":
+        raise InvalidParameter(f"--oracle supports only --model nonrel, not {args.model}")
     name, params, part, _ = _load_setup(args)
     states = _states(args)
-    oracle = args.oracle and args.model == "nonrel"
     oracle_cols: dict[int, np.ndarray] = {}
-    if oracle:
+    if args.oracle:
         # one extrapolated FD solve per l column supplies every n; the columns solve in parallel
         ls = sorted({l for _, l, _ in states})
         jobs = [(params, part, l, max(n for n, ll, _ in states if ll == l) + 1, args.grid_points) for l in ls]
@@ -190,7 +191,7 @@ def cmd_levels(args, out) -> int:
                          "status": "no_bound_state"})
             continue
         for E in energies:
-            if oracle:
+            if args.oracle:
                 oe = float(oracle_cols[second][n])
                 row.update(oracle_E_eV=oe, abs_dev_eV=abs(E - oe))
             res, cross = defects(E)
@@ -314,11 +315,7 @@ def cmd_oracle_check(args, out) -> int:
     unknown = [m for m in models if m not in MODEL_CHECKS]
     if unknown:
         raise InvalidParameter(f"unknown models {unknown!r}")
-    try:
-        records = run_checks(molecules, models, args.alpha, units, args.grid_points)
-    except GridTooCoarse as exc:
-        print(f"grid too coarse: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    records = run_checks(molecules, models, args.alpha, units, args.grid_points)
     if args.details:
         # the oracle-equivalence checks made these rows when nonrel was requested
         comparisons = {r.molecule: r.rows for r in records if isinstance(r, OracleEquivalence)}
@@ -358,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_levels = sub.add_parser("levels", help="energy level table")
     _add_common(p_levels)
     _add_states(p_levels, n_max=5)
-    p_levels.add_argument("--oracle", action="store_true", help="add FD-oracle deviation columns (nonrel)")
+    p_levels.add_argument("--oracle", action="store_true",
+                          help="add FD-oracle deviation columns (nonrel only; a usage error for other models)")
     p_levels.add_argument("--grid-points", dest="grid_points", type=int, default=20001)
     p_levels.set_defaults(func=cmd_levels)
 

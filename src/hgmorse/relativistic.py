@@ -54,10 +54,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import wavefun
-from .errors import InvalidParameter, NoBoundState, NonConvergence
+from .errors import InvalidParameter, NoBoundState
 from .nonrel import ParticleSpec
 from .potential import PotentialParams, centrifugal_approx, potential_approx
-from .rootfind import RootBracket, bisect, scan_brackets
+from .rootfind import bisect, scan_brackets
 from .units import HBAR_C_EV_ANGSTROM
 
 log = logging.getLogger(__name__)
@@ -377,12 +377,17 @@ def _solve(
 ) -> list[float]:
     """All levels of one state in the default_search_interval window, ascending.
 
-    Scans and bisects the normalized residual, then rejects pole brackets
-    (|f| grows under bisection, e.g. across a scale-factor zero),
-    squared-equation artifacts (bracket numerator N > 0 at the root) and,
-    unless all_roots, roots off the sector's branch.  Raises NoBoundState
-    when no root is left; for each root the compact and the printed
-    expanded equation defects are logged.
+    Scans the normalized residual and bisects each sign change once, then
+    drops squared-equation artifacts (bracket numerator N > 0 at the root)
+    and, unless all_roots, roots off the sector's branch.  No bracket holds
+    a hole or a pole: S and the radicand 1/4 + phi + gamma are linear in E,
+    so each is >= 0 on a half-line and the residual is defined on one
+    interval, where P >= 1/2 keeps N/P finite and |f| < 1.  A bracket with
+    finite ends therefore lies inside that interval.  The scan brackets are
+    disjoint and ascending, so the roots come out in order.  Raises
+    NoBoundState when no root is left and lets a bisection NonConvergence
+    propagate; for each root the compact and the printed expanded equation
+    defects are logged.
     """
     lo, hi = default_search_interval(p, M)
     fields, n = _fields(sector, p, M, state, hbar_c)
@@ -390,45 +395,23 @@ def _solve(
     def f(E: np.ndarray) -> np.ndarray:
         return _nu_eval(fields(E), n)[0]
 
-    def resolve(b: RootBracket) -> Optional[tuple[float, float]]:
-        root, f_root = bisect(f, b, tol)
-        if abs(f_root) >= min(abs(b.f_lo), abs(b.f_hi)):
-            log.debug("rejected pole bracket at E=%r (|f|=%r)", root, abs(f_root))
-            return None
-        _, N = _nu_eval(fields(root), n)
+    roots: list[float] = []
+    for bracket in scan_brackets(f, lo, hi, scan_points):
+        root, _ = bisect(f, bracket, tol)
+        N = _nu_eval(fields(root), n)[1]
         if N > 0.0:
             log.debug("rejected spurious squared-equation root at E=%r (N=%r)", root, N)
-            return None
-        return root, f_root
-
-    roots: list[tuple[float, float]] = []
-    for bracket in scan_brackets(f, lo, hi, scan_points):
-        try:
-            hit = resolve(bracket)
-        except NonConvergence:
-            # domain hole narrower than the scan step: rescan the bracket finer
-            hit = None
-            for sub in scan_brackets(f, bracket.lo, bracket.hi, 65):
-                try:
-                    hit = resolve(sub)
-                except NonConvergence:
-                    continue
-                if hit is not None:
-                    break
-        if hit is not None:
-            roots.append(hit)
-    roots.sort(key=lambda pair: pair[0])
-    if not all_roots:
-        roots = [(E, r) for E, r in roots if sector.keep(E)]
+        elif all_roots or sector.keep(root):
+            roots.append(root)
     if not roots:
         raise NoBoundState(f"no {sector.noun} level in [{lo!r}, {hi!r}] for {sector.describe(*state)}")
     if log.isEnabledFor(logging.DEBUG):
-        for E, res in roots:
+        for E in roots:
             log.debug(
                 "%s root E=%.12g residual=%.3g printed-form defect=%.3g",
-                sector.noun, E, res, sector.printed(p, M, E, *state, hbar_c),
+                sector.noun, E, f(E), sector.printed(p, M, E, *state, hbar_c),
             )
-    return [E for E, _ in roots]
+    return roots
 
 
 def _residual(sector: _Sector, p: PotentialParams, M: float, E: float, state: tuple, hbar_c: float) -> Optional[float]:

@@ -91,7 +91,7 @@ def bisect(
     strictly inside the interval (float resolution reached).  Raises
     NonConvergence if the budget is exhausted with the interval still wide,
     or if f turns undefined inside the bracket (a domain hole narrower than
-    the scan step; callers may rescan finer).
+    the scan step).
     """
     if not tol_abs > 0.0:
         raise InvalidParameter(f"tol_abs must be > 0, got {tol_abs!r}")

@@ -692,6 +692,28 @@ def test_repeated_kappa_is_a_usage_error(capsys, argv):
     assert "repeated" in err
 
 
+# CH scaled to M = 500 eV, where the kg and spin levels bind
+_SCALED_CH = ("--De-cm", "55147417000", "--re", "1.1198", "--mu-amu", "1", "--a", "1732450", "--b", "1732450",
+              "--mass", "500", "--n-max", "0")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("levels", "--model", "dirac-spin", "--molecule", "CH", "--mass", "500", "--kappa", "0"),
+     "kappa list must be nonzero integers"),
+    (("levels", "--model", "dirac-spin", "--molecule", "CH", "--mass", "500", "--kappa", "1,x"),
+     "bad --kappa list '1,x'"),
+    (("sweep", "--molecule", "CH", "--param", "a", "--from", "0", "--to", "1", "--steps", "1"),
+     "--steps must be >= 2, got 1"),
+    *((("levels", "--model", model, *_SCALED_CH, "--oracle"), f"--oracle supports only --model nonrel, not {model}")
+      for model in ("kg", "dirac-spin", "dirac-pseudospin")),
+])
+def test_bad_state_step_or_oracle_option_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_oracle_check_pseudospin_shooting_flips_at_alpha_0_2(capsys):
     # near r = 0 the pseudospin equation is limit-circle at M = 500 and 5000 eV;
     # the shooting oracle confirms all three roots.  The verdict still fails

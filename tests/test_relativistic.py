@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hgmorse import relativistic
+from hgmorse import relativistic, rootfind
 from hgmorse.checks import MASS_MATRIX, check_normalization, pseudospin_params, scaled_params
-from hgmorse.errors import InvalidParameter, NoBoundState
+from hgmorse.errors import InvalidParameter, NoBoundState, NonConvergence
 from hgmorse.molecules import builtin_molecules, to_potential_params
 from hgmorse.nonrel import energy_nonrel
 from hgmorse.oracle import mismatch_sign_change
@@ -146,6 +146,51 @@ def test_kg_residual_solver_contract(ch_unit):
             assert abs(kg_residual(ps, M, E, qn)) <= 1e-9
             lo, hi = default_search_interval(ps, M)
             assert lo < E < hi
+
+
+def test_a_bisection_out_of_budget_raises_nonconvergence(ch_unit, monkeypatch):
+    # the failure surfaces as a solver failure, not as a missing level
+    p, part = ch_unit
+    monkeypatch.setattr(rootfind, "_MAX_ITER", 5)
+    with pytest.raises(NonConvergence, match="exceeded 5 iterations"):
+        solve_kg_energy(scaled_params(p, part, 500.0), 500.0, QuantumNumbers(n=0, l=0))
+
+
+#: (sector, state) with the Dirac constant C as a fraction of M
+_SECTOR_STATES = st.one_of(
+    st.builds(lambda n, l, D: (_KG, (QuantumNumbers(n=n, l=l, D=D),)),
+              st.integers(0, 4), st.integers(0, 3), st.sampled_from((2, 3, 4))),
+    st.builds(lambda sector, kappa, c, n: (sector, (kappa, c, n)), st.sampled_from((_SPIN, _PSEUDOSPIN)),
+              st.sampled_from((-3, -2, -1, 1, 2, 3)), st.sampled_from((0.0, 0.5, -0.5)), st.integers(0, 4)),
+)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(sector_state=_SECTOR_STATES, mol=st.sampled_from(builtin_molecules()), alpha=st.floats(0.01, 0.3),
+       a=st.floats(-5.0, 5.0), b=st.floats(-5.0, 5.0), M=st.sampled_from((50.0, 500.0, 5000.0, 5e4, None)),
+       params=st.sampled_from(("scaled", "unscaled", "pseudospin")))
+def test_residual_is_defined_on_one_interval_and_every_bracket_bisects(sector_state, mol, alpha, a, b, M, params):
+    # S and the radicand 1/4 + phi + gamma are linear in E, so the residual is
+    # finite on one interval; the solver bisects each scan bracket once and
+    # relies on this to meet no hole inside a bracket
+    p, part = to_potential_params(mol, a, b, alpha)
+    M = part.mu_energy if M is None else M
+    p = {"scaled": scaled_params(p, part, M), "unscaled": p,
+         "pseudospin": pseudospin_params(p, M, HBAR_C_EV_ANGSTROM)}[params]
+    sector, state = sector_state
+    if sector is not _KG:
+        state = (state[0], state[1] * M, state[2])
+    at, n = relativistic._fields(sector, p, M, state, HBAR_C_EV_ANGSTROM)
+
+    def f(E):
+        return relativistic._nu_eval(at(E), n)[0]
+
+    lo, hi = default_search_interval(p, M)
+    finite = np.isfinite(f(np.linspace(lo, hi, 20001))).astype(int)
+    assert np.count_nonzero(np.diff(finite) == 1) + finite[0] <= 1  # at most one run of finite values
+    for bracket in rootfind.scan_brackets(f, lo, hi, 2000):
+        E, res = rootfind.bisect(f, bracket, 1e-12)
+        assert bracket.lo <= E <= bracket.hi and math.isfinite(res)
 
 
 def test_kg_no_bound_state_for_free_particle():
