@@ -3,7 +3,8 @@
 Subcommands: levels, potential, sweep, validate, oracle-check.  Data streams
 are deterministic (17-significant-digit CSV or sorted JSON, no timestamps);
 only the validate report carries a timestamp, in a header comment.  Exit
-codes: 0 success, 1 acceptance/check failure, 2 usage or parameter error,
+codes: 0 success, 1 acceptance/check failure, 2 usage or parameter error
+(an unreadable or non-UTF-8 input file, more FD levels than the grid holds),
 3 no bound states at all.
 """
 
@@ -287,11 +288,7 @@ def cmd_sweep(args, out) -> int:
 
 def cmd_validate(args, out) -> int:
     _, units = _load_config(args)
-    try:
-        rows = validate_mod.load_reference(args.table2)
-    except FileNotFoundError:
-        print(f"reference file not found: {args.table2}", file=sys.stderr)
-        return EXIT_USAGE
+    rows = validate_mod.load_reference(args.table2)
     validate_mod.check_reference_shape(rows)
     calibrated = None
     if args.calibrate:
@@ -427,7 +424,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args, sys.stdout)
-    except (InvalidParameter, ParseError, FileNotFoundError) as exc:
+    except (InvalidParameter, ParseError, OSError, UnicodeDecodeError) as exc:
+        # the --config, --molecule-file and --table2 readers are the only code that opens files
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NoBoundState as exc:

@@ -17,8 +17,8 @@ class NonConvergence(SolverError):
     """An iterative procedure failed to converge within its budget."""
 
 
-class GridTooCoarse(SolverError):
-    """The requested number of levels exceeds what the grid can resolve."""
+class GridTooCoarse(InvalidParameter):
+    """The requested number of levels exceeds what the grid can resolve (the caller's choice of both)."""
 
 
 class ParseError(SolverError):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import wavefun
-from .errors import InvalidParameter, NoBoundState
+from .errors import InvalidParameter
 from .potential import PotentialParams
 from .units import HBAR_C_EV_ANGSTROM
 
@@ -95,19 +95,17 @@ def _energy_nonrel_printed(p: PotentialParams, part: ParticleSpec, n: int, l: in
 def wavefunction_exponents(p: PotentialParams, part: ParticleSpec, E: float, l: int) -> tuple[float, float]:
     """(omega, phi_exp): the s -> 0 and s -> 1 exponents of the eigenfunction.
 
-    omega = sqrt(T (D_e - E)/alpha^2 + l(l+1) - T a/alpha); raises
-    NoBoundState when the radicand is negative or omega is not positive
-    (threshold or unbound energy).
+    omega = sqrt(T (D_e - E)/alpha^2 + l(l+1) - T a/alpha) and
+    phi_exp = 1/2 + sqrt(1/4 + l(l+1) + T D_e q^2/alpha^2), by
+    wavefun.bound_exponents: NoBoundState unless the omega radicand is > 0
+    (a threshold, unbound or NaN energy fails).
     """
     if l < 0:
         raise InvalidParameter(f"l must be >= 0, got {l!r}")
     T = part.two_mu_over_hbar2
     a2 = p.alpha**2
-    phi_exp = 0.5 + math.sqrt(0.25 + l * (l + 1) + T * p.D_e * p.q**2 / a2)
-    radicand = T * (p.D_e - E) / a2 + l * (l + 1) - T * p.a / p.alpha
-    if radicand <= 0.0:
-        raise NoBoundState(f"omega radicand {radicand!r} <= 0 at E = {E!r}")
-    return math.sqrt(radicand), phi_exp
+    return wavefun.bound_exponents(T * (p.D_e - E) / a2 + l * (l + 1) - T * p.a / p.alpha,
+                                   0.25 + l * (l + 1) + T * p.D_e * p.q**2 / a2)
 
 
 @dataclass(frozen=True)

@@ -241,7 +241,8 @@ def richardson_extrapolate(
 ) -> tuple[float, float]:
     """Cancel the leading h^order error term of a grid pair.
 
-    Returns (extrapolated value, |E_fine - E_coarse| as the error scale).
+    Returns (extrapolated value, |E_fine - E_coarse| as the error scale),
+    elementwise when E_coarse and E_fine are arrays of one shape.
     """
     if not ratio > 1.0:
         raise InvalidParameter(f"ratio must be > 1, got {ratio!r}")
@@ -289,13 +290,8 @@ def oracle_energies(
     """
     r_max = adapted_range(p, part, l, k)
     g = RadialGrid(_R_MIN, r_max, points)
-    e_c = fd_schrodinger_eigen(p, part, l, g, k)
-    e_f = fd_schrodinger_eigen(p, part, l, g.refined(), k)
-    out = np.empty(k)
-    err = np.empty(k)
-    for i in range(k):
-        out[i], err[i] = richardson_extrapolate(float(e_c[i]), float(e_f[i]), 2.0, 2)
-    return out, err
+    return richardson_extrapolate(fd_schrodinger_eigen(p, part, l, g, k),
+                                  fd_schrodinger_eigen(p, part, l, g.refined(), k), 2.0, 2)
 
 
 def _rk4_step_matrices(w0: np.ndarray, wh: np.ndarray, w1: np.ndarray, hs: float):

@@ -126,15 +126,6 @@ def _nu_eval(f: _NUFields, n: int) -> tuple[np.ndarray, np.ndarray]:
     return (lhs - rhs) / (1.0 + np.abs(lhs) + np.abs(rhs)), N
 
 
-def _bound_exponents(f: _NUFields) -> tuple[float, float]:
-    """(leading, edge) exponents; NoBoundState when not normalizable."""
-    C = f.eps - f.beta + f.gamma
-    radicand = 0.25 + f.phi + f.gamma
-    if C <= 0.0 or radicand < 0.0:
-        raise NoBoundState(f"exponent radicands (C={C!r}, R={radicand!r}) do not give a bound state")
-    return math.sqrt(C), 0.5 + math.sqrt(radicand)
-
-
 @dataclass(frozen=True)
 class _Sector:
     """One relativistic wave equation over the shared quantization core.
@@ -496,10 +487,8 @@ def _build_spec(
     sector: _Sector, p: PotentialParams, M: float, E: float, state: tuple, hbar_c: float
 ) -> RelWavefunctionSpec:
     at, n = _fields(sector, p, M, state, hbar_c)
-    fields = at(E)
-    if math.isnan(fields.eps):
-        raise NoBoundState(f"{sector.noun} scale factor is not positive at E={E!r}")
-    leading, edge = _bound_exponents(fields)
+    f = at(E)  # NaN where the scale factor is not positive, which the bound-state rule rejects
+    leading, edge = wavefun.bound_exponents(f.eps - f.beta + f.gamma, 0.25 + f.phi + f.gamma)
     w = wavefun.SWaveform(leading, edge, n, p.alpha)
     return RelWavefunctionSpec(leading, edge, n, p.alpha, wavefun.log_norm_quadrature(w))
 

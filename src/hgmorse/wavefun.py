@@ -39,6 +39,17 @@ from .specfun import JacobiParams, jacobi_recurrence, pochhammer
 _WINDOW_DROP = 160.0
 
 
+def bound_exponents(C: float, R: float) -> tuple[float, float]:
+    """(leading, edge) = (sqrt(C), 1/2 + sqrt(R)) of a bound state.
+
+    The one bound-state rule of every equation: C > 0 and R >= 0, else
+    NoBoundState; a NaN radicand fails it too.
+    """
+    if not (C > 0.0 and R >= 0.0):
+        raise NoBoundState(f"exponent radicands (C={C!r}, R={R!r}) do not give a bound state")
+    return math.sqrt(C), 0.5 + math.sqrt(R)
+
+
 @dataclass(frozen=True)
 class SWaveform:
     """Exponents, degree and screening of one radial eigenfunction."""

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +153,14 @@ def test_potential_curve_output(capsys):
     assert lines[3].startswith("3,")
 
 
+def test_potential_json_cells_equal_the_csv_cells(capsys):
+    argv = ("potential", "--molecule", "CH", "--a", "1", "--b", "1", "--samples", "5")
+    _, csv_out, _ = run(capsys, *argv)
+    code, json_out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(json_out)["rows"] == [line.split(",") for line in csv_out.splitlines()[1:]]
+
+
 def test_potential_bad_range(capsys):
     code, _, err = run(capsys, "potential", "--molecule", "CH", "--r-min", "5", "--r-max", "1")
     assert code == 2
@@ -210,6 +219,20 @@ def test_sweep_nan_step_is_an_invalid_parameter_row(capsys):
     assert out.splitlines()[1:4] == ["nan,0,0,,invalid_parameter", "nan,0,0,,invalid_parameter", f"1,0,0,{E:.17g},ok"]
 
 
+def test_sweep_json_cells_equal_the_csv_cells(capsys):
+    argv = ("sweep", "--molecule", "CH", "--param", "a", "--from", "nan", "--to", "1", "--steps", "3", "--n-max", "1")
+    _, csv_out, _ = run(capsys, *argv)
+    code, json_out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(json_out)
+    rows, lines = payload["rows"], csv_out.splitlines()
+    assert payload["param"] == "a" and lines[0] == "a,n,l,E_eV,status"
+    assert len(rows) == 3 * 3
+    assert [",".join("" if cell is None else str(cell) for cell in row) for row in rows] == lines[1:1 + len(rows)]
+    assert [f"# shape {line}" for line in payload["shape"]] == lines[1 + len(rows):]
+    assert rows[0] == ["nan", 0, 0, None, "invalid_parameter"]
+
+
 def test_validate_packaged_reference(capsys):
     code, out, _ = run(capsys, "validate", "--calibrate", "--no-timestamp")
     assert code == 0
@@ -254,6 +277,49 @@ def test_validate_exit_code_follows_gates(capsys, monkeypatch):
 def test_validate_missing_reference(capsys, tmp_path):
     code, _, err = run(capsys, "validate", "--table2", str(tmp_path / "nope.csv"))
     assert code == 2
+
+
+def test_validate_timestamp_header_leaves_body_and_signature_unchanged(capsys):
+    _, plain, _ = run(capsys, "validate", "--no-timestamp")
+    code, stamped, _ = run(capsys, "validate")
+    assert code == 0
+    header, _, rest = stamped.partition("\n")
+    assert header.startswith("# generated: ")
+    assert datetime.fromisoformat(header.removeprefix("# generated: ")).tzinfo is not None
+    assert rest == plain
+
+
+@pytest.mark.parametrize("body,message", [
+    ("molecule,n,l,E_eV\nCH,0,0\n", "{ref}:2: expected 4 fields, got 3"),
+    ("CH,0,zero,-1.0\n", "{ref}:1: invalid literal for int()"),
+    ("molecule,n,l,E_eV\n# no rows\n", "{ref}: no reference rows"),
+    ("CH,0,0,-1.0\n", "reference table malformed: {{'CH': 1}}"),
+], ids=["field-count", "bad-number", "no-rows", "shape"])
+def test_bad_reference_table_is_a_usage_error(capsys, tmp_path, body, message):
+    ref = tmp_path / "ref.csv"
+    ref.write_text(body)
+    code, out, err = run(capsys, "validate", "--no-timestamp", "--table2", str(ref))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: " + message.format(ref=ref))
+
+
+@pytest.mark.parametrize("kind", ["directory", "non-utf8", "missing"])
+@pytest.mark.parametrize("argv", [
+    ("levels", "--molecule", "CH", "--n-max", "0", "--config"),
+    ("levels", "--molecule", "CH", "--n-max", "0", "--molecule-file"),
+    ("validate", "--no-timestamp", "--table2"),
+], ids=["config", "molecule-file", "table2"])
+def test_unreadable_input_file_is_a_usage_error(capsys, tmp_path, argv, kind):
+    path = tmp_path / "input.txt"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "non-utf8":
+        path.write_bytes(b"\xff\n")
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_sweep_relativistic_flags_unbound_points(capsys, ch_unit):
@@ -395,14 +461,18 @@ def test_oracle_check_details_runs_each_fd_comparison_once(capsys, monkeypatch):
         return oracle_energies(*args, **kwargs)
 
     monkeypatch.setattr(checks, "oracle_energies", counted)
-    code, out, _ = run(capsys, "oracle-check", "--models", "nonrel", "--details", "--molecules", "CH,NO")
-    assert code == 0
-    # one FD solve per (strength pair, l) and molecule; the verdict reuses the detail rows
-    assert len(calls) == 2 * 6
-    lines = out.splitlines()
-    assert sum(line.startswith("nonrel,") for line in lines) == 2 * 24
-    assert [line.split(" ", 2)[:2] for line in lines if line.startswith("oracle-equivalence")] == \
-        [["oracle-equivalence", "PASS"]] * 2
+    # with nonrel the verdict reuses the detail rows; without it the details solve them alone
+    for models, equivalence_verdicts in (("nonrel", 2), ("kg", 0)):
+        calls.clear()
+        code, out, _ = run(capsys, "oracle-check", "--models", models, "--details", "--molecules", "CH,NO")
+        assert code == 0
+        # one FD solve per (strength pair, l) and molecule
+        assert len(calls) == 2 * 6
+        lines = out.splitlines()
+        assert [line for line in lines if line.startswith("# molecule")] == ["# molecule = CH", "# molecule = NO"]
+        assert sum(line.startswith("nonrel,") for line in lines) == 2 * 24
+        assert [line.split(" ", 2)[:2] for line in lines if line.startswith("oracle-equivalence")] == \
+            [["oracle-equivalence", "PASS"]] * equivalence_verdicts
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
@@ -557,11 +627,13 @@ def test_negative_n_max_is_a_usage_error(capsys, command, model):
 
 
 def test_forced_coarse_grid_surfaces_grid_too_coarse(capsys):
-    # 12 oracle levels from a 101-point grid trips the resolvability heuristic
-    code, _, err = run(capsys, "levels", "--molecule", "CH", "--a", "0", "--b", "0",
-                       "--n-max", "11", "--oracle", "--grid-points", "101")
-    assert code == 1
-    assert "101-point grid" in err
+    # 12 oracle levels from a 101-point grid trips the resolvability heuristic; only the
+    # options decide that, so it is a usage error, not a solver failure
+    code, out, err = run(capsys, "levels", "--molecule", "CH", "--a", "0", "--b", "0",
+                         "--n-max", "11", "--oracle", "--grid-points", "101")
+    assert code == 2
+    assert out == ""
+    assert err == "error: 12 levels requested from a 101-point grid\n"
 
 
 def test_usage_error_exit_code(capsys):

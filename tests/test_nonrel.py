@@ -110,6 +110,8 @@ def test_exponents_threshold_raises(ch_free):
     p, part = ch_free
     with pytest.raises(NoBoundState):
         wavefunction_exponents(p, part, p.D_e, 0)
+    with pytest.raises(NoBoundState):  # a NaN radicand fails the bound-state rule too
+        wavefunction_exponents(p, part, math.nan, 0)
 
 
 def test_exponents_edge_limit_for_weak_well():

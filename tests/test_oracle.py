@@ -229,6 +229,11 @@ def test_richardson_trivial_and_synthetic():
     extrap, err = richardson_extrapolate(coarse, fine, 2.0, 2)
     assert extrap == pytest.approx(exact, abs=1e-14)
     assert err == pytest.approx(abs(fine - coarse))
+    # on arrays, elementwise and bit for bit the scalar calls (oracle_energies extrapolates whole columns)
+    coarse_col, fine_col = [coarse, 2.0, -3.5], [fine, 2.0, -3.25]
+    extraps, errs = richardson_extrapolate(np.array(coarse_col), np.array(fine_col), 2.0, 2)
+    assert list(zip(extraps.tolist(), errs.tolist())) == \
+        [richardson_extrapolate(x, y, 2.0, 2) for x, y in zip(coarse_col, fine_col)]
     with pytest.raises(InvalidParameter):
         richardson_extrapolate(1.0, 1.0, 0.5, 2)
 

@@ -520,5 +520,7 @@ def test_spinor_rejects_unbound_energy(ch_unit):
     M = 500.0
     ps = scaled_params(p, part, M)
     E_open = M + ps.D_e
-    with pytest.raises(NoBoundState):
-        kg_wavefunction_spec(ps, M, E_open, QuantumNumbers(n=0, l=0))
+    # S = (M + E)/(hbar c)^2 is 0 at E = -M and negative below it, where every field is NaN
+    for E in (E_open, -M, -M - 1.0):
+        with pytest.raises(NoBoundState):
+            kg_wavefunction_spec(ps, M, E, QuantumNumbers(n=0, l=0))

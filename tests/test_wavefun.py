@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from hgmorse.checks import pseudospin_params, scaled_params, term_sum_log_abs_and_sign, term_sum_value
-from hgmorse.errors import InvalidParameter
+from hgmorse.errors import InvalidParameter, NoBoundState
 from hgmorse.molecules import builtin_molecules, find_molecule, to_potential_params
 from hgmorse.nonrel import (
     WavefunctionSpec,
@@ -41,6 +41,7 @@ from hgmorse.relativistic import (
 from hgmorse.units import HBAR_C_EV_ANGSTROM
 from hgmorse.wavefun import (
     SWaveform,
+    bound_exponents,
     hypergeometric_factor,
     log_abs_and_sign,
     log_norm_quadrature,
@@ -147,6 +148,17 @@ def test_nonpositive_radius_rejected(r):
         log_abs_and_sign(w, r)
     with pytest.raises(InvalidParameter):
         value(w, log_norm, r)
+
+
+def test_bound_exponents_are_the_square_roots_of_the_radicands():
+    assert bound_exponents(4.0, 0.0) == (2.0, 0.5)
+    assert bound_exponents(1e-300, 2.25) == (math.sqrt(1e-300), 2.0)
+
+
+@pytest.mark.parametrize("C,R", [(0.0, 1.0), (-1.0, 1.0), (1.0, -1e-300), (math.nan, 1.0), (1.0, math.nan)])
+def test_bound_exponents_reject_an_unbound_or_nan_radicand(C, R):
+    with pytest.raises(NoBoundState):
+        bound_exponents(C, R)
 
 
 def test_zero_of_polynomial_factor():
