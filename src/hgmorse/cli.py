@@ -5,7 +5,7 @@ are deterministic (17-significant-digit CSV or sorted JSON, no timestamps);
 only the validate report carries a timestamp, in a header comment.  Exit
 codes: 0 success, 1 acceptance/check failure, 2 usage or parameter error
 (an unreadable or non-UTF-8 input file, more FD levels than the grid holds),
-3 no bound states at all.
+3 no bound states at all, 141 when the reader of stdout closed it early.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from datetime import datetime, timezone
 from typing import Callable, Optional
@@ -27,15 +28,13 @@ from .nonrel import ParticleSpec, energy_nonrel, level_indices
 from .oracle import oracle_energies, thread_map
 from .potential import PotentialParams, potential_curve
 from .relativistic import QuantumNumbers, model_functions
-from .units import UnitConstants, read_config
+from .units import UnitConstants, load_config
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NO_BOUND_STATE = 3
-
-#: the keys a --config file may set
-_CONFIG_KEYS = ("hbar_c", "cm_inv_to_ev", "amu_to_ev", "b_sign")
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process that SIGPIPE ended
 
 
 def _fmt(x) -> str:
@@ -63,22 +62,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
-def _load_config(args) -> tuple[dict, UnitConstants]:
-    """The --config keys and the unit constants they set; InvalidParameter on an unknown key."""
-    cfg = read_config(args.config) if args.config else {}
-    unknown = sorted(set(cfg) - set(_CONFIG_KEYS))
-    if unknown:
-        raise InvalidParameter(f"unknown config keys {unknown!r} in {args.config}; "
-                               f"known keys: {', '.join(_CONFIG_KEYS)}")
-    return cfg, UnitConstants.from_mapping(cfg)
-
-
 def _load_setup(args) -> tuple[str, PotentialParams, ParticleSpec, UnitConstants]:
-    cfg, units = _load_config(args)
-    try:
-        b_sign = float(cfg.get("b_sign", "1"))
-    except ValueError as exc:
-        raise InvalidParameter(f"config key b_sign: {cfg['b_sign']!r} is not a number") from exc
+    units, b_sign = load_config(args.config)
     if args.molecule is not None:
         pool = load_molecules(args.molecule_file) if args.molecule_file else None
         molecule = find_molecule(args.molecule, pool)
@@ -287,7 +272,7 @@ def cmd_sweep(args, out) -> int:
 
 
 def cmd_validate(args, out) -> int:
-    _, units = _load_config(args)
+    units, _ = load_config(args.config)
     rows = validate_mod.load_reference(args.table2)
     validate_mod.check_reference_shape(rows)
     calibrated = None
@@ -303,7 +288,7 @@ def cmd_validate(args, out) -> int:
 def cmd_oracle_check(args, out) -> int:
     from .checks import MODEL_CHECKS, ORACLE_CSV_HEADER, OracleEquivalence, check_oracle_equivalence, run_checks
 
-    _, units = _load_config(args)
+    units, _ = load_config(args.config)
     names = _distinct([name for name in args.molecules.split(",") if name], "--molecules", args.molecules)
     molecules = [find_molecule(name) for name in names]
     models = _distinct([m for m in args.models.split(",") if m], "--models", args.models)
@@ -423,11 +408,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args, sys.stdout)
-    except (InvalidParameter, ParseError, OSError, UnicodeDecodeError) as exc:
-        # the --config, --molecule-file and --table2 readers are the only code that opens files
+        code = args.func(args, sys.stdout)
+        sys.stdout.flush()  # a closed pipe surfaces here, not in the interpreter's exit flush
+        return code
+    except (InvalidParameter, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader of stdout went away (`| head`); what is still buffered goes to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except NoBoundState as exc:
         print(f"no bound states: {exc}", file=sys.stderr)
         return EXIT_NO_BOUND_STATE

@@ -3,8 +3,8 @@
 The five built-in diatomics carry well depths in cm^-1, equilibrium bond
 lengths in Angstrom and reduced masses in amu; conversion into the internal
 eV/Angstrom system happens in to_potential_params.  User files use the same
-CSV layout: header ``name,De_cm,re_angstrom,mu_amu``, '#' comments, '.'
-decimals.
+CSV layout: an optional header ``name,De_cm,re_angstrom,mu_amu``, '#'
+comments, '.' decimals, read by units.read_fields.
 """
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import InvalidParameter, ParseError
+from .errors import InvalidParameter
 from .nonrel import ParticleSpec
 from .potential import PotentialParams
-from .units import DEFAULT_UNITS, UnitConstants, amu_to_mass_energy, cm_inverse_to_ev
+from .units import DEFAULT_UNITS, UnitConstants, amu_to_mass_energy, cm_inverse_to_ev, read_fields
 
 CSV_HEADER = "name,De_cm,re_angstrom,mu_amu"
 
@@ -61,32 +61,15 @@ def find_molecule(name: str, pool: Iterable[Molecule] | None = None) -> Molecule
 
 
 def load_molecules(path) -> list[Molecule]:
-    """Parse a molecule CSV; duplicates and bad fields raise with line numbers."""
+    """The records of a molecule CSV; a repeated name or a bad field raises with its file:line."""
     out: list[Molecule] = []
-    seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line == CSV_HEADER:
-                continue
-            parts = [part.strip() for part in line.split(",")]
-            if len(parts) != 4:
-                raise ParseError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
-            name = parts[0]
-            try:
-                numbers = [float(text) for text in parts[1:]]
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            if name in seen:
-                raise InvalidParameter(f"{path}:{lineno}: duplicate molecule {name!r}")
-            try:
-                molecule = Molecule(name, *numbers)
-            except InvalidParameter as exc:
-                raise InvalidParameter(f"{path}:{lineno}: {exc}") from exc
-            seen.add(name)
-            out.append(molecule)
+    for where, fields in read_fields(path, (str, float, float, float), header=CSV_HEADER):
+        if any(m.name == fields[0] for m in out):
+            raise InvalidParameter(f"{where}: duplicate molecule {fields[0]!r}")
+        try:
+            out.append(Molecule(*fields))
+        except InvalidParameter as exc:
+            raise InvalidParameter(f"{where}: {exc}") from exc
     return out
 
 

@@ -5,12 +5,17 @@ spectroscopic inputs (cm^-1 for well depths, amu for reduced masses) are
 converted once at ingestion.  The conversion factors are CODATA 2018 values
 and can be overridden through a configuration file, since small changes in
 them shift reproduced reference energies at the meV level.
+
+Every input file goes through one reader, read_fields; load_config holds
+the whole --config contract.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 from .errors import InvalidParameter, ParseError
 
@@ -42,18 +47,6 @@ class UnitConstants:
             if not math.isfinite(value) or value <= 0.0:
                 raise InvalidParameter(f"{name} must be finite and > 0, got {value!r}")
 
-    @classmethod
-    def from_mapping(cls, mapping: dict) -> "UnitConstants":
-        """Build constants from config-file keys, falling back to defaults."""
-        kwargs = {}
-        for name in ("hbar_c", "cm_inv_to_ev", "amu_to_ev"):
-            if name in mapping:
-                try:
-                    kwargs[name] = float(mapping[name])
-                except ValueError as exc:
-                    raise InvalidParameter(f"config key {name}: {mapping[name]!r} is not a number") from exc
-        return cls(**kwargs)
-
 
 DEFAULT_UNITS = UnitConstants()
 
@@ -73,24 +66,64 @@ def amu_to_mass_energy(m: float, u: UnitConstants = DEFAULT_UNITS) -> float:
     return m * u.amu_to_ev
 
 
-def read_config(path) -> dict:
-    """Parse a ``key = value`` configuration file.
+def read_fields(source, types: tuple, sep: str = ",", header: str = "") -> list[tuple[str, list]]:
+    """(where, values) of each record line of a text input file.
 
-    Lines starting with '#' and blank lines are ignored.  Values stay strings;
-    consumers coerce.  Raises ParseError with the offending line number.
+    The one reader of every input file: --config, --molecule-file, --table2
+    and the packaged reference table.  source is a path or an
+    importlib.resources Traversable.  The text is UTF-8 with an optional
+    byte-order mark; blank lines, '#' lines and a line equal to header are
+    skipped, and each other line splits at sep into one stripped field per
+    entry of types, which converts it (str, int or float).  where is
+    'file:line', the prefix of every message about that record.  ParseError,
+    naming the file, when it cannot be opened or decoded, or a line has
+    another field count or a field that does not convert.
     """
-    out: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not key:
-                raise ParseError(f"{path}:{lineno}: empty key")
-            out[key] = value
-    return out
+    name = str(source)
+    if isinstance(source, (str, os.PathLike)):
+        source = Path(source)
+    try:
+        text = source.read_text(encoding="utf-8-sig")
+    except OSError as exc:
+        raise ParseError(f"{name}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{name}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
+    records = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#") or line == header:
+            continue
+        where, fields = f"{name}:{lineno}", line.split(sep)
+        if len(fields) != len(types):
+            raise ParseError(f"{where}: expected {len(types)} fields, got {len(fields)} in {line!r}")
+        try:
+            records.append((where, [kind(field.strip()) for kind, field in zip(types, fields)]))
+        except ValueError as exc:
+            raise ParseError(f"{where}: {exc} in {line!r}") from exc
+    return records
+
+
+#: the keys a --config file may set
+_CONFIG_KEYS = ("hbar_c", "cm_inv_to_ev", "amu_to_ev", "b_sign")
+
+
+def load_config(path=None) -> tuple[UnitConstants, float]:
+    """The unit constants and b_sign of a ``key = value`` --config file.
+
+    No file gives the defaults and b_sign = +1.  ParseError on a value that
+    is not a number; InvalidParameter, naming the file, on an unknown key, a
+    constant that is not finite and > 0, or a b_sign other than +1 or -1.
+    """
+    values: dict[str, float] = {}
+    records = read_fields(path, (str, float), sep="=") if path is not None else []
+    for where, (key, value) in records:
+        if key not in _CONFIG_KEYS:
+            raise InvalidParameter(f"{where}: unknown config key {key!r}; known keys: {', '.join(_CONFIG_KEYS)}")
+        values[key] = value
+    b_sign = values.pop("b_sign", 1.0)
+    if b_sign not in (1.0, -1.0):
+        raise InvalidParameter(f"{path}: b_sign must be +1 or -1, got {b_sign!r}")
+    try:
+        return UnitConstants(**values), b_sign
+    except InvalidParameter as exc:
+        raise InvalidParameter(f"{path}: {exc}") from exc

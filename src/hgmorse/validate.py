@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InvalidParameter, ParseError
 from .molecules import builtin_molecules, find_molecule, to_potential_params
 from .nonrel import energy_nonrel
-from .units import DEFAULT_UNITS, UnitConstants
+from .units import DEFAULT_UNITS, UnitConstants, read_fields
 
 REPRODUCTION_TOL = 5e-3  # eV, per entry
 ROWS_PER_MOLECULE = 21  # triangular n = 0..5
@@ -44,25 +44,9 @@ def load_reference(path=None) -> list[ReferenceRow]:
 
     The 5 molecules x 21 rows shape is checked apart, by check_reference_shape.
     """
-    if path is None:
-        text = packaged_reference_path().read_text(encoding="utf-8")
-        source = "<packaged>"
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        source = str(path)
-    rows: list[ReferenceRow] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#") or line == "molecule,n,l,E_eV":
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ParseError(f"{source}:{lineno}: expected 4 fields, got {len(parts)}")
-        try:
-            rows.append(ReferenceRow(parts[0], int(parts[1]), int(parts[2]), float(parts[3])))
-        except ValueError as exc:
-            raise ParseError(f"{source}:{lineno}: {exc}") from exc
+    source = packaged_reference_path() if path is None else path
+    records = read_fields(source, (str, int, int, float), header="molecule,n,l,E_eV")
+    rows = [ReferenceRow(*fields) for _, fields in records]
     if not rows:
         raise ParseError(f"{source}: no reference rows")
     return rows

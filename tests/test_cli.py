@@ -25,7 +25,7 @@ from hgmorse.relativistic import (
     spin_residual,
 )
 from hgmorse.units import CM_INV_TO_EV, HBAR_C_EV_ANGSTROM
-from hgmorse.validate import calibrate, load_reference
+from hgmorse.validate import calibrate, load_reference, packaged_reference_path
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -320,6 +320,44 @@ def test_unreadable_input_file_is_a_usage_error(capsys, tmp_path, argv, kind):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+    assert str(path) in err
+
+
+@pytest.mark.parametrize("option,argv,body", [
+    ("--config", ("levels", "--molecule", "CH", "--a", "1", "--b", "1.5", "--n-max", "0"), "b_sign = -1\n"),
+    ("--molecule-file", ("levels", "--molecule", "XY", "--n-max", "1"),
+     "name,De_cm,re_angstrom,mu_amu\nXY,31838.08,1.1198,0.929931\n"),
+    ("--table2", ("validate", "--no-timestamp", "--a", "1", "--b", "1"),
+     packaged_reference_path().read_text(encoding="utf-8")),
+], ids=["config", "molecule-file", "table2"])
+def test_input_file_with_a_byte_order_mark_reads_as_without(capsys, tmp_path, option, argv, body):
+    # editors on Windows save UTF-8 with a leading U+FEFF; it must not reach the first key, name or header
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(body, encoding="utf-8")
+    marked.write_text(body, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    code, out, err = run(capsys, *argv, option, str(plain))
+    assert (code, err) == (0, "")
+    assert run(capsys, *argv, option, str(marked)) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv,first_lines", [
+    (("potential", "--molecule", "CH", "--samples", "200000"), [b"r,V_exact,V_approx\n"]),
+    (("levels", "--molecule", "CH", "--n-max", "0"), []),
+], ids=["long-table-after-one-line", "short-table-at-once"])
+def test_closed_stdout_exits_141_without_a_message(argv, first_lines):
+    # the reader goes away, as `| head -1` does: during the writes of a long table, or before a
+    # short one leaves stdout's buffer, so that only the final flush meets the closed pipe
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen([sys.executable, "-m", "hgmorse.cli", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    assert [proc.stdout.readline() for _ in first_lines] == first_lines
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 141
+    assert err == b""
 
 
 def test_sweep_relativistic_flags_unbound_points(capsys, ch_unit):
@@ -576,14 +614,18 @@ def test_config_b_sign_flips_yukawa(capsys, tmp_path):
     ("levels", "--molecule", "CH", "--n-max", "0"),
     ("potential", "--molecule", "CH", "--samples", "3"),
     ("sweep", "--molecule", "CH", "--param", "a", "--from", "0", "--to", "1", "--steps", "2"),
+    ("validate", "--no-timestamp"),
+    ("oracle-check", "--models", "kg"),
 ])
 def test_config_non_numeric_b_sign_is_a_usage_error(capsys, tmp_path, argv):
+    # every command that takes --config checks b_sign, also where no potential applies it
     cfg = tmp_path / "sign.cfg"
-    cfg.write_text("b_sign = minus\n")
-    code, out, err = run(capsys, *argv, "--config", str(cfg))
-    assert code == 2
-    assert out == ""
-    assert "b_sign" in err
+    for value in ("minus", "2"):
+        cfg.write_text(f"b_sign = {value}\n")
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "b_sign" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,7 +8,7 @@ from hgmorse.units import (
     UnitConstants,
     amu_to_mass_energy,
     cm_inverse_to_ev,
-    read_config,
+    load_config,
 )
 
 mp.mp.dps = 40
@@ -87,7 +87,7 @@ def test_unit_constants_reject_nonpositive():
 def test_config_override(tmp_path):
     cfg = tmp_path / "units.cfg"
     cfg.write_text("# custom constants\nhbar_c = 1973.0\ncm_inv_to_ev = 1.0e-4\n")
-    u = UnitConstants.from_mapping(read_config(cfg))
+    u, _ = load_config(cfg)
     assert u.hbar_c == 1973.0
     assert u.cm_inv_to_ev == 1.0e-4
     assert u.amu_to_ev == DEFAULT_UNITS.amu_to_ev
@@ -97,4 +97,4 @@ def test_config_rejects_garbage(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("this is not a key value line\n")
     with pytest.raises(ParseError):
-        read_config(cfg)
+        load_config(cfg)

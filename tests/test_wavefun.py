@@ -151,11 +151,12 @@ def test_nonpositive_radius_rejected(r):
 
 
 def test_bound_exponents_are_the_square_roots_of_the_radicands():
-    assert bound_exponents(4.0, 0.0) == (2.0, 0.5)
+    assert bound_exponents(4.0, 0.25) == (2.0, 1.0)
     assert bound_exponents(1e-300, 2.25) == (math.sqrt(1e-300), 2.0)
 
 
-@pytest.mark.parametrize("C,R", [(0.0, 1.0), (-1.0, 1.0), (1.0, -1e-300), (math.nan, 1.0), (1.0, math.nan)])
+@pytest.mark.parametrize("C,R", [(0.0, 1.0), (-1.0, 1.0), (1.0, -1e-300), (math.nan, 1.0), (1.0, math.nan),
+                                 (1.0, 0.0)])
 def test_bound_exponents_reject_an_unbound_or_nan_radicand(C, R):
     with pytest.raises(NoBoundState):
         bound_exponents(C, R)
