@@ -34,9 +34,12 @@ every domain hole.  The field builder does the state-only work once and
 returns E -> fields, where E is a float64 array of energies or one float.
 The root scan evaluates the residual on its whole energy grid in one call;
 bisection, the public residuals and the spec builder pass one float through
-the same code; kg_residual_nonrel_limit builds its substituted fields by
-the same formulas.  One solver, one residual and one spec builder serve all
-three sectors; the public functions are one-call wrappers over them.
+the same formulas in float arithmetic (a conditional for the NaN of a hole,
+math.sqrt, the builtin abs), in the same order of operations, so a float E
+gives bit for bit the element of the array scan; kg_residual_nonrel_limit
+builds its substituted fields by the same formulas.  One solver, one
+residual and one spec builder serve all three sectors; the public functions
+are one-call wrappers over them.
 
 The fully expanded printed variants of the three eigenvalue equations carry
 typesetting defects (a dropped coupling term, a sign flip, a missing 1/4);
@@ -94,8 +97,8 @@ def lambda_D(D: int, l: int) -> float:
 class _NUFields:
     """Dimensionless coefficient set of the s-space radial equation.
 
-    The first five fields hold one value per energy (a numpy scalar for one
-    float energy); gamma is the energy-independent angular term.
+    The first five fields hold one value per energy (a float for one float
+    energy); gamma is the energy-independent angular term.
     """
 
     eps: np.ndarray
@@ -107,23 +110,26 @@ class _NUFields:
 
 
 def _nan_unless(ok, x):
-    """x where ok holds, NaN elsewhere; 0-d results come back as numpy scalars."""
-    return np.where(ok, x, np.nan)[()]
+    """x where ok holds, NaN elsewhere: a float for a float x, else an array."""
+    if isinstance(x, float):
+        return x if ok else math.nan
+    return np.where(ok, x, np.nan)
 
 
 def _nu_eval(f: _NUFields, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(normalized residual, bracket numerator N), NaN on a domain hole.
 
     A hole is a NaN field (a scale factor <= 0) or a negative radicand
-    1/4 + phi + gamma.
+    1/4 + phi + gamma.  Two floats for float fields, else two arrays.
     """
     radicand = 0.25 + f.phi + f.gamma
-    P = n + 0.5 + np.sqrt(_nan_unless(radicand >= 0.0, radicand))
+    root = _nan_unless(radicand >= 0.0, radicand)
+    P = n + 0.5 + (math.sqrt(root) if isinstance(root, float) else np.sqrt(root))
     N = P * P - f.beta + f.eta - f.chi + f.gamma - f.phi
     lhs = f.eps
     t = N / P
     rhs = f.beta - f.gamma + 0.25 * (t * t)
-    return (lhs - rhs) / (1.0 + np.abs(lhs) + np.abs(rhs)), N
+    return (lhs - rhs) / (1.0 + abs(lhs) + abs(rhs)), N
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ evaluates its callable once on the whole grid, as a float64 array in and an
 array of the same shape out, and treats non-finite values (NaN) as holes: a
 bracket is only certified between adjacent grid points where the function
 is defined with opposite signs.  Bisection then refines one bracket with
-scalar calls, a few dozen per root; it is preferred over faster methods
+one-float calls, a few dozen per root, which the relativistic residuals
+answer in plain float arithmetic; it is preferred over faster methods
 because robustness dominates at this problem size.
 """
 

@@ -111,14 +111,17 @@ def load_config(path=None) -> tuple[UnitConstants, float]:
     """The unit constants and b_sign of a ``key = value`` --config file.
 
     No file gives the defaults and b_sign = +1.  ParseError on a value that
-    is not a number; InvalidParameter, naming the file, on an unknown key, a
-    constant that is not finite and > 0, or a b_sign other than +1 or -1.
+    is not a number; InvalidParameter, naming the file, on an unknown or a
+    repeated key, a constant that is not finite and > 0, or a b_sign other
+    than +1 or -1.
     """
     values: dict[str, float] = {}
     records = read_fields(path, (str, float), sep="=") if path is not None else []
     for where, (key, value) in records:
         if key not in _CONFIG_KEYS:
             raise InvalidParameter(f"{where}: unknown config key {key!r}; known keys: {', '.join(_CONFIG_KEYS)}")
+        if key in values:
+            raise InvalidParameter(f"{where}: repeated config key {key!r}")
         values[key] = value
     b_sign = values.pop("b_sign", 1.0)
     if b_sign not in (1.0, -1.0):

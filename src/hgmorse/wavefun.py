@@ -13,22 +13,26 @@ evaluates on a whole array of nodes at once or at one node.
 Molecular parameters push `leading` to ~1e4, so the envelope under/overflows
 doubles by hundreds of orders of magnitude; everything here is therefore
 computed in log space.  The envelope terms (s, log s, log(1 - s)) go through
-libm one node at a time: log s is multiplied by `leading`, so a last-bit
-difference between libm and numpy's exp/log would show in the normalization.
+libm, not numpy: log s is multiplied by `leading`, so a last-bit difference
+between libm and numpy's exp/log would show in the normalization.  On an
+array they are built column by column, each libm function mapped over all
+nodes at once; `_envelope`, the one-float path, defines them bit for bit.
 
 A function that takes r gives Python floats for a float r, and arrays of the
 shape of r for an array.  Both take the same envelope, recurrence and numpy
 log/exp, so a float r gives bit for bit the element an array would; the
 per-state constants are computed once per `SWaveform`.  Normalization is by
 composite Gauss-Legendre quadrature over the support window of the squared
-envelope (log-offset to stay finite), with all nodes in one call.
+envelope (log-offset to stay finite), with all nodes in one call; the
+24-point rule is built once, on first use, and is read-only.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -101,6 +105,18 @@ def _envelope(t: float) -> tuple[float, float, float]:
     return s, (t if s == 0.0 else math.log(s)), math.log(-math.expm1(t))
 
 
+def _envelope_columns(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_envelope` of every element of a 1-d t, bit for bit, as three arrays:
+    one map of each libm function over the nodes, no per-node Python call."""
+    ts = t.tolist()
+    s = np.fromiter(map(math.exp, ts), float, len(ts))
+    log_s = t.copy()  # where s underflows to 0
+    live = s > 0.0
+    log_s[live] = np.fromiter(map(math.log, s[live].tolist()), float)
+    log_one_m_s = np.fromiter(map(math.log, map(operator.neg, map(math.expm1, ts))), float, len(ts))
+    return s, log_s, log_one_m_s
+
+
 def log_abs_and_sign(w: SWaveform, r):
     """(log|u_raw(r)|, sign) of the unnormalized eigenfunction; every r > 0.
 
@@ -116,8 +132,7 @@ def log_abs_and_sign(w: SWaveform, r):
         r = np.asarray(r, dtype=float)
         if not np.all(r > 0.0):
             raise InvalidParameter(f"r must be > 0, got {r[~(r > 0.0)].flat[0]!r}")
-        env = np.array([_envelope(t) for t in (-w.alpha * r).ravel().tolist()]).reshape(-1, 3)
-        s, log_s, log_one_m_s = (col.reshape(r.shape) for col in env.T)
+        s, log_s, log_one_m_s = (col.reshape(r.shape) for col in _envelope_columns((-w.alpha * r).ravel()))
     hyp = hypergeometric_factor(w, s)
     log_env = w.leading * log_s + w.edge * log_one_m_s + w.log_pref
     if scalar:
@@ -138,13 +153,22 @@ def support_window(w: SWaveform, drop: float = _WINDOW_DROP) -> tuple[float, flo
     return r_lo, r_hi
 
 
+@cache
+def _gauss_legendre_24() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 24-point Gauss-Legendre rule on [-1, 1],
+    built once and read-only."""
+    x, wt = np.polynomial.legendre.leggauss(24)
+    x.flags.writeable = wt.flags.writeable = False
+    return x, wt
+
+
 def quadrature_nodes(w: SWaveform) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the composite 24-point Gauss-Legendre rule over
     the support window.  The polynomial factor oscillates n times inside the
     window, so the panel count, 96 + 32 n, scales with n."""
-    panels, order = 96 + 32 * w.n, 24
+    panels = 96 + 32 * w.n
     r_lo, r_hi = support_window(w)
-    x, wt = np.polynomial.legendre.leggauss(order)
+    x, wt = _gauss_legendre_24()
     edges = np.linspace(r_lo, r_hi, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[:-1] + edges[1:])

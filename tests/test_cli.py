@@ -645,6 +645,20 @@ def test_config_unknown_key_is_a_usage_error(capsys, tmp_path, argv):
     assert "hbar-c" in err and "hbar_c" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("levels", "--molecule", "CH", "--a", "1", "--b", "1.5", "--n-max", "0"),
+    ("validate", "--no-timestamp"),
+])
+def test_config_repeated_key_is_a_usage_error(capsys, tmp_path, argv):
+    # the last value must not win silently, as a repeated molecule name does not
+    cfg = tmp_path / "dup.cfg"
+    cfg.write_text("b_sign = -1\n# the second one\nb_sign = 1\n")
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert f"{cfg}:3: repeated config key 'b_sign'" in err
+
+
 @pytest.mark.parametrize("grid", [0, -2])
 def test_calibration_grid_below_one_is_a_usage_error(capsys, grid):
     with pytest.raises(InvalidParameter, match="calibration grid"):

@@ -8,7 +8,9 @@ rounds like numpy's elementwise square (CPython's float pow can differ from
 it by 1 ULP).  The array code must reproduce them bit for bit: equal
 residuals and bracket numerators N, and NaN exactly where the scalar code
 reports a domain hole (None), over the solver's scan grid for all five
-molecules, the three test masses and all three sectors.
+molecules, the three test masses and all three sectors.  One float energy,
+as bisection passes it, must give Python floats bit-equal to the array
+elements.
 """
 
 import math
@@ -135,9 +137,9 @@ def test_array_residual_matches_scalar_oracle_bit_for_bit(model):
         Es = np.linspace(lo, hi, SCAN_POINTS)
         for state in states:
             n = state[0].n if model == "kg" else state[2]
-            at, fields_n = _fields(sector, params, M, state, HBAR_C_EV_ANGSTROM)
+            fields, fields_n = _fields(sector, params, M, state, HBAR_C_EV_ANGSTROM)
             assert fields_n == n
-            res, N = _nu_eval(at(Es), n)
+            res, N = _nu_eval(fields(Es), n)
             at = scalar_fields(params, M, *state, HBAR_C_EV_ANGSTROM)
             ref = [scalar_nu_eval(at(float(E)), n) for E in Es]
             hole = np.array([r is None for r in ref])
@@ -147,8 +149,14 @@ def test_array_residual_matches_scalar_oracle_bit_for_bit(model):
             kept = [r for r in ref if r is not None]
             assert np.array_equal(_bits(res[~hole]), _bits([r[0] for r in kept])), where
             assert np.array_equal(_bits(N[~hole]), _bits([r[1] for r in kept])), where
-            # one float through the same array code, as bisection and the public residual do
+            # one float, as bisection and the public residual pass it
             for i in range(0, SCAN_POINTS, 97):
+                one_res, one_N = _nu_eval(fields(float(Es[i])), n)
+                assert type(one_res) is float and type(one_N) is float, where
+                if hole[i]:
+                    assert math.isnan(one_res) and math.isnan(one_N), where
+                else:
+                    assert _bits(one_res) == _bits(res[i]) and _bits(one_N) == _bits(N[i]), where
                 one = public_residual(params, M, float(Es[i]), *state, hbar_c=HBAR_C_EV_ANGSTROM)
                 if ref[i] is None:
                     assert one is None, where

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from hgmorse import wavefun
 from hgmorse.checks import pseudospin_params, scaled_params, term_sum_log_abs_and_sign, term_sum_value
 from hgmorse.errors import InvalidParameter, NoBoundState
 from hgmorse.molecules import builtin_molecules, find_molecule, to_potential_params
@@ -242,6 +243,36 @@ def test_float_radius_input_check(which, r):
     f, spec = _one_radius_specs()[3] if which == "nonrel" else _one_radius_specs()[10]
     with pytest.raises(InvalidParameter):
         f(spec, r)
+
+
+def test_envelope_columns_equal_the_one_float_envelope_bit_for_bit():
+    rng = np.random.default_rng(7)
+    t = np.concatenate([
+        rng.uniform(-800.0, 0.0, 4000),  # below about -745.13, s underflows to 0 and log s = t
+        -np.exp(rng.uniform(-700.0, 0.0, 1000)),  # just below 0, down to -1e-304
+        -745.13 + rng.uniform(-0.05, 0.05, 200),  # around the underflow
+        [-5e-324, -1e-300, -1e-17, -745.2, -1000.0],
+    ])
+    t = t[t < 0.0]
+    columns = wavefun._envelope_columns(t)
+    reference = np.array([wavefun._envelope(x) for x in t.tolist()]).T
+    assert np.any(columns[0] == 0.0) and np.any(columns[0] > 0.0)
+    for got, want in zip(columns, reference):
+        assert got.shape == t.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_gauss_legendre_rule_is_built_once_and_read_only():
+    w, _ = _ch_state()
+    (r1, wt1), (r2, wt2) = quadrature_nodes(w), quadrature_nodes(w)
+    assert np.array_equal(r1, r2) and np.array_equal(wt1, wt2)
+    x, wt = wavefun._gauss_legendre_24()
+    assert wavefun._gauss_legendre_24()[0] is x
+    assert not x.flags.writeable and not wt.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    ref_x, ref_wt = np.polynomial.legendre.leggauss(24)
+    assert np.array_equal(x, ref_x) and np.array_equal(wt, ref_wt)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
