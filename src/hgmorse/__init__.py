@@ -23,6 +23,7 @@ from .molecules import (
 from .nonrel import (
     ParticleSpec,
     WavefunctionSpec,
+    energies_nonrel,
     energy_nonrel,
     make_wavefunction,
     radial_wavefunction,

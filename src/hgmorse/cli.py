@@ -16,12 +16,10 @@ import json
 import math
 import os
 import sys
-from datetime import datetime, timezone
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import validate as validate_mod
 from .errors import InvalidParameter, NoBoundState, ParseError, SolverError
 from .molecules import Molecule, find_molecule, load_molecules, to_potential_params
 from .nonrel import ParticleSpec, energy_nonrel, level_indices
@@ -126,13 +124,19 @@ def _level_solver(args, part: ParticleSpec) -> Callable:
     """The solver of args.model at part's hbar c, as level(p, state) for a state of _states(args).
 
     level returns (energies, defects): energies is None when the state has
-    no bound level, and defects(E) gives the (residual,
-    cross_check_residual) pair of a root, both None for nonrel.  An
-    InvalidParameter that level raises comes from p, since _states has
-    checked the options.
+    no bound level (its solver, energy_nonrel too, raised NoBoundState),
+    and defects(E) gives the (residual, cross_check_residual) pair of a
+    root, both None for nonrel.  An InvalidParameter that level raises
+    comes from p, since _states has checked the options.
     """
     if args.model == "nonrel":
-        return lambda p, state: ([energy_nonrel(p, part, *state)], lambda E: (None, None))
+        def nonrel_level(p: PotentialParams, state: tuple):
+            try:
+                return [energy_nonrel(p, part, *state)], lambda E: (None, None)
+            except NoBoundState:
+                return None, None
+
+        return nonrel_level
     solve, residual, printed, _ = model_functions(args.model)
     M, hbar_c = args.mass, part.hbar_c
     opts = {"scan_points": args.scan_points, "tol": args.tol, "hbar_c": hbar_c}
@@ -272,6 +276,10 @@ def cmd_sweep(args, out) -> int:
 
 
 def cmd_validate(args, out) -> int:
+    from datetime import datetime, timezone
+
+    from . import validate as validate_mod
+
     units, _ = load_config(args.config)
     rows = validate_mod.load_reference(args.table2)
     validate_mod.check_reference_shape(rows)

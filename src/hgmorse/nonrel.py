@@ -11,6 +11,12 @@ the level is
 
     E(n, l) = D_e - a alpha + kap2 l(l+1) - (kap2/4) (N/P)^2.
 
+`energy_nonrel` evaluates it for one (n, l), and `energies_nonrel`, by the
+same body, over arrays of n, l and the strengths, bit for bit.  Squaring N/P
+would carry the formula on past the last bound level, with energies that
+fall as n grows, so both raise NoBoundState there: the N < 0 rule of
+`wavefun.bound_exponents`.
+
 The sign of the D_e q^2/alpha^2 coupling term here differs from one printed
 variant of this formula; the finite-difference oracle selects this one
 decisively (the other is off by ~0.2 eV for CH); the eliminated variant is
@@ -26,9 +32,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
+
+import numpy as np
 
 from . import wavefun
-from .errors import InvalidParameter
+from .errors import InvalidParameter, NoBoundState
 from .potential import PotentialParams
 from .units import HBAR_C_EV_ANGSTROM
 
@@ -55,32 +64,75 @@ class ParticleSpec:
         return 2.0 * self.mu_energy / self.hbar_c**2
 
 
-def _level(p: PotentialParams, part: ParticleSpec, n: int, l: int, phi_sign: float) -> float:
-    """E(n, l) with phi_sign on the D_e q^2/alpha^2 coupling term."""
-    if n < 0 or l < 0:
-        raise InvalidParameter(f"quantum numbers must be >= 0, got (n={n!r}, l={l!r})")
+def _square(x: np.ndarray) -> np.ndarray:
+    """x**2 elementwise as Python squares a float, through libm pow.
+
+    numpy's ** multiplies x*x, which differs from pow in the last bit on
+    about 0.1% of doubles; pow's OverflowError propagates.
+    """
+    return np.fromiter(map(pow, x.ravel().tolist(), repeat(2)), float, x.size).reshape(x.shape)
+
+
+def _level(p: PotentialParams, part: ParticleSpec, n, l, a, b, phi_sign: float):
+    """(E(n, l), N) at strengths (a, b), with phi_sign on the D_e q^2/alpha^2 coupling term.
+
+    Python numbers give floats.  Any of n, l (integers) and a, b (floats)
+    may instead be an array, and all array arguments then share one shape:
+    the result holds, element for element, the floats the scalar arguments
+    would give.  An n or l array may hold its integers as float64.
+    """
     T = part.two_mu_over_hbar2
     a2 = p.alpha**2
     phi = T * p.D_e * p.q**2 / a2
-    delta = math.sqrt(0.25 + l * (l + 1) + phi)
-    P = n + 0.5 + delta
-    coupling = T * (p.b / p.alpha - p.a / p.alpha - 2.0 * p.D_e * p.q / a2 + phi_sign * p.D_e * p.q**2 / a2)
-    N = P * P + coupling + l * (l + 1)
+    l1 = l + 1
+    L = l * l1
+    radicand = 0.25 + L + phi
+    P = n + 0.5 + (math.sqrt(radicand) if isinstance(radicand, float) else np.sqrt(radicand))
+    coupling = T * (b / p.alpha - a / p.alpha - 2.0 * p.D_e * p.q / a2 + phi_sign * p.D_e * p.q**2 / a2)
+    N = P * P + coupling + L
     kap2 = part.kinetic_scale * p.alpha**2
-    return p.D_e - p.a * p.alpha + kap2 * l * (l + 1) - 0.25 * kap2 * (N / P) ** 2
+    t = N / P
+    return p.D_e - a * p.alpha + kap2 * l * l1 - 0.25 * kap2 * (t**2 if isinstance(t, float) else _square(t)), N
 
 
 def energy_nonrel(p: PotentialParams, part: ParticleSpec, n: int, l: int) -> float:
     """Closed-form level E(n, l) in eV (oracle-verified transcription).
 
-    Raises InvalidParameter when finite inputs overflow the closed form.
+    InvalidParameter for a negative n or l, or when finite inputs overflow
+    the closed form; NoBoundState unless the bracket numerator N < 0 (see
+    wavefun.bound_exponents).
     """
+    if n < 0 or l < 0:
+        raise InvalidParameter(f"quantum numbers must be >= 0, got (n={n!r}, l={l!r})")
     try:
-        E = _level(p, part, n, l, -1.0)
+        E, N = _level(p, part, n, l, p.a, p.b, -1.0)
     except OverflowError:
         E = math.nan
     if not math.isfinite(E):
         raise InvalidParameter(f"E(n={n}, l={l}) is not finite: the closed form overflows at these parameters")
+    if not N < 0.0:
+        raise NoBoundState(f"E(n={n}, l={l}) is past the last bound level: N = {N!r} >= 0")
+    return E
+
+
+def energies_nonrel(p: PotentialParams, part: ParticleSpec, n, l, a, b) -> np.ndarray:
+    """energy_nonrel at strengths (a, b) in place of p's, elementwise over arrays.
+
+    Any of n, l, a and b may be an array, all arrays of one shape; each
+    element is bit for bit the float energy_nonrel gives.  Raises as
+    energy_nonrel does if any element would.
+    """
+    if (np.minimum(n, l) < 0).any():
+        raise InvalidParameter(f"quantum numbers must be >= 0, got n down to {np.min(n)} and l down to {np.min(l)}")
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # as Python float arithmetic: inf and nan, no warning
+            E, N = _level(p, part, n, l, a, b, -1.0)
+    except OverflowError:
+        E = math.nan
+    if not np.isfinite(E).all():
+        raise InvalidParameter("a closed-form energy is not finite: the closed form overflows at these parameters")
+    if not (N < 0.0).all():
+        raise NoBoundState(f"a requested level is past the last bound level: N up to {float(np.max(N))!r} >= 0")
     return E
 
 
@@ -89,7 +141,7 @@ def _energy_nonrel_printed(p: PotentialParams, part: ParticleSpec, n: int, l: in
 
     Fails the oracle by ~0.2 eV; kept only as a test cross-check.
     """
-    return _level(p, part, n, l, +1.0)
+    return _level(p, part, n, l, p.a, p.b, +1.0)[0]
 
 
 def wavefunction_exponents(p: PotentialParams, part: ParticleSpec, E: float, l: int) -> tuple[float, float]:

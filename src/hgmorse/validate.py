@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidParameter, ParseError
 from .molecules import builtin_molecules, find_molecule, to_potential_params
-from .nonrel import energy_nonrel
+from .nonrel import energies_nonrel, energy_nonrel
 from .units import DEFAULT_UNITS, UnitConstants, read_fields
 
 REPRODUCTION_TOL = 5e-3  # eV, per entry
@@ -60,18 +60,27 @@ def check_reference_shape(rows: Iterable[ReferenceRow]) -> None:
         raise InvalidParameter(f"reference table malformed: {per!r}")
 
 
-def _model_energy(molecule: str, n: int, l: int, a: float, b: float, alpha: float, u: UnitConstants) -> float:
-    params, part = to_potential_params(find_molecule(molecule), a, b, alpha, u)
-    return energy_nonrel(params, part, n, l)
+def _columns(rows: Iterable[ReferenceRow]) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Each molecule's (n, l, E_eV) float64 columns in table order, molecules in order of first row.
+
+    n and l are exact as floats below 2^53, and l(l + 1) then rounds as the
+    Python int product does when it meets a float; an int64 column would
+    wrap past 2^63 or fail to build.
+    """
+    by_molecule: dict[str, list[ReferenceRow]] = {}
+    for row in rows:
+        by_molecule.setdefault(row.molecule, []).append(row)
+    return {name: tuple(np.array([getattr(r, field) for r in column], dtype=float) for field in ("n", "l", "E_eV"))
+            for name, column in by_molecule.items()}
 
 
 def score(rows: list[ReferenceRow], a: float, b: float, alpha: float = 0.025,
           u: UnitConstants = DEFAULT_UNITS) -> dict:
     """Per-molecule and overall absolute deviations at a fixed (a, b)."""
     devs: dict[str, list[float]] = {}
-    for row in rows:
-        dev = abs(_model_energy(row.molecule, row.n, row.l, a, b, alpha, u) - row.E_eV)
-        devs.setdefault(row.molecule, []).append(dev)
+    for name, (n, l, reference) in _columns(rows).items():
+        p, part = to_potential_params(find_molecule(name), a, b, alpha, u)
+        devs[name] = np.abs(energies_nonrel(p, part, n, l, p.a, p.b) - reference).tolist()
     flat = [d for column in devs.values() for d in column]
     return {
         "per_molecule": {name: (max(column), sum(column) / len(column)) for name, column in devs.items()},
@@ -86,17 +95,23 @@ def calibrate(rows: list[ReferenceRow], alpha: float = 0.025, grid: int = 51,
     """Grid search (a, b) in [0, 5]^2 minimizing the CH ground-level mismatch.
 
     Returns (a, b, |deviation at CH(0,0)|); ties resolve to the first grid
-    point in scan order.  InvalidParameter when grid < 1.
+    point in scan order, a outer and b inner.  Each a-row is one array of
+    grid energies.  InvalidParameter when grid < 1 or the table has no
+    CH (0, 0) row.
     """
     if grid < 1:
         raise InvalidParameter(f"calibration grid must be >= 1, got {grid!r}")
-    target = next(row.E_eV for row in rows if row.molecule == "CH" and row.n == 0 and row.l == 0)
+    target = next((row.E_eV for row in rows if row.molecule == "CH" and row.n == 0 and row.l == 0), None)
+    if target is None:
+        raise InvalidParameter("reference table has no CH row with n = 0, l = 0 to calibrate on")
+    p, part = to_potential_params(find_molecule("CH"), 0.0, 0.0, alpha, u)
+    values = np.linspace(0.0, 5.0, grid)
     best: Optional[tuple[float, float, float]] = None
-    for a in np.linspace(0.0, 5.0, grid):
-        for b in np.linspace(0.0, 5.0, grid):
-            dev = abs(_model_energy("CH", 0, 0, float(a), float(b), alpha, u) - target)
-            if best is None or dev < best[0]:
-                best = (dev, float(a), float(b))
+    for a in values.tolist():
+        devs = np.abs(energies_nonrel(p, part, 0, 0, a, values) - target)
+        j = int(np.argmin(devs))  # the first of equal minima
+        if best is None or devs[j] < best[0]:
+            best = (float(devs[j]), a, float(values[j]))
     dev, a, b = best
     return a, b, dev
 
@@ -106,18 +121,22 @@ def per_molecule_diagnostics(rows: list[ReferenceRow], alpha: float = 0.025,
     """Best-fit b per molecule with a pinned to 1, over b in [-4, 1].
 
     Golden-section on the summed squared deviation of the full 21-entry
-    column.  Localizes the convention behind the reference values: large
-    negative best-fit b with tiny residuals means the table was produced
-    with the attractive-Yukawa sign.
+    column, one array of the column's energies per step.  Localizes the
+    convention behind the reference values: large negative best-fit b with
+    tiny residuals means the table was produced with the attractive-Yukawa
+    sign.
     """
     out: dict[str, tuple[float, float]] = {}
-    by_molecule: dict[str, list[ReferenceRow]] = {}
-    for row in rows:
-        by_molecule.setdefault(row.molecule, []).append(row)
     gr = (math.sqrt(5.0) - 1.0) / 2.0
-    for name, column in by_molecule.items():
+    for name, (n, l, reference) in _columns(rows).items():
+        p, part = to_potential_params(find_molecule(name), 1.0, 0.0, alpha, u)
+
+        def deviations(b: float) -> np.ndarray:
+            return energies_nonrel(p, part, n, l, 1.0, b) - reference
+
         def sse(b: float) -> float:
-            return sum((_model_energy(name, r.n, r.l, 1.0, b, alpha, u) - r.E_eV) ** 2 for r in column)
+            # float ** 2 and a left-to-right sum, not numpy's x*x and pairwise sum
+            return sum(dev**2 for dev in deviations(b).tolist())
 
         lo, hi = -4.0, 1.0
         c = hi - gr * (hi - lo)
@@ -133,8 +152,7 @@ def per_molecule_diagnostics(rows: list[ReferenceRow], alpha: float = 0.025,
                 d = lo + gr * (hi - lo)
                 fd = sse(d)
         b_best = 0.5 * (lo + hi)
-        worst = max(abs(_model_energy(name, r.n, r.l, 1.0, b_best, alpha, u) - r.E_eV) for r in column)
-        out[name] = (b_best, worst)
+        out[name] = (b_best, float(np.max(np.abs(deviations(b_best)))))
     return out
 
 

@@ -48,7 +48,11 @@ def bound_exponents(C: float, R: float) -> tuple[float, float]:
 
     The one bound-state rule of every equation: C > 0 and R > 0, else
     NoBoundState; a NaN radicand fails it too.  R = 0 would give
-    edge = 1/2, which SWaveform rejects.
+    edge = 1/2, which SWaveform rejects.  At a closed-form energy,
+    C = (N/(2P))^2 with the bracket numerator N of the quantization
+    condition, and the state decays as s^(-N/(2P)) only where N < 0: so
+    nonrel.energy_nonrel raises NoBoundState unless N < 0, and the
+    relativistic solver drops a root with N > 0.
     """
     if not (C > 0.0 and R > 0.0):
         raise NoBoundState(f"exponent radicands (C={C!r}, R={R!r}) do not give a bound state")
@@ -181,7 +185,7 @@ def log_norm_quadrature(w: SWaveform) -> float:
     r, wts = quadrature_nodes(w)
     la, _ = log_abs_and_sign(w, r)
     logs = 2.0 * la
-    m = logs.max()
+    m = float(logs.max())
     integral = float(np.sum(wts * np.exp(logs - m)))
     if not integral > 0.0:
         raise NoBoundState("normalization integral vanished")

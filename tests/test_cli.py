@@ -185,12 +185,28 @@ def test_sweep_two_steps_row_count(capsys):
 
 
 def test_sweep_b_reports_shape(capsys):
+    # the repulsive Yukawa term raises the level with b until it unbinds at
+    # b = 9, where the FD spectrum has no level below D_e (see test_nonrel); the
+    # squared closed form once went on past it, falling, and read "non-monotonic (max near b = 9)"
     code, out, _ = run(capsys, "sweep", "--molecule", "CH", "--a", "0", "--param", "b",
                        "--from", "0", "--to", "12", "--steps", "25", "--n-max", "0")
     assert code == 0
     shape_lines = [line for line in out.splitlines() if line.startswith("# shape")]
-    assert len(shape_lines) == 1
-    assert "non-monotonic" in shape_lines[0]
+    assert shape_lines == ["# shape n=0 l=0: monotonic increasing"]
+    statuses = [line.split(",")[-1] for line in out.splitlines()[1:] if not line.startswith("#")]
+    assert statuses == ["ok"] * 18 + ["no_bound_state"] * 7
+
+
+def test_sweep_alpha_reports_a_non_monotonic_shape(capsys):
+    # CH n = 0, l = 10 at a = 0, b = 1: the level dips to its least near alpha = 0.37,
+    # with every step bound, so the sweep's maximum is at its upper end
+    code, out, _ = run(capsys, "sweep", "--molecule", "CH", "--a", "0", "--b", "1", "--param", "alpha",
+                       "--from", "0.01", "--to", "1", "--steps", "23", "--n-max", "0", "--l-max", "10",
+                       "--rectangular")
+    assert code == 0
+    lines = out.splitlines()
+    assert all(line.endswith(",ok") for line in lines[1:] if not line.startswith("#"))
+    assert lines[-1] == "# shape n=0 l=10: non-monotonic (max near alpha = 1)"
 
 
 @pytest.mark.parametrize("param,start,stop", [("De", "20000", "40000"), ("re", "0.9", "1.4")])
@@ -779,6 +795,25 @@ def test_levels_all_roots_and_no_bound_state_rows(capsys):
     all_rows = _library_rows("dirac-pseudospin", params, M, (1, 2, -1), 1, all_roots=True)
     assert out_all.splitlines() == _csv_lines(all_rows)
     assert any(r["E_eV"] is not None and r["E_eV"] > 0.0 for r in all_rows)
+
+
+def test_nonrel_levels_past_the_last_bound_level_are_no_bound_state_rows(capsys):
+    # CH at alpha = 0.2, a = b = 1 binds n = 0..104 at l = 0; the squared closed
+    # form would go on printing falling energies at n = 105..107
+    argv = ("--molecule", "CH", "--a", "1", "--b", "1", "--alpha", "0.2", "--l-max", "0")
+    code, out, _ = run(capsys, "levels", *argv, "--n-max", "107")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1 + 108
+    assert lines[105].startswith("CH,nonrel,104,0,")
+    assert lines[106:] == [f"# no_bound_state: n={n} l=0 kappa=" for n in (105, 106, 107)]
+    code, out, _ = run(capsys, "sweep", *argv, "--n-max", "105", "--param", "b", "--from", "1", "--to", "1.5",
+                       "--steps", "2")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:] if not line.startswith("#")]
+    # a stronger Yukawa barrier unbinds n = 104 too
+    assert [row[4] for row in rows if row[1] == "104"] == ["ok", "no_bound_state"]
+    assert [row[3:] for row in rows if row[1] == "105"] == [["", "no_bound_state"]] * 2
 
 
 def test_sweep_dirac_pseudospin_matches_library(capsys):

@@ -1,4 +1,5 @@
-"""scipy loads only on the paths that call it, and never its package init.
+"""scipy loads only on the paths that call it, and never its package init;
+`hgmorse.validate` and hashlib load only for the `validate` command.
 
 Importing scipy.linalg or scipy.integrate costs more than the rest of a CLI
 call.  Only the finite-difference oracle uses scipy, and it loads the three
@@ -54,6 +55,16 @@ def test_cli_import_does_not_import_the_thread_pool():
     # the FD oracle imports concurrent.futures when it first spreads solves over threads
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     probe = "import sys, hgmorse.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
+def test_cli_import_does_not_import_validate_or_hashlib():
+    # only `validate` reads the reference table and signs its report
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    probe = ("import sys, hgmorse.cli; "
+             "print(sorted(m for m in ('hgmorse.validate', 'hashlib') if m in sys.modules))")
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=300)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"

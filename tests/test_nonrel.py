@@ -4,20 +4,25 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgmorse.checks import check_normalization
 from hgmorse.errors import InvalidParameter, NoBoundState
+from hgmorse.molecules import builtin_molecules, find_molecule, to_potential_params
 from hgmorse.nonrel import (
     ParticleSpec,
     WavefunctionSpec,
     _energy_nonrel_printed,
+    _square,
+    energies_nonrel,
     energy_nonrel,
     level_indices,
     make_wavefunction,
     radial_wavefunction,
     wavefunction_exponents,
 )
-from hgmorse.oracle import fd_schrodinger_modes, oracle_energies, RadialGrid, scipy_extension
+from hgmorse.oracle import _fd_matrix, fd_schrodinger_modes, oracle_energies, RadialGrid, scipy_extension
 from hgmorse.potential import PotentialParams
 from hgmorse.wavefun import SWaveform, support_window
 from ode_helpers import schrodinger_ode_coefficient
@@ -38,6 +43,101 @@ def test_energy_rejects_an_overflowing_closed_form(ch_free, a, b):
     p, part = ch_free
     with pytest.raises(InvalidParameter, match="not finite"):
         energy_nonrel(dataclasses.replace(p, a=a, b=b), part, 0, 0)
+
+
+def _sturm_count(diag: np.ndarray, off: np.ndarray, x: float) -> int:
+    """Eigenvalues below x of the symmetric tridiagonal (diag, off): the negative
+    pivots of its LDL^T factorization shifted by x (Sylvester's law of inertia)."""
+    count, q = 0, 1.0
+    for d, e2 in zip((diag - x).tolist(), [0.0] + (off * off).tolist()):
+        q = d - e2 / (q if q != 0.0 else 1e-300)
+        count += q < 0.0
+    return count
+
+
+@pytest.mark.parametrize("name,a,b,alpha,expected", [
+    ("CH", 1.0, 1.0, 0.2, 105),
+    ("HCl", 1.0, 1.0, 0.2, 122),
+    # near b = 9 eV*A the Yukawa term cancels the attractive e^(-alpha r) tail of
+    # the well: 11 levels at b = 8.9, none from b = 9 on
+    ("CH", 0.0, 8.9, 0.025, 11),
+    ("CH", 0.0, 9.0, 0.025, 0),
+])
+def test_bound_levels_end_where_the_fd_spectrum_meets_the_continuum(name, a, b, alpha, expected):
+    # past the last bound level the squared closed form goes on returning
+    # energies, falling with n; the FD count below V_inf = D_e - a alpha on a
+    # 40/alpha box, wider than the last state's decay length, is the number of bound levels
+    p, part = to_potential_params(find_molecule(name), a, b, alpha)
+    v_inf = p.D_e - p.a * p.alpha
+    diag, off = _fd_matrix(p, part, 0, RadialGrid(1e-3, 40.0 / alpha, 200001), 1)
+    fd_count = _sturm_count(diag, off, v_inf)
+    accepted = 0
+    while True:
+        try:
+            energy_nonrel(p, part, accepted, 0)
+        except NoBoundState:
+            break
+        accepted += 1
+    assert accepted == fd_count == expected
+    with pytest.raises(NoBoundState):
+        energies_nonrel(p, part, np.arange(accepted + 1), np.zeros(accepted + 1, int), p.a, p.b)
+    if accepted:
+        assert energies_nonrel(p, part, np.arange(accepted), np.zeros(accepted, int), p.a, p.b)[-1] < v_inf
+
+
+def test_square_is_python_pow_where_numpy_multiplies():
+    x = np.random.default_rng(7).uniform(-1e3, 1e3, 20000)
+    values = x.tolist()
+    differ = [v for v in values if v**2 != v * v]
+    if not differ:
+        pytest.skip("this libm's pow(x, 2) is x*x on every sample")
+    arr = np.array(differ)
+    assert [float(y) for y in _square(arr)] == [v**2 for v in differ]
+    assert np.all(_square(arr) != arr**2)
+    assert _square(arr.reshape(1, -1)).shape == (1, arr.size)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(mol=st.sampled_from(builtin_molecules()), alpha=st.floats(0.01, 0.3),
+       a=st.floats(-5.0, 5.0), b=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=8))
+def test_energies_nonrel_is_energy_nonrel_bit_for_bit(mol, alpha, a, b):
+    p, part = to_potential_params(mol, a, 0.0, alpha)
+    pairs = level_indices(5, 5)
+    n, l = np.array([n for n, _ in pairs]), np.array([l for _, l in pairs])
+    for b_value in b:
+        scalar = []
+        for nn, ll in pairs:
+            try:
+                scalar.append(energy_nonrel(dataclasses.replace(p, b=b_value), part, nn, ll))
+            except NoBoundState:
+                scalar.append(None)
+        if None in scalar:
+            with pytest.raises(NoBoundState):
+                energies_nonrel(p, part, n, l, a, b_value)
+        else:
+            assert energies_nonrel(p, part, n, l, a, b_value).tolist() == scalar
+            assert energies_nonrel(p, part, n.astype(float), l.astype(float), a, b_value).tolist() == scalar
+    # the strengths as the arrays, one (n, l)
+    by_b = [energy_nonrel(dataclasses.replace(p, b=b_value), part, 1, 1) for b_value in b]
+    assert energies_nonrel(p, part, 1, 1, a, np.array(b)).tolist() == by_b
+
+
+def test_energies_nonrel_rejects_what_energy_nonrel_rejects(ch_free):
+    p, part = ch_free
+    with pytest.raises(InvalidParameter, match="quantum numbers"):
+        energies_nonrel(p, part, np.array([0, 1]), np.array([0, -1]), 0.0, 0.0)
+    with pytest.raises(InvalidParameter, match="not finite"):
+        energies_nonrel(p, part, 0, 0, 1e308, np.array([0.0, 1e308]))
+
+
+def test_energy_past_the_last_bound_level_raises():
+    p, part = to_potential_params(find_molecule("CH"), 1.0, 1.0, 0.2)
+    assert energy_nonrel(p, part, 104, 0) < p.D_e - p.a * p.alpha
+    for n in (105, 106, 107):
+        with pytest.raises(NoBoundState, match="past the last bound level"):
+            energy_nonrel(p, part, n, 0)
+    with pytest.raises(NoBoundState):
+        make_wavefunction(p, part, 105, 0)
 
 
 def test_energy_l_zero_has_no_centrifugal_term(ch_unit):

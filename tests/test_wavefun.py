@@ -204,6 +204,14 @@ def _one_radius_specs():
     return out
 
 
+def test_log_norm_is_a_python_float():
+    # the nonrelativistic and all three relativistic spec builders; a numpy
+    # float64 would carry numpy scalar arithmetic into every value computed from it
+    assert type(log_norm_quadrature(SWaveform(1.5, 2.0, 1, 1.0))) is float
+    for _, spec in _one_radius_specs():
+        assert type(spec.log_norm) is float
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(i=st.integers(0, 17),
        fractions=st.lists(st.floats(-0.3, 1.5), min_size=1, max_size=12),
