@@ -119,8 +119,8 @@ def energies_nonrel(p: PotentialParams, part: ParticleSpec, n, l, a, b) -> np.nd
     """energy_nonrel at strengths (a, b) in place of p's, elementwise over arrays.
 
     Any of n, l, a and b may be an array, all arrays of one shape; each
-    element is bit for bit the float energy_nonrel gives.  Raises as
-    energy_nonrel does if any element would.
+    element is bit for bit the float energy_nonrel gives (scalars alone give
+    a 0-d array).  Raises as energy_nonrel does if any element would.
     """
     if (np.minimum(n, l) < 0).any():
         raise InvalidParameter(f"quantum numbers must be >= 0, got n down to {np.min(n)} and l down to {np.min(l)}")
@@ -131,9 +131,9 @@ def energies_nonrel(p: PotentialParams, part: ParticleSpec, n, l, a, b) -> np.nd
         E = math.nan
     if not np.isfinite(E).all():
         raise InvalidParameter("a closed-form energy is not finite: the closed form overflows at these parameters")
-    if not (N < 0.0).all():
+    if not (np.asarray(N) < 0.0).all():
         raise NoBoundState(f"a requested level is past the last bound level: N up to {float(np.max(N))!r} >= 0")
-    return E
+    return np.asarray(E)
 
 
 def _energy_nonrel_printed(p: PotentialParams, part: ParticleSpec, n: int, l: int) -> float:

@@ -120,6 +120,7 @@ def test_energies_nonrel_is_energy_nonrel_bit_for_bit(mol, alpha, a, b):
     # the strengths as the arrays, one (n, l)
     by_b = [energy_nonrel(dataclasses.replace(p, b=b_value), part, 1, 1) for b_value in b]
     assert energies_nonrel(p, part, 1, 1, a, np.array(b)).tolist() == by_b
+    assert energies_nonrel(p, part, 1, 1, a, b[0]).tolist() == by_b[0]
 
 
 def test_energies_nonrel_rejects_what_energy_nonrel_rejects(ch_free):
