@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
+import gc
 import math
 import os
 import sys
@@ -23,9 +23,7 @@ import numpy as np
 from .errors import InvalidParameter, NoBoundState, ParseError, SolverError
 from .molecules import Molecule, find_molecule, load_molecules, to_potential_params
 from .nonrel import ParticleSpec, energy_nonrel, level_indices
-from .oracle import oracle_energies, thread_map
 from .potential import PotentialParams, potential_curve
-from .relativistic import QuantumNumbers, model_functions
 from .units import UnitConstants, load_config
 
 EXIT_OK = 0
@@ -45,6 +43,13 @@ def _fmt(x) -> str:
 def _emit(stream, lines) -> None:
     for line in lines:
         print(line, file=stream)
+
+
+def _print_json(obj, out, **dump_options) -> None:
+    """obj as one JSON line with sorted keys; json loads only for --format json."""
+    import json
+
+    print(json.dumps(obj, sort_keys=True, **dump_options), file=out)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -113,6 +118,8 @@ def _states(args) -> list[tuple[int, int, tuple]]:
     if args.scan_points < 2 or not args.tol > 0.0:
         raise InvalidParameter(f"need --scan-points >= 2 and --tol > 0, got {args.scan_points!r} and {args.tol!r}")
     if args.model == "kg":
+        from .relativistic import QuantumNumbers
+
         return [(n, l, (QuantumNumbers(n=n, l=l, D=args.dimension),)) for n, l in pairs]
     option, C = ("--cs", args.cs) if args.model == "dirac-spin" else ("--cps", args.cps)
     if not math.isfinite(C):
@@ -137,6 +144,8 @@ def _level_solver(args, part: ParticleSpec) -> Callable:
                 return None, None
 
         return nonrel_level
+    from .relativistic import model_functions
+
     solve, residual, printed, _ = model_functions(args.model)
     M, hbar_c = args.mass, part.hbar_c
     opts = {"scan_points": args.scan_points, "tol": args.tol, "hbar_c": hbar_c}
@@ -164,6 +173,8 @@ def cmd_levels(args, out) -> int:
     states = _states(args)
     oracle_cols: dict[int, np.ndarray] = {}
     if args.oracle:
+        from .oracle import oracle_energies, thread_map
+
         # one extrapolated FD solve per l column supplies every n; the columns solve in parallel
         ls = sorted({l for _, l, _ in states})
         jobs = [(params, part, l, max(n for n, ll, _ in states if ll == l) + 1, args.grid_points) for l in ls]
@@ -190,7 +201,7 @@ def cmd_levels(args, out) -> int:
         print("no bound states for any requested level", file=sys.stderr)
         return EXIT_NO_BOUND_STATE
     if args.format == "json":
-        print(json.dumps({"rows": rows}, sort_keys=True, indent=None, separators=(",", ":")), file=out)
+        _print_json({"rows": rows}, out, separators=(",", ":"))
     else:
         header = ("molecule,model,n,l,E_eV,oracle_E_eV,abs_dev_eV" if args.model == "nonrel"
                   else "molecule,model,n,l,kappa,D,E_eV,residual,cross_check_residual")
@@ -210,12 +221,28 @@ def cmd_potential(args, out) -> int:
     _, params, _, _ = _load_setup(args)
     curve = potential_curve(params, args.r_min, args.r_max, args.samples)
     if args.format == "json":
-        print(json.dumps({"rows": [[f"{v:.17g}" for v in row] for row in curve]}, sort_keys=True), file=out)
+        _print_json({"rows": [[f"{v:.17g}" for v in row] for row in curve]}, out)
     else:
         _emit(out, ["r,V_exact,V_approx"])
         for r, ve, va in curve:
             _emit(out, [f"{r:.17g},{ve:.17g},{va:.17g}"])
     return EXIT_OK
+
+
+def _non_monotonic_shape(column: list[float], values: np.ndarray, param: str) -> str:
+    """The shape of a swept level that neither rises nor falls at every step.
+
+    column holds the level at each of values, NaN where it was not solved.
+    A valley's least level and a peak's greatest lie strictly between the
+    first and last solved steps; the least is named when both do, and
+    neither when neither does (the curve turns more than once).
+    """
+    y = np.array(column)
+    solved = np.flatnonzero(~np.isnan(y))
+    for kind, i in (("min", np.nanargmin(y)), ("max", np.nanargmax(y))):
+        if solved[0] < i < solved[-1]:
+            return f"non-monotonic ({kind} near {param} = {values[i]:.6g})"
+    return "non-monotonic"
 
 
 def cmd_sweep(args, out) -> int:
@@ -257,16 +284,15 @@ def cmd_sweep(args, out) -> int:
         elif all(y < x for x, y in zip(clean, clean[1:])):
             shape = "monotonic decreasing"
         else:
-            peak = values[int(np.nanargmax(np.array(column)))]
-            shape = f"non-monotonic (max near {args.param} = {peak:.6g})"
+            shape = _non_monotonic_shape(column, values, args.param)
         shapes.append(f"n={n} {second_label}={second}: {shape}")
     if args.format == "json":
-        print(json.dumps({
+        _print_json({
             "param": args.param,
             "rows": [[f"{v:.17g}", n, second, None if E is None else f"{E:.17g}", status]
                      for v, n, second, E, status in rows],
             "shape": shapes,
-        }, sort_keys=True), file=out)
+        }, out)
     else:
         _emit(out, [f"{args.param},n,{second_label},E_eV,status"])
         _emit(out, [",".join(map(_fmt, row)) for row in rows])
@@ -436,5 +462,18 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_CHECK_FAILED
 
 
+def run() -> None:
+    """Process entry (`hgmorse`, `python -m hgmorse.cli`): main() on sys.argv, then exit with its code.
+
+    The heap is frozen first, so the collections that interpreter shutdown
+    runs skip every object the command made; atexit handlers and stream
+    flushes still run.  main() itself never freezes, since one process may
+    call it many times.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

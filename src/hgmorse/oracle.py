@@ -28,7 +28,9 @@ it; the paths that never run the FD oracle load nothing from scipy at all.
 dstebz, the bisection that dominates an FD solve, is called through the
 f2py object's own C pointer with ctypes, which releases the GIL; thread_map
 runs independent solves on up to one thread per usable CPU, so their
-bisections overlap.
+bisections overlap.  Those are plain `threading` threads that take the jobs
+in order: concurrent.futures, with the logging and queue modules it loads,
+would add about 9 ms of imports (`python -X importtime`) to every call.
 """
 
 from __future__ import annotations
@@ -170,18 +172,41 @@ def thread_map(fn: Callable, jobs: Sequence[tuple]) -> list:
     """[fn(*job) for job in jobs], run on up to one thread per CPU this process may use.
 
     Meant for independent FD solves, whose dstebz bisections run without the
-    GIL.  The first exception in job order is raised once every job has ended.
+    GIL.  Each plain thread takes the next job in order until none is left;
+    the first exception in job order is raised once every job has ended.
     """
     _dstebz()  # functools.cache is not a lock: resolve it before any worker can race for it
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(len(jobs), cpus)
     if workers <= 1:
         return [fn(*job) for job in jobs]
-    from concurrent.futures import ThreadPoolExecutor
+    import threading
 
-    with ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(fn, *job) for job in jobs]
-    return [future.result() for future in futures]
+    results: list = [None] * len(jobs)
+    errors: list[BaseException | None] = [None] * len(jobs)
+    order = iter(range(len(jobs)))
+    take = threading.Lock()
+
+    def worker() -> None:
+        while True:
+            with take:
+                i = next(order, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(*jobs[i])
+            except BaseException as exc:
+                errors[i] = exc
+
+    threads = [threading.Thread(target=worker) for _ in range(workers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    first_error = next((exc for exc in errors if exc is not None), None)
+    if first_error is not None:
+        raise first_error
+    return results
 
 
 def _fd_matrix(p: PotentialParams, part: "ParticleSpec", l: int, g: RadialGrid, k: int):

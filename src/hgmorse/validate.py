@@ -24,7 +24,8 @@ from .nonrel import energies_nonrel, energy_nonrel
 from .units import DEFAULT_UNITS, UnitConstants, read_fields
 
 REPRODUCTION_TOL = 5e-3  # eV, per entry
-ROWS_PER_MOLECULE = 21  # triangular n = 0..5
+N_MAX = 5  # the table lists n = 0..N_MAX, l = 0..n
+ROWS_PER_MOLECULE = (N_MAX + 1) * (N_MAX + 2) // 2
 
 
 @dataclass(frozen=True)
@@ -53,11 +54,22 @@ def load_reference(path=None) -> list[ReferenceRow]:
 
 
 def check_reference_shape(rows: Iterable[ReferenceRow]) -> None:
-    per: dict[str, int] = {}
+    """InvalidParameter unless five molecules each list the n <= 5, l <= n triangle once."""
+    per: dict[str, list[tuple[int, int]]] = {}
     for row in rows:
-        per[row.molecule] = per.get(row.molecule, 0) + 1
-    if len(per) != 5 or any(count != ROWS_PER_MOLECULE for count in per.values()):
-        raise InvalidParameter(f"reference table malformed: {per!r}")
+        per.setdefault(row.molecule, []).append((row.n, row.l))
+    counts = {name: len(levels) for name, levels in per.items()}
+    if len(counts) != 5 or any(count != ROWS_PER_MOLECULE for count in counts.values()):
+        raise InvalidParameter(f"reference table malformed: {counts!r}")
+    for name, levels in per.items():
+        seen: set[tuple[int, int]] = set()
+        for n, l in levels:
+            if not 0 <= l <= n <= N_MAX:
+                raise InvalidParameter(f"reference table: {name} row (n, l) = ({n}, {l}) "
+                                       f"is outside n <= {N_MAX}, l <= n")
+            if (n, l) in seen:
+                raise InvalidParameter(f"reference table: {name} repeats (n, l) = ({n}, {l})")
+            seen.add((n, l))
 
 
 def _columns(rows: Iterable[ReferenceRow]) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:

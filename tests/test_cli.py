@@ -36,6 +36,29 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.mark.parametrize("argv,code", [
+    (["levels", "--molecule", "CH", "--n-max", "1"], 0),
+    (["potential", "--molecule", "CH", "--samples", "3", "--format", "json"], 0),
+    (["oracle-check", "--models", "dirac-pseudospin", "--alpha", "0.2", "--molecules", "CH"], 1),
+    (["levels", "--molecule", "XX"], 2),
+    (["levels", "--bogus"], 2),
+    (["levels", "--model", "dirac-pseudospin", "--molecule", "CH", "--a", "1", "--b", "1", "--mass", "500",
+      "--n-max", "1", "--kappa", "1,2"], 3),
+], ids=["levels", "json", "check-failed", "usage", "argparse", "no-bound-state"])
+def test_module_entry_matches_in_process_main(capsys, argv, code):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.run([sys.executable, "-m", "hgmorse.cli", *argv], capture_output=True, text=True, env=env,
+                           timeout=300)
+    assert (child.returncode, child.stdout, child.stderr) == run(capsys, *argv)
+    assert child.returncode == code
+
+
+def test_console_script_goes_through_run():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    assert scripts == {"hgmorse": "hgmorse.cli:run"}
+
+
 def test_levels_triangular_layout(capsys):
     code, out, _ = run(capsys, "levels", "--model", "nonrel", "--molecule", "CH",
                        "--a", "0", "--b", "0", "--alpha", "0.025", "--n-max", "2")
@@ -197,16 +220,46 @@ def test_sweep_b_reports_shape(capsys):
     assert statuses == ["ok"] * 18 + ["no_bound_state"] * 7
 
 
+def _sweep_series(out: str, n: int, l: int) -> tuple[list[float], list[float]]:
+    rows = [line.split(",") for line in out.splitlines()[1:] if not line.startswith("#")]
+    assert all(row[4] == "ok" for row in rows)
+    picked = [row for row in rows if (int(row[1]), int(row[2])) == (n, l)]
+    return [float(row[0]) for row in picked], [float(row[3]) for row in picked]
+
+
 def test_sweep_alpha_reports_a_non_monotonic_shape(capsys):
     # CH n = 0, l = 10 at a = 0, b = 1: the level dips to its least near alpha = 0.37,
-    # with every step bound, so the sweep's maximum is at its upper end
+    # with every step bound, and rises again to the sweep's upper end
     code, out, _ = run(capsys, "sweep", "--molecule", "CH", "--a", "0", "--b", "1", "--param", "alpha",
                        "--from", "0.01", "--to", "1", "--steps", "23", "--n-max", "0", "--l-max", "10",
                        "--rectangular")
     assert code == 0
-    lines = out.splitlines()
-    assert all(line.endswith(",ok") for line in lines[1:] if not line.startswith("#"))
-    assert lines[-1] == "# shape n=0 l=10: non-monotonic (max near alpha = 1)"
+    alphas, energies = _sweep_series(out, 0, 10)
+    assert alphas[int(np.argmin(energies))] == pytest.approx(0.37)
+    assert out.splitlines()[-1] == "# shape n=0 l=10: non-monotonic (min near alpha = 0.37)"
+
+
+def test_sweep_alpha_reports_a_peak_at_its_greatest_level(capsys):
+    # CH n = 0, l = 0 at a = 1, b = -1: the level rises to its greatest near alpha = 0.46 and falls again
+    code, out, _ = run(capsys, "sweep", "--molecule", "CH", "--a", "1", "--b", "-1", "--param", "alpha",
+                       "--from", "0.01", "--to", "1", "--steps", "23", "--n-max", "0")
+    assert code == 0
+    alphas, energies = _sweep_series(out, 0, 0)
+    assert alphas[int(np.argmax(energies))] == pytest.approx(0.46)
+    assert energies[0] < energies[10] and energies[-1] < energies[10]
+    assert out.splitlines()[-1] == "# shape n=0 l=0: non-monotonic (max near alpha = 0.46)"
+
+
+def test_sweep_that_turns_twice_names_no_extreme(capsys):
+    # CH n = 1, l = 1 at a = -1, b = 5 rises to alpha = 0.55, dips to 0.775 and rises again:
+    # its least and greatest levels are at the ends of the sweep
+    code, out, _ = run(capsys, "sweep", "--molecule", "CH", "--a", "-1", "--b", "5", "--param", "alpha",
+                       "--from", "0.01", "--to", "1", "--steps", "23", "--n-max", "1", "--l-max", "1",
+                       "--rectangular")
+    assert code == 0
+    _, energies = _sweep_series(out, 1, 1)
+    assert int(np.argmin(energies)) == 0 and int(np.argmax(energies)) == len(energies) - 1
+    assert out.splitlines()[-1] == "# shape n=1 l=1: non-monotonic"
 
 
 @pytest.mark.parametrize("param,start,stop", [("De", "20000", "40000"), ("re", "0.9", "1.4")])

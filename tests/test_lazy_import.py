@@ -1,13 +1,18 @@
-"""scipy loads only on the paths that call it, and never its package init;
-`hgmorse.validate` and hashlib load only for the `validate` command.
+"""Each CLI command loads only the modules it runs.
 
-Importing scipy.linalg or scipy.integrate costs more than the rest of a CLI
-call.  Only the finite-difference oracle uses scipy, and it loads the three
-compiled routines it calls by file path.  Each test runs the CLI in a fresh
-interpreter, because this test process has imported scipy long before.
+scipy loads only on the paths that call it, and never its package init:
+importing scipy.linalg or scipy.integrate costs more than the rest of a CLI
+call, and the finite-difference oracle loads the three compiled routines it
+calls by file path.  `hgmorse.validate` and hashlib load only for the
+`validate` command, `hgmorse.oracle` only under `levels --oracle`, the
+relativistic solvers (with the root finder and logging) only for a
+relativistic model, and json only for `--format json`.  The FD oracle's
+threads are plain `threading` threads, so concurrent.futures never loads.
+The package exports resolve on first access.  Each test runs in a fresh
+interpreter, because this test process has imported all of these long
+before.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -21,53 +26,137 @@ NONREL_LEVELS = ["levels", "--molecule", "CH", "--n-max", "1"]
 POTENTIAL = ["potential", "--molecule", "CH", "--samples", "5"]
 NONREL_ORACLE_CHECK = ["oracle-check", "--models", "nonrel", "--molecules", "CH"]
 
+# run in a fresh interpreter: argv holds steps, each a module to import ("import NAME") or a
+# CLI command line; prints the sorted loaded module names after `import hgmorse.cli` and after
+# each step, one line each.  It imports nothing that a step might be the first to load, and it
+# reports more than one usable CPU so that `levels --oracle` starts its threads on any machine.
 _PROBE = """
-import contextlib, importlib, io, json, sys
-
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
+import importlib, io, os, sys
+os.sched_getaffinity = lambda pid: {0, 1, 2, 3}
 import hgmorse.cli
-loaded = [scipy_modules()]
-for step in json.loads(sys.argv[1]):
-    if isinstance(step, str):  # a module to import
-        importlib.import_module(step)
+loaded = [" ".join(sorted(sys.modules))]
+for step in sys.argv[1:]:
+    if step.startswith("import "):
+        importlib.import_module(step.removeprefix("import "))
     else:
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = hgmorse.cli.main(step)
+        stdout, sys.stdout = sys.stdout, io.StringIO()
+        code = hgmorse.cli.main(step.split())
+        sys.stdout = stdout
         assert code == 0, (step, code)
-    loaded.append(scipy_modules())
-print(json.dumps(loaded))
+    loaded.append(" ".join(sorted(sys.modules)))
+print("\\n".join(loaded))
 """
 
 
-def _scipy_modules_after(*steps):
-    """The scipy modules loaded after `import hgmorse.cli`, then after each step:
-    a CLI argv list to run, or a module name to import."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(steps)],
-                         capture_output=True, text=True, env=env, timeout=300)
+def _env() -> dict:
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+
+
+def _modules_after(*steps) -> list[set[str]]:
+    """The modules loaded after `import hgmorse.cli`, then after each step:
+    a CLI argv list to run, or "import NAME"."""
+    argv = [step if isinstance(step, str) else " ".join(step) for step in steps]
+    run = subprocess.run([sys.executable, "-c", _PROBE, *argv], capture_output=True, text=True, env=_env(),
+                         timeout=300)
     assert run.returncode == 0, run.stderr
-    return json.loads(run.stdout)
+    return [set(line.split()) for line in run.stdout.splitlines()]
+
+
+def _scipy_modules_after(*steps):
+    """The sorted scipy modules loaded after `import hgmorse.cli`, then after each step."""
+    return [sorted(m for m in loaded if m == "scipy" or m.startswith("scipy.")) for loaded in _modules_after(*steps)]
 
 
 def test_cli_import_does_not_import_the_thread_pool():
-    # the FD oracle imports concurrent.futures when it first spreads solves over threads
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, hgmorse.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
-    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=300)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[]"
+    [loaded] = _modules_after()
+    assert not {m for m in loaded if m.startswith("concurrent")}
 
 
 def test_cli_import_does_not_import_validate_or_hashlib():
     # only `validate` reads the reference table and signs its report
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-    probe = ("import sys, hgmorse.cli; "
-             "print(sorted(m for m in ('hgmorse.validate', 'hashlib') if m in sys.modules))")
-    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=300)
+    [loaded] = _modules_after()
+    assert not loaded & {"hgmorse.validate", "hashlib"}
+
+
+def test_cli_import_loads_no_solver_it_may_not_run():
+    [loaded] = _modules_after()
+    assert not loaded & {"hgmorse.oracle", "hgmorse.relativistic", "hgmorse.rootfind", "logging", "json",
+                         "concurrent.futures"}
+    # positive control: the probe sees what the CLI does import
+    assert {"hgmorse.cli", "hgmorse.nonrel", "numpy"} <= loaded
+
+
+def test_nonrelativistic_commands_load_neither_relativistic_nor_oracle():
+    sweep = ["sweep", "--molecule", "CH", "--param", "alpha", "--from", "0.01", "--to", "0.05", "--steps", "3"]
+    steps = [NONREL_LEVELS, POTENTIAL, sweep, ["validate", "--no-timestamp"], NONREL_LEVELS + ["--oracle"]]
+    *before_oracle, after_oracle = _modules_after(*steps)
+    for loaded in before_oracle:
+        assert not loaded & {"hgmorse.relativistic", "hgmorse.oracle", "hgmorse.rootfind", "json"}
+    assert "hgmorse.validate" in before_oracle[-1]
+    # the FD oracle's threads do not need the concurrent.futures pool
+    assert "hgmorse.oracle" in after_oracle
+    assert not {m for m in after_oracle if m.startswith("concurrent")}
+    assert not after_oracle & {"hgmorse.relativistic", "logging"}
+
+
+def test_relativistic_models_and_json_load_on_demand():
+    before, after_kg, after_json = _modules_after(KG_LEVELS, POTENTIAL + ["--format", "json"])
+    assert not before & {"hgmorse.relativistic", "hgmorse.rootfind", "json"}
+    assert {"hgmorse.relativistic", "hgmorse.rootfind"} <= after_kg
+    assert "hgmorse.oracle" not in after_kg and "json" not in after_kg
+    assert "json" in after_json
+
+
+_EXPORTS_PROBE = """
+import importlib, sys
+import hgmorse
+assert not [m for m in sys.modules if m.startswith("hgmorse.")], "import hgmorse loaded a submodule"
+expected = {module: names.split() for module, names in (line.split(":") for line in sys.argv[1:])}
+assert hgmorse.__all__ == sorted(name for names in expected.values() for name in names), hgmorse.__all__
+for module, names in expected.items():
+    owner = importlib.import_module(f"hgmorse.{module}")
+    for name in names:
+        assert getattr(hgmorse, name) is getattr(owner, name), name
+        assert name in dir(hgmorse), name
+assert hgmorse.relativistic is sys.modules["hgmorse.relativistic"]
+for probe in ("no_such_name", "__path_hook__"):
+    try:
+        getattr(hgmorse, probe)
+    except AttributeError as exc:
+        assert str(exc) == f"module 'hgmorse' has no attribute {probe!r}", exc
+    else:
+        raise AssertionError(probe)
+try:
+    from hgmorse import no_such_name
+except ImportError:
+    pass
+else:
+    raise AssertionError("from hgmorse import no_such_name")
+print("ok")
+"""
+
+#: the package exports, by the submodule that defines each
+EXPORTS = {
+    "errors": "GridTooCoarse InvalidParameter NoBoundState NonConvergence ParseError SolverError",
+    "molecules": "Molecule builtin_molecules load_molecules to_potential_params",
+    "nonrel": "ParticleSpec WavefunctionSpec energies_nonrel energy_nonrel make_wavefunction radial_wavefunction "
+              "wavefunction_exponents",
+    "oracle": "RadialGrid fd_schrodinger_eigen oracle_energies richardson_extrapolate shoot_mismatch",
+    "potential": "PotentialParams centrifugal_approx potential_approx potential_curve potential_exact q_of",
+    "relativistic": "QuantumNumbers RelWavefunctionSpec kg_residual lambda_D pseudospin_residual "
+                    "solve_dirac_pseudospin solve_dirac_spin solve_kg_energy spin_residual",
+    "rootfind": "RootBracket bisect scan_brackets",
+    "specfun": "JacobiParams hyp2f1_terminating jacobi_norm_integral jacobi_poly ln_gamma pochhammer",
+    "units": "UnitConstants amu_to_mass_energy cm_inverse_to_ev",
+}
+
+
+def test_package_exports_resolve_to_their_submodules_on_first_access():
+    argv = [f"{module}:{names}" for module, names in EXPORTS.items()]
+    run = subprocess.run([sys.executable, "-c", _EXPORTS_PROBE, *argv], capture_output=True, text=True,
+                         env=_env(), timeout=300)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[]"
+    assert run.stdout == "ok\n"
 
 
 def test_cli_paths_without_the_fd_oracle_do_not_import_scipy():
@@ -76,7 +165,7 @@ def test_cli_paths_without_the_fd_oracle_do_not_import_scipy():
 
 def test_fd_oracle_paths_skip_scipy_package_init():
     after_import, after_levels, after_check, control = _scipy_modules_after(
-        NONREL_LEVELS + ["--oracle"], NONREL_ORACLE_CHECK, "scipy.linalg")
+        NONREL_LEVELS + ["--oracle"], NONREL_ORACLE_CHECK, "import scipy.linalg")
     assert after_import == []
     for loaded in (after_levels, after_check):
         assert "scipy.linalg" not in loaded and "scipy.integrate" not in loaded

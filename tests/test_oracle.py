@@ -1,6 +1,8 @@
 import math
 import os
 import sys
+import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -541,6 +543,50 @@ def test_thread_map_keeps_job_order_and_raises_the_first_error(monkeypatch):
 
     with pytest.raises(NonConvergence, match="job 2"):
         oracle.thread_map(job, [(i,) for i in range(6)])
+
+
+def test_thread_map_raises_the_first_error_after_every_later_job_has_ended(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    ended, threads = [], set()
+
+    def job(i):
+        threads.add(threading.get_ident())
+        if i == 0:
+            time.sleep(0.05)  # job 1 fails first in time; job 0 is first in job order
+            raise NonConvergence("job 0")
+        if i == 1:
+            raise NonConvergence("job 1")
+        time.sleep(0.01)
+        ended.append(i)
+        return i
+
+    with pytest.raises(NonConvergence, match="job 0"):
+        oracle.thread_map(job, [(i,) for i in range(6)])
+    assert sorted(ended) == [2, 3, 4, 5]
+    # at most one thread per usable CPU, none of them the caller's
+    assert len(threads) <= 2 and threading.get_ident() not in threads
+
+
+def test_thread_map_runs_each_job_once_under_fast_thread_switching(monkeypatch):
+    # more threads than this machine's CPUs, switching every microsecond: a job taken twice
+    # or never shows in the run log, a lost result in the returned list
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    ran = []
+
+    def job(i):
+        ran.append(i)
+        return i * i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start = time.perf_counter()
+        squares = oracle.thread_map(job, [(i,) for i in range(400)])
+        assert time.perf_counter() - start < 60.0
+    finally:
+        sys.setswitchinterval(interval)
+    assert squares == [i * i for i in range(400)]
+    assert sorted(ran) == list(range(400))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

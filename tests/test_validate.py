@@ -8,18 +8,20 @@ sizes, screening parameters, a `--config` hbar c and a custom table.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from hgmorse.cli import main
-from hgmorse.errors import InvalidParameter
+from hgmorse.errors import InvalidParameter, NoBoundState
 from hgmorse.molecules import find_molecule, to_potential_params
 from hgmorse.nonrel import energy_nonrel
 from hgmorse.units import DEFAULT_UNITS, load_config
 from hgmorse.validate import (
     ReferenceRow,
     calibrate,
+    check_reference_shape,
     load_reference,
     packaged_reference_path,
     per_molecule_diagnostics,
@@ -155,8 +157,9 @@ def test_calibrate_without_a_ch_ground_row_is_a_usage_error(capsys, tmp_path):
     table.write_text("\n".join(line.replace("CH,0,0,", "CH,6,0,") for line in lines) + "\n")
     with pytest.raises(InvalidParameter, match="CH row with n = 0, l = 0"):
         calibrate(load_reference(table))
+    # the CLI checks the table's shape first
     assert main(["validate", "--calibrate", "--table2", str(table)]) == 2
-    assert "CH row with n = 0, l = 0" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: reference table: CH row (n, l) = (6, 0) is outside n <= 5, l <= n\n"
 
 
 def test_a_quantum_number_past_int64_is_unbound_not_a_crash(capsys, tmp_path):
@@ -164,5 +167,31 @@ def test_a_quantum_number_past_int64_is_unbound_not_a_crash(capsys, tmp_path):
     lines = packaged_reference_path().read_text().splitlines()
     table = tmp_path / "huge_l.csv"
     table.write_text("\n".join(line.replace("HCl,5,5,", "HCl,5,100000000000000000000,") for line in lines) + "\n")
-    assert main(["validate", "--no-timestamp", "--table2", str(table)]) == 3
-    assert "past the last bound level" in capsys.readouterr().err
+    with pytest.raises(NoBoundState, match="past the last bound level"):
+        score(load_reference(table), 0.0, 0.0)
+    # the CLI checks the table's shape first
+    assert main(["validate", "--no-timestamp", "--table2", str(table)]) == 2
+    assert capsys.readouterr().err == ("error: reference table: HCl row (n, l) = (5, 100000000000000000000) "
+                                       "is outside n <= 5, l <= n\n")
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("CO,2,1,", "CO,2,0,", "CO repeats (n, l) = (2, 0)"),
+    ("NO,3,2,", "NO,2,3,", "NO row (n, l) = (2, 3) is outside n <= 5, l <= n"),
+    ("N2,4,4,", "N2,-1,0,", "N2 row (n, l) = (-1, 0) is outside n <= 5, l <= n"),
+    ("HCl,0,0,", "HCl,0,-1,", "HCl row (n, l) = (0, -1) is outside n <= 5, l <= n"),
+], ids=["repeat", "l-above-n", "negative-n", "negative-l"])
+def test_a_table_off_the_level_triangle_is_a_usage_error(capsys, tmp_path, old, new, message):
+    lines = packaged_reference_path().read_text().splitlines()
+    assert sum(line.startswith(old) for line in lines) == 1
+    table = tmp_path / "off_triangle.csv"
+    table.write_text("\n".join(line.replace(old, new) for line in lines) + "\n")
+    with pytest.raises(InvalidParameter, match=re.escape(message)):
+        check_reference_shape(load_reference(table))
+    assert main(["validate", "--no-timestamp", "--table2", str(table)]) == 2
+    assert capsys.readouterr() == ("", f"error: reference table: {message}\n")
+
+
+def test_the_packaged_table_in_any_row_order_passes_the_shape_check():
+    rows = load_reference()
+    check_reference_shape(rows[::-1])
