@@ -74,6 +74,9 @@ _SHOOT_MAX_POINTS = 400_000
 #: reference; integers are C ints, as in scipy's f2py signature
 _DSTEBZ_ARGS = (ctypes.c_char_p,) * 2 + (ctypes.c_void_p,) * 16
 
+#: the environment variables OpenBLAS reads its thread count from when it loads
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
 #: RK4 steps multiplied into one propagator before it is applied to the
 #: shooting state; bounds the working arrays to a few hundred kB
 _CHUNK_STEPS = 8192
@@ -111,7 +114,8 @@ def scipy_extension(subpackage: str, name: str) -> ModuleType:
     scipy.<subpackage> is never initialized.  The extension is reused if that
     package has already imported it; otherwise it is loaded and taken out of
     sys.modules again, so that a later import of the package loads it as its
-    own submodule.
+    own submodule.  While it loads, OPENBLAS_NUM_THREADS is 1 unless one of
+    _BLAS_THREAD_VARS is already set; the variable is removed again after.
     """
     scipy = importlib.util.find_spec("scipy")
     if scipy is None or scipy.origin is None:
@@ -124,8 +128,19 @@ def scipy_extension(subpackage: str, name: str) -> ModuleType:
         raise ModuleNotFoundError(f"scipy has no compiled scipy.{subpackage}.{name}")
     module = sys.modules.get(spec.name)
     if module is None:
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
+        # an extension that links scipy's OpenBLAS starts its thread pool as the library
+        # loads, and that pool's idle thread spins while the FD workers run; dstebz and
+        # dstein use no BLAS threads, so the pool is kept to one thread unless the caller
+        # set a thread count of their own
+        scoped = not any(var in os.environ for var in _BLAS_THREAD_VARS)
+        if scoped:
+            os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        try:
+            module = importlib.util.module_from_spec(spec)  # the shared library loads here
+            spec.loader.exec_module(module)
+        finally:
+            if scoped:
+                del os.environ["OPENBLAS_NUM_THREADS"]
         sys.modules.pop(spec.name, None)
     return module
 

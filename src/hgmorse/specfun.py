@@ -6,9 +6,12 @@ Jacobi polynomials are evaluated two independent ways, both exact-degree:
   a float or elementwise on a float64 array.  It is the production path:
   `wavefun` evaluates every eigenfunction through it, one r or all at once.
 * `jacobi_poly` sums the n+1 terms of the terminating hypergeometric series
-  (`hyp2f1_terminating`, with an exact-rational rerun when the alternating
-  sum cancels).  It is the oracle that the `special-functions` check and the
-  tests hold the recurrence against.
+  (`hyp2f1_terminating`, with an exact rerun when the alternating sum
+  cancels).  It is the oracle that the `special-functions` check and the
+  tests hold the recurrence against.  The rerun takes each float input as
+  the dyadic rational it is and sums the terms over one common denominator
+  in plain Python integers; one int/int division, correctly rounded, gives
+  the float nearest the exact sum.
 
 Gamma-function ratios are taken as exp of log-gamma differences because the
 exponents arising from molecular parameters push arguments to ~2e4.
@@ -43,17 +46,21 @@ def pochhammer(x: float, n: int) -> float:
 
 
 def _hyp2f1_exact(n: int, B: float, C: float, s: float) -> float:
-    # float inputs are exact rationals, so the terminating sum can be done
-    # without rounding and converted once at the end
-    from fractions import Fraction
-
-    Bf, Cf, sf = Fraction(B), Fraction(C), Fraction(s)
-    total = Fraction(1)
-    term = Fraction(1)
+    # every float is a dyadic rational p/q, so the terminating sum is a
+    # rational that plain integers hold exactly: total = N/D and term = T/D
+    # share one denominator, and term k+1 = term k * f/g for integers f, g
+    bp, bq = B.as_integer_ratio()
+    cp, cq = C.as_integer_ratio()
+    sp, sq = s.as_integer_ratio()
+    N = D = T = 1
     for k in range(n):
-        term *= Fraction(-n + k) * (Bf + k) / ((Cf + k) * (k + 1)) * sf
-        total += term
-    return float(total)
+        g = bq * (cp + k * cq) * (k + 1) * sq
+        T *= (k - n) * (bp + k * bq) * cq * sp
+        N = N * g + T
+        D *= g
+    # int / int is correctly rounded, as float(Fraction(N, D)) is; a positive
+    # denominator keeps an exact zero at +0.0
+    return N / D if D > 0 else -N / -D
 
 
 def hyp2f1_terminating(n: int, B: float, C: float, s: float) -> float:

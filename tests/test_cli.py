@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from datetime import datetime
@@ -597,6 +598,28 @@ def test_levels_oracle_pinned_to_one_cpu_prints_the_same_bytes():
     assert pinned.returncode == free.returncode == 0
     assert pinned.stdout == free.stdout
     assert len(pinned.stdout.splitlines()) == 1 + 10
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_oracle_check_pinned_to_one_cpu_prints_the_same_bytes():
+    # pinned, the FD thread and the other checks share one CPU; only each molecule's own
+    # "in X.X s" wall time may differ
+    argv = ["oracle-check", "--details", "--molecules", "CH,NO", "--models", "nonrel,kg"]
+    child = ("import os, sys\n"
+             "if sys.argv[1] == 'pin':\n"
+             "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+             "from hgmorse.cli import main\n"
+             "sys.exit(main(sys.argv[2:]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    pinned, free = (subprocess.run([sys.executable, "-c", child, mode, *argv], capture_output=True, env=env,
+                                   timeout=300) for mode in ("pin", "free"))
+    assert pinned.returncode == free.returncode == 0
+    untimed = [re.sub(rb" in \d+\.\d s$", b"", line) for line in pinned.stdout.splitlines()]
+    assert untimed == [re.sub(rb" in \d+\.\d s$", b"", line) for line in free.stdout.splitlines()]
+    # the CSV header, two molecule blocks of 24 rows, and seven verdicts, the timing cut from both
+    # oracle-equivalence lines
+    assert len(untimed) == 1 + 2 * 25 + 7
+    assert sum(line.endswith(b" eV") for line in untimed) == 2
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")

@@ -107,6 +107,13 @@ def test_relativistic_models_and_json_load_on_demand():
     assert "json" in after_json
 
 
+def test_oracle_check_does_not_import_fractions():
+    # the exact 2F1 fallback of the term-sum oracle sums in plain integers
+    before, after = _modules_after(["oracle-check", "--models", "nonrel,kg,dirac-spin,dirac-pseudospin",
+                                    "--molecules", "CH"])
+    assert "fractions" not in before | after
+
+
 _EXPORTS_PROBE = """
 import importlib, sys
 import hgmorse

@@ -1,8 +1,10 @@
 import math
 import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -503,6 +505,37 @@ def _fail_dstein(monkeypatch):
     lapack = oracle.scipy_extension("linalg", "_flapack")
     kernel = lapack.dstein
     monkeypatch.setattr(lapack, "dstein", lambda *args: (*kernel(*args)[:-1], 1))
+
+
+# in a fresh interpreter: the thread count before and after the first FD solve, and whether
+# os.environ came back unchanged; argv[1] is the environment variable to set first, or "-"
+_BLAS_THREADS_PROBE = """
+import os, sys
+if sys.argv[1] != "-":
+    os.environ[sys.argv[1]] = "2"
+from hgmorse.molecules import find_molecule, to_potential_params
+from hgmorse.oracle import RadialGrid, fd_schrodinger_eigen
+p, part = to_potential_params(find_molecule("CH"), 1.0, 1.0, 0.025)
+environ = dict(os.environ)
+before = len(os.listdir("/proc/self/task"))
+fd_schrodinger_eigen(p, part, 0, RadialGrid(1e-3, 40.0, 2001), 4)
+print(before, len(os.listdir("/proc/self/task")), dict(os.environ) == environ)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
+@pytest.mark.parametrize("preset", ("-", "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+def test_first_fd_solve_starts_no_openblas_thread_and_leaves_the_environment(preset):
+    env = {k: v for k, v in os.environ.items() if k not in oracle._BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")])
+    run = subprocess.run([sys.executable, "-c", _BLAS_THREADS_PROBE, preset], capture_output=True, text=True,
+                         env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    before, after, unchanged = run.stdout.split()
+    # a caller's own thread count is theirs to keep, and so is the pool it asks for
+    assert unchanged == "True"
+    if preset == "-":
+        assert int(after) <= int(before)
 
 
 @pytest.mark.parametrize("routine", ("dstebz", "dstein"))

@@ -4,8 +4,11 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from hgmorse import specfun
 from hgmorse.errors import InvalidParameter
 from hgmorse.specfun import (
     JacobiParams,
@@ -78,14 +81,50 @@ def test_hyp2f1_degree_zero_and_one():
     assert hyp2f1_terminating(1, B, C, s) == pytest.approx(1.0 - B / C * s, rel=1e-15)
 
 
-def test_hyp2f1_four_term_exact_sum():
-    n, B, C, s = 3, 2.5, 1.5, 0.3
+def hyp2f1_fraction(n: int, B: float, C: float, s: float) -> float:
+    """2F1(-n, B; C; s) summed exactly in Fraction arithmetic and rounded once: the
+    reference for the integer sum of specfun._hyp2f1_exact."""
     Bf, Cf, sf = Fraction(B), Fraction(C), Fraction(s)
     total, term = Fraction(1), Fraction(1)
     for k in range(n):
         term *= Fraction(-n + k) * (Bf + k) / ((Cf + k) * (k + 1)) * sf
         total += term
-    assert hyp2f1_terminating(n, B, C, s) == pytest.approx(float(total), rel=1e-15)
+    return float(total)
+
+
+def test_hyp2f1_four_term_exact_sum():
+    n, B, C, s = 3, 2.5, 1.5, 0.3
+    assert hyp2f1_terminating(n, B, C, s) == pytest.approx(hyp2f1_fraction(n, B, C, s), rel=1e-15)
+
+
+@st.composite
+def _exact_zero_sums(draw):
+    # 1 - (B/C) s with s = 2^-j and B = C 2^j: both exact, so the sum is exactly 0
+    j = draw(st.integers(1, 40))
+    C = draw(st.floats(0.01, 2e4))
+    return 1, C * 2.0**j, C, 2.0**-j
+
+
+#: (n, B, C, s) over the degrees and the (B, C) ranges that jacobi_poly (exponents in
+#: (-1, 100)) and the term-sum oracle (B = n + 2 leading + 2 edge, C = 2 leading + 1,
+#: leading up to ~1e4) pass, with s in (0, 1); C stays off the nonpositive integers
+_HYP2F1_ARGS = st.one_of(
+    st.tuples(st.integers(0, 12), st.floats(-1.0, 4e4), st.floats(0.01, 2.1e4),
+              st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+    _exact_zero_sums(),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(args=_HYP2F1_ARGS)
+@example(args=(1, 2.0, 1.0, 0.5))  # sums to exactly 0
+@example(args=(1, 4.0, 1.0, 0.5))  # sums to -1
+@example(args=(1, -2.0, -1.0, 0.5))  # exactly 0 over a negative denominator: +0.0, as Fraction gives
+@example(args=(10, 105.0, 2.0, 0.93))  # the cancelling case of the mpmath test
+@example(args=(12, 3e4, 2.0, 1e-300))  # dyadic denominators near the bottom of the float range
+def test_hyp2f1_integer_sum_equals_the_fraction_sum_bit_for_bit(args):
+    ours, ref = specfun._hyp2f1_exact(*args), hyp2f1_fraction(*args)
+    assert ours.hex() == ref.hex()
 
 
 def test_hyp2f1_at_zero_argument():
