@@ -7,18 +7,11 @@ here and gives the (criterion, passed, detail) line that the CLI prints and
 takes its exit code from.  run_checks passes the oracle-check matrices named
 below; the acceptance suite passes its own, wider ones and asserts the
 records against the AC tolerances pinned in tests/test_acceptance.py.
-
-run_checks runs each molecule's oracle-equivalence check on one background
-thread: the FD bisections release the GIL, so they overlap the Python-side
-checks on the calling thread.  The records keep their printing order, and
-each oracle-equivalence record's wall time is its own molecule's, taken
-while the other checks run beside it.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -30,7 +23,6 @@ from .molecules import Molecule, to_potential_params
 from .nonrel import ParticleSpec, WavefunctionSpec, energy_nonrel, make_wavefunction
 from .oracle import (
     RadialGrid,
-    _dstebz,
     fd_schrodinger_modes,
     mismatch_sign_change,
     oracle_energies,
@@ -324,50 +316,18 @@ MODEL_CHECKS = ("nonrel", "kg", "dirac-spin", "dirac-pseudospin")
 
 def run_checks(molecules: list[Molecule], models: list[str], alpha: float, u: UnitConstants, points: int) -> list:
     """The records of the battery over the oracle-check matrices, for the
-    requested model families, in printing order.
-
-    With nonrel requested, one background thread runs each molecule's
-    oracle-equivalence check while this thread runs box-self-test,
-    normalization and the relativistic checks; special-functions runs after
-    the join, as its numpy.random import would otherwise add to the peak
-    memory of the FD solves.  The thread has always ended when this returns
-    or raises, and its exception, if any, wins over one raised here.
-    """
+    requested model families, in printing order."""
+    out: list = []
     base_params, base_part = to_potential_params(molecules[0], 1.0, 1.0, alpha, u)
+    if "nonrel" in models:
+        out += [check_oracle_equivalence(mol, alpha, u, points) for mol in molecules]
+        out.append(check_box_self_test(base_part))
+        out.append(check_special_functions())
+        out.append(check_normalization([make_wavefunction(base_params, base_part, n, l)
+                                        for n, l in NORMALIZED_STATES]))
     states = [case for case in RELATIVISTIC_STATES if case[0] in models]
-
-    def relativistic_checks() -> list:
-        out: list = []
-        if states:
-            out.append(check_relativistic_residuals(base_params, base_part, MASS_MATRIX, states, u.hbar_c))
-        if "kg" in models or "dirac-spin" in models:
-            out.append(check_cross_identities(base_params, base_part, CROSS_MASSES, u.hbar_c))
-        return out
-
-    if "nonrel" not in models:
-        return relativistic_checks()
-    equivalence: list[OracleEquivalence] = []
-    failure: list[BaseException] = []
-
-    def solve_fd() -> None:
-        try:
-            equivalence.extend(check_oracle_equivalence(mol, alpha, u, points) for mol in molecules)
-        except BaseException as exc:
-            failure.append(exc)
-
-    # load the extensions before the thread starts: functools.cache is not a lock, and a first
-    # load sets and clears an environment variable, which must not race the FD workers
-    _dstebz()
-    scipy_extension("integrate", "_quadpack")
-    fd = threading.Thread(target=solve_fd)
-    fd.start()
-    try:
-        box = check_box_self_test(base_part)
-        normalization = check_normalization([make_wavefunction(base_params, base_part, n, l)
-                                             for n, l in NORMALIZED_STATES])
-        relativistic = relativistic_checks()
-    finally:
-        fd.join()
-        if failure:
-            raise failure[0]
-    return [*equivalence, box, check_special_functions(), normalization, *relativistic]
+    if states:
+        out.append(check_relativistic_residuals(base_params, base_part, MASS_MATRIX, states, u.hbar_c))
+    if "kg" in models or "dirac-spin" in models:
+        out.append(check_cross_identities(base_params, base_part, CROSS_MASSES, u.hbar_c))
+    return out

@@ -134,7 +134,7 @@ def _level_solver(args, part: ParticleSpec) -> Callable:
     no bound level (its solver, energy_nonrel too, raised NoBoundState),
     and defects(E) gives the (residual, cross_check_residual) pair of a
     root, both None for nonrel.  An InvalidParameter that level raises
-    comes from p, since _states has checked the options.
+    comes from p or the mass, since _states has checked the other options.
     """
     if args.model == "nonrel":
         def nonrel_level(p: PotentialParams, state: tuple):

@@ -382,9 +382,10 @@ def _solve(
     interval, where P >= 1/2 keeps N/P finite and |f| < 1.  A bracket with
     finite ends therefore lies inside that interval.  The scan brackets are
     disjoint and ascending, so the roots come out in order.  Raises
-    NoBoundState when no root is left and lets a bisection NonConvergence
-    propagate; for each root the compact and the printed expanded equation
-    defects are logged.
+    NoBoundState when no root is left and InvalidParameter when the scan
+    overflows (a field or the residual would be +-inf; a NaN is a hole), and
+    lets a bisection NonConvergence propagate; for each root the compact and
+    the printed expanded equation defects are logged.
     """
     lo, hi = default_search_interval(p, M)
     fields, n = _fields(sector, p, M, state, hbar_c)
@@ -392,8 +393,14 @@ def _solve(
     def f(E: np.ndarray) -> np.ndarray:
         return _nu_eval(fields(E), n)[0]
 
+    try:
+        with np.errstate(over="raise"):
+            brackets = scan_brackets(f, lo, hi, scan_points)
+    except FloatingPointError:
+        raise InvalidParameter(f"the {sector.noun} equation for {sector.describe(*state)} overflows in "
+                               f"[{lo!r}, {hi!r}]: it is not finite at these parameters") from None
     roots: list[float] = []
-    for bracket in scan_brackets(f, lo, hi, scan_points):
+    for bracket in brackets:
         root, _ = bisect(f, bracket, tol)
         N = _nu_eval(fields(root), n)[1]
         if N > 0.0:

@@ -508,6 +508,21 @@ def test_non_finite_energy_is_a_usage_error(capsys):
     assert err.startswith("error:") and "not finite" in err
 
 
+def test_relativistic_overflow_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "levels", "--model", "kg", "--molecule", "CH", "--mass", "1e156", "--n-max", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "QuantumNumbers(n=0, l=0, D=3)" in err and "not finite" in err
+
+
+def test_relativistic_sweep_marks_an_overflowing_step_invalid(capsys):
+    code, out, _ = run(capsys, "sweep", "--model", "dirac-spin", "--molecule", "CH", "--mass", "500",
+                       "--kappa=-1", "--n-max", "0", "--param", "a", "--from", "0", "--to", "1e308", "--steps", "3")
+    assert code == 0
+    assert [line.rsplit(",", 1)[1] for line in out.splitlines()[1:4]] == \
+        ["no_bound_state", "invalid_parameter", "invalid_parameter"]
+
+
 @pytest.mark.parametrize("mass", ["-5", "nan", "0", "inf"])
 @pytest.mark.parametrize("command", [
     ("levels",),
@@ -602,8 +617,8 @@ def test_levels_oracle_pinned_to_one_cpu_prints_the_same_bytes():
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
 def test_oracle_check_pinned_to_one_cpu_prints_the_same_bytes():
-    # pinned, the FD thread and the other checks share one CPU; only each molecule's own
-    # "in X.X s" wall time may differ
+    # pinned, each molecule's FD solves run one after another; unpinned, on up to one FD worker
+    # per CPU; only each molecule's own "in X.X s" wall time may differ
     argv = ["oracle-check", "--details", "--molecules", "CH,NO", "--models", "nonrel,kg"]
     child = ("import os, sys\n"
              "if sys.argv[1] == 'pin':\n"

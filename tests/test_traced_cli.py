@@ -15,9 +15,10 @@ from pathlib import Path
 
 import pytest
 
+from hgmorse import checks, specfun, wavefun
 from hgmorse.checks import pseudospin_params
 from hgmorse.molecules import find_molecule, to_potential_params
-from hgmorse.units import CM_INV_TO_EV, HBAR_C_EV_ANGSTROM
+from hgmorse.units import CM_INV_TO_EV, DEFAULT_UNITS, HBAR_C_EV_ANGSTROM
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS_PY = ROOT / "perfbench" / "spans.py"
@@ -42,7 +43,7 @@ def _pseudospin_argv(M):
 
 
 def _traced(tmp_path, argv):
-    """(span counts, stdout) of one traced CLI run."""
+    """(span counts, summed field a per span name, stdout) of one traced CLI run."""
     out = tmp_path / "spans.bin"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run([sys.executable, str(SPANS_PY), str(out), "0", "--", *argv],
@@ -50,7 +51,11 @@ def _traced(tmp_path, argv):
     assert run.returncode == 0, run.stderr
     header, cols = spans.load(str(out))
     assert header["absent"] == []
-    return Counter(header["names"][i] for i in cols["name"]), run.stdout
+    names = [header["names"][i] for i in cols["name"]]
+    work = Counter()
+    for name, a in zip(names, cols["a"]):
+        work[name] += a
+    return Counter(names), work, run.stdout
 
 
 def _data_rows(stdout):
@@ -63,7 +68,7 @@ def _data_rows(stdout):
     ("dirac-pseudospin", _pseudospin_argv(500.0) + ["--kappa=1,2", "--n-max", "1"], 4),
 ])
 def test_traced_levels_counts_solves_and_residuals(tmp_path, model, argv, solves):
-    counts, stdout = _traced(tmp_path, ["levels", "--model", model, *argv])
+    counts, _, stdout = _traced(tmp_path, ["levels", "--model", model, *argv])
     solver = SOLVERS[("kg", "dirac-spin", "dirac-pseudospin").index(model)]
     assert counts[solver] == solves
     assert sum(counts[name] for name in SOLVERS) == solves
@@ -75,7 +80,7 @@ def test_traced_levels_counts_solves_and_residuals(tmp_path, model, argv, solves
 
 
 def test_traced_sweep_counts_solves(tmp_path):
-    counts, stdout = _traced(tmp_path, ["sweep", "--model", "dirac-spin", *_scaled_ch_argv(500.0),
+    counts, _, stdout = _traced(tmp_path, ["sweep", "--model", "dirac-spin", *_scaled_ch_argv(500.0),
                                         "--kappa=-1", "--n-max", "0", "--param", "a",
                                         "--from", "1500000", "--to", "1900000", "--steps", "3"])
     assert counts["relativistic.solve_dirac_spin"] == 3
@@ -83,10 +88,28 @@ def test_traced_sweep_counts_solves(tmp_path):
     assert [row.rsplit(",", 1)[1] for row in _data_rows(stdout)] == ["ok"] * 3
 
 
-def test_traced_oracle_check_counts_each_check_once(tmp_path):
-    counts, _ = _traced(tmp_path, ["oracle-check", "--models", "nonrel,kg,dirac-spin,dirac-pseudospin",
-                                   "--molecules", "CH"])
+def test_traced_oracle_check_counts_each_check_once(tmp_path, monkeypatch):
+    models = ["nonrel", "kg", "dirac-spin", "dirac-pseudospin"]
+    counts, work, _ = _traced(tmp_path, ["oracle-check", "--models", ",".join(models), "--molecules", "CH,HCl"])
     # the per-layer checks.*_s benchmark metrics read these six spans
     names = [name for name, *_ in spans.TARGETS if name.startswith("checks.")]
     assert len(names) == 6
-    assert {name: counts[name] for name in names} == dict.fromkeys(names, 1)
+    assert {name: counts[name] for name in names} == {**dict.fromkeys(names, 1), "checks.oracle_equivalence": 2}
+
+    # the counters add to the innermost open span, so the quadrature nodes and the exact 2F1
+    # reruns land in their own spans only while one span stack serves the whole run
+    untraced = Counter()
+
+    def counted(name, fn, weight):
+        def wrapper(*args):
+            untraced[name] += weight(*args)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(wavefun, "log_abs_and_sign", counted("wavefun.log_norm_quadrature", wavefun.log_abs_and_sign,
+                                                             lambda w, r: getattr(r, "size", 1)))
+    monkeypatch.setattr(specfun, "_hyp2f1_exact", counted("specfun.hyp2f1_terminating", specfun._hyp2f1_exact,
+                                                          lambda *args: 1))
+    checks.run_checks([find_molecule("CH"), find_molecule("HCl")], models, 0.025, DEFAULT_UNITS, 20001)
+    assert untraced["wavefun.log_norm_quadrature"] > 0 and untraced["specfun.hyp2f1_terminating"] > 0
+    assert {name: work[name] for name in untraced} == untraced
