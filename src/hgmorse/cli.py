@@ -18,8 +18,6 @@ import os
 import sys
 from typing import Callable, Optional
 
-import numpy as np
-
 from .errors import InvalidParameter, NoBoundState, ParseError, SolverError
 from .molecules import Molecule, find_molecule, load_molecules, to_potential_params
 from .nonrel import ParticleSpec, energy_nonrel, level_indices
@@ -171,7 +169,7 @@ def cmd_levels(args, out) -> int:
         raise InvalidParameter(f"--oracle supports only --model nonrel, not {args.model}")
     name, params, part, _ = _load_setup(args)
     states = _states(args)
-    oracle_cols: dict[int, np.ndarray] = {}
+    oracle_cols: dict = {}  # l -> that column's oracle energies, by n
     if args.oracle:
         from .oracle import oracle_energies, thread_map
 
@@ -229,17 +227,37 @@ def cmd_potential(args, out) -> int:
     return EXIT_OK
 
 
-def _non_monotonic_shape(column: list[float], values: np.ndarray, param: str) -> str:
+def _sweep_values(start: float, stop: float, steps: int) -> list[float]:
+    """np.linspace(start, stop, steps) for steps >= 2, bit for bit, in Python float arithmetic.
+
+    As numpy builds it: value i is i*step + start with step =
+    (stop - start)/(steps - 1), or i/(steps - 1)*(stop - start) + start when
+    that step underflows to zero (a subnormal range), and the last value is
+    stop.  Infinite or NaN ends and an overflowing stop - start give inf and
+    NaN values, without the warnings numpy prints.
+    """
+    div = steps - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0.0:
+        head = [i / div * delta + start for i in range(div)]
+    else:
+        head = [i * step + start for i in range(div)]
+    return head + [stop]
+
+
+def _non_monotonic_shape(column: list[float], values: list[float], param: str) -> str:
     """The shape of a swept level that neither rises nor falls at every step.
 
     column holds the level at each of values, NaN where it was not solved.
-    A valley's least level and a peak's greatest lie strictly between the
-    first and last solved steps; the least is named when both do, and
-    neither when neither does (the curve turns more than once).
+    A valley's least level and a peak's greatest (the first step that holds
+    it) lie strictly between the first and last solved steps; the least is
+    named when both do, and neither when neither does (the curve turns more
+    than once).
     """
-    y = np.array(column)
-    solved = np.flatnonzero(~np.isnan(y))
-    for kind, i in (("min", np.nanargmin(y)), ("max", np.nanargmax(y))):
+    solved = [i for i, E in enumerate(column) if not math.isnan(E)]
+    for kind, pick in (("min", min), ("max", max)):
+        i = pick(solved, key=column.__getitem__)
         if solved[0] < i < solved[-1]:
             return f"non-monotonic ({kind} near {param} = {values[i]:.6g})"
     return "non-monotonic"
@@ -250,7 +268,7 @@ def cmd_sweep(args, out) -> int:
     if args.steps < 2:
         raise InvalidParameter(f"--steps must be >= 2, got {args.steps!r}")
     states = _states(args)
-    values = np.linspace(args.start, args.stop, args.steps)
+    values = _sweep_values(args.start, args.stop, args.steps)
     field = {"De": "D_e", "re": "r_e"}.get(args.param, args.param)
     scale = units.cm_inv_to_ev if args.param == "De" else 1.0
     level = _level_solver(args, part)
@@ -258,7 +276,7 @@ def cmd_sweep(args, out) -> int:
     series: dict[tuple[int, int], list[float]] = {(n, second): [] for n, second, _ in states}
     for value in values:
         try:
-            p_i = dataclasses.replace(params, **{field: float(value) * scale})
+            p_i = dataclasses.replace(params, **{field: value * scale})
         except InvalidParameter:
             p_i = None
         for n, second, state in states:
@@ -271,7 +289,7 @@ def cmd_sweep(args, out) -> int:
                 else:
                     status = "ok" if energies else "no_bound_state"
             E = energies[0] if energies else None
-            rows.append((float(value), n, second, E, status))
+            rows.append((value, n, second, E, status))
             series[(n, second)].append(math.nan if E is None else E)
     second_label = "l" if args.model in ("nonrel", "kg") else "kappa"
     shapes = []

@@ -25,21 +25,28 @@ Wavefunctions are the standard s = e^(-alpha r) hypergeometric
 forms, normalized by quadrature (the closed-form constant is exact at n = 0
 but inherits a flawed norm identity at n >= 1; it lives in the tests, which
 compare it with the quadrature value).
+
+The closed-form levels run in plain float arithmetic: numpy loads only when
+an array is passed in, and `wavefun` (with `specfun`) only when a
+wavefunction is asked for.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import repeat
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import wavefun
 from .errors import InvalidParameter, NoBoundState
 from .potential import PotentialParams
 from .units import HBAR_C_EV_ANGSTROM
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from . import wavefun
 
 
 @dataclass(frozen=True)
@@ -70,6 +77,8 @@ def _square(x: np.ndarray) -> np.ndarray:
     numpy's ** multiplies x*x, which differs from pow in the last bit on
     about 0.1% of doubles; pow's OverflowError propagates.
     """
+    import numpy as np
+
     return np.fromiter(map(pow, x.ravel().tolist(), repeat(2)), float, x.size).reshape(x.shape)
 
 
@@ -79,7 +88,8 @@ def _level(p: PotentialParams, part: ParticleSpec, n, l, a, b, phi_sign: float):
     Python numbers give floats.  Any of n, l (integers) and a, b (floats)
     may instead be an array, and all array arguments then share one shape:
     the result holds, element for element, the floats the scalar arguments
-    would give.  An n or l array may hold its integers as float64.
+    would give.  An n or l array may hold its integers as float64.  numpy
+    loads only for array arguments.
     """
     T = part.two_mu_over_hbar2
     a2 = p.alpha**2
@@ -87,7 +97,12 @@ def _level(p: PotentialParams, part: ParticleSpec, n, l, a, b, phi_sign: float):
     l1 = l + 1
     L = l * l1
     radicand = 0.25 + L + phi
-    P = n + 0.5 + (math.sqrt(radicand) if isinstance(radicand, float) else np.sqrt(radicand))
+    if isinstance(radicand, float):
+        P = n + 0.5 + math.sqrt(radicand)
+    else:
+        import numpy as np
+
+        P = n + 0.5 + np.sqrt(radicand)
     coupling = T * (b / p.alpha - a / p.alpha - 2.0 * p.D_e * p.q / a2 + phi_sign * p.D_e * p.q**2 / a2)
     N = P * P + coupling + L
     kap2 = part.kinetic_scale * p.alpha**2
@@ -122,6 +137,8 @@ def energies_nonrel(p: PotentialParams, part: ParticleSpec, n, l, a, b) -> np.nd
     element is bit for bit the float energy_nonrel gives (scalars alone give
     a 0-d array).  Raises as energy_nonrel does if any element would.
     """
+    import numpy as np
+
     if (np.minimum(n, l) < 0).any():
         raise InvalidParameter(f"quantum numbers must be >= 0, got n down to {np.min(n)} and l down to {np.min(l)}")
     try:
@@ -144,6 +161,16 @@ def _energy_nonrel_printed(p: PotentialParams, part: ParticleSpec, n: int, l: in
     return _level(p, part, n, l, p.a, p.b, +1.0)[0]
 
 
+@cache
+def _wavefun():
+    """The wavefunction engine `hgmorse.wavefun`, imported (with numpy and
+    `specfun`) on the first call; later calls cost one cached call, not an
+    import statement."""
+    from . import wavefun
+
+    return wavefun
+
+
 def wavefunction_exponents(p: PotentialParams, part: ParticleSpec, E: float, l: int) -> tuple[float, float]:
     """(omega, phi_exp): the s -> 0 and s -> 1 exponents of the eigenfunction.
 
@@ -156,8 +183,8 @@ def wavefunction_exponents(p: PotentialParams, part: ParticleSpec, E: float, l: 
         raise InvalidParameter(f"l must be >= 0, got {l!r}")
     T = part.two_mu_over_hbar2
     a2 = p.alpha**2
-    return wavefun.bound_exponents(T * (p.D_e - E) / a2 + l * (l + 1) - T * p.a / p.alpha,
-                                   0.25 + l * (l + 1) + T * p.D_e * p.q**2 / a2)
+    return _wavefun().bound_exponents(T * (p.D_e - E) / a2 + l * (l + 1) - T * p.a / p.alpha,
+                                      0.25 + l * (l + 1) + T * p.D_e * p.q**2 / a2)
 
 
 @dataclass(frozen=True)
@@ -182,11 +209,12 @@ class WavefunctionSpec:
     @cached_property
     def waveform(self) -> wavefun.SWaveform:
         """The engine's view of this state, with its per-state constants."""
-        return wavefun.SWaveform(self.omega, self.phi_exp, self.n, self.alpha)
+        return _wavefun().SWaveform(self.omega, self.phi_exp, self.n, self.alpha)
 
 
 def make_wavefunction(p: PotentialParams, part: ParticleSpec, n: int, l: int) -> WavefunctionSpec:
     """Energy + exponents + quadrature normalization for the (n, l) level."""
+    wavefun = _wavefun()
     E = energy_nonrel(p, part, n, l)
     omega, phi_exp = wavefunction_exponents(p, part, E, l)
     log_norm = wavefun.log_norm_quadrature(wavefun.SWaveform(omega, phi_exp, n, p.alpha))
@@ -195,7 +223,7 @@ def make_wavefunction(p: PotentialParams, part: ParticleSpec, n: int, l: int) ->
 
 def radial_wavefunction(spec: WavefunctionSpec, r: float) -> float:
     """Normalized u(r); vanishes at both ends of (0, infinity)."""
-    return float(wavefun.value(spec.waveform, spec.log_norm, r))
+    return float(_wavefun().value(spec.waveform, spec.log_norm, r))
 
 
 def level_indices(n_max: int, l_max: int, rectangular: bool = False) -> list[tuple[int, int]]:

@@ -10,6 +10,9 @@ bond length.  The approximate form replaces every 1/r by
 alpha/(1 - e^(-alpha r)) (and 1/r^2 by its square), which is what makes the
 radial equations solvable in closed form; the Morse part involves no 1/r and
 is carried over unchanged.
+
+`PotentialParams` and `q_of` are plain float arithmetic; the potential
+functions evaluate through numpy, which loads when one is first called.
 """
 
 from __future__ import annotations
@@ -17,10 +20,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InvalidParameter
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def q_of(alpha: float, r_e: float) -> float:
@@ -68,23 +73,28 @@ class PotentialParams:
 
 
 def _check_r(r) -> np.ndarray:
+    import numpy as np
+
     arr = np.asarray(r, dtype=float)
     if np.any(arr <= 0.0):
         raise InvalidParameter("r must be > 0")
     return arr
 
 
-def _match(r, values: np.ndarray):
-    return float(values) if np.isscalar(r) or np.ndim(r) == 0 else values
+def _match(arr: np.ndarray, values: np.ndarray):
+    """values as a float when arr, the checked r, holds one number."""
+    return float(values) if arr.ndim == 0 else values
 
 
 def potential_exact(p: PotentialParams, r):
     """Exact potential in eV; scalar or elementwise over an array of r > 0."""
+    import numpy as np
+
     arr = _check_r(r)
     s = np.exp(-p.alpha * arr)
     inv_em1 = s / (-np.expm1(-p.alpha * arr))  # 1/(e^(alpha r) - 1), stable at both ends
     v = (-p.a + p.b * s) / arr + p.D_e * (1.0 - p.q * inv_em1) ** 2
-    return _match(r, v)
+    return _match(arr, v)
 
 
 def potential_approx(p: PotentialParams, r):
@@ -92,11 +102,13 @@ def potential_approx(p: PotentialParams, r):
 
     Identical to potential_exact when a = b = 0 (the Morse part has no 1/r).
     """
+    import numpy as np
+
     arr = _check_r(r)
     s = np.exp(-p.alpha * arr)
     g = 1.0 / (-np.expm1(-p.alpha * arr))  # 1/(1 - e^(-alpha r))
     v = -p.a * p.alpha * g + p.b * p.alpha * s * g + p.D_e * (1.0 - p.q * s * g) ** 2
-    return _match(r, v)
+    return _match(arr, v)
 
 
 def centrifugal_approx(alpha: float, r, L: float):
@@ -106,13 +118,15 @@ def centrifugal_approx(alpha: float, r, L: float):
     multiplies by its kinetic prefactor.  Tends to L/r^2 as alpha*r -> 0.
     L may be as low as -1/4, the least lambda_D (at D = 2, l = 0).
     """
+    import numpy as np
+
     if not alpha > 0.0:
         raise InvalidParameter(f"alpha must be > 0, got {alpha!r}")
     if L < -0.25:
         raise InvalidParameter(f"L must be >= -1/4, got {L!r}")
     arr = _check_r(r)
     g = 1.0 / (-np.expm1(-alpha * arr))
-    return _match(r, L * alpha**2 * g**2)
+    return _match(arr, L * alpha**2 * g**2)
 
 
 def potential_curve(p: PotentialParams, r_min: float, r_max: float, samples: int) -> np.ndarray:
@@ -120,6 +134,8 @@ def potential_curve(p: PotentialParams, r_min: float, r_max: float, samples: int
 
     Returns an array of shape (samples, 3).
     """
+    import numpy as np
+
     if not (0.0 < r_min < r_max < math.inf):
         raise InvalidParameter(f"need 0 < r_min < r_max < inf, got ({r_min!r}, {r_max!r})")
     if samples < 2:

@@ -1,7 +1,9 @@
 import dataclasses
 import json
+import math
 import os
 import re
+import struct
 import subprocess
 import sys
 from datetime import datetime
@@ -9,9 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hgmorse.checks import pseudospin_params
-from hgmorse.cli import EXIT_CHECK_FAILED, main
+from hgmorse.cli import EXIT_CHECK_FAILED, _sweep_values, main
 from hgmorse.errors import InvalidParameter, NoBoundState
 from hgmorse.molecules import builtin_molecules, find_molecule, to_potential_params
 from hgmorse.nonrel import energy_nonrel
@@ -476,6 +480,45 @@ def test_sweep_out_of_range_alpha_step_is_an_invalid_parameter_row(capsys):
     assert code == 0
     E = energy_nonrel(*to_potential_params(find_molecule("CH"), 0.0, 0.0, 0.02), 0, 0)
     assert out.splitlines()[1:3] == [f"0.02,0,0,{E:.17g},ok", "1000,0,0,,invalid_parameter"]
+
+
+@pytest.mark.parametrize("start,stop,values", [
+    ("1", "inf", ["nan", "inf", "inf"]),  # 0*inf at the first step
+    ("-1e308", "1e308", ["nan", "inf", "1e+308"]),  # stop - start overflows
+])
+def test_sweep_non_finite_grid_is_quiet(capsys, start, stop, values):
+    # the grid is float arithmetic: its inf and nan steps raise no warning (pytest makes one an error)
+    code, out, err = run(capsys, "sweep", "--molecule", "CH", "--param", "a", "--from", start, "--to", stop,
+                         "--steps", "3", "--n-max", "0")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == [f"{v},0,0,,invalid_parameter" for v in values] + ["# shape n=0 l=0: undetermined"]
+
+
+def _bits(values: list[float]) -> list[bytes]:
+    return [struct.pack("<d", v) for v in values]
+
+
+_GRID_ENDS = st.one_of(
+    st.floats(),  # finite of every size, with inf and NaN
+    st.floats(-1e-320, 1e-320),  # subnormal: numpy's step == 0 branch
+    st.floats(1e307, 1.7e308).flatmap(lambda x: st.sampled_from((x, -x))),  # stop - start overflows
+    st.sampled_from((math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324)),
+)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(start=_GRID_ENDS, stop=_GRID_ENDS, steps=st.integers(2, 500), same=st.booleans())
+@example(start=0.0, stop=5e-324, steps=3, same=False)
+@example(start=-1e-322, stop=1e-322, steps=500, same=False)
+@example(start=-1e308, stop=1e308, steps=3, same=False)
+@example(start=1.0, stop=math.inf, steps=2, same=False)
+@example(start=math.nan, stop=1.0, steps=3, same=False)
+@example(start=0.25, stop=0.25, steps=7, same=True)
+def test_sweep_grid_is_numpy_linspace_bit_for_bit(start, stop, steps, same):
+    stop = start if same else stop
+    with np.errstate(all="ignore"):
+        expected = np.linspace(start, stop, steps).tolist()
+    assert _bits(_sweep_values(start, stop, steps)) == _bits(expected)
 
 
 def test_sweep_non_finite_closed_form_is_an_invalid_parameter_row(capsys):

@@ -8,15 +8,20 @@ calls by file path.  `hgmorse.validate` and hashlib load only for the
 relativistic solvers (with the root finder and logging) only for a
 relativistic model, and json only for `--format json`.  The FD oracle's
 threads are plain `threading` threads, so concurrent.futures never loads.
-The package exports resolve on first access.  Each test runs in a fresh
-interpreter, because this test process has imported all of these long
-before.
+The package exports resolve on first access.  numpy, and the wavefunction
+engine `hgmorse.wavefun` with its `hgmorse.specfun`, load only where an
+array kernel or a wavefunction runs: the closed-form nonrelativistic
+`levels` and `sweep` run in plain float arithmetic without them.  Each test
+runs in a fresh interpreter, because this test process has imported all of
+these long before.
 """
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -25,6 +30,9 @@ KG_LEVELS = ["levels", "--model", "kg", "--De-cm", "55147417000", "--re", "1.119
 NONREL_LEVELS = ["levels", "--molecule", "CH", "--n-max", "1"]
 POTENTIAL = ["potential", "--molecule", "CH", "--samples", "5"]
 NONREL_ORACLE_CHECK = ["oracle-check", "--models", "nonrel", "--molecules", "CH"]
+NONREL_SWEEP = ["sweep", "--molecule", "CH", "--param", "alpha", "--from", "0.01", "--to", "0.05", "--steps", "3"]
+#: the modules that only an array kernel or a wavefunction needs
+ARRAY_MODULES = {"numpy", "hgmorse.wavefun", "hgmorse.specfun"}
 
 # run in a fresh interpreter: argv holds steps, each a module to import ("import NAME") or a
 # CLI command line; prints the sorted loaded module names after `import hgmorse.cli` and after
@@ -83,12 +91,27 @@ def test_cli_import_loads_no_solver_it_may_not_run():
     assert not loaded & {"hgmorse.oracle", "hgmorse.relativistic", "hgmorse.rootfind", "logging", "json",
                          "concurrent.futures"}
     # positive control: the probe sees what the CLI does import
-    assert {"hgmorse.cli", "hgmorse.nonrel", "numpy"} <= loaded
+    assert {"hgmorse.cli", "hgmorse.nonrel", "hgmorse.potential"} <= loaded
+
+
+def test_closed_form_commands_load_no_numpy():
+    loaded_after = _modules_after(NONREL_LEVELS, NONREL_LEVELS + ["--format", "json"], NONREL_SWEEP,
+                                  NONREL_SWEEP + ["--format", "json"])
+    for loaded in loaded_after:
+        assert not loaded & ARRAY_MODULES
+    assert "json" in loaded_after[-1]  # positive control: the probe saw the json runs
+
+
+@pytest.mark.parametrize("command", [POTENTIAL, ["validate", "--no-timestamp"], NONREL_LEVELS + ["--oracle"],
+                                     KG_LEVELS], ids=["potential", "validate", "levels-oracle", "kg-levels"])
+def test_array_commands_load_numpy(command):
+    before, after = _modules_after(command)
+    assert "numpy" not in before
+    assert "numpy" in after
 
 
 def test_nonrelativistic_commands_load_neither_relativistic_nor_oracle():
-    sweep = ["sweep", "--molecule", "CH", "--param", "alpha", "--from", "0.01", "--to", "0.05", "--steps", "3"]
-    steps = [NONREL_LEVELS, POTENTIAL, sweep, ["validate", "--no-timestamp"], NONREL_LEVELS + ["--oracle"]]
+    steps = [NONREL_LEVELS, POTENTIAL, NONREL_SWEEP, ["validate", "--no-timestamp"], NONREL_LEVELS + ["--oracle"]]
     *before_oracle, after_oracle = _modules_after(*steps)
     for loaded in before_oracle:
         assert not loaded & {"hgmorse.relativistic", "hgmorse.oracle", "hgmorse.rootfind", "json"}
