@@ -30,7 +30,8 @@ f2py object's own C pointer with ctypes, which releases the GIL; thread_map
 runs independent solves on up to one thread per usable CPU, so their
 bisections overlap.  Those are plain `threading` threads that take the jobs
 in order: concurrent.futures, with the logging and queue modules it loads,
-would add about 9 ms of imports (`python -X importtime`) to every call.
+would add about 5 ms of imports (`python -X importtime` inside a
+`levels --oracle` process) to every call.
 """
 
 from __future__ import annotations

@@ -9,7 +9,8 @@ condition reads
     P   = n + 1/2 + sqrt(1/4 + phi + gamma),
 
 which is implicit in E because every field carries an energy-dependent
-prefactor.  Residual functions return the normalized defect
+prefactor.  Residual functions return the normalized defect (_defect,
+shared by every residual here, printed transcriptions included)
 
     f(E) = (lhs - rhs) / (1 + |lhs| + |rhs|),
 
@@ -31,7 +32,8 @@ one field builder and one ODE coefficient serve all three equations: the
 scale factor is S = (M + sign*E + shift)/(hbar c)^2, each field is a
 multiple of sign*S, NaN where S is not positive, and the residual is NaN on
 every domain hole.  The field builder does the state-only work once and
-returns E -> fields, where E is a float64 array of energies or one float.
+returns E -> (eps, beta, eta, chi, phi, gamma), a plain tuple that each
+reader unpacks, where E is a float64 array of energies or one float.
 The root scan evaluates the residual on its whole energy grid in one call;
 bisection, the public residuals and the spec builder pass one float through
 the same formulas in float arithmetic (a conditional for the NaN of a hole,
@@ -43,7 +45,8 @@ are one-call wrappers over them.
 
 The fully expanded printed variants of the three eigenvalue equations carry
 typesetting defects (a dropped coupling term, a sign flip, a missing 1/4);
-they are evaluated here only as logged cross-checks, never solved.
+they are evaluated only as cross-checks, never solved: they fill the
+cross_check_residual column of a relativistic levels table and the debug log.
 """
 
 from __future__ import annotations
@@ -93,22 +96,6 @@ def lambda_D(D: int, l: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _NUFields:
-    """Dimensionless coefficient set of the s-space radial equation.
-
-    The first five fields hold one value per energy (a float for one float
-    energy); gamma is the energy-independent angular term.
-    """
-
-    eps: np.ndarray
-    beta: np.ndarray
-    eta: np.ndarray
-    chi: np.ndarray
-    phi: np.ndarray
-    gamma: float
-
-
 def _nan_unless(ok, x):
     """x where ok holds, NaN elsewhere: a float for a float x, else an array."""
     if isinstance(x, float):
@@ -116,20 +103,24 @@ def _nan_unless(ok, x):
     return np.where(ok, x, np.nan)
 
 
-def _nu_eval(f: _NUFields, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(normalized residual, bracket numerator N), NaN on a domain hole.
+def _defect(lhs, rhs):
+    """Normalized defect of the equation lhs = rhs, floats or arrays."""
+    return (lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
+
+
+def _nu_eval(f: tuple, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(normalized residual, bracket numerator N) of the fields f, NaN on a domain hole.
 
     A hole is a NaN field (a scale factor <= 0) or a negative radicand
     1/4 + phi + gamma.  Two floats for float fields, else two arrays.
     """
-    radicand = 0.25 + f.phi + f.gamma
+    eps, beta, eta, chi, phi, gamma = f
+    radicand = 0.25 + phi + gamma
     root = _nan_unless(radicand >= 0.0, radicand)
     P = n + 0.5 + (math.sqrt(root) if isinstance(root, float) else np.sqrt(root))
-    N = P * P - f.beta + f.eta - f.chi + f.gamma - f.phi
-    lhs = f.eps
+    N = P * P - beta + eta - chi + gamma - phi
     t = N / P
-    rhs = f.beta - f.gamma + 0.25 * (t * t)
-    return (lhs - rhs) / (1.0 + abs(lhs) + abs(rhs)), N
+    return _defect(eps, beta - gamma + 0.25 * (t * t)), N
 
 
 @dataclass(frozen=True)
@@ -150,19 +141,21 @@ class _Sector:
     printed: Callable[..., float]  # printed-equation residual
 
 
-def _nu_fields(p: PotentialParams, T, minus_binding, angular: float) -> _NUFields:
-    """Fields of scale factor T and binding term minus_binding, floats or arrays of one shape.
+def _nu_fields(p: PotentialParams, T, minus_binding, angular: float) -> tuple:
+    """(eps, beta, eta, chi, phi, gamma) of scale factor T and binding term minus_binding.
 
-    _fields passes T = sign*S and sign*M - E, kg_residual_nonrel_limit 2 mu/hbar^2 and -E_nl.
+    The first five are floats or arrays of T's shape; gamma is the
+    energy-independent angular term.  _fields passes T = sign*S and
+    sign*M - E, kg_residual_nonrel_limit 2 mu/hbar^2 and -E_nl.
     """
     a2 = p.alpha**2
-    return _NUFields(T * (minus_binding + p.D_e) / a2, T * p.a / p.alpha, T * p.b / p.alpha,
-                     2.0 * T * p.D_e * p.q / a2, T * p.D_e * p.q**2 / a2, angular)
+    return (T * (minus_binding + p.D_e) / a2, T * p.a / p.alpha, T * p.b / p.alpha,
+            2.0 * T * p.D_e * p.q / a2, T * p.D_e * p.q**2 / a2, angular)
 
 
 def _fields(
     sector: _Sector, p: PotentialParams, M: float, state: tuple, hbar_c: float
-) -> tuple[Callable[[np.ndarray], _NUFields], int]:
+) -> tuple[Callable[[np.ndarray], tuple], int]:
     """(E -> fields, n) of one state; the fields are NaN where S is not positive.
 
     With T = sign*S the Klein-Gordon fields are (-eps_KG, beta, eta, chi,
@@ -174,7 +167,7 @@ def _fields(
     sign = sector.sign
     angular, shift, n = sector.labels(*state)
 
-    def at(E: np.ndarray) -> _NUFields:
+    def at(E: np.ndarray) -> tuple:
         S = (M + sign * E + shift) / hc2
         return _nu_fields(p, sign * _nan_unless(S > 0.0, S), sign * M - E, angular)
 
@@ -232,7 +225,7 @@ def kg_residual_nonrel_limit(p: PotentialParams, part: ParticleSpec, E_nl: float
 def kg_printed_eq_residual(
     p: PotentialParams, M: float, E: float, qn: QuantumNumbers, hbar_c: float = HBAR_C_EV_ANGSTROM
 ) -> float:
-    """Normalized defect of the printed expanded KG equation (logged only).
+    """Normalized defect of the printed expanded KG equation, a cross-check.
 
     Transcribed with minimal unit restoration (each energy*energy product
     divided by (hbar c)^2); its coupling bracket lacks the D_e q^2/alpha
@@ -246,7 +239,7 @@ def kg_printed_eq_residual(
     num = P * P - (E + M) * (p.a - p.b + 2.0 * p.D_e * p.q / p.alpha) / (p.alpha * hc2) + lam
     lhs = E * E - M * M
     rhs = (p.D_e - p.a * p.alpha) * (E + M) + a2 * hc2 * lam - 0.25 * a2 * hc2 * (num / P) ** 2
-    return (lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
+    return _defect(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +290,7 @@ def spin_printed_eq_residual(
     num = P * P + b0 * (p.b / p.alpha - 2.0 * p.D_e * p.q / a2 - p.a / p.alpha + p.D_e * p.q**2 / a2) / hc2 + b1
     lhs = b0 * (M - E + p.D_e)
     rhs = b0 * p.a * p.alpha - a2 * hc2 * b1 + 0.25 * a2 * hc2 * (num / P) ** 2
-    return (lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
+    return _defect(lhs, rhs)
 
 
 def pseudospin_residual(
@@ -328,7 +321,7 @@ def pseudospin_printed_eq_residual(
     n: int = 0,
     hbar_c: float = HBAR_C_EV_ANGSTROM,
 ) -> float:
-    """Normalized defect of the printed expanded pseudospin equation (logged).
+    """Normalized defect of the printed expanded pseudospin equation, a cross-check.
 
     Printed defects kept as-is: no 1/4 on the squared bracket, +theta1 in
     the radicand, and the flipped coupling signs; the angular term printed
@@ -346,7 +339,7 @@ def pseudospin_printed_eq_residual(
     num = P * P + lam0 * (p.a / p.alpha - p.b / p.alpha + 2.0 * p.D_e * p.q / a2 + p.D_e * p.q**2 / a2) / hc2 + lam1
     lhs = (p.D_e - M - E) * lam0
     rhs = lam1 * a2 * hc2 + lam0 * p.a * p.alpha - a2 * hc2 * (num / P) ** 2
-    return (lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
+    return _defect(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +493,8 @@ def _build_spec(
     sector: _Sector, p: PotentialParams, M: float, E: float, state: tuple, hbar_c: float
 ) -> RelWavefunctionSpec:
     at, n = _fields(sector, p, M, state, hbar_c)
-    f = at(E)  # NaN where the scale factor is not positive, which the bound-state rule rejects
-    leading, edge = wavefun.bound_exponents(f.eps - f.beta + f.gamma, 0.25 + f.phi + f.gamma)
+    eps, beta, _, _, phi, gamma = at(E)  # NaN where S <= 0, which the bound-state rule rejects
+    leading, edge = wavefun.bound_exponents(eps - beta + gamma, 0.25 + phi + gamma)
     w = wavefun.SWaveform(leading, edge, n, p.alpha)
     return RelWavefunctionSpec(leading, edge, n, p.alpha, wavefun.log_norm_quadrature(w))
 

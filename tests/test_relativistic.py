@@ -64,7 +64,7 @@ def test_lambda_D_values():
 
 
 # --- field builders -----------------------------------------------------------
-# The field builder returns E -> _NUFields (eps, beta, eta, chi, phi, gamma) for
+# The field builder returns E -> (eps, beta, eta, chi, phi, gamma), a plain tuple, for
 # a sector and state; every field but the angular gamma is NaN where the scale
 # factor S is not positive.
 
@@ -74,7 +74,8 @@ def fields(sector, p, M, *state):
 
 
 def is_hole(f):
-    return all(math.isnan(x) for x in (f.eps, f.beta, f.eta, f.chi, f.phi))
+    eps, beta, eta, chi, phi, _ = f
+    return all(math.isnan(x) for x in (eps, beta, eta, chi, phi))
 
 
 def test_kg_ansatz_vanishes_at_negative_mass_shell(ch_unit):
@@ -84,38 +85,39 @@ def test_kg_ansatz_vanishes_at_negative_mass_shell(ch_unit):
     # S = (E+M)/(hbar c)^2 is zero on the shell, a domain hole
     assert is_hole(at(-10.0)) and is_hole(at(-11.0))
     assert kg_residual(p, 10.0, -10.0, qn) is None
-    f = at(-10.0 + 1e-9)
-    assert all(0.0 < x < 1e-12 for x in (f.beta, f.eta, f.chi, f.phi))
-    assert f.gamma == 2.0
+    _, beta, eta, chi, phi, gamma = at(-10.0 + 1e-9)
+    assert all(0.0 < x < 1e-12 for x in (beta, eta, chi, phi))
+    assert gamma == 2.0
 
 
 def test_kg_ansatz_reference_values(ch_unit):
     p, _ = ch_unit
     M, E = 10.0, 5.0
-    f = fields(_KG, p, M, QuantumNumbers(n=0, l=0))(E)
+    eps, beta, _, chi, phi, gamma = fields(_KG, p, M, QuantumNumbers(n=0, l=0))(E)
     hc2 = mp.mpf("1973.29") ** 2
     S = (mp.mpf(repr(E)) + mp.mpf(repr(M))) / hc2
     a2 = mp.mpf("0.025") ** 2
     q = mp.expm1(mp.mpf("0.025") * mp.mpf("1.1198"))
     De = mp.mpf(repr(p.D_e))
-    assert f.eps == pytest.approx(float(S * (M - E + De) / a2), rel=1e-14)
-    assert f.beta == pytest.approx(float(S / mp.mpf("0.025")), rel=1e-14)
-    assert f.chi == pytest.approx(float(2 * S * De * q / a2), rel=1e-14)
-    assert f.phi == pytest.approx(float(S * De * q * q / a2), rel=1e-14)
-    assert f.gamma == 0.0
+    assert eps == pytest.approx(float(S * (M - E + De) / a2), rel=1e-14)
+    assert beta == pytest.approx(float(S / mp.mpf("0.025")), rel=1e-14)
+    assert chi == pytest.approx(float(2 * S * De * q / a2), rel=1e-14)
+    assert phi == pytest.approx(float(S * De * q * q / a2), rel=1e-14)
+    assert gamma == 0.0
     # delta_kg = sqrt(1/4 + phi + Lambda), the quantization radicand
-    assert math.sqrt(0.25 + f.phi + f.gamma) == pytest.approx(
+    assert math.sqrt(0.25 + phi + gamma) == pytest.approx(
         float(mp.sqrt(mp.mpf("0.25") + S * De * q * q / a2)), rel=1e-14)
 
 
 def test_spin_ansatz_edges(ch_unit):
     p, _ = ch_unit
-    f = fields(_SPIN, p, 10.0, -1, 0.0, 0)(10.0)
-    assert f.eps == 20.0 / HBAR_C_EV_ANGSTROM**2 * p.D_e / p.alpha**2
+    eps, *_ = fields(_SPIN, p, 10.0, -1, 0.0, 0)(10.0)
+    assert eps == 20.0 / HBAR_C_EV_ANGSTROM**2 * p.D_e / p.alpha**2
     # M + E - Cs = 0: the scale factor vanishes, a domain hole
     assert is_hole(fields(_SPIN, p, 10.0, 1, 12.0, 0)(2.0))
     assert spin_residual(p, 10.0, 2.0, 1, 12.0) is None
-    assert fields(_SPIN, p, 10.0, 2, 0.0, 0)(2.0).gamma == 6.0
+    *_, gamma = fields(_SPIN, p, 10.0, 2, 0.0, 0)(2.0)
+    assert gamma == 6.0
     with pytest.raises(InvalidParameter):
         solve_dirac_spin(p, 10.0, 0)
     with pytest.raises(InvalidParameter):
@@ -127,11 +129,11 @@ def test_spin_ansatz_edges(ch_unit):
 def test_pseudospin_ansatz_fields(ch_unit):
     p, _ = ch_unit
     M, E, Cps = 100.0, -40.0, 0.0
-    f = fields(_PSEUDOSPIN, p, M, 2, Cps, 0)(E)
-    assert f.gamma == 2.0
+    eps, _, _, chi, _, gamma = fields(_PSEUDOSPIN, p, M, 2, Cps, 0)(E)
+    assert gamma == 2.0
     S = (M - E + Cps) / HBAR_C_EV_ANGSTROM**2
-    assert f.eps == pytest.approx(S * (M + E - p.D_e) / p.alpha**2, rel=1e-14)
-    assert -f.chi == pytest.approx(2 * S * p.D_e * p.q / p.alpha**2, rel=1e-14)
+    assert eps == pytest.approx(S * (M + E - p.D_e) / p.alpha**2, rel=1e-14)
+    assert -chi == pytest.approx(2 * S * p.D_e * p.q / p.alpha**2, rel=1e-14)
 
 
 # --- residuals ----------------------------------------------------------------
@@ -396,17 +398,17 @@ def test_kg_norm_ratio_logged_for_low_levels(ch_unit):
 def test_spin_ansatz_generic_reference_values(ch_unit):
     p, _ = ch_unit
     M, E, Cs, kappa = 700.0, 123.0, 2.5, -3
-    f = fields(_SPIN, p, M, kappa, Cs, 0)(E)
+    eps, _, eta, chi, _, gamma = fields(_SPIN, p, M, kappa, Cs, 0)(E)
     hc2 = mp.mpf("1973.29") ** 2
     b0 = mp.mpf(repr(M)) + mp.mpf(repr(E)) - mp.mpf(repr(Cs))
     S = b0 / hc2
     a2 = mp.mpf("0.025") ** 2
     q = mp.expm1(mp.mpf("0.025") * mp.mpf("1.1198"))
     De = mp.mpf(repr(p.D_e))
-    assert f.gamma == 6.0
-    assert f.chi == pytest.approx(float(2 * S * De * q / a2), rel=1e-14)
-    assert f.eta == pytest.approx(float(S / mp.mpf("0.025")), rel=1e-14)
-    assert f.eps == pytest.approx(float(S * (M - E + De) / a2), rel=1e-14)
+    assert gamma == 6.0
+    assert chi == pytest.approx(float(2 * S * De * q / a2), rel=1e-14)
+    assert eta == pytest.approx(float(S / mp.mpf("0.025")), rel=1e-14)
+    assert eps == pytest.approx(float(S * (M - E + De) / a2), rel=1e-14)
 
 
 def test_solve_evaluates_printed_defect_only_for_debug_log(ch_unit, monkeypatch, caplog):

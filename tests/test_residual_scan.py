@@ -10,7 +10,7 @@ residuals and bracket numerators N, and NaN exactly where the scalar code
 reports a domain hole (None), over the solver's scan grid for all five
 molecules, the three test masses and all three sectors.  One float energy,
 as bisection passes it, must give Python floats bit-equal to the array
-elements.
+elements, for the residual, N and each of the six fields.
 """
 
 import math
@@ -139,7 +139,8 @@ def test_array_residual_matches_scalar_oracle_bit_for_bit(model):
             n = state[0].n if model == "kg" else state[2]
             fields, fields_n = _fields(sector, params, M, state, HBAR_C_EV_ANGSTROM)
             assert fields_n == n
-            res, N = _nu_eval(fields(Es), n)
+            array_fields = fields(Es)
+            res, N = _nu_eval(array_fields, n)
             at = scalar_fields(params, M, *state, HBAR_C_EV_ANGSTROM)
             ref = [scalar_nu_eval(at(float(E)), n) for E in Es]
             hole = np.array([r is None for r in ref])
@@ -149,9 +150,15 @@ def test_array_residual_matches_scalar_oracle_bit_for_bit(model):
             kept = [r for r in ref if r is not None]
             assert np.array_equal(_bits(res[~hole]), _bits([r[0] for r in kept])), where
             assert np.array_equal(_bits(N[~hole]), _bits([r[1] for r in kept])), where
-            # one float, as bisection and the public residual pass it
+            # one float, as bisection, the public residual and the spec builder pass it
             for i in range(0, SCAN_POINTS, 97):
-                one_res, one_N = _nu_eval(fields(float(Es[i])), n)
+                one_fields = fields(float(Es[i]))
+                assert len(one_fields) == len(array_fields) == 6, where
+                for k, (one, many) in enumerate(zip(one_fields, array_fields)):
+                    x = np.broadcast_to(many, Es.shape)[i]  # gamma is one float for every energy
+                    assert type(one) is float, (where, k)
+                    assert (math.isnan(one) and math.isnan(x)) or _bits(one) == _bits(x), (where, k)
+                one_res, one_N = _nu_eval(one_fields, n)
                 assert type(one_res) is float and type(one_N) is float, where
                 if hole[i]:
                     assert math.isnan(one_res) and math.isnan(one_N), where
