@@ -9,8 +9,7 @@ condition reads
     P   = n + 1/2 + sqrt(1/4 + phi + gamma),
 
 which is implicit in E because every field carries an energy-dependent
-prefactor.  Residual functions return the normalized defect (_defect,
-shared by every residual here, printed transcriptions included)
+prefactor.  Residual functions return the normalized defect
 
     f(E) = (lhs - rhs) / (1 + |lhs| + |rhs|),
 
@@ -32,8 +31,7 @@ one field builder and one ODE coefficient serve all three equations: the
 scale factor is S = (M + sign*E + shift)/(hbar c)^2, each field is a
 multiple of sign*S, NaN where S is not positive, and the residual is NaN on
 every domain hole.  The field builder does the state-only work once and
-returns E -> (eps, beta, eta, chi, phi, gamma), a plain tuple that each
-reader unpacks, where E is a float64 array of energies or one float.
+returns E -> fields, where E is a float64 array of energies or one float.
 The root scan evaluates the residual on its whole energy grid in one call;
 bisection, the public residuals and the spec builder pass one float through
 the same formulas in float arithmetic (a conditional for the NaN of a hole,
