@@ -19,8 +19,8 @@ fall as n grows, so both raise NoBoundState there: the N < 0 rule of
 
 The sign of the D_e q^2/alpha^2 coupling term here differs from one printed
 variant of this formula; the finite-difference oracle selects this one
-decisively (the other is off by ~0.2 eV for CH); the eliminated variant is
-kept as `_energy_nonrel_printed`, which the tests hold against the oracle.
+decisively (the other is off by ~0.2 eV for CH); the eliminated variant
+lives in the tests, which hold it against the oracle.
 Wavefunctions are the standard s = e^(-alpha r) hypergeometric
 forms, normalized by quadrature (the closed-form constant is exact at n = 0
 but inherits a flawed norm identity at n >= 1; it lives in the tests, which
@@ -82,8 +82,8 @@ def _square(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(pow, x.ravel().tolist(), repeat(2)), float, x.size).reshape(x.shape)
 
 
-def _level(p: PotentialParams, part: ParticleSpec, n, l, a, b, phi_sign: float):
-    """(E(n, l), N) at strengths (a, b), with phi_sign on the D_e q^2/alpha^2 coupling term.
+def _level(p: PotentialParams, part: ParticleSpec, n, l, a, b):
+    """(E(n, l), N) at strengths (a, b).
 
     Python numbers give floats.  Any of n, l (integers) and a, b (floats)
     may instead be an array, and all array arguments then share one shape:
@@ -103,7 +103,7 @@ def _level(p: PotentialParams, part: ParticleSpec, n, l, a, b, phi_sign: float):
         import numpy as np
 
         P = n + 0.5 + np.sqrt(radicand)
-    coupling = T * (b / p.alpha - a / p.alpha - 2.0 * p.D_e * p.q / a2 + phi_sign * p.D_e * p.q**2 / a2)
+    coupling = T * (b / p.alpha - a / p.alpha - 2.0 * p.D_e * p.q / a2 - p.D_e * p.q**2 / a2)
     N = P * P + coupling + L
     kap2 = part.kinetic_scale * p.alpha**2
     t = N / P
@@ -120,7 +120,7 @@ def energy_nonrel(p: PotentialParams, part: ParticleSpec, n: int, l: int) -> flo
     if n < 0 or l < 0:
         raise InvalidParameter(f"quantum numbers must be >= 0, got (n={n!r}, l={l!r})")
     try:
-        E, N = _level(p, part, n, l, p.a, p.b, -1.0)
+        E, N = _level(p, part, n, l, p.a, p.b)
     except OverflowError:
         E = math.nan
     if not math.isfinite(E):
@@ -143,7 +143,7 @@ def energies_nonrel(p: PotentialParams, part: ParticleSpec, n, l, a, b) -> np.nd
         raise InvalidParameter(f"quantum numbers must be >= 0, got n down to {np.min(n)} and l down to {np.min(l)}")
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # as Python float arithmetic: inf and nan, no warning
-            E, N = _level(p, part, n, l, a, b, -1.0)
+            E, N = _level(p, part, n, l, a, b)
     except OverflowError:
         E = math.nan
     if not np.isfinite(E).all():
@@ -151,14 +151,6 @@ def energies_nonrel(p: PotentialParams, part: ParticleSpec, n, l, a, b) -> np.nd
     if not (np.asarray(N) < 0.0).all():
         raise NoBoundState(f"a requested level is past the last bound level: N up to {float(np.max(N))!r} >= 0")
     return np.asarray(E)
-
-
-def _energy_nonrel_printed(p: PotentialParams, part: ParticleSpec, n: int, l: int) -> float:
-    """The rejected printed variant (+ sign on the D_e q^2 coupling term).
-
-    Fails the oracle by ~0.2 eV; kept only as a test cross-check.
-    """
-    return _level(p, part, n, l, p.a, p.b, +1.0)[0]
 
 
 @cache

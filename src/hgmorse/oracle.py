@@ -235,7 +235,8 @@ def _fd_matrix(p: PotentialParams, part: "ParticleSpec", l: int, g: RadialGrid, 
     c = part.kinetic_scale  # hbar^2/(2 mu), eV*A^2
     r = np.linspace(g.r_min, g.r_max, g.points)[1:-1]
     h = (g.r_max - g.r_min) / (g.points - 1)
-    diag = 2.0 * c / h**2 + potential_approx(p, r) + c * centrifugal_approx(p.alpha, r, float(l * (l + 1)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN is reported below
+        diag = 2.0 * c / h**2 + potential_approx(p, r) + c * centrifugal_approx(p.alpha, r, float(l * (l + 1)))
     off = np.full(r.size - 1, -c / h**2)
     if not (np.all(np.isfinite(diag)) and math.isfinite(off[0])):
         raise NonConvergence("FD matrix is not finite on the grid")
@@ -311,7 +312,8 @@ def adapted_range(p: PotentialParams, part: "ParticleSpec", l: int, k: int) -> f
         return cap
     kappa = math.sqrt((v_inf - e_top) / part.kinetic_scale)
     rr = np.linspace(_R_MIN, cap, 20000)
-    veff = potential_approx(p, rr) + part.kinetic_scale * centrifugal_approx(p.alpha, rr, float(l * (l + 1)))
+    with np.errstate(over="ignore", invalid="ignore"):  # the FD solves report an overflowing potential
+        veff = potential_approx(p, rr) + part.kinetic_scale * centrifugal_approx(p.alpha, rr, float(l * (l + 1)))
     below = rr[veff < e_top]
     r_turn = float(below[-1]) if below.size else p.r_e + 1.0
     return min(r_turn + _TAIL_FOLDS / kappa, cap)

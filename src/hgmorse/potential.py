@@ -132,7 +132,8 @@ def centrifugal_approx(alpha: float, r, L: float):
 def potential_curve(p: PotentialParams, r_min: float, r_max: float, samples: int) -> np.ndarray:
     """Uniform samples of (r, V_exact, V_approx), endpoints included.
 
-    Returns an array of shape (samples, 3).
+    Returns an array of shape (samples, 3).  InvalidParameter, without a
+    numpy warning, when a sample overflows.
     """
     import numpy as np
 
@@ -141,4 +142,8 @@ def potential_curve(p: PotentialParams, r_min: float, r_max: float, samples: int
     if samples < 2:
         raise InvalidParameter(f"samples must be >= 2, got {samples!r}")
     r = np.linspace(r_min, r_max, samples)
-    return np.column_stack([r, potential_exact(p, r), potential_approx(p, r)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        curve = np.column_stack([r, potential_exact(p, r), potential_approx(p, r)])
+    if not np.isfinite(curve).all():
+        raise InvalidParameter("the potential curve is not finite: it overflows at these parameters")
+    return curve

@@ -23,7 +23,7 @@ solvers drop the rest.  Every accepted root can be cross-checked by the
 shooting oracle on the corresponding radial equation.
 
 Each equation is described once, as a private sector record: a sign, a
-label map, its branch filter and its printed-equation residual.  The sign is
+label map and its branch filter.  The sign is
 +1 for the sum potential of Klein-Gordon and spin symmetry and -1 for the
 pseudospin difference potential, which flips every coupling; the label map
 takes a public state to (angular coefficient, energy shift, n).  From these
@@ -44,12 +44,11 @@ are one-call wrappers over them.
 The fully expanded printed variants of the three eigenvalue equations carry
 typesetting defects (a dropped coupling term, a sign flip, a missing 1/4);
 they are evaluated only as cross-checks, never solved: they fill the
-cross_check_residual column of a relativistic levels table and the debug log.
+cross_check_residual column of a relativistic levels table.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -63,8 +62,6 @@ from .nonrel import ParticleSpec
 from .potential import PotentialParams, centrifugal_approx, potential_approx
 from .rootfind import bisect, scan_brackets
 from .units import HBAR_C_EV_ANGSTROM
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -128,15 +125,14 @@ class _Sector:
     A state is the tuple of labels the equation's public functions take
     after (p, M[, E]): (qn,) for Klein-Gordon and (kappa, C, n) for the
     Dirac sectors, C being the spin or pseudospin constant.  labels and
-    describe take the state splatted; printed takes (p, M, E, *state, hbar_c).
+    describe take the state splatted.
     """
 
-    noun: str  # names the level in NoBoundState messages and the debug log
+    noun: str  # names the level in NoBoundState messages
     describe: Callable[..., str]  # the state in NoBoundState messages
     sign: int  # +1 for the sum potential, -1 for the difference potential
     labels: Callable[..., tuple[float, float, int]]  # state -> (angular coefficient, energy shift, n)
     keep: Callable[[float], bool]  # branch filter, unless all_roots
-    printed: Callable[..., float]  # printed-equation residual
 
 
 def _nu_fields(p: PotentialParams, T, minus_binding, angular: float) -> tuple:
@@ -277,7 +273,7 @@ def spin_printed_eq_residual(
     term read as a*alpha (its strength factor was dropped in typesetting).
     Keeps the printed +D_e q^2/alpha^2 coupling sign, which the compact
     chain and the oracle both reject, so nonzero defects at roots are
-    expected and logged.
+    expected.
     """
     hc2 = hbar_c**2
     a2 = p.alpha**2
@@ -375,8 +371,7 @@ def _solve(
     disjoint and ascending, so the roots come out in order.  Raises
     NoBoundState when no root is left and InvalidParameter when the scan
     overflows (a field or the residual would be +-inf; a NaN is a hole), and
-    lets a bisection NonConvergence propagate; for each root the compact and
-    the printed expanded equation defects are logged.
+    lets a bisection NonConvergence propagate.
     """
     lo, hi = default_search_interval(p, M)
     fields, n = _fields(sector, p, M, state, hbar_c)
@@ -394,18 +389,10 @@ def _solve(
     for bracket in brackets:
         root, _ = bisect(f, bracket, tol)
         N = _nu_eval(fields(root), n)[1]
-        if N > 0.0:
-            log.debug("rejected spurious squared-equation root at E=%r (N=%r)", root, N)
-        elif all_roots or sector.keep(root):
+        if not N > 0.0 and (all_roots or sector.keep(root)):
             roots.append(root)
     if not roots:
         raise NoBoundState(f"no {sector.noun} level in [{lo!r}, {hi!r}] for {sector.describe(*state)}")
-    if log.isEnabledFor(logging.DEBUG):
-        for E in roots:
-            log.debug(
-                "%s root E=%.12g residual=%.3g printed-form defect=%.3g",
-                sector.noun, E, f(E), sector.printed(p, M, E, *state, hbar_c),
-            )
     return roots
 
 
@@ -425,8 +412,7 @@ def solve_kg_energy(
 ) -> list[float]:
     """All Klein-Gordon levels for (n, l, D) in the bound-state window, ascending.
 
-    Raises NoBoundState when the window contains no genuine root.  For each
-    root the compact and the printed expanded equation defects are logged.
+    Raises NoBoundState when the window contains no genuine root.
     """
     return _solve(_KG, p, M, (qn,), scan_points, tol, False, hbar_c)
 
@@ -531,7 +517,6 @@ _KG = _Sector(
     sign=1,
     labels=lambda qn: (lambda_D(qn.D, qn.l), 0.0, qn.n),
     keep=lambda E: True,
-    printed=kg_printed_eq_residual,
 )
 _SPIN = _Sector(
     noun="spin-symmetry",
@@ -539,7 +524,6 @@ _SPIN = _Sector(
     sign=1,
     labels=_dirac_labels(1),
     keep=lambda E: E > 0.0,
-    printed=spin_printed_eq_residual,
 )
 _PSEUDOSPIN = _Sector(
     noun="pseudospin",
@@ -547,7 +531,6 @@ _PSEUDOSPIN = _Sector(
     sign=-1,
     labels=_dirac_labels(-1),
     keep=lambda E: E < 0.0,
-    printed=pseudospin_printed_eq_residual,
 )
 
 
@@ -555,17 +538,18 @@ def model_functions(model: str) -> tuple[Callable, Callable, Callable, Callable]
     """(solver, residual, printed residual, ODE coefficient) of "kg", "dirac-spin" or "dirac-pseudospin".
 
     Each takes (p, M[, E], *state, hbar_c=...), the state being (qn,) for kg
-    and (kappa, C, n) for the Dirac models.  The solver and the residual are
-    looked up by their public names on each call, so a tracer that rebinds
-    those names sees the calls.
+    and (kappa, C, n) for the Dirac models.  The solver and both residuals
+    are looked up by their public names on each call, so a tracer that
+    rebinds those names sees the calls.
     """
-    solve, residual, sector = {
-        "kg": (solve_kg_energy, kg_residual, _KG),
-        "dirac-spin": (solve_dirac_spin, spin_residual, _SPIN),
-        "dirac-pseudospin": (solve_dirac_pseudospin, pseudospin_residual, _PSEUDOSPIN),
+    solve, residual, printed, sector = {
+        "kg": (solve_kg_energy, kg_residual, kg_printed_eq_residual, _KG),
+        "dirac-spin": (solve_dirac_spin, spin_residual, spin_printed_eq_residual, _SPIN),
+        "dirac-pseudospin": (solve_dirac_pseudospin, pseudospin_residual, pseudospin_printed_eq_residual,
+                             _PSEUDOSPIN),
     }[model]
 
     def ode(p: PotentialParams, M: float, *state, hbar_c: float):
         return _ode(sector, p, M, state, hbar_c)
 
-    return solve, residual, sector.printed, ode
+    return solve, residual, printed, ode

@@ -43,11 +43,16 @@ def packaged_reference_path():
 def load_reference(path=None) -> list[ReferenceRow]:
     """Parse the reference CSV (packaged when path is None); ParseError on a bad line or no rows.
 
+    InvalidParameter, with its file:line, on an energy that is not finite.
     The 5 molecules x 21 rows shape is checked apart, by check_reference_shape.
     """
     source = packaged_reference_path() if path is None else path
-    records = read_fields(source, (str, int, int, float), header="molecule,n,l,E_eV")
-    rows = [ReferenceRow(*fields) for _, fields in records]
+    rows = []
+    for where, fields in read_fields(source, (str, int, int, float), header="molecule,n,l,E_eV"):
+        row = ReferenceRow(*fields)
+        if not math.isfinite(row.E_eV):
+            raise InvalidParameter(f"{where}: E_eV must be finite, got {row.E_eV!r}")
+        rows.append(row)
     if not rows:
         raise ParseError(f"{source}: no reference rows")
     return rows

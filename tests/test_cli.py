@@ -368,7 +368,8 @@ def test_validate_timestamp_header_leaves_body_and_signature_unchanged(capsys):
     ("CH,0,zero,-1.0\n", "{ref}:1: invalid literal for int()"),
     ("molecule,n,l,E_eV\n# no rows\n", "{ref}: no reference rows"),
     ("CH,0,0,-1.0\n", "reference table malformed: {{'CH': 1}}"),
-], ids=["field-count", "bad-number", "no-rows", "shape"])
+    ("molecule,n,l,E_eV\nCH,0,0,-1.0\nCH,1,0,nan\n", "{ref}:3: E_eV must be finite, got nan"),
+], ids=["field-count", "bad-number", "no-rows", "shape", "non-finite"])
 def test_bad_reference_table_is_a_usage_error(capsys, tmp_path, body, message):
     ref = tmp_path / "ref.csv"
     ref.write_text(body)
@@ -544,6 +545,13 @@ def test_potential_infinite_r_max_is_a_usage_error(capsys):
     assert err.startswith("error:")
 
 
+def test_overflowing_potential_curve_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "potential", "--molecule", "CH", "--a", "1e308", "--b", "1e308", "--samples", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "not finite" in err
+
+
 def test_non_finite_energy_is_a_usage_error(capsys):
     code, out, err = run(capsys, "levels", "--molecule", "CH", "--a", "1e308", "--b", "1e308", "--n-max", "0")
     assert code == 2
@@ -680,8 +688,6 @@ def test_oracle_check_pinned_to_one_cpu_prints_the_same_bytes():
     assert sum(line.endswith(b" eV") for line in untimed) == 2
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_oracle_worker_error_keeps_its_exit_code(capsys, monkeypatch):
     # three l columns on three workers; every one meets a non-finite FD matrix
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)

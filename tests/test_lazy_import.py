@@ -5,7 +5,7 @@ importing scipy.linalg or scipy.integrate costs more than the rest of a CLI
 call, and the finite-difference oracle loads the three compiled routines it
 calls by file path.  `hgmorse.validate` and hashlib load only for the
 `validate` command, `hgmorse.oracle` only under `levels --oracle`, the
-relativistic solvers (with the root finder and logging) only for a
+relativistic solvers (with the root finder, but not logging) only for a
 relativistic model, and json only for `--format json`.  The FD oracle's
 threads are plain `threading` threads, so concurrent.futures never loads.
 The package exports resolve on first access.  numpy, and the wavefunction
@@ -25,12 +25,16 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-KG_LEVELS = ["levels", "--model", "kg", "--De-cm", "55147417000", "--re", "1.1198", "--mu-amu", "1",
-             "--a", "1732450", "--b", "1732450", "--mass", "500", "--n-max", "0"]
+#: CH scaled to a 500 eV mass, where the relativistic levels bind
+SCALED_CH = ["--De-cm", "55147417000", "--re", "1.1198", "--mu-amu", "1", "--a", "1732450", "--b", "1732450",
+             "--mass", "500"]
+KG_LEVELS = ["levels", "--model", "kg", *SCALED_CH, "--n-max", "0"]
 NONREL_LEVELS = ["levels", "--molecule", "CH", "--n-max", "1"]
 POTENTIAL = ["potential", "--molecule", "CH", "--samples", "5"]
 NONREL_ORACLE_CHECK = ["oracle-check", "--models", "nonrel", "--molecules", "CH"]
 NONREL_SWEEP = ["sweep", "--molecule", "CH", "--param", "alpha", "--from", "0.01", "--to", "0.05", "--steps", "3"]
+DIRAC_SWEEP = ["sweep", "--model", "dirac-spin", *SCALED_CH, "--kappa=-1", "--n-max", "0", "--param", "alpha",
+               "--from", "0.02", "--to", "0.03", "--steps", "2"]
 #: the modules that only an array kernel or a wavefunction needs
 ARRAY_MODULES = {"numpy", "hgmorse.wavefun", "hgmorse.specfun"}
 
@@ -123,10 +127,13 @@ def test_nonrelativistic_commands_load_neither_relativistic_nor_oracle():
 
 
 def test_relativistic_models_and_json_load_on_demand():
-    before, after_kg, after_json = _modules_after(KG_LEVELS, POTENTIAL + ["--format", "json"])
+    before, after_kg, after_dirac, after_json = _modules_after(KG_LEVELS, DIRAC_SWEEP,
+                                                               POTENTIAL + ["--format", "json"])
     assert not before & {"hgmorse.relativistic", "hgmorse.rootfind", "json"}
     assert {"hgmorse.relativistic", "hgmorse.rootfind"} <= after_kg
     assert "hgmorse.oracle" not in after_kg and "json" not in after_kg
+    # the solvers report through their return values and the CLI columns, not a logger
+    assert "logging" not in after_kg | after_dirac
     assert "json" in after_json
 
 

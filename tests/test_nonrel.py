@@ -13,7 +13,6 @@ from hgmorse.molecules import builtin_molecules, find_molecule, to_potential_par
 from hgmorse.nonrel import (
     ParticleSpec,
     WavefunctionSpec,
-    _energy_nonrel_printed,
     _square,
     energies_nonrel,
     energy_nonrel,
@@ -157,6 +156,17 @@ def test_energy_against_oracle_ground_state(ch_free):
     p, part = ch_free
     fd, err = oracle_energies(p, part, 0, 1)
     assert abs(energy_nonrel(p, part, 0, 0) - float(fd[0])) <= 5e-4
+
+
+def _energy_nonrel_printed(p, part, n, l):
+    """The rejected printed variant of energy_nonrel: + sign on the D_e q^2/alpha^2 coupling term."""
+    T = part.two_mu_over_hbar2
+    a2 = p.alpha**2
+    L = l * (l + 1)
+    P = n + 0.5 + math.sqrt(0.25 + L + T * p.D_e * p.q**2 / a2)
+    N = P * P + T * (p.b / p.alpha - p.a / p.alpha - 2.0 * p.D_e * p.q / a2 + p.D_e * p.q**2 / a2) + L
+    kap2 = part.kinetic_scale * a2
+    return p.D_e - p.a * p.alpha + kap2 * L - 0.25 * kap2 * (N / P) ** 2
 
 
 def test_printed_variant_fails_oracle(ch_free):

@@ -622,7 +622,6 @@ def test_thread_map_runs_each_job_once_under_fast_thread_switching(monkeypatch):
     assert sorted(ran) == list(range(400))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_fd_rejects_non_finite_matrix(ch_unit):
     _, part = ch_unit
     p = PotentialParams(a=0.0, b=0.0, D_e=1e308, r_e=1.0, alpha=1.0)

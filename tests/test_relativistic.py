@@ -1,5 +1,3 @@
-import dataclasses
-import logging
 import math
 
 import mpmath as mp
@@ -33,7 +31,6 @@ from hgmorse.relativistic import (
     solve_dirac_pseudospin,
     solve_dirac_spin,
     solve_kg_energy,
-    spin_printed_eq_residual,
     spin_residual,
     upper_spinor_spec,
 )
@@ -317,8 +314,8 @@ def test_pseudospin_kappa_pair_degeneracy(ch_unit):
 
 
 def test_printed_equation_defects_are_logged_nonzero(ch_unit):
-    # the expanded printed forms carry transcription defects; their residuals
-    # at genuine roots quantify the discrepancy and must not be silently zero
+    # the expanded printed forms carry transcription defects; their residuals at
+    # genuine roots (the cross_check_residual column) quantify it and must not be zero
     p, part = ch_unit
     M = 500.0
     ps = scaled_params(p, part, M)
@@ -409,26 +406,6 @@ def test_spin_ansatz_generic_reference_values(ch_unit):
     assert chi == pytest.approx(float(2 * S * De * q / a2), rel=1e-14)
     assert eta == pytest.approx(float(S / mp.mpf("0.025")), rel=1e-14)
     assert eps == pytest.approx(float(S * (M - E + De) / a2), rel=1e-14)
-
-
-def test_solve_evaluates_printed_defect_only_for_debug_log(ch_unit, monkeypatch, caplog):
-    p, part = ch_unit
-    M = 500.0
-    ps = scaled_params(p, part, M)
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return spin_printed_eq_residual(*args)
-
-    monkeypatch.setattr(relativistic, "_SPIN", dataclasses.replace(relativistic._SPIN, printed=counting))
-    caplog.set_level(logging.INFO, logger=relativistic.__name__)
-    roots = solve_dirac_spin(ps, M, -1)
-    assert roots and calls == []
-    caplog.set_level(logging.DEBUG, logger=relativistic.__name__)
-    assert solve_dirac_spin(ps, M, -1) == roots
-    assert len(calls) == len(roots)
-    assert any("printed-form defect" in record.getMessage() for record in caplog.records)
 
 
 def test_kg_wavefunction_boundaries_and_norm(ch_unit):
