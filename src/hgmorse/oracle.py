@@ -78,6 +78,10 @@ _DSTEBZ_ARGS = (ctypes.c_char_p,) * 2 + (ctypes.c_void_p,) * 16
 #: the environment variables OpenBLAS reads its thread count from when it loads
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
+#: interior nodes whose FD diagonal entries are computed together; the
+#: potential's temporaries then stay a few block-sized arrays, not grid-sized
+_FD_BLOCK = 4096
+
 #: RK4 steps multiplied into one propagator before it is applied to the
 #: shooting state; bounds the working arrays to a few hundred kB
 _CHUNK_STEPS = 8192
@@ -235,8 +239,13 @@ def _fd_matrix(p: PotentialParams, part: "ParticleSpec", l: int, g: RadialGrid, 
     c = part.kinetic_scale  # hbar^2/(2 mu), eV*A^2
     r = np.linspace(g.r_min, g.r_max, g.points)[1:-1]
     h = (g.r_max - g.r_min) / (g.points - 1)
+    diag = np.empty(r.size)
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN is reported below
-        diag = 2.0 * c / h**2 + potential_approx(p, r) + c * centrifugal_approx(p.alpha, r, float(l * (l + 1)))
+        # elementwise, so each block gives bit for bit the entries of one whole-grid evaluation
+        for start in range(0, r.size, _FD_BLOCK):
+            rb = r[start : start + _FD_BLOCK]
+            diag[start : start + _FD_BLOCK] = (
+                2.0 * c / h**2 + potential_approx(p, rb) + c * centrifugal_approx(p.alpha, rb, float(l * (l + 1))))
     off = np.full(r.size - 1, -c / h**2)
     if not (np.all(np.isfinite(diag)) and math.isfinite(off[0])):
         raise NonConvergence("FD matrix is not finite on the grid")
@@ -412,9 +421,10 @@ def shoot_mismatch(
         # step k samples Q at Qs[2k], Qs[2k + 1] and Qs[2k + 2]
         for start in range(0, steps, _CHUNK_STEPS):
             stop = min(start + _CHUNK_STEPS, steps)
-            a, b, c, d = _ordered_product(*_rk4_step_matrices(
-                Qs[2 * start : 2 * stop : 2], Qs[2 * start + 1 : 2 * stop : 2],
-                Qs[2 * start + 2 : 2 * stop + 1 : 2], hs))
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite product is reported below
+                a, b, c, d = _ordered_product(*_rk4_step_matrices(
+                    Qs[2 * start : 2 * stop : 2], Qs[2 * start + 1 : 2 * stop : 2],
+                    Qs[2 * start + 2 : 2 * stop + 1 : 2], hs))
             u, v = a * u + b * v, c * u + d * v
             if not (math.isfinite(u) and math.isfinite(v)):
                 raise NonConvergence("shooting state became non-finite despite rescaling")

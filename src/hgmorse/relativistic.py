@@ -52,16 +52,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from . import wavefun
 from .errors import InvalidParameter, NoBoundState
-from .nonrel import ParticleSpec
+from .nonrel import ParticleSpec, _wavefun
 from .potential import PotentialParams, centrifugal_approx, potential_approx
 from .rootfind import bisect, scan_brackets
 from .units import HBAR_C_EV_ANGSTROM
+
+if TYPE_CHECKING:
+    from . import wavefun
 
 
 @dataclass(frozen=True)
@@ -465,17 +467,18 @@ class RelWavefunctionSpec:
     @cached_property
     def waveform(self) -> wavefun.SWaveform:
         """The engine's view of this state, with its per-state constants."""
-        return wavefun.SWaveform(self.leading_exp, self.edge_exp, self.n, self.alpha)
+        return _wavefun().SWaveform(self.leading_exp, self.edge_exp, self.n, self.alpha)
 
 
 def rel_radial_value(spec: RelWavefunctionSpec, r: float) -> float:
     """Normalized radial component at r."""
-    return float(wavefun.value(spec.waveform, spec.log_norm, r))
+    return float(_wavefun().value(spec.waveform, spec.log_norm, r))
 
 
 def _build_spec(
     sector: _Sector, p: PotentialParams, M: float, E: float, state: tuple, hbar_c: float
 ) -> RelWavefunctionSpec:
+    wavefun = _wavefun()
     at, n = _fields(sector, p, M, state, hbar_c)
     eps, beta, _, _, phi, gamma = at(E)  # NaN where S <= 0, which the bound-state rule rejects
     leading, edge = wavefun.bound_exponents(eps - beta + gamma, 0.25 + phi + gamma)

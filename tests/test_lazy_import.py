@@ -11,7 +11,8 @@ threads are plain `threading` threads, so concurrent.futures never loads.
 The package exports resolve on first access.  numpy, and the wavefunction
 engine `hgmorse.wavefun` with its `hgmorse.specfun`, load only where an
 array kernel or a wavefunction runs: the closed-form nonrelativistic
-`levels` and `sweep` run in plain float arithmetic without them.  Each test
+`levels` and `sweep` run in plain float arithmetic without them, and the
+relativistic `levels` and `sweep` load numpy but not the engine.  Each test
 runs in a fresh interpreter, because this test process has imported all of
 these long before.
 """
@@ -134,6 +135,9 @@ def test_relativistic_models_and_json_load_on_demand():
     assert "hgmorse.oracle" not in after_kg and "json" not in after_kg
     # the solvers report through their return values and the CLI columns, not a logger
     assert "logging" not in after_kg | after_dirac
+    # the root scans need numpy but not the eigenfunction engine
+    assert "numpy" in after_kg
+    assert not (after_kg | after_dirac) & {"hgmorse.wavefun", "hgmorse.specfun"}
     assert "json" in after_json
 
 

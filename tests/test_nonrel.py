@@ -128,6 +128,9 @@ def test_energies_nonrel_rejects_what_energy_nonrel_rejects(ch_free):
         energies_nonrel(p, part, np.array([0, 1]), np.array([0, -1]), 0.0, 0.0)
     with pytest.raises(InvalidParameter, match="not finite"):
         energies_nonrel(p, part, 0, 0, 1e308, np.array([0.0, 1e308]))
+    # OverflowError from the square of the second element, as energy_nonrel's at a = 1e200
+    with pytest.raises(InvalidParameter, match="not finite"):
+        energies_nonrel(p, part, np.array([0, 1]), np.array([0, 0]), np.array([1.0, 1e200]), 1.0)
 
 
 def test_energy_past_the_last_bound_level_raises():

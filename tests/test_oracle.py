@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -33,7 +34,7 @@ from hgmorse.oracle import (
     shoot_mismatch,
     shooting_grid,
 )
-from hgmorse.potential import PotentialParams
+from hgmorse.potential import PotentialParams, centrifugal_approx, potential_approx
 from hgmorse.relativistic import QuantumNumbers, model_functions
 from hgmorse.rootfind import bisect, scan_brackets
 from hgmorse.units import DEFAULT_UNITS
@@ -413,8 +414,6 @@ def test_residual_roots_are_exactly_the_shooting_flips(mol, alpha, M, model):
         assert not any(mismatch_sign_change(ode, E + dE, 1e-8 * M) for dE in (-3e-6 * M, 3e-6 * M))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 def test_shoot_mismatch_rejects_non_finite_coefficient():
     g = RadialGrid(0.1, 5.0, 501)
     with pytest.raises(NonConvergence):
@@ -447,6 +446,53 @@ def test_fd_eigenvalues_equal_eigh_tridiagonal(mol, l):
         diag, off = oracle._fd_matrix(p, part, l, g, 4)
         assert np.array_equal(fd_schrodinger_eigen(p, part, l, g, 4),
                               eigh_tridiagonal_reference(diag, off, 4, eigvals_only=True))
+
+
+def fd_matrix_one_shot(p, part, l, g):
+    """The FD diagonal and off-diagonal evaluated over the whole grid at once,
+    the reference the blockwise oracle._fd_matrix must reproduce bit for bit."""
+    c = part.kinetic_scale
+    r = np.linspace(g.r_min, g.r_max, g.points)[1:-1]
+    h = (g.r_max - g.r_min) / (g.points - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = 2.0 * c / h**2 + potential_approx(p, r) + c * centrifugal_approx(p.alpha, r, float(l * (l + 1)))
+    return diag, np.full(r.size - 1, -c / h**2)
+
+
+@pytest.mark.parametrize("mol", MOLECULES, ids=lambda mol: mol.name)
+def test_fd_matrix_blocks_equal_whole_grid_expression(mol):
+    # interior node counts one below, at and one above the block size, and a 40001-point grid
+    sizes = (oracle._FD_BLOCK + 1, oracle._FD_BLOCK + 2, oracle._FD_BLOCK + 3, 40001)
+    for alpha in (0.025, 0.2):
+        for strength in (0.0, 1.0):
+            p, part = to_potential_params(mol, strength, strength, alpha)
+            for l in (0, 3, 17):
+                for points in sizes:
+                    g = RadialGrid(oracle._R_MIN, 40.0 / alpha, points)
+                    diag, off = oracle._fd_matrix(p, part, l, g, 4)
+                    diag_ref, off_ref = fd_matrix_one_shot(p, part, l, g)
+                    assert diag.tobytes() == diag_ref.tobytes() and off.tobytes() == off_ref.tobytes()
+        # on a 1 A box, a * alpha / (1 - e^(-alpha r)) overflows near the first node
+        p, part = to_potential_params(mol, 1e306, 1e306, alpha)
+        for points in sizes:
+            g = RadialGrid(oracle._R_MIN, 1.0, points)
+            assert not np.all(np.isfinite(fd_matrix_one_shot(p, part, 0, g)[0]))
+            with pytest.raises(NonConvergence, match="not finite"):
+                oracle._fd_matrix(p, part, 0, g, 4)
+
+
+def test_fd_matrix_working_set_stays_near_its_outputs(ch_unit):
+    # r, diag and off are grid-sized; the potential's temporaries are block-sized
+    p, part = ch_unit
+    g = RadialGrid(oracle._R_MIN, 40.0 / ALPHA, 40001)
+    oracle._fd_matrix(p, part, 0, g, 4)  # first-call allocations (caches, imports) are not the build's
+    tracemalloc.start()
+    try:
+        oracle._fd_matrix(p, part, 0, g, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 8 * g.points
 
 
 @pytest.mark.parametrize("points", (2001, 4001))

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from hgmorse.checks import scaled_params
-from hgmorse.errors import InvalidParameter
+from hgmorse.errors import InvalidParameter, NonConvergence
 from hgmorse.relativistic import QuantumNumbers, kg_residual
 from hgmorse.rootfind import RootBracket, bisect, scan_brackets
 
@@ -82,6 +84,27 @@ def test_bisect_linear_through_zero():
 def test_bisect_requires_positive_tol():
     with pytest.raises(InvalidParameter):
         bisect(lambda e: e, RootBracket(-1.0, 1.0, -1.0, 1.0), 0.0)
+
+
+def test_bisect_rejects_a_hole_inside_the_bracket():
+    # midpoints 0.5, 0.25, 0.375, 0.3125, then 0.28125 falls in the NaN hole
+    f = lambda e: math.nan if 0.28 < e < 0.29 else e - 0.3
+    with pytest.raises(NonConvergence, match="undefined at 0.28125 inside bracket"):
+        bisect(f, RootBracket(0.0, 1.0, -0.3, 0.7), 1e-12)
+
+
+def test_bisect_rejects_a_root_where_f_is_undefined():
+    # f is NaN only at the final midpoint, which no bisection step evaluates
+    root, _ = bisect(lambda e: e - 0.3, RootBracket(0.0, 1.0, -0.3, 0.7), 1e-9)
+    evaluated = []
+
+    def f(e):
+        evaluated.append(e)
+        return math.nan if e == root else e - 0.3
+
+    with pytest.raises(NonConvergence, match="undefined at converged root"):
+        bisect(f, RootBracket(0.0, 1.0, -0.3, 0.7), 1e-9)
+    assert evaluated[-1] == root and root not in evaluated[:-1]
 
 
 def test_bisect_on_transcendental_residual(ch_unit):
