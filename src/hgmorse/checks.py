@@ -23,7 +23,7 @@ from .molecules import Molecule, to_potential_params
 from .nonrel import ParticleSpec, WavefunctionSpec, energy_nonrel, make_wavefunction
 from .oracle import (
     RadialGrid,
-    fd_schrodinger_modes,
+    fd_schrodinger_eigen,
     mismatch_sign_change,
     oracle_energies,
     richardson_extrapolate,
@@ -128,9 +128,12 @@ class CrossIdentities:
 
     def verdict(self) -> Check:
         detail = f"KG/spin max|dE| = {self.pair:.2g} eV, nonrel-limit max|residual| = {self.limit:.2g}"
+        if not self.doublet <= 1e-10:
+            detail += f", spin-doublet max|dE| = {self.doublet:.2g} eV"
         if self.unbound:
             detail += f", no bound state at {'; '.join(self.unbound)}"
-        return ("cross-identities", self.pair <= 1e-10 and self.limit <= 1e-10 and not self.unbound, detail)
+        passed = self.pair <= 1e-10 and self.doublet <= 1e-10 and self.limit <= 1e-10 and not self.unbound
+        return ("cross-identities", passed, detail)
 
 
 @dataclass(frozen=True)
@@ -157,10 +160,10 @@ class Normalization:
 
 @dataclass(frozen=True)
 class BoxSelfTest:
-    """Worst relative deviation of the extrapolated box levels; nodes of each finer-grid mode."""
+    """Worst relative deviation of the four lowest box levels, extrapolated from the
+    production FD solver (fd_schrodinger_eigen) on a grid and its refinement."""
 
     worst: float
-    nodes: list[int]
 
     def verdict(self) -> Check:
         return ("box-self-test", self.worst <= 1e-6, f"max rel dev after extrapolation = {self.worst:.2g}")
@@ -189,9 +192,10 @@ def check_oracle_equivalence(mol: Molecule, alpha: float, u: UnitConstants, poin
 
 
 def check_relativistic_residuals(p: PotentialParams, part: ParticleSpec, masses: Sequence[float],
-                                 states: Sequence[tuple[str, list, int]], hbar_c: float) -> RelativisticResiduals:
+                                 states: Sequence[tuple[str, list, int]]) -> RelativisticResiduals:
     """Residual and shooting sign flip at every root of each (model, states, how many must bind) case
     at each mass: kg and dirac-spin on scaled_params, dirac-pseudospin on pseudospin_params."""
+    hbar_c = part.hbar_c
     residuals: list[float] = []
     flips = bound_ok = True
     levels = 0
@@ -214,8 +218,7 @@ def check_relativistic_residuals(p: PotentialParams, part: ParticleSpec, masses:
     return RelativisticResiduals(levels, worst_of(residuals), flips, bound_ok)
 
 
-def check_cross_identities(p: PotentialParams, part: ParticleSpec, masses: Sequence[float],
-                           hbar_c: float) -> CrossIdentities:
+def check_cross_identities(p: PotentialParams, part: ParticleSpec, masses: Sequence[float]) -> CrossIdentities:
     """KG = Dirac-spin and the spin doublet on the scaled potential at each
     mass, and both nonrelativistic limits at the closed-form levels of p."""
     pair: list[float] = []
@@ -225,8 +228,8 @@ def check_cross_identities(p: PotentialParams, part: ParticleSpec, masses: Seque
         ps = scaled_params(p, part, M)
         for l, kappas in ((0, (-1,)), (1, (1, -2))):
             try:
-                e_kg = solve_kg_energy(ps, M, QuantumNumbers(n=1, l=l), hbar_c=hbar_c)[0]
-                spins = [solve_dirac_spin(ps, M, kappa, 0.0, 1, hbar_c=hbar_c)[0] for kappa in kappas]
+                e_kg = solve_kg_energy(ps, M, QuantumNumbers(n=1, l=l), hbar_c=part.hbar_c)[0]
+                spins = [solve_dirac_spin(ps, M, kappa, 0.0, 1, hbar_c=part.hbar_c)[0] for kappa in kappas]
             except NoBoundState:
                 unbound.append(f"M={M:g} l={l}")
                 continue
@@ -301,14 +304,11 @@ def check_box_self_test(part: ParticleSpec) -> BoxSelfTest:
     """The FD oracle on the zero potential (a = b = D_e = 0, l = 0) against the box levels."""
     p = PotentialParams(a=0.0, b=0.0, D_e=0.0, r_e=1.0, alpha=1e-6)
     L = 10.0
-    modes = {pts: fd_schrodinger_modes(p, part, 0, RadialGrid(1e-9, L + 1e-9, pts), 4) for pts in (2001, 4001)}
+    g = RadialGrid(1e-9, L + 1e-9, 2001)
     exact = part.kinetic_scale * math.pi**2 * np.arange(1, 5) ** 2 / L**2
-    extrap, _ = richardson_extrapolate(modes[2001][0], modes[4001][0], 2.0, 2)
-    nodes = []
-    for v in modes[4001][1].T:
-        signs = np.sign(v[np.abs(v) > 1e-8 * np.abs(v).max()])
-        nodes.append(int(np.sum(signs[1:] * signs[:-1] < 0)))
-    return BoxSelfTest(worst_of(np.abs(extrap / exact - 1.0)), nodes)
+    extrap, _ = richardson_extrapolate(fd_schrodinger_eigen(p, part, 0, g, 4),
+                                       fd_schrodinger_eigen(p, part, 0, g.refined(), 4), 2.0, 2)
+    return BoxSelfTest(worst_of(np.abs(extrap / exact - 1.0)))
 
 
 MODEL_CHECKS = ("nonrel", "kg", "dirac-spin", "dirac-pseudospin")
@@ -327,7 +327,7 @@ def run_checks(molecules: list[Molecule], models: list[str], alpha: float, u: Un
                                         for n, l in NORMALIZED_STATES]))
     states = [case for case in RELATIVISTIC_STATES if case[0] in models]
     if states:
-        out.append(check_relativistic_residuals(base_params, base_part, MASS_MATRIX, states, u.hbar_c))
+        out.append(check_relativistic_residuals(base_params, base_part, MASS_MATRIX, states))
     if "kg" in models or "dirac-spin" in models:
-        out.append(check_cross_identities(base_params, base_part, CROSS_MASSES, u.hbar_c))
+        out.append(check_cross_identities(base_params, base_part, CROSS_MASSES))
     return out

@@ -19,11 +19,11 @@ Two verifiers, each matched to how the energy enters its equation:
   1990) instead of stepping in Python.
 
 The oracle consumes the approximate potential and centrifugal callables
-directly and never touches the closed forms it checks.  The FD solvers call
-LAPACK dstebz/dstein, and the normalization check in checks.py calls QUADPACK
+directly and never touches the closed forms it checks.  The FD solver calls
+LAPACK dstebz, and the normalization check in checks.py calls QUADPACK
 dqagse, through scipy's compiled extensions, loaded by file path on first use
 (scipy_extension).  The package init of scipy.linalg and scipy.integrate
-costs more than the rest of a CLI call and these three routines use none of
+costs more than the rest of a CLI call and these two routines use none of
 it; the paths that never run the FD oracle load nothing from scipy at all.
 dstebz, the bisection that dominates an FD solve, is called through the
 f2py object's own C pointer with ctypes, which releases the GIL; thread_map
@@ -134,8 +134,8 @@ def scipy_extension(subpackage: str, name: str) -> ModuleType:
     module = sys.modules.get(spec.name)
     if module is None:
         # an extension that links scipy's OpenBLAS starts its thread pool as the library
-        # loads, and that pool's idle thread spins while the FD workers run; dstebz and
-        # dstein use no BLAS threads, so the pool is kept to one thread unless the caller
+        # loads, and that pool's idle thread spins while the FD workers run; dstebz uses
+        # no BLAS threads, so the pool is kept to one thread unless the caller
         # set a thread count of their own
         scoped = not any(var in os.environ for var in _BLAS_THREAD_VARS)
         if scoped:
@@ -148,11 +148,6 @@ def scipy_extension(subpackage: str, name: str) -> ModuleType:
                 del os.environ["OPENBLAS_NUM_THREADS"]
         sys.modules.pop(spec.name, None)
     return module
-
-
-def _lapack_info(routine: str, info: int) -> None:
-    if info:
-        raise NonConvergence(f"LAPACK {routine} failed (info={info})")
 
 
 @functools.cache
@@ -169,8 +164,9 @@ def _dstebz() -> Callable:
     return ctypes.CFUNCTYPE(None, *_DSTEBZ_ARGS)(address)
 
 
-def _stebz(diag: np.ndarray, off: np.ndarray, k: int, order: str):
-    """Lowest k eigenvalues by bisection, called as eigh_tridiagonal(select="i") calls dstebz."""
+def _stebz(diag: np.ndarray, off: np.ndarray, k: int) -> np.ndarray:
+    """Lowest k eigenvalues by bisection, ascending, called as eigh_tridiagonal(select="i",
+    eigvals_only=True) calls dstebz."""
     d, e = np.ascontiguousarray(diag, dtype=float), np.ascontiguousarray(off, dtype=float)
     n = d.size
     if not (d.ndim == e.ndim == 1 and e.size == n - 1 and 1 <= k <= n):
@@ -180,12 +176,13 @@ def _stebz(diag: np.ndarray, off: np.ndarray, k: int, order: str):
     work, iwork = np.empty(4 * n), np.empty(3 * n, np.intc)
     m, nsplit, info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
     ref = ctypes.byref
-    _dstebz()(b"I", order.encode(), ref(ctypes.c_int(n)), ref(ctypes.c_double(0.0)), ref(ctypes.c_double(1.0)),
+    _dstebz()(b"I", b"E", ref(ctypes.c_int(n)), ref(ctypes.c_double(0.0)), ref(ctypes.c_double(1.0)),
               ref(ctypes.c_int(1)), ref(ctypes.c_int(k)), ref(ctypes.c_double(0.0)), d.ctypes.data, e.ctypes.data,
               ref(m), ref(nsplit), w.ctypes.data, iblock.ctypes.data, isplit.ctypes.data,
               work.ctypes.data, iwork.ctypes.data, ref(info))
-    _lapack_info("dstebz", info.value)
-    return w[: m.value], iblock, isplit
+    if info.value:
+        raise NonConvergence(f"LAPACK dstebz failed (info={info.value})")
+    return w[: m.value]
 
 
 def thread_map(fn: Callable, jobs: Sequence[tuple]) -> list:
@@ -252,30 +249,6 @@ def _fd_matrix(p: PotentialParams, part: "ParticleSpec", l: int, g: RadialGrid, 
     return diag, off
 
 
-def fd_schrodinger_modes(
-    p: PotentialParams,
-    part: "ParticleSpec",
-    l: int,
-    g: RadialGrid,
-    k: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest k eigenpairs of the discretized radial equation.
-
-    Second-order central differences of
-        -(hbar^2/2mu) u'' + [V_approx + (hbar^2/2mu) l(l+1) alpha^2/(1-e^(-alpha r))^2] u = E u
-    with u = 0 at both grid ends.  Returns (energies ascending, eigenvectors
-    on the interior nodes as columns).  Bisection returns the eigenvalues
-    block by block; inverse iteration (dstein) gives the vectors, and both
-    are then sorted by energy.
-    """
-    diag, off = _fd_matrix(p, part, l, g, k)
-    w, iblock, isplit = _stebz(diag, off, k, "B")
-    v, info = scipy_extension("linalg", "_flapack").dstein(diag, off, w, iblock, isplit)
-    _lapack_info("dstein", info)
-    order = np.argsort(w)
-    return w[order], v[:, order]
-
-
 def fd_schrodinger_eigen(
     p: PotentialParams,
     part: "ParticleSpec",
@@ -283,8 +256,13 @@ def fd_schrodinger_eigen(
     g: RadialGrid,
     k: int,
 ) -> np.ndarray:
-    """Lowest k finite-difference eigenvalues, ascending (see fd_schrodinger_modes)."""
-    return _stebz(*_fd_matrix(p, part, l, g, k), k, "E")[0]
+    """Lowest k eigenvalues of the discretized radial equation, ascending.
+
+    Second-order central differences of
+        -(hbar^2/2mu) u'' + [V_approx + (hbar^2/2mu) l(l+1) alpha^2/(1-e^(-alpha r))^2] u = E u
+    with u = 0 at both grid ends, solved by bisection (dstebz).
+    """
+    return _stebz(*_fd_matrix(p, part, l, g, k), k)
 
 
 def richardson_extrapolate(

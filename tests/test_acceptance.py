@@ -14,6 +14,9 @@ pins only the tolerances of the oracle-check verdict lines.  Criterion names:
   AC-6  unit L2 norms by independent quadrature, closed forms logged
   AC-7  reference-table calibration and qualitative gates
   AC-8  oracle self-test (particle in a box)
+
+The FD oracle returns eigenvalues only: AC-8 counts the nodes of the box
+eigenvectors that scipy's eigh_tridiagonal gives on the oracle's own matrix.
 """
 
 import numpy as np
@@ -23,6 +26,8 @@ from scipy.integrate import quad
 from hgmorse import checks
 from hgmorse.molecules import builtin_molecules, to_potential_params
 from hgmorse.nonrel import make_wavefunction
+from hgmorse.oracle import RadialGrid
+from hgmorse.potential import PotentialParams
 from hgmorse.relativistic import (
     QuantumNumbers,
     kg_wavefunction_spec,
@@ -43,6 +48,7 @@ from hgmorse.validate import (
     qualitative_gates,
     score,
 )
+from ode_helpers import fd_mode_nodes
 from wavefun_helpers import log_norm_closed_form
 
 ALPHA = 0.025
@@ -82,7 +88,7 @@ def test_ac2_oracle_equivalence_unit_strengths(oracle_records):
 
 
 def test_ac3_relativistic_residuals_and_shooting(ch_unit):
-    r = checks.check_relativistic_residuals(*ch_unit, MASSES, AC3_STATES, HBAR_C_EV_ANGSTROM)
+    r = checks.check_relativistic_residuals(*ch_unit, MASSES, AC3_STATES)
     print(f"AC-3 PASS {r.levels} levels, max|residual| = {r.worst:.2g} (tol 1e-9), all shooting flips within +-1e-8*M")
     assert r.levels == 25
     assert r.bound, "a test configuration bound too few states"
@@ -91,7 +97,7 @@ def test_ac3_relativistic_residuals_and_shooting(ch_unit):
 
 
 def test_ac4_cross_equation_identities():
-    records = [checks.check_cross_identities(*to_potential_params(mol, 1.0, 1.0, ALPHA), MASSES, HBAR_C_EV_ANGSTROM)
+    records = [checks.check_cross_identities(*to_potential_params(mol, 1.0, 1.0, ALPHA), MASSES)
                for mol in builtin_molecules()]
     worst_pair = checks.worst_of([r.pair for r in records])
     worst_doublet = checks.worst_of([r.doublet for r in records])
@@ -179,8 +185,12 @@ def test_ac7_reference_table_calibration_and_gates():
 
 
 def test_ac8_oracle_box_self_test(ch_free):
-    r = checks.check_box_self_test(ch_free[1])
+    part = ch_free[1]
+    r = checks.check_box_self_test(part)
+    # the box and finer grid of check_box_self_test
+    box = PotentialParams(a=0.0, b=0.0, D_e=0.0, r_e=1.0, alpha=1e-6)
+    nodes = fd_mode_nodes(box, part, 0, RadialGrid(1e-9, 10.0 + 1e-9, 2001).refined(), 4, 1e-8)
     print(f"AC-8 PASS box eigenvalues to {r.worst:.2g} relative after extrapolation (tol 1e-6), "
           f"node counts exact for the lowest 4 levels")
-    assert r.nodes == [0, 1, 2, 3]
+    assert nodes == [0, 1, 2, 3]
     assert r.worst <= 1e-6

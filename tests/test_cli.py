@@ -733,6 +733,18 @@ def test_oracle_check_exit_code_follows_the_records(capsys, monkeypatch):
     assert failing[1].startswith("cross-identities FAIL KG/spin max|dE| = 1 eV, ")
 
 
+def test_oracle_check_fails_a_broken_spin_doublet(capsys, monkeypatch):
+    import hgmorse.checks as checks
+
+    real = checks.check_cross_identities
+    monkeypatch.setattr(checks, "check_cross_identities", lambda *args: dataclasses.replace(real(*args), doublet=1.0))
+    code, out, _ = run(capsys, "oracle-check", "--models", "kg")
+    assert code == EXIT_CHECK_FAILED
+    line = out.splitlines()[1]
+    assert line.startswith("cross-identities FAIL KG/spin max|dE| = ")
+    assert line.endswith(", spin-doublet max|dE| = 1 eV")
+
+
 def test_oracle_check_reports_unbound_states(capsys):
     # at alpha = 0.2 the scaled CH well binds no KG or spin n = 1 state at M = 500,
     # and cases of the residuals check bind too few states: both verdicts print and fail

@@ -21,10 +21,10 @@ from hgmorse.nonrel import (
     radial_wavefunction,
     wavefunction_exponents,
 )
-from hgmorse.oracle import _fd_matrix, fd_schrodinger_modes, oracle_energies, RadialGrid, scipy_extension
+from hgmorse.oracle import _fd_matrix, oracle_energies, RadialGrid, scipy_extension
 from hgmorse.potential import PotentialParams
 from hgmorse.wavefun import SWaveform, support_window
-from ode_helpers import schrodinger_ode_coefficient
+from ode_helpers import fd_mode_nodes, schrodinger_ode_coefficient
 from wavefun_helpers import count_nodes, log_norm_closed_form
 
 
@@ -267,12 +267,7 @@ def test_wavefunction_node_counts(ch_free, n):
 
 def test_wavefunction_nodes_match_fd_eigenvector(ch_free):
     p, part = ch_free
-    grid = RadialGrid(1e-3, 4.0, 4001)
-    _, vecs = fd_schrodinger_modes(p, part, 0, grid, 2)
-    v = vecs[:, 1]
-    keep = np.abs(v) > 1e-6 * np.abs(v).max()
-    signs = np.sign(v[keep])
-    assert int(np.sum(signs[1:] * signs[:-1] < 0)) == 1
+    assert fd_mode_nodes(p, part, 0, RadialGrid(1e-3, 4.0, 4001), 2, 1e-6)[1] == 1
 
 
 def test_wavefunction_solves_radial_equation(ch_unit):

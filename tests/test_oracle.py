@@ -27,7 +27,6 @@ from hgmorse.oracle import (
     RadialGrid,
     adapted_range,
     fd_schrodinger_eigen,
-    fd_schrodinger_modes,
     mismatch_sign_change,
     oracle_energies,
     richardson_extrapolate,
@@ -38,7 +37,7 @@ from hgmorse.potential import PotentialParams, centrifugal_approx, potential_app
 from hgmorse.relativistic import QuantumNumbers, model_functions
 from hgmorse.rootfind import bisect, scan_brackets
 from hgmorse.units import DEFAULT_UNITS
-from ode_helpers import schrodinger_ode_coefficient
+from ode_helpers import eigh_tridiagonal_reference, fd_mode_nodes, schrodinger_ode_coefficient
 
 ALPHA = 0.025
 MOLECULES = builtin_molecules()
@@ -146,13 +145,7 @@ def test_box_eigenvalues_and_extrapolation(ch_free):
 
 def test_box_node_counts(ch_free):
     _, part = ch_free
-    p = box_setup()
-    _, vecs = fd_schrodinger_modes(p, part, 0, RadialGrid(1e-9, 10.0, 2001), 4)
-    for m in range(4):
-        v = vecs[:, m]
-        keep = np.abs(v) > 1e-8 * np.abs(v).max()
-        signs = np.sign(v[keep])
-        assert int(np.sum(signs[1:] * signs[:-1] < 0)) == m
+    assert fd_mode_nodes(box_setup(), part, 0, RadialGrid(1e-9, 10.0, 2001), 4, 1e-8) == [0, 1, 2, 3]
 
 
 def test_fd_matches_closed_form_ground_state(ch_free):
@@ -223,7 +216,7 @@ def test_fd_rejects_too_many_levels(ch_free):
                                          (np.ones(5), np.ones(4), 0), (np.ones((2, 3)), np.ones(5), 1)])
 def test_stebz_checks_sizes_before_the_call(diag, off, k):
     with pytest.raises(InvalidParameter, match="dstebz needs"):
-        oracle._stebz(diag, off, k, "E")
+        oracle._stebz(diag, off, k)
 
 
 def test_richardson_trivial_and_synthetic():
@@ -422,13 +415,9 @@ def test_shoot_mismatch_rejects_non_finite_coefficient():
         shoot_mismatch(lambda r, E: np.full_like(r, E), -1e300, g, 1.0)
 
 
-# The FD solvers and the normalization check call LAPACK and QUADPACK
+# The FD solver and the normalization check call LAPACK and QUADPACK
 # directly; scipy's eigh_tridiagonal(select="i") and quad(limit=400) are the
 # oracles they must reproduce bit for bit.
-
-
-def eigh_tridiagonal_reference(diag, off, k, eigvals_only):
-    return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1), eigvals_only=eigvals_only)
 
 
 def oracle_energy_grids(p, part, l, k):
@@ -496,14 +485,11 @@ def test_fd_matrix_working_set_stays_near_its_outputs(ch_unit):
 
 
 @pytest.mark.parametrize("points", (2001, 4001))
-def test_box_self_test_modes_equal_eigh_tridiagonal(ch_unit, points):
+def test_box_self_test_eigenvalues_equal_eigh_tridiagonal(ch_unit, points):
     # the grids and particle of checks.check_box_self_test for the default molecule
     _, part = ch_unit
     p, g = box_setup(), RadialGrid(1e-9, 10.0 + 1e-9, points)
     diag, off = oracle._fd_matrix(p, part, 0, g, 4)
-    w_ref, v_ref = eigh_tridiagonal_reference(diag, off, 4, eigvals_only=False)
-    w, v = fd_schrodinger_modes(p, part, 0, g, 4)
-    assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
     assert np.array_equal(fd_schrodinger_eigen(p, part, 0, g, 4), eigh_tridiagonal_reference(diag, off, 4, eigvals_only=True))
 
 
@@ -534,23 +520,6 @@ def test_normalization_qagse_call_equals_quad(mol, monkeypatch):
     # the same arguments after the integrand, and the same integral, abserr and ier
     assert ours == quads
     assert all(ier == 0 for _, (_, _, ier) in ours)
-
-
-def _fail_dstebz(monkeypatch):
-    # the ctypes routine _stebz calls: run it, then report info = 1 through its last argument
-    kernel = oracle._dstebz()
-
-    def failing(*args):
-        kernel(*args)
-        args[-1]._obj.value = 1
-
-    monkeypatch.setattr(oracle, "_dstebz", lambda: failing)
-
-
-def _fail_dstein(monkeypatch):
-    lapack = oracle.scipy_extension("linalg", "_flapack")
-    kernel = lapack.dstein
-    monkeypatch.setattr(lapack, "dstein", lambda *args: (*kernel(*args)[:-1], 1))
 
 
 # in a fresh interpreter: the thread count before and after the first FD solve, and whether
@@ -584,11 +553,18 @@ def test_first_fd_solve_starts_no_openblas_thread_and_leaves_the_environment(pre
         assert int(after) <= int(before)
 
 
-@pytest.mark.parametrize("routine", ("dstebz", "dstein"))
+@pytest.mark.parametrize("routine", ("dstebz",))
 def test_fd_modes_raise_on_lapack_error(ch_unit, monkeypatch, routine):
-    {"dstebz": _fail_dstebz, "dstein": _fail_dstein}[routine](monkeypatch)
+    # the ctypes routine _stebz calls: run it, then report info = 1 through its last argument
+    kernel = oracle._dstebz()
+
+    def failing(*args):
+        kernel(*args)
+        args[-1]._obj.value = 1
+
+    monkeypatch.setattr(oracle, "_dstebz", lambda: failing)
     with pytest.raises(NonConvergence, match=routine):
-        fd_schrodinger_modes(*ch_unit, 0, RadialGrid(1e-3, 40.0, 2001), 4)
+        fd_schrodinger_eigen(*ch_unit, 0, RadialGrid(1e-3, 40.0, 2001), 4)
 
 
 @pytest.mark.parametrize("strength", (0.0, 1.0))
