@@ -300,15 +300,24 @@ def check_normalization(specs: Sequence[WavefunctionSpec | RelWavefunctionSpec])
     return Normalization(worst_of(devs))
 
 
+#: the box self-test's problem: the zero potential (a = b = D_e = 0, with a screening
+#: range far beyond the box) in a box of length BOX_LENGTH (A), solved on BOX_GRID and
+#: its refinement
+BOX_PARAMS = PotentialParams(a=0.0, b=0.0, D_e=0.0, r_e=1.0, alpha=1e-6)
+BOX_LENGTH = 10.0
+BOX_GRID = RadialGrid(1e-9, BOX_LENGTH + 1e-9, 2001)
+
+
+def box_levels(part: ParticleSpec, k: int) -> np.ndarray:
+    """The lowest k levels c pi^2 m^2/L^2 (m = 1..k) of the box self-test's problem, l = 0."""
+    return part.kinetic_scale * math.pi**2 * np.arange(1, k + 1) ** 2 / BOX_LENGTH**2
+
+
 def check_box_self_test(part: ParticleSpec) -> BoxSelfTest:
-    """The FD oracle on the zero potential (a = b = D_e = 0, l = 0) against the box levels."""
-    p = PotentialParams(a=0.0, b=0.0, D_e=0.0, r_e=1.0, alpha=1e-6)
-    L = 10.0
-    g = RadialGrid(1e-9, L + 1e-9, 2001)
-    exact = part.kinetic_scale * math.pi**2 * np.arange(1, 5) ** 2 / L**2
-    extrap, _ = richardson_extrapolate(fd_schrodinger_eigen(p, part, 0, g, 4),
-                                       fd_schrodinger_eigen(p, part, 0, g.refined(), 4), 2.0, 2)
-    return BoxSelfTest(worst_of(np.abs(extrap / exact - 1.0)))
+    """The FD oracle on the box problem (BOX_PARAMS, l = 0) against its four lowest levels."""
+    extrap, _ = richardson_extrapolate(fd_schrodinger_eigen(BOX_PARAMS, part, 0, BOX_GRID, 4),
+                                       fd_schrodinger_eigen(BOX_PARAMS, part, 0, BOX_GRID.refined(), 4), 2.0, 2)
+    return BoxSelfTest(worst_of(np.abs(extrap / box_levels(part, 4) - 1.0)))
 
 
 MODEL_CHECKS = ("nonrel", "kg", "dirac-spin", "dirac-pseudospin")

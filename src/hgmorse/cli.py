@@ -4,7 +4,7 @@ Subcommands: levels, potential, sweep, validate, oracle-check.  Data streams
 are deterministic (17-significant-digit CSV or sorted JSON, no timestamps);
 only the validate report carries a timestamp, in a header comment.  Exit
 codes: 0 success, 1 acceptance/check failure, 2 usage or parameter error
-(an unreadable or non-UTF-8 input file, more FD levels than the grid holds),
+(an unreadable or non-UTF-8 input file, an oracle grid over its point budget),
 3 no bound states at all, 141 when the reader of stdout closed it early.
 """
 
@@ -169,14 +169,6 @@ def cmd_levels(args, out) -> int:
         raise InvalidParameter(f"--oracle supports only --model nonrel, not {args.model}")
     name, params, part, _ = _load_setup(args)
     states = _states(args)
-    oracle_cols: dict = {}  # l -> that column's oracle energies, by n
-    if args.oracle:
-        from .oracle import oracle_energies, thread_map
-
-        # one extrapolated FD solve per l column supplies every n; the columns solve in parallel
-        ls = sorted({l for _, l, _ in states})
-        jobs = [(params, part, l, max(n for n, ll, _ in states if ll == l) + 1, args.grid_points) for l in ls]
-        oracle_cols = {l: energies for l, (energies, _) in zip(ls, thread_map(oracle_energies, jobs))}
     l_label = args.model in ("nonrel", "kg")
     level = _level_solver(args, part)
     rows: list[dict] = []
@@ -190,14 +182,21 @@ def cmd_levels(args, out) -> int:
                          "status": "no_bound_state"})
             continue
         for E in energies:
-            if args.oracle:
-                oe = float(oracle_cols[second][n])
-                row.update(oracle_E_eV=oe, abs_dev_eV=abs(E - oe))
             res, cross = defects(E)
             rows.append({**row, "E_eV": E, "residual": res, "cross_check_residual": cross, "status": "ok"})
     if all(r["status"] != "ok" for r in rows):
         print("no bound states for any requested level", file=sys.stderr)
         return EXIT_NO_BOUND_STATE
+    if args.oracle:
+        from .oracle import dvr_energies
+
+        # one DVR solve per l column supplies every bound n of that column
+        bound = [r for r in rows if r["status"] == "ok"]
+        columns = {l: dvr_energies(params, part, l, max(r["n"] for r in bound if r["l"] == l) + 1)[0]
+                   for l in sorted({r["l"] for r in bound})}
+        for r in bound:
+            oe = float(columns[r["l"]][r["n"]])
+            r.update(oracle_E_eV=oe, abs_dev_eV=abs(r["E_eV"] - oe))
     if args.format == "json":
         _print_json({"rows": rows}, out, separators=(",", ":"))
     else:
@@ -390,8 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_levels)
     _add_states(p_levels, n_max=5)
     p_levels.add_argument("--oracle", action="store_true",
-                          help="add FD-oracle deviation columns (nonrel only; a usage error for other models)")
-    p_levels.add_argument("--grid-points", dest="grid_points", type=int, default=20001)
+                          help="add DVR-oracle deviation columns (nonrel only; a usage error for other models)")
     p_levels.set_defaults(func=cmd_levels)
 
     p_pot = sub.add_parser("potential", help="potential curve samples")

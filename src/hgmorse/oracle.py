@@ -1,10 +1,16 @@
 """Independent numerical verification of the closed-form spectra.
 
-Two verifiers, each matched to how the energy enters its equation:
+Three verifiers, each matched to how the energy enters its equation:
 
-* a symmetric-tridiagonal finite-difference eigensolver for the
-  nonrelativistic radial equation (linear in E), with Richardson
-  extrapolation over a doubled grid; and
+* a sinc discrete-variable representation (DVR) of the nonrelativistic
+  radial equation on an even grid in x = ln r (Colbert and Miller, J.
+  Chem. Phys. 96, 1982, 1992), solved as one small dense symmetric matrix
+  per l column by numpy's eigvalsh, with a second, wider and finer box as
+  its error estimate.  `levels --oracle` runs it; it loads nothing from
+  scipy;
+* a symmetric-tridiagonal finite-difference (FD) eigensolver for the same
+  equation, with Richardson extrapolation over a doubled grid.
+  `oracle-check` runs it, and the tests hold the DVR against it; and
 * a two-sided RK4 shooting integrator returning the log-derivative mismatch
   at a match point, for the relativistic radial equations where E enters the
   coefficient nonlinearly.  It integrates in the Langer variable x = ln r,
@@ -18,20 +24,23 @@ Two verifiers, each matched to how the energy enters its equation:
   associative-scan idea of Blelloch, "Prefix sums and their applications",
   1990) instead of stepping in Python.
 
+The DVR works in the shooting oracle's variables too: with u = r^(1/2) phi
+the 1/r^2 term and the origin need no special handling, and a box sized
+from the decay of Q = r^2 (E - U)/c - 1/4 holds a whole l column in 50-100
+nodes for the built-in molecules at low n.
+
 The oracle consumes the approximate potential and centrifugal callables
 directly and never touches the closed forms it checks.  The FD solver calls
 LAPACK dstebz, and the normalization check in checks.py calls QUADPACK
 dqagse, through scipy's compiled extensions, loaded by file path on first use
 (scipy_extension).  The package init of scipy.linalg and scipy.integrate
 costs more than the rest of a CLI call and these two routines use none of
-it; the paths that never run the FD oracle load nothing from scipy at all.
-dstebz, the bisection that dominates an FD solve, is called through the
+it.  dstebz, the bisection that dominates an FD solve, is called through the
 f2py object's own C pointer with ctypes, which releases the GIL; thread_map
-runs independent solves on up to one thread per usable CPU, so their
-bisections overlap.  Those are plain `threading` threads that take the jobs
-in order: concurrent.futures, with the logging and queue modules it loads,
-would add about 5 ms of imports (`python -X importtime` inside a
-`levels --oracle` process) to every call.
+runs the independent FD solves of `oracle-check` on up to one thread per
+usable CPU, so their bisections overlap.  Those are plain `threading`
+threads that take the jobs in order: concurrent.futures, with the logging
+and queue modules it loads, would add about 5 ms of imports to every call.
 """
 
 from __future__ import annotations
@@ -81,6 +90,16 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREAD
 #: interior nodes whose FD diagonal entries are computed together; the
 #: potential's temporaries then stay a few block-sized arrays, not grid-sized
 _FD_BLOCK = 4096
+
+#: e-folds of decay a DVR box keeps past each turning point, DVR nodes per shortest
+#: local wavelength, and the node budget of one DVR solve
+_DVR_FOLDS = 25.0
+_DVR_PER_WAVELENGTH = 6.0
+_DVR_MAX_POINTS = 1500
+
+#: nodes of the ln r scan that sizes a DVR box, and the halvings that place its energy
+_DVR_SCAN = 2000
+_DVR_BISECTIONS = 40
 
 #: RK4 steps multiplied into one propagator before it is applied to the
 #: shooting state; bounds the working arrays to a few hundred kB
@@ -324,6 +343,114 @@ def oracle_energies(
                                   fd_schrodinger_eigen(p, part, l, g.refined(), k), 2.0, 2)
 
 
+def _decay_span(Q: np.ndarray, dx: float, folds: float) -> tuple[int, int, np.ndarray]:
+    """The nodes `folds` e-folds of sqrt(-Q) past the allowed region (Q > 0) of a scan.
+
+    Q is sampled on nodes dx apart in x = ln r.  Returns (lo, hi, seg):
+    the node indices where the decay accumulated leftward from the first
+    allowed node and rightward from the last one reaches `folds` (or the
+    scan's end), and the phase (Q > 0) or decay (Q < 0) over each scan
+    interval.
+    """
+    inside = np.nonzero(Q > 0.0)[0]
+    if inside.size == 0:
+        raise NonConvergence("no classically allowed region at this energy")
+    speed = np.sqrt(np.abs(Q))
+    seg = 0.5 * (speed[:-1] + speed[1:]) * dx
+    i_first, i_last = int(inside[0]), int(inside[-1])
+    folds_in = np.cumsum(seg[:i_first][::-1])  # leftward from the inner turning point
+    lo = max(i_first - 1 - int(np.searchsorted(folds_in, folds)), 0)
+    folds_out = np.cumsum(seg[i_last:])
+    hi = min(i_last + 1 + int(np.searchsorted(folds_out, folds)), Q.size - 1)
+    return lo, hi, seg
+
+
+def _dvr_potential(p: PotentialParams, part: "ParticleSpec", l: int, r: np.ndarray) -> np.ndarray:
+    """U = V_approx + c l(l+1) alpha^2/(1 - e^(-alpha r))^2 at the DVR nodes r; NonConvergence if not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN is reported below
+        u = potential_approx(p, r) + part.kinetic_scale * centrifugal_approx(p.alpha, r, float(l * (l + 1)))
+    if not np.all(np.isfinite(u)):
+        raise NonConvergence("DVR Hamiltonian is not finite on the grid")
+    return u
+
+
+def _dvr_eigenvalues(p: PotentialParams, part: "ParticleSpec", l: int, x_lo: float, x_hi: float,
+                     points: int, k: int) -> np.ndarray:
+    """Lowest k eigenvalues of the sinc DVR on `points` even nodes from x_lo to x_hi in x = ln r.
+
+    H = r^-1 [c (T_x + 1/4) + r^2 U] r^-1, with T_x the Colbert-Miller
+    kernel of -d^2/dx^2 on step h: pi^2/(3 h^2) on the diagonal and
+    2 (-1)^m/(m h)^2 at distance m.  H is built from one Toeplitz view of
+    that kernel, so its only full-size arrays are H and the copy that
+    eigvalsh factors.
+    """
+    c = part.kinetic_scale
+    h = (x_hi - x_lo) / (points - 1)
+    r = np.exp(np.linspace(x_lo, x_hi, points))
+    u = _dvr_potential(p, part, l, r)
+    m = np.arange(1.0, points)
+    kernel = np.empty(points)
+    kernel[0] = c * (math.pi**2 / (3.0 * h * h) + 0.25)
+    kernel[1:] = c * 2.0 * np.where(m % 2.0, -1.0, 1.0) / (m * h) ** 2
+    toeplitz = np.lib.stride_tricks.sliding_window_view(np.concatenate((kernel[:0:-1], kernel)), points)[::-1]
+    r_inv = 1.0 / r
+    H = toeplitz * r_inv
+    H *= r_inv[:, None]
+    H.flat[:: points + 1] += u
+    return np.linalg.eigvalsh(H)[:k]
+
+
+def dvr_energies(p: PotentialParams, part: "ParticleSpec", l: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest k levels of one l column from a sinc DVR in x = ln r, and their error estimates.
+
+    Solves the radial equation of the FD oracle, with u = r^(1/2) phi as in
+    the shooting oracle, on an even grid in x (Colbert and Miller, J. Chem.
+    Phys. 96, 1982, 1992).  The box is sized at the energy where the WKB
+    phase of Q = r^2 (E - U)/c - 1/4 reaches k pi, half a level above the
+    k-th level's estimate, or at the scan's last potential value if that
+    is lower: it ends _DVR_FOLDS e-folds of decay past the turning points,
+    and its step gives _DVR_PER_WAVELENGTH nodes per shortest local
+    wavelength.  A second box, 10% wider and with a step 1.25 times finer,
+    gives the energies returned; their distance from the first box's is
+    the error estimate.  GridTooCoarse when either box needs more than
+    _DVR_MAX_POINTS nodes; NonConvergence when the potential is not finite
+    on them or the k-th level lies above the energy its box was sized for.
+    """
+    if k < 1:
+        raise InvalidParameter(f"need k >= 1 eigenvalues, got {k!r}")
+    if l < 0:
+        raise InvalidParameter(f"l must be >= 0, got {l!r}")
+    rr = np.geomspace(_SHOOT_R_MIN, 40.0 / p.alpha, _DVR_SCAN)
+    dx = math.log(rr[-1] / rr[0]) / (rr.size - 1)
+    u = _dvr_potential(p, part, l, rr)
+    weight = rr * rr / part.kinetic_scale
+    offset = weight * u + 0.25  # Q = weight * E - offset
+
+    def phase(E: float) -> float:
+        return float(np.sum(np.sqrt(np.maximum(weight * E - offset, 0.0)))) * dx
+
+    e_lo, e_box = float(u.min()), float(u[-1])
+    if phase(e_box) > math.pi * k:
+        for _ in range(_DVR_BISECTIONS):
+            mid = 0.5 * (e_lo + e_box)
+            e_lo, e_box = (mid, e_box) if phase(mid) < math.pi * k else (e_lo, mid)
+    Q = weight * e_box - offset
+    lo, hi, _ = _decay_span(Q, dx, _DVR_FOLDS)
+    x_lo, x_hi = math.log(rr[lo]), math.log(rr[hi])
+    h = 2.0 * math.pi / (_DVR_PER_WAVELENGTH * math.sqrt(float(Q.max())))
+    points = max(int(math.ceil((x_hi - x_lo) / h)) + 1, k + 1)
+    wide = 0.05 * (x_hi - x_lo)
+    wide_points = int(math.ceil(1.25 * (points - 1) * 1.1)) + 1
+    if wide_points > _DVR_MAX_POINTS:
+        raise GridTooCoarse(f"{k} levels at l = {l} need a {wide_points}-point DVR grid, "
+                            f"over the budget of {_DVR_MAX_POINTS}")
+    coarse = _dvr_eigenvalues(p, part, l, x_lo, x_hi, points, k)
+    fine = _dvr_eigenvalues(p, part, l, x_lo - wide, x_hi + wide, wide_points, k)
+    if fine[-1] > e_box and e_box < float(u[-1]):
+        raise NonConvergence(f"level {k - 1} at l = {l} lies above the energy its DVR box was sized for")
+    return fine, np.abs(fine - coarse)
+
+
 def _rk4_step_matrices(w0: np.ndarray, wh: np.ndarray, w1: np.ndarray, hs: float):
     """Entries (a, b, c, d) of the one-step maps [[a, b], [c, d]] of classical RK4.
 
@@ -429,17 +556,7 @@ def shooting_grid(ode: Callable[[np.ndarray, float], np.ndarray], E: float) -> t
     """
     rr = np.geomspace(_SHOOT_R_MIN, _SHOOT_R_CAP, 16000)
     Q = rr * rr * np.asarray(ode(rr, E), dtype=float) - 0.25
-    inside = np.nonzero(Q > 0.0)[0]
-    if inside.size == 0:
-        raise NonConvergence("no classically allowed region at this energy")
-    # phase (Q > 0) or decay (Q < 0) over each scan interval
-    speed = np.sqrt(np.abs(Q))
-    seg = 0.5 * (speed[:-1] + speed[1:]) * (math.log(_SHOOT_R_CAP / _SHOOT_R_MIN) / (rr.size - 1))
-    i_first, i_last = int(inside[0]), int(inside[-1])
-    folds_in = np.cumsum(seg[:i_first][::-1])  # leftward from the inner turning point
-    lo = max(i_first - 1 - int(np.searchsorted(folds_in, _TAIL_FOLDS)), 0)
-    folds_out = np.cumsum(seg[i_last:])
-    hi = min(i_last + 1 + int(np.searchsorted(folds_out, _TAIL_FOLDS)), rr.size - 1)
+    lo, hi, seg = _decay_span(Q, math.log(_SHOOT_R_CAP / _SHOOT_R_MIN) / (rr.size - 1), _TAIL_FOLDS)
     points = min(max(int(1.5 * float(np.sum(seg[lo:hi])) / _KH_TARGET) + 2, 3001), _SHOOT_MAX_POINTS)
     grid = RadialGrid(float(rr[lo]), float(rr[hi]), points)
     edge = math.exp(2.0 * math.log(grid.r_max / grid.r_min) / (points - 1))  # two x-steps

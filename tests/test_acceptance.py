@@ -26,8 +26,6 @@ from scipy.integrate import quad
 from hgmorse import checks
 from hgmorse.molecules import builtin_molecules, to_potential_params
 from hgmorse.nonrel import make_wavefunction
-from hgmorse.oracle import RadialGrid
-from hgmorse.potential import PotentialParams
 from hgmorse.relativistic import (
     QuantumNumbers,
     kg_wavefunction_spec,
@@ -188,8 +186,7 @@ def test_ac8_oracle_box_self_test(ch_free):
     part = ch_free[1]
     r = checks.check_box_self_test(part)
     # the box and finer grid of check_box_self_test
-    box = PotentialParams(a=0.0, b=0.0, D_e=0.0, r_e=1.0, alpha=1e-6)
-    nodes = fd_mode_nodes(box, part, 0, RadialGrid(1e-9, 10.0 + 1e-9, 2001).refined(), 4, 1e-8)
+    nodes = fd_mode_nodes(checks.BOX_PARAMS, part, 0, checks.BOX_GRID.refined(), 4, 1e-8)
     print(f"AC-8 PASS box eigenvalues to {r.worst:.2g} relative after extrapolation (tol 1e-6), "
           f"node counts exact for the lowest 4 levels")
     assert nodes == [0, 1, 2, 3]

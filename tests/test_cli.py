@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hgmorse.checks import pseudospin_params
-from hgmorse.cli import EXIT_CHECK_FAILED, _sweep_values, main
+from hgmorse.cli import EXIT_CHECK_FAILED, _sweep_values, build_parser, main
 from hgmorse.errors import InvalidParameter, NoBoundState
 from hgmorse.molecules import builtin_molecules, find_molecule, to_potential_params
 from hgmorse.nonrel import energy_nonrel
@@ -651,7 +651,8 @@ def test_oracle_check_details_runs_each_fd_comparison_once(capsys, monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
 def test_levels_oracle_pinned_to_one_cpu_prints_the_same_bytes():
-    # pinned, the oracle columns solve one after another; unpinned, on up to one thread per CPU
+    # pinned, numpy's BLAS starts one thread; unpinned, one per CPU: the DVR eigenvalues
+    # must not depend on that
     argv = ["levels", "--molecule", "CH", "--a", "2.375", "--b", "0.51", "--n-max", "3", "--oracle"]
     child = ("import os, sys\n"
              "if sys.argv[1] == 'pin':\n"
@@ -688,14 +689,36 @@ def test_oracle_check_pinned_to_one_cpu_prints_the_same_bytes():
     assert sum(line.endswith(b" eV") for line in untimed) == 2
 
 
-def test_oracle_worker_error_keeps_its_exit_code(capsys, monkeypatch):
-    # three l columns on three workers; every one meets a non-finite FD matrix
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+def test_oracle_worker_error_keeps_its_exit_code(capsys):
+    # the closed form binds every level, but the first l column's DVR potential overflows
     code, out, err = run(capsys, "levels", "--molecule", "CH", "--a", "1e306", "--b", "1e306",
                          "--n-max", "2", "--oracle")
     assert code == EXIT_CHECK_FAILED
     assert out == ""
-    assert err == "solver failure: FD matrix is not finite on the grid\n"
+    assert err == "solver failure: DVR Hamiltonian is not finite on the grid\n"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the peak RSS from /proc")
+def test_levels_oracle_reaches_n_80_in_bounded_memory():
+    # CH's l = 0 column up to n = 80 in a fresh process: every level agrees with the closed
+    # form, and the DVR box stays a few hundred points, far under its budget.  The peak RSS
+    # is VmHWM: the child's ru_maxrss would also count this test process, which the child
+    # shares memory with until it execs
+    argv = ["levels", "--molecule", "CH", "--n-max", "80", "--l-max", "0", "--oracle"]
+    child = ("import re, sys\n"
+             "from hgmorse.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             "with open('/proc/self/status') as status:\n"
+             "    print(re.search(r'VmHWM:\\s*(\\d+) kB', status.read()).group(1), file=sys.stderr)\n"
+             "sys.exit(code)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    rows = done.stdout.splitlines()[1:]
+    assert [int(row.split(",")[2]) for row in rows] == list(range(81))
+    assert max(float(row.split(",")[6]) for row in rows) <= 1e-9
+    assert int(done.stderr) < 100 * 1024  # KiB
 
 
 @pytest.mark.parametrize("option,value", [("--molecules", "CH,CH"), ("--molecules", "CH,NO,CH"),
@@ -850,14 +873,25 @@ def test_negative_n_max_is_a_usage_error(capsys, command, model):
     assert err.startswith("error: ")
 
 
-def test_forced_coarse_grid_surfaces_grid_too_coarse(capsys):
-    # 12 oracle levels from a 101-point grid trips the resolvability heuristic; only the
-    # options decide that, so it is a usage error, not a solver failure
+def test_forced_coarse_grid_surfaces_grid_too_coarse(capsys, monkeypatch):
+    # with the DVR's point budget lowered to 60, the 12 levels of the l = 0 column need
+    # more points than it allows: a usage error, not a solver failure
+    import hgmorse.oracle
+
+    monkeypatch.setattr(hgmorse.oracle, "_DVR_MAX_POINTS", 60)
     code, out, err = run(capsys, "levels", "--molecule", "CH", "--a", "0", "--b", "0",
-                         "--n-max", "11", "--oracle", "--grid-points", "101")
+                         "--n-max", "11", "--oracle")
     assert code == 2
     assert out == ""
-    assert err == "error: 12 levels requested from a 101-point grid\n"
+    assert re.fullmatch(r"error: 12 levels at l = 0 need a \d+-point DVR grid, over the budget of 60\n", err)
+
+
+def test_levels_grid_points_is_a_usage_error(capsys):
+    # only oracle-check sizes an FD grid; levels has no --grid-points
+    code, out, _ = run(capsys, "levels", "--molecule", "CH", "--n-max", "1", "--oracle", "--grid-points", "20001")
+    assert code == 2
+    assert out == ""
+    assert build_parser().parse_args(["oracle-check", "--grid-points", "4001"]).grid_points == 4001
 
 
 def test_usage_error_exit_code(capsys):

@@ -2,8 +2,9 @@
 
 scipy loads only on the paths that call it, and never its package init:
 importing scipy.linalg or scipy.integrate costs more than the rest of a CLI
-call, and the finite-difference oracle loads the three compiled routines it
-calls by file path.  `hgmorse.validate` and hashlib load only for the
+call, and the finite-difference oracle of `oracle-check` loads the compiled
+routines it calls by file path.  `levels --oracle` solves a numpy DVR and
+loads nothing from scipy.  `hgmorse.validate` and hashlib load only for the
 `validate` command, `hgmorse.oracle` only under `levels --oracle`, the
 relativistic solvers (with the root finder, but not logging) only for a
 relativistic model, and json only for `--format json`.  The FD oracle's
@@ -42,7 +43,7 @@ ARRAY_MODULES = {"numpy", "hgmorse.wavefun", "hgmorse.specfun"}
 # run in a fresh interpreter: argv holds steps, each a module to import ("import NAME") or a
 # CLI command line; prints the sorted loaded module names after `import hgmorse.cli` and after
 # each step, one line each.  It imports nothing that a step might be the first to load, and it
-# reports more than one usable CPU so that `levels --oracle` starts its threads on any machine.
+# reports more than one usable CPU so that `oracle-check` starts its FD threads on any machine.
 _PROBE = """
 import importlib, io, os, sys
 os.sched_getaffinity = lambda pid: {0, 1, 2, 3}
@@ -121,7 +122,7 @@ def test_nonrelativistic_commands_load_neither_relativistic_nor_oracle():
     for loaded in before_oracle:
         assert not loaded & {"hgmorse.relativistic", "hgmorse.oracle", "hgmorse.rootfind", "json"}
     assert "hgmorse.validate" in before_oracle[-1]
-    # the FD oracle's threads do not need the concurrent.futures pool
+    # the DVR of levels --oracle lives in hgmorse.oracle and starts no thread pool
     assert "hgmorse.oracle" in after_oracle
     assert not {m for m in after_oracle if m.startswith("concurrent")}
     assert not after_oracle & {"hgmorse.relativistic", "logging"}
@@ -204,11 +205,14 @@ def test_cli_paths_without_the_fd_oracle_do_not_import_scipy():
     assert _scipy_modules_after(KG_LEVELS, NONREL_LEVELS, POTENTIAL) == [[], [], [], []]
 
 
+def test_levels_oracle_loads_no_scipy():
+    assert _scipy_modules_after(NONREL_LEVELS + ["--oracle"]) == [[], []]
+
+
 def test_fd_oracle_paths_skip_scipy_package_init():
-    after_import, after_levels, after_check, control = _scipy_modules_after(
-        NONREL_LEVELS + ["--oracle"], NONREL_ORACLE_CHECK, "import scipy.linalg")
+    after_import, after_check, control = _scipy_modules_after(NONREL_ORACLE_CHECK, "import scipy.linalg")
     assert after_import == []
-    for loaded in (after_levels, after_check):
-        assert "scipy.linalg" not in loaded and "scipy.integrate" not in loaded
+    assert after_check  # positive control: the battery loads part of scipy
+    assert "scipy.linalg" not in after_check and "scipy.integrate" not in after_check
     # positive control: the probe sees scipy.linalg once something imports it
     assert "scipy.linalg" in control

@@ -26,6 +26,7 @@ from hgmorse.nonrel import energy_nonrel, make_wavefunction
 from hgmorse.oracle import (
     RadialGrid,
     adapted_range,
+    dvr_energies,
     fd_schrodinger_eigen,
     mismatch_sign_change,
     oracle_energies,
@@ -104,12 +105,6 @@ def assert_matches_reference(ode, E, g, r_match):
     return new
 
 
-def box_setup():
-    """V = 0 box: a = b = D_e = 0 with a huge screening range."""
-    p = PotentialParams(a=0.0, b=0.0, D_e=0.0, r_e=1.0, alpha=1e-6)
-    return p
-
-
 def test_radial_grid_validation():
     g = RadialGrid(1e-3, 10.0, 101)
     assert g.refined().points == 201
@@ -132,11 +127,9 @@ def test_default_grid_range():
 
 def test_box_eigenvalues_and_extrapolation(ch_free):
     _, part = ch_free
-    p = box_setup()
-    L = 10.0
-    exact = [part.kinetic_scale * math.pi**2 * m**2 / L**2 for m in (1, 2, 3)]
-    coarse = fd_schrodinger_eigen(p, part, 0, RadialGrid(1e-9, L + 1e-9, 2001), 3)
-    fine = fd_schrodinger_eigen(p, part, 0, RadialGrid(1e-9, L + 1e-9, 4001), 3)
+    exact = checks.box_levels(part, 3)
+    coarse = fd_schrodinger_eigen(checks.BOX_PARAMS, part, 0, checks.BOX_GRID, 3)
+    fine = fd_schrodinger_eigen(checks.BOX_PARAMS, part, 0, checks.BOX_GRID.refined(), 3)
     for m in range(3):
         extrap, err = richardson_extrapolate(float(coarse[m]), float(fine[m]), 2.0, 2)
         assert extrap == pytest.approx(exact[m], rel=1e-6)
@@ -145,7 +138,7 @@ def test_box_eigenvalues_and_extrapolation(ch_free):
 
 def test_box_node_counts(ch_free):
     _, part = ch_free
-    assert fd_mode_nodes(box_setup(), part, 0, RadialGrid(1e-9, 10.0, 2001), 4, 1e-8) == [0, 1, 2, 3]
+    assert fd_mode_nodes(checks.BOX_PARAMS, part, 0, checks.BOX_GRID, 4, 1e-8) == [0, 1, 2, 3]
 
 
 def test_fd_matches_closed_form_ground_state(ch_free):
@@ -488,7 +481,8 @@ def test_fd_matrix_working_set_stays_near_its_outputs(ch_unit):
 def test_box_self_test_eigenvalues_equal_eigh_tridiagonal(ch_unit, points):
     # the grids and particle of checks.check_box_self_test for the default molecule
     _, part = ch_unit
-    p, g = box_setup(), RadialGrid(1e-9, 10.0 + 1e-9, points)
+    p, g = checks.BOX_PARAMS, checks.BOX_GRID if points == checks.BOX_GRID.points else checks.BOX_GRID.refined()
+    assert g.points == points
     diag, off = oracle._fd_matrix(p, part, 0, g, 4)
     assert np.array_equal(fd_schrodinger_eigen(p, part, 0, g, 4), eigh_tridiagonal_reference(diag, off, 4, eigvals_only=True))
 
@@ -649,3 +643,145 @@ def test_fd_rejects_non_finite_matrix(ch_unit):
     p = PotentialParams(a=0.0, b=0.0, D_e=1e308, r_e=1.0, alpha=1.0)
     with pytest.raises(NonConvergence):
         fd_schrodinger_eigen(p, part, 0, RadialGrid(1e-3, 40.0, 2001), 4)
+
+
+# The sinc DVR of levels --oracle: the fast path, matched against the FD
+# oracle it replaces there and against the closed form it checks.
+
+
+def closed_column(p, part, l, n_max):
+    """The closed-form levels n <= n_max of one l column, up to the first that is not bound."""
+    levels = []
+    for n in range(n_max + 1):
+        try:
+            levels.append(energy_nonrel(p, part, n, l))
+        except NoBoundState:
+            break
+    return np.array(levels)
+
+
+@pytest.mark.parametrize("mol", MOLECULES, ids=lambda mol: mol.name)
+def test_dvr_matches_fd_oracle_over_the_ac1_ac2_matrices(mol):
+    # AC-1 (a = b = 0) and AC-2 (a = b = 1): n <= 3, l <= 2; the FD's own Richardson
+    # estimate plus 1e-9 eV bounds the distance
+    for a, b in ((0.0, 0.0), (1.0, 1.0)):
+        p, part = to_potential_params(mol, a, b, ALPHA)
+        for l in range(3):
+            dvr, _ = dvr_energies(p, part, l, 4)
+            fd, fd_err = oracle_energies(p, part, l, 4)
+            assert np.all(np.abs(dvr - fd) <= fd_err + 1e-9), (mol.name, a, b, l)
+
+
+@pytest.mark.parametrize("alpha", (0.025, 0.2))
+@pytest.mark.parametrize("mol", MOLECULES, ids=lambda mol: mol.name)
+def test_dvr_matches_closed_form(mol, alpha):
+    checked = 0
+    for a, b in ((0.0, 0.0), (1.0, 1.0), (3.0, 0.5)):
+        p, part = to_potential_params(mol, a, b, alpha)
+        for l in range(6):
+            closed = closed_column(p, part, l, 5)
+            if closed.size:
+                dvr, _ = dvr_energies(p, part, l, closed.size)
+                assert np.max(np.abs(dvr - closed)) <= 1e-12, (a, b, l)
+                checked += closed.size
+    assert checked >= 3 * 6  # every column binds at least its ground state
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(mol=st.sampled_from(MOLECULES), a=st.floats(0.0, 5.0), b=st.floats(0.0, 5.0),
+       alpha=st.floats(0.01, 0.3), l=st.integers(0, 6))
+def test_dvr_matches_closed_form_at_random_strengths(mol, a, b, alpha, l):
+    p, part = to_potential_params(mol, a, b, alpha)
+    closed = closed_column(p, part, l, 3)
+    if closed.size:
+        dvr, _ = dvr_energies(p, part, l, closed.size)
+        assert np.max(np.abs(dvr - closed)) <= 1e-12
+
+
+@pytest.mark.parametrize("per_wavelength, coarse", [(oracle._DVR_PER_WAVELENGTH, False), (3.0, True)],
+                         ids=["production", "coarse"])
+def test_dvr_error_estimate_bounds_a_finer_wider_solve(monkeypatch, per_wavelength, coarse):
+    # the reference box is 20% wider than the second box and has twice its nodes per unit x;
+    # 1e-13 eV is the rounding floor of eigvalsh on these matrices, which the estimate cannot see
+    monkeypatch.setattr(oracle, "_DVR_PER_WAVELENGTH", per_wavelength)
+    solves = []
+    solve = oracle._dvr_eigenvalues
+    monkeypatch.setattr(oracle, "_dvr_eigenvalues", lambda *args: solves.append(args) or solve(*args))
+    worst = 0.0
+    for mol in MOLECULES:
+        for a, b in ((0.0, 0.0), (3.0, 0.5)):
+            p, part = to_potential_params(mol, a, b, 0.2)
+            for l in (0, 3):
+                solves.clear()
+                energies, estimate = dvr_energies(p, part, l, 4)
+                *_, x_lo, x_hi, points, k = solves[-1]
+                widen = 0.1 * (x_hi - x_lo)
+                reference = solve(p, part, l, x_lo - widen, x_hi + widen, 2 * round(1.2 * (points - 1)) + 1, k)
+                dev = np.abs(energies - reference)
+                assert np.all(dev <= estimate + 1e-13), (mol.name, a, b, l)
+                worst = max(worst, float(np.max(dev)))
+    # positive control: three nodes per wavelength leave an error the floor does not hide
+    assert (worst > 1e-11) == coarse
+
+
+def test_dvr_hamiltonian_equals_the_direct_construction(ch_unit, monkeypatch):
+    p, part = ch_unit
+    matrices = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda H: matrices.append(H.copy()) or eigvalsh(H))
+    x_lo, x_hi, points = math.log(0.3), math.log(4.0), 40
+    oracle._dvr_eigenvalues(p, part, 2, x_lo, x_hi, points, 3)
+    [H] = matrices
+    c, h = part.kinetic_scale, (x_hi - x_lo) / (points - 1)
+    r = np.exp(np.linspace(x_lo, x_hi, points))
+    m = np.subtract.outer(np.arange(points), np.arange(points))
+    with np.errstate(divide="ignore"):
+        T = np.where(m == 0, math.pi**2 / 3.0, 2.0 * (-1.0) ** m / (m * m)) / h**2
+    U = potential_approx(p, r) + c * centrifugal_approx(p.alpha, r, 6.0)
+    direct = (c * (T + 0.25 * np.eye(points)) + np.diag(r * r * U)) / np.outer(r, r)
+    assert np.allclose(H, direct, rtol=1e-13, atol=0.0)
+
+
+def test_dvr_reaches_high_levels(ch_free):
+    # the 81 levels of CH's l = 0 column up to n = 80, from one box sized without the closed form
+    p, part = ch_free
+    closed = closed_column(p, part, 0, 80)
+    assert closed.size == 81
+    dvr, estimate = dvr_energies(p, part, 0, 81)
+    assert np.max(np.abs(dvr - closed)) <= 1e-12
+    assert np.max(estimate) <= 1e-12
+
+
+def test_dvr_point_budget_raises_grid_too_coarse(ch_free, monkeypatch):
+    p, part = ch_free
+    monkeypatch.setattr(oracle, "_DVR_MAX_POINTS", 60)
+    with pytest.raises(GridTooCoarse, match=r"^12 levels at l = 0 need a \d+-point DVR grid, over the budget of 60$"):
+        dvr_energies(p, part, 0, 12)
+
+
+def test_dvr_rejects_non_finite_hamiltonian(ch_unit):
+    _, part = ch_unit
+    p = PotentialParams(a=1e306, b=1e306, D_e=1.0, r_e=1.0, alpha=0.025)
+    with pytest.raises(NonConvergence, match="^DVR Hamiltonian is not finite on the grid$"):
+        dvr_energies(p, part, 0, 2)
+    # the solve's own grid: D_e q^2/(alpha r)^2 overflows near its first node
+    p = PotentialParams(a=0.0, b=0.0, D_e=1e308, r_e=1.0, alpha=1.0)
+    with pytest.raises(NonConvergence, match="^DVR Hamiltonian is not finite on the grid$"):
+        oracle._dvr_eigenvalues(p, part, 0, math.log(1e-3), math.log(40.0), 100, 4)
+
+
+def test_dvr_rejects_a_level_above_its_box_energy(ch_unit, monkeypatch):
+    # a box sized below the k-th level it returns could have cut that level's tail
+    p, part = ch_unit
+    solve = oracle._dvr_eigenvalues
+    monkeypatch.setattr(oracle, "_dvr_eigenvalues", lambda *args: solve(*args) + 0.5)
+    with pytest.raises(NonConvergence, match="^level 3 at l = 1 lies above the energy its DVR box was sized for$"):
+        dvr_energies(p, part, 1, 4)
+
+
+def test_dvr_validates_level_count_and_l(ch_unit):
+    p, part = ch_unit
+    with pytest.raises(InvalidParameter):
+        dvr_energies(p, part, 0, 0)
+    with pytest.raises(InvalidParameter):
+        dvr_energies(p, part, -1, 1)
