@@ -21,15 +21,8 @@ import numpy as np
 from .errors import InvalidParameter, NoBoundState
 from .molecules import Molecule, to_potential_params
 from .nonrel import ParticleSpec, WavefunctionSpec, energy_nonrel, make_wavefunction
-from .oracle import (
-    RadialGrid,
-    fd_schrodinger_eigen,
-    mismatch_sign_change,
-    oracle_energies,
-    richardson_extrapolate,
-    scipy_extension,
-    thread_map,
-)
+from .oracle import (FD_POINTS, RadialGrid, fd_extrapolated, mismatch_sign_change, oracle_energies, scipy_extension,
+                     thread_map)
 from .potential import PotentialParams
 from .relativistic import (
     QuantumNumbers,
@@ -161,7 +154,7 @@ class Normalization:
 @dataclass(frozen=True)
 class BoxSelfTest:
     """Worst relative deviation of the four lowest box levels, extrapolated from the
-    production FD solver (fd_schrodinger_eigen) on a grid and its refinement."""
+    production FD solver on a grid and its refinement (fd_extrapolated, as oracle_energies)."""
 
     worst: float
 
@@ -169,14 +162,13 @@ class BoxSelfTest:
         return ("box-self-test", self.worst <= 1e-6, f"max rel dev after extrapolation = {self.worst:.2g}")
 
 
-def check_oracle_equivalence(mol: Molecule, alpha: float, u: UnitConstants, points: int) -> OracleEquivalence:
+def check_oracle_equivalence(mol: Molecule, alpha: float, u: UnitConstants) -> OracleEquivalence:
     """Closed form against the FD oracle for n <= 3, l <= 2 of one molecule, with
     the comparison rows in the documented CSV layout."""
     t0 = time.perf_counter()
     strengths = [to_potential_params(mol, a, b, alpha, u) for a, b in ((0.0, 0.0), (1.0, 1.0))]
     # the six (strength pair, l) FD solves are independent, so they run in parallel
-    solved = iter(thread_map(oracle_energies, [(params, part, l, 4, points)
-                                               for params, part in strengths for l in range(3)]))
+    solved = iter(thread_map(oracle_energies, [(params, part, l, 4) for params, part in strengths for l in range(3)]))
     rows: list[str] = []
     devs: list[list[float]] = []
     for params, part in strengths:
@@ -187,7 +179,7 @@ def check_oracle_equivalence(mol: Molecule, alpha: float, u: UnitConstants, poin
                 closed = energy_nonrel(params, part, n, l)
                 dev = abs(closed - float(fd[n]))
                 devs[-1].append(dev)
-                rows.append(f"nonrel,{n},{l},{closed:.17g},{float(fd[n]):.17g},{dev:.17g},{points},True")
+                rows.append(f"nonrel,{n},{l},{closed:.17g},{float(fd[n]):.17g},{dev:.17g},{FD_POINTS},True")
     return OracleEquivalence(mol.name, devs[0], devs[1], time.perf_counter() - t0, rows)
 
 
@@ -315,21 +307,20 @@ def box_levels(part: ParticleSpec, k: int) -> np.ndarray:
 
 def check_box_self_test(part: ParticleSpec) -> BoxSelfTest:
     """The FD oracle on the box problem (BOX_PARAMS, l = 0) against its four lowest levels."""
-    extrap, _ = richardson_extrapolate(fd_schrodinger_eigen(BOX_PARAMS, part, 0, BOX_GRID, 4),
-                                       fd_schrodinger_eigen(BOX_PARAMS, part, 0, BOX_GRID.refined(), 4), 2.0, 2)
+    extrap, _ = fd_extrapolated(BOX_PARAMS, part, 0, BOX_GRID, 4)
     return BoxSelfTest(worst_of(np.abs(extrap / box_levels(part, 4) - 1.0)))
 
 
 MODEL_CHECKS = ("nonrel", "kg", "dirac-spin", "dirac-pseudospin")
 
 
-def run_checks(molecules: list[Molecule], models: list[str], alpha: float, u: UnitConstants, points: int) -> list:
+def run_checks(molecules: list[Molecule], models: list[str], alpha: float, u: UnitConstants) -> list:
     """The records of the battery over the oracle-check matrices, for the
     requested model families, in printing order."""
     out: list = []
     base_params, base_part = to_potential_params(molecules[0], 1.0, 1.0, alpha, u)
     if "nonrel" in models:
-        out += [check_oracle_equivalence(mol, alpha, u, points) for mol in molecules]
+        out += [check_oracle_equivalence(mol, alpha, u) for mol in molecules]
         out.append(check_box_self_test(base_part))
         out.append(check_special_functions())
         out.append(check_normalization([make_wavefunction(base_params, base_part, n, l)

@@ -113,8 +113,6 @@ def _states(args) -> list[tuple[int, int, tuple]]:
         raise InvalidParameter(f"--mass is required for model {args.model!r}")
     if not (math.isfinite(args.mass) and args.mass > 0.0):
         raise InvalidParameter(f"--mass must be finite and > 0, got {args.mass!r}")
-    if args.scan_points < 2 or not args.tol > 0.0:
-        raise InvalidParameter(f"need --scan-points >= 2 and --tol > 0, got {args.scan_points!r} and {args.tol!r}")
     if args.model == "kg":
         from .relativistic import QuantumNumbers
 
@@ -146,7 +144,7 @@ def _level_solver(args, part: ParticleSpec) -> Callable:
 
     solve, residual, printed, _ = model_functions(args.model)
     M, hbar_c = args.mass, part.hbar_c
-    opts = {"scan_points": args.scan_points, "tol": args.tol, "hbar_c": hbar_c}
+    opts = {"hbar_c": hbar_c}
     if args.model != "kg":
         opts["all_roots"] = args.all_roots
 
@@ -348,7 +346,7 @@ def cmd_oracle_check(args, out) -> int:
     unknown = [m for m in models if m not in MODEL_CHECKS]
     if unknown:
         raise InvalidParameter(f"unknown models {unknown!r}")
-    records = run_checks(molecules, models, args.alpha, units, args.grid_points)
+    records = run_checks(molecules, models, args.alpha, units)
     if args.details:
         # the oracle-equivalence checks made these rows when nonrel was requested
         comparisons = {r.molecule: r.rows for r in records if isinstance(r, OracleEquivalence)}
@@ -356,7 +354,7 @@ def cmd_oracle_check(args, out) -> int:
         for mol in molecules:
             _emit(out, [f"# molecule = {mol.name}"])
             if mol.name not in comparisons:
-                comparisons[mol.name] = check_oracle_equivalence(mol, args.alpha, units, args.grid_points).rows
+                comparisons[mol.name] = check_oracle_equivalence(mol, args.alpha, units).rows
             _emit(out, comparisons[mol.name])
     verdicts = [record.verdict() for record in records]
     for name, ok, detail in verdicts:
@@ -375,8 +373,6 @@ def _add_states(sub: argparse.ArgumentParser, n_max: int) -> None:
     sub.add_argument("--cps", type=float, default=0.0, help="pseudospin constant C_ps (eV)")
     sub.add_argument("--kappa", default="-1", help="comma list of kappa values")
     sub.add_argument("--dimension", type=int, default=3, help="D for the kg model")
-    sub.add_argument("--scan-points", dest="scan_points", type=int, default=2000)
-    sub.add_argument("--tol", type=float, default=1e-12)
     sub.add_argument("--all-roots", dest="all_roots", action="store_true")
 
 
@@ -424,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("--models", default="nonrel,kg",
                        help="comma list from {nonrel,kg,dirac-spin,dirac-pseudospin}")
     p_chk.add_argument("--alpha", type=float, default=0.025)
-    p_chk.add_argument("--grid-points", dest="grid_points", type=int, default=20001)
     p_chk.add_argument("--config", default=None)
     p_chk.add_argument("--details", action="store_true",
                        help="also emit the per-level comparison CSV before the pass/fail lines")

@@ -47,6 +47,7 @@ if TYPE_CHECKING:
     import numpy as np
 
     from . import wavefun
+    from .relativistic import RelWavefunctionSpec
 
 
 @dataclass(frozen=True)
@@ -213,8 +214,9 @@ def make_wavefunction(p: PotentialParams, part: ParticleSpec, n: int, l: int) ->
     return WavefunctionSpec(omega, phi_exp, n, p.alpha, log_norm)
 
 
-def radial_wavefunction(spec: WavefunctionSpec, r: float) -> float:
-    """Normalized u(r); vanishes at both ends of (0, infinity)."""
+def radial_wavefunction(spec: WavefunctionSpec | RelWavefunctionSpec, r: float) -> float:
+    """Normalized u(r), or a relativistic radial component (relativistic.rel_radial_value);
+    vanishes at both ends of (0, infinity)."""
     return float(_wavefun().value(spec.waveform, spec.log_norm, r))
 
 

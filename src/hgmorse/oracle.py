@@ -284,19 +284,21 @@ def fd_schrodinger_eigen(
     return _stebz(*_fd_matrix(p, part, l, g, k), k)
 
 
-def richardson_extrapolate(
-    E_coarse: float, E_fine: float, ratio: float, order: int
-) -> tuple[float, float]:
-    """Cancel the leading h^order error term of a grid pair.
+def richardson_extrapolate(E_coarse: float, E_fine: float) -> tuple[float, float]:
+    """Cancel the leading h^2 error term of a grid pair whose spacing halves.
 
     Returns (extrapolated value, |E_fine - E_coarse| as the error scale),
     elementwise when E_coarse and E_fine are arrays of one shape.
     """
-    if not ratio > 1.0:
-        raise InvalidParameter(f"ratio must be > 1, got {ratio!r}")
-    if order < 1:
-        raise InvalidParameter(f"order must be >= 1, got {order!r}")
-    return E_fine + (E_fine - E_coarse) / (ratio**order - 1.0), abs(E_fine - E_coarse)
+    return E_fine + (E_fine - E_coarse) / 3.0, abs(E_fine - E_coarse)  # 3 = 2^2 - 1
+
+
+def fd_extrapolated(p: PotentialParams, part: "ParticleSpec", l: int, g: RadialGrid,
+                    k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lowest k FD eigenvalues on g and on g.refined(), Richardson-extrapolated:
+    (energies, error estimates)."""
+    return richardson_extrapolate(fd_schrodinger_eigen(p, part, l, g, k),
+                                  fd_schrodinger_eigen(p, part, l, g.refined(), k))
 
 
 def adapted_range(p: PotentialParams, part: "ParticleSpec", l: int, k: int) -> float:
@@ -325,22 +327,17 @@ def adapted_range(p: PotentialParams, part: "ParticleSpec", l: int, k: int) -> f
     return min(r_turn + _TAIL_FOLDS / kappa, cap)
 
 
-def oracle_energies(
-    p: PotentialParams,
-    part: "ParticleSpec",
-    l: int,
-    k: int,
-    points: int = 20001,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Extrapolated FD energies for the lowest k levels on adapted grids.
+#: points of oracle_energies' FD grid on the adapted range, before its refinement
+FD_POINTS = 20001
 
-    Solves on `points` and the halved-spacing refinement, Richardson order 2.
+
+def oracle_energies(p: PotentialParams, part: "ParticleSpec", l: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Extrapolated FD energies for the lowest k levels on an adapted grid.
+
+    fd_extrapolated on FD_POINTS points from _R_MIN to adapted_range.
     Returns (energies, error estimates).
     """
-    r_max = adapted_range(p, part, l, k)
-    g = RadialGrid(_R_MIN, r_max, points)
-    return richardson_extrapolate(fd_schrodinger_eigen(p, part, l, g, k),
-                                  fd_schrodinger_eigen(p, part, l, g.refined(), k), 2.0, 2)
+    return fd_extrapolated(p, part, l, RadialGrid(_R_MIN, adapted_range(p, part, l, k), FD_POINTS), k)
 
 
 def _decay_span(Q: np.ndarray, dx: float, folds: float) -> tuple[int, int, np.ndarray]:

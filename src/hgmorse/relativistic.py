@@ -57,7 +57,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 import numpy as np
 
 from .errors import InvalidParameter, NoBoundState
-from .nonrel import ParticleSpec, _wavefun
+from .nonrel import ParticleSpec, _wavefun, radial_wavefunction
 from .potential import PotentialParams, centrifugal_approx, potential_approx
 from .rootfind import bisect, scan_brackets
 from .units import HBAR_C_EV_ANGSTROM
@@ -357,15 +357,21 @@ def default_search_interval(p: PotentialParams, M: float) -> tuple[float, float]
     return -M + margin, M + v_inf - margin
 
 
+#: residual samples of the root scan over the default_search_interval window
+_SCAN_POINTS = 2000
+#: bracket width (eV) at which the bisection of a root stops
+_BISECT_TOL = 1e-12
+
+
 def _solve(
-    sector: _Sector, p: PotentialParams, M: float, state: tuple, scan_points: int, tol: float, all_roots: bool,
-    hbar_c: float,
+    sector: _Sector, p: PotentialParams, M: float, state: tuple, all_roots: bool, hbar_c: float
 ) -> list[float]:
     """All levels of one state in the default_search_interval window, ascending.
 
-    Scans the normalized residual and bisects each sign change once, then
-    drops squared-equation artifacts (bracket numerator N > 0 at the root)
-    and, unless all_roots, roots off the sector's branch.  No bracket holds
+    Scans the normalized residual at _SCAN_POINTS energies and bisects each
+    sign change once, down to a _BISECT_TOL-wide bracket, then drops
+    squared-equation artifacts (bracket numerator N > 0 at the root) and,
+    unless all_roots, roots off the sector's branch.  No bracket holds
     a hole or a pole: S and the radicand 1/4 + phi + gamma are linear in E,
     so each is >= 0 on a half-line and the residual is defined on one
     interval, where P >= 1/2 keeps N/P finite and |f| < 1.  A bracket with
@@ -383,13 +389,13 @@ def _solve(
 
     try:
         with np.errstate(over="raise"):
-            brackets = scan_brackets(f, lo, hi, scan_points)
+            brackets = scan_brackets(f, lo, hi, _SCAN_POINTS)
     except FloatingPointError:
         raise InvalidParameter(f"the {sector.noun} equation for {sector.describe(*state)} overflows in "
                                f"[{lo!r}, {hi!r}]: it is not finite at these parameters") from None
     roots: list[float] = []
     for bracket in brackets:
-        root, _ = bisect(f, bracket, tol)
+        root, _ = bisect(f, bracket, _BISECT_TOL)
         N = _nu_eval(fields(root), n)[1]
         if not N > 0.0 and (all_roots or sector.keep(root)):
             roots.append(root)
@@ -408,15 +414,14 @@ def solve_kg_energy(
     p: PotentialParams,
     M: float,
     qn: QuantumNumbers,
-    scan_points: int = 2000,
-    tol: float = 1e-12,
     hbar_c: float = HBAR_C_EV_ANGSTROM,
 ) -> list[float]:
     """All Klein-Gordon levels for (n, l, D) in the bound-state window, ascending.
 
-    Raises NoBoundState when the window contains no genuine root.
+    Found by _solve's fixed scan and bisection.  Raises NoBoundState when
+    the window contains no genuine root.
     """
-    return _solve(_KG, p, M, (qn,), scan_points, tol, False, hbar_c)
+    return _solve(_KG, p, M, (qn,), False, hbar_c)
 
 
 def solve_dirac_spin(
@@ -425,13 +430,11 @@ def solve_dirac_spin(
     kappa: int,
     Cs: float = 0.0,
     n: int = 0,
-    scan_points: int = 2000,
-    tol: float = 1e-12,
     all_roots: bool = False,
     hbar_c: float = HBAR_C_EV_ANGSTROM,
 ) -> list[float]:
-    """Spin-symmetry levels; positive-energy branch unless all_roots."""
-    return _solve(_SPIN, p, M, (kappa, Cs, n), scan_points, tol, all_roots, hbar_c)
+    """Spin-symmetry levels by _solve's fixed scan and bisection; positive-energy branch unless all_roots."""
+    return _solve(_SPIN, p, M, (kappa, Cs, n), all_roots, hbar_c)
 
 
 def solve_dirac_pseudospin(
@@ -440,13 +443,11 @@ def solve_dirac_pseudospin(
     kappa: int,
     Cps: float = 0.0,
     n: int = 0,
-    scan_points: int = 2000,
-    tol: float = 1e-12,
     all_roots: bool = False,
     hbar_c: float = HBAR_C_EV_ANGSTROM,
 ) -> list[float]:
-    """Pseudospin-symmetry levels; negative-energy branch unless all_roots."""
-    return _solve(_PSEUDOSPIN, p, M, (kappa, Cps, n), scan_points, tol, all_roots, hbar_c)
+    """Pseudospin-symmetry levels by _solve's fixed scan and bisection; negative-energy branch unless all_roots."""
+    return _solve(_PSEUDOSPIN, p, M, (kappa, Cps, n), all_roots, hbar_c)
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +471,8 @@ class RelWavefunctionSpec:
         return _wavefun().SWaveform(self.leading_exp, self.edge_exp, self.n, self.alpha)
 
 
-def rel_radial_value(spec: RelWavefunctionSpec, r: float) -> float:
-    """Normalized radial component at r."""
-    return float(_wavefun().value(spec.waveform, spec.log_norm, r))
+#: normalized radial component at r: the one body of nonrel.radial_wavefunction
+rel_radial_value = radial_wavefunction
 
 
 def _build_spec(

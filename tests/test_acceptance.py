@@ -64,7 +64,7 @@ AC3_STATES = (
 @pytest.fixture(scope="module")
 def oracle_records():
     """One oracle-equivalence record per built-in molecule, at both strength pairs."""
-    return [checks.check_oracle_equivalence(mol, ALPHA, DEFAULT_UNITS, 20001) for mol in builtin_molecules()]
+    return [checks.check_oracle_equivalence(mol, ALPHA, DEFAULT_UNITS) for mol in builtin_molecules()]
 
 
 def _oracle_equivalence(records, strengths, criterion, ab):

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hgmorse.checks import pseudospin_params
-from hgmorse.cli import EXIT_CHECK_FAILED, _sweep_values, build_parser, main
+from hgmorse.cli import EXIT_CHECK_FAILED, _sweep_values, main
 from hgmorse.errors import InvalidParameter, NoBoundState
 from hgmorse.molecules import builtin_molecules, find_molecule, to_potential_params
 from hgmorse.nonrel import energy_nonrel
@@ -530,13 +530,22 @@ def test_sweep_non_finite_closed_form_is_an_invalid_parameter_row(capsys):
     assert out.splitlines()[1:3] == [f"0,0,0,{E:.17g},ok", "1e+308,0,0,,invalid_parameter"]
 
 
-@pytest.mark.parametrize("option", (("--scan-points", "1"), ("--tol", "0")))
-def test_sweep_relativistic_solver_option_is_a_usage_error(capsys, option):
-    code, out, err = run(capsys, "sweep", "--model", "dirac-spin", "--molecule", "CH", "--mass", "500",
-                         "--param", "a", "--from", "0", "--to", "1e308", "--steps", "2", *option)
+KG_LEVELS = ("levels", "--model", "kg", "--molecule", "CH", "--mass", "500")
+KG_SWEEP = ("sweep", "--model", "kg", "--molecule", "CH", "--mass", "500", "--param", "a", "--from", "0", "--to", "1",
+            "--steps", "2")
+
+
+@pytest.mark.parametrize("argv", (KG_LEVELS + ("--scan-points", "10"), KG_LEVELS + ("--tol", "1e-9"),
+                                  KG_SWEEP + ("--scan-points", "10"), KG_SWEEP + ("--tol", "1e-9"),
+                                  ("oracle-check", "--grid-points", "4001")),
+                         ids=("levels-scan-points", "levels-tol", "sweep-scan-points", "sweep-tol",
+                              "oracle-check-grid-points"))
+def test_removed_numerics_option_is_a_usage_error(capsys, argv):
+    # the root scan, the bisection width and the FD grid are constants, not options
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error:")
+    assert "unrecognized arguments" in err
 
 def test_potential_infinite_r_max_is_a_usage_error(capsys):
     code, out, err = run(capsys, "potential", "--molecule", "CH", "--r-max", "inf", "--samples", "3")
@@ -887,11 +896,10 @@ def test_forced_coarse_grid_surfaces_grid_too_coarse(capsys, monkeypatch):
 
 
 def test_levels_grid_points_is_a_usage_error(capsys):
-    # only oracle-check sizes an FD grid; levels has no --grid-points
+    # the DVR of levels --oracle sizes its own grid; levels has no --grid-points
     code, out, _ = run(capsys, "levels", "--molecule", "CH", "--n-max", "1", "--oracle", "--grid-points", "20001")
     assert code == 2
     assert out == ""
-    assert build_parser().parse_args(["oracle-check", "--grid-points", "4001"]).grid_points == 4001
 
 
 def test_usage_error_exit_code(capsys):

@@ -131,7 +131,7 @@ def test_box_eigenvalues_and_extrapolation(ch_free):
     coarse = fd_schrodinger_eigen(checks.BOX_PARAMS, part, 0, checks.BOX_GRID, 3)
     fine = fd_schrodinger_eigen(checks.BOX_PARAMS, part, 0, checks.BOX_GRID.refined(), 3)
     for m in range(3):
-        extrap, err = richardson_extrapolate(float(coarse[m]), float(fine[m]), 2.0, 2)
+        extrap, err = richardson_extrapolate(float(coarse[m]), float(fine[m]))
         assert extrap == pytest.approx(exact[m], rel=1e-6)
         assert abs(extrap - exact[m]) < abs(float(fine[m]) - exact[m])
 
@@ -173,8 +173,8 @@ def test_default_grid_resolves_ch_ground(ch_free):
     e1 = float(fd_schrodinger_eigen(p, part, 0, g, 1)[0])
     e2 = float(fd_schrodinger_eigen(p, part, 0, g.refined(), 1)[0])
     e3 = float(fd_schrodinger_eigen(p, part, 0, g.refined().refined(), 1)[0])
-    x12, _ = richardson_extrapolate(e1, e2, 2.0, 2)
-    x23, _ = richardson_extrapolate(e2, e3, 2.0, 2)
+    x12, _ = richardson_extrapolate(e1, e2)
+    x23, _ = richardson_extrapolate(e2, e3)
     assert abs(x12 - x23) < 5e-4
     assert abs(x12 - energy_nonrel(p, part, 0, 0)) < 5e-4
 
@@ -187,7 +187,7 @@ def test_fd_grid_convergence_is_one_signed(ch_free):
         values.append(float(fd_schrodinger_eigen(p, part, 0, RadialGrid(1e-3, r_max, points), 1)[0]))
     diffs = np.diff(values)
     assert np.all(diffs > 0) or np.all(diffs < 0)
-    extrap, err = richardson_extrapolate(values[-2], values[-1], 2.0, 2)
+    extrap, err = richardson_extrapolate(values[-2], values[-1])
     assert min(values[-2], values[-1]) - err <= extrap <= max(values[-2], values[-1]) + err
 
 
@@ -213,20 +213,18 @@ def test_stebz_checks_sizes_before_the_call(diag, off, k):
 
 
 def test_richardson_trivial_and_synthetic():
-    assert richardson_extrapolate(2.0, 2.0, 2.0, 2) == (2.0, 0.0)
+    assert richardson_extrapolate(2.0, 2.0) == (2.0, 0.0)
     exact, c = 1.37, 0.4
     coarse = exact + c * 0.1**2
     fine = exact + c * 0.05**2
-    extrap, err = richardson_extrapolate(coarse, fine, 2.0, 2)
+    extrap, err = richardson_extrapolate(coarse, fine)
     assert extrap == pytest.approx(exact, abs=1e-14)
     assert err == pytest.approx(abs(fine - coarse))
     # on arrays, elementwise and bit for bit the scalar calls (oracle_energies extrapolates whole columns)
     coarse_col, fine_col = [coarse, 2.0, -3.5], [fine, 2.0, -3.25]
-    extraps, errs = richardson_extrapolate(np.array(coarse_col), np.array(fine_col), 2.0, 2)
+    extraps, errs = richardson_extrapolate(np.array(coarse_col), np.array(fine_col))
     assert list(zip(extraps.tolist(), errs.tolist())) == \
-        [richardson_extrapolate(x, y, 2.0, 2) for x, y in zip(coarse_col, fine_col)]
-    with pytest.raises(InvalidParameter):
-        richardson_extrapolate(1.0, 1.0, 0.5, 2)
+        [richardson_extrapolate(x, y) for x, y in zip(coarse_col, fine_col)]
 
 
 def test_shooting_flips_at_fd_eigenvalue(ch_free):
@@ -372,7 +370,7 @@ def langer_fd_eigenvalue(ode, E, g, points, n):
         Q = r * r * ode(r, E) - 0.25
         out.append(eigh_tridiagonal(2.0 / h**2 - Q, np.full(r.size - 1, -1.0 / h**2), eigvals_only=True,
                                     select="i", select_range=(n, n), tol=1e-15)[0])
-    return richardson_extrapolate(out[0], out[1], 2.0, 2)[0]
+    return richardson_extrapolate(out[0], out[1])[0]
 
 
 @pytest.mark.parametrize("alpha", (0.025, 0.2))
@@ -415,8 +413,8 @@ def test_shoot_mismatch_rejects_non_finite_coefficient():
 
 def oracle_energy_grids(p, part, l, k):
     """The grids oracle_energies solves on: adapted_range's coarse full-range
-    grid, the 20001-point adapted grid and its refinement."""
-    g = RadialGrid(oracle._R_MIN, adapted_range(p, part, l, k), 20001)
+    grid, the FD_POINTS-point adapted grid and its refinement."""
+    g = RadialGrid(oracle._R_MIN, adapted_range(p, part, l, k), oracle.FD_POINTS)
     return RadialGrid(oracle._R_MIN, 40.0 / p.alpha, 4001), g, g.refined()
 
 

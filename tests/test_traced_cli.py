@@ -110,6 +110,6 @@ def test_traced_oracle_check_counts_each_check_once(tmp_path, monkeypatch):
                                                              lambda w, r: getattr(r, "size", 1)))
     monkeypatch.setattr(specfun, "_hyp2f1_exact", counted("specfun.hyp2f1_terminating", specfun._hyp2f1_exact,
                                                           lambda *args: 1))
-    checks.run_checks([find_molecule("CH"), find_molecule("HCl")], models, 0.025, DEFAULT_UNITS, 20001)
+    checks.run_checks([find_molecule("CH"), find_molecule("HCl")], models, 0.025, DEFAULT_UNITS)
     assert untraced["wavefun.log_norm_quadrature"] > 0 and untraced["specfun.hyp2f1_terminating"] > 0
     assert {name: work[name] for name in untraced} == untraced
