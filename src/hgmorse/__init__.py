@@ -16,8 +16,8 @@ _EXPORTS = {
     "errors": ("GridTooCoarse", "InvalidParameter", "NoBoundState", "NonConvergence", "ParseError",
                "SolverError"),
     "molecules": ("Molecule", "builtin_molecules", "load_molecules", "to_potential_params"),
-    "nonrel": ("ParticleSpec", "WavefunctionSpec", "energies_nonrel", "energy_nonrel", "make_wavefunction",
-               "radial_wavefunction", "wavefunction_exponents"),
+    "nonrel": ("ParticleSpec", "WavefunctionSpec", "energy_nonrel", "make_wavefunction", "radial_wavefunction",
+               "wavefunction_exponents"),
     "oracle": ("RadialGrid", "fd_schrodinger_eigen", "oracle_energies", "richardson_extrapolate",
                "shoot_mismatch"),
     "potential": ("PotentialParams", "centrifugal_approx", "potential_approx", "potential_curve",

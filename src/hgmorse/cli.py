@@ -22,7 +22,7 @@ from .errors import InvalidParameter, NoBoundState, ParseError, SolverError
 from .molecules import Molecule, find_molecule, load_molecules, to_potential_params
 from .nonrel import ParticleSpec, energy_nonrel, level_indices
 from .potential import PotentialParams, potential_curve
-from .units import UnitConstants, load_config
+from .units import UnitConstants, float_linspace, load_config
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -224,25 +224,6 @@ def cmd_potential(args, out) -> int:
     return EXIT_OK
 
 
-def _sweep_values(start: float, stop: float, steps: int) -> list[float]:
-    """np.linspace(start, stop, steps) for steps >= 2, bit for bit, in Python float arithmetic.
-
-    As numpy builds it: value i is i*step + start with step =
-    (stop - start)/(steps - 1), or i/(steps - 1)*(stop - start) + start when
-    that step underflows to zero (a subnormal range), and the last value is
-    stop.  Infinite or NaN ends and an overflowing stop - start give inf and
-    NaN values, without the warnings numpy prints.
-    """
-    div = steps - 1
-    delta = stop - start
-    step = delta / div
-    if step == 0.0:
-        head = [i / div * delta + start for i in range(div)]
-    else:
-        head = [i * step + start for i in range(div)]
-    return head + [stop]
-
-
 def _non_monotonic_shape(column: list[float], values: list[float], param: str) -> str:
     """The shape of a swept level that neither rises nor falls at every step.
 
@@ -265,7 +246,7 @@ def cmd_sweep(args, out) -> int:
     if args.steps < 2:
         raise InvalidParameter(f"--steps must be >= 2, got {args.steps!r}")
     states = _states(args)
-    values = _sweep_values(args.start, args.stop, args.steps)
+    values = float_linspace(args.start, args.stop, args.steps)
     field = {"De": "D_e", "re": "r_e"}.get(args.param, args.param)
     scale = units.cm_inv_to_ev if args.param == "De" else 1.0
     level = _level_solver(args, part)

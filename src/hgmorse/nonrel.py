@@ -11,11 +11,11 @@ the level is
 
     E(n, l) = D_e - a alpha + kap2 l(l+1) - (kap2/4) (N/P)^2.
 
-`energy_nonrel` evaluates it for one (n, l), and `energies_nonrel`, by the
-same body, over arrays of n, l and the strengths, bit for bit.  Squaring N/P
-would carry the formula on past the last bound level, with energies that
-fall as n grows, so both raise NoBoundState there: the N < 0 rule of
-`wavefun.bound_exponents`.
+`energy_nonrel` evaluates it for one (n, l) at p's strengths, and
+`_energy_at`, its body, at the strengths (a, b) that the reference-table
+fits scan.  Squaring N/P would carry the formula on past the last bound
+level, with energies that fall as n grows, so both raise NoBoundState there:
+the N < 0 rule of `wavefun.bound_exponents`.
 
 The sign of the D_e q^2/alpha^2 coupling term here differs from one printed
 variant of this formula; the finite-difference oracle selects this one
@@ -26,9 +26,9 @@ forms, normalized by quadrature (the closed-form constant is exact at n = 0
 but inherits a flawed norm identity at n >= 1; it lives in the tests, which
 compare it with the quadrature value).
 
-The closed-form levels run in plain float arithmetic: numpy loads only when
-an array is passed in, and `wavefun` (with `specfun`) only when a
-wavefunction is asked for.
+The closed-form levels run in plain float arithmetic, without numpy;
+`wavefun` (with `specfun` and numpy) loads only when a wavefunction is
+asked for.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import repeat
 from typing import TYPE_CHECKING
 
 from .errors import InvalidParameter, NoBoundState
@@ -44,8 +43,6 @@ from .potential import PotentialParams
 from .units import HBAR_C_EV_ANGSTROM
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from . import wavefun
     from .relativistic import RelWavefunctionSpec
 
@@ -72,45 +69,6 @@ class ParticleSpec:
         return 2.0 * self.mu_energy / self.hbar_c**2
 
 
-def _square(x: np.ndarray) -> np.ndarray:
-    """x**2 elementwise as Python squares a float, through libm pow.
-
-    numpy's ** multiplies x*x, which differs from pow in the last bit on
-    about 0.1% of doubles; pow's OverflowError propagates.
-    """
-    import numpy as np
-
-    return np.fromiter(map(pow, x.ravel().tolist(), repeat(2)), float, x.size).reshape(x.shape)
-
-
-def _level(p: PotentialParams, part: ParticleSpec, n, l, a, b):
-    """(E(n, l), N) at strengths (a, b).
-
-    Python numbers give floats.  Any of n, l (integers) and a, b (floats)
-    may instead be an array, and all array arguments then share one shape:
-    the result holds, element for element, the floats the scalar arguments
-    would give.  An n or l array may hold its integers as float64.  numpy
-    loads only for array arguments.
-    """
-    T = part.two_mu_over_hbar2
-    a2 = p.alpha**2
-    phi = T * p.D_e * p.q**2 / a2
-    l1 = l + 1
-    L = l * l1
-    radicand = 0.25 + L + phi
-    if isinstance(radicand, float):
-        P = n + 0.5 + math.sqrt(radicand)
-    else:
-        import numpy as np
-
-        P = n + 0.5 + np.sqrt(radicand)
-    coupling = T * (b / p.alpha - a / p.alpha - 2.0 * p.D_e * p.q / a2 - p.D_e * p.q**2 / a2)
-    N = P * P + coupling + L
-    kap2 = part.kinetic_scale * p.alpha**2
-    t = N / P
-    return p.D_e - a * p.alpha + kap2 * l * l1 - 0.25 * kap2 * (t**2 if isinstance(t, float) else _square(t)), N
-
-
 def energy_nonrel(p: PotentialParams, part: ParticleSpec, n: int, l: int) -> float:
     """Closed-form level E(n, l) in eV (oracle-verified transcription).
 
@@ -118,40 +76,31 @@ def energy_nonrel(p: PotentialParams, part: ParticleSpec, n: int, l: int) -> flo
     the closed form; NoBoundState unless the bracket numerator N < 0 (see
     wavefun.bound_exponents).
     """
+    return _energy_at(p, part, n, l, p.a, p.b)
+
+
+def _energy_at(p: PotentialParams, part: ParticleSpec, n: int, l: int, a: float, b: float) -> float:
+    """energy_nonrel at strengths (a, b) in place of p's, with its checks."""
     if n < 0 or l < 0:
         raise InvalidParameter(f"quantum numbers must be >= 0, got (n={n!r}, l={l!r})")
     try:
-        E, N = _level(p, part, n, l, p.a, p.b)
-    except OverflowError:
+        T = part.two_mu_over_hbar2
+        a2 = p.alpha**2
+        phi = T * p.D_e * p.q**2 / a2
+        l1 = l + 1
+        L = l * l1
+        P = n + 0.5 + math.sqrt(0.25 + L + phi)
+        coupling = T * (b / p.alpha - a / p.alpha - 2.0 * p.D_e * p.q / a2 - p.D_e * p.q**2 / a2)
+        N = P * P + coupling + L
+        kap2 = part.kinetic_scale * p.alpha**2
+        E = p.D_e - a * p.alpha + kap2 * l * l1 - 0.25 * kap2 * (N / P) ** 2
+    except OverflowError:  # a square, or an integer too large for a float
         E = math.nan
     if not math.isfinite(E):
         raise InvalidParameter(f"E(n={n}, l={l}) is not finite: the closed form overflows at these parameters")
     if not N < 0.0:
         raise NoBoundState(f"E(n={n}, l={l}) is past the last bound level: N = {N!r} >= 0")
     return E
-
-
-def energies_nonrel(p: PotentialParams, part: ParticleSpec, n, l, a, b) -> np.ndarray:
-    """energy_nonrel at strengths (a, b) in place of p's, elementwise over arrays.
-
-    Any of n, l, a and b may be an array, all arrays of one shape; each
-    element is bit for bit the float energy_nonrel gives (scalars alone give
-    a 0-d array).  Raises as energy_nonrel does if any element would.
-    """
-    import numpy as np
-
-    if (np.minimum(n, l) < 0).any():
-        raise InvalidParameter(f"quantum numbers must be >= 0, got n down to {np.min(n)} and l down to {np.min(l)}")
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # as Python float arithmetic: inf and nan, no warning
-            E, N = _level(p, part, n, l, a, b)
-    except OverflowError:
-        E = math.nan
-    if not np.isfinite(E).all():
-        raise InvalidParameter("a closed-form energy is not finite: the closed form overflows at these parameters")
-    if not (np.asarray(N) < 0.0).all():
-        raise NoBoundState(f"a requested level is past the last bound level: N up to {float(np.max(N))!r} >= 0")
-    return np.asarray(E)
 
 
 @cache

@@ -7,7 +7,8 @@ and can be overridden through a configuration file, since small changes in
 them shift reproduced reference energies at the meV level.
 
 Every input file goes through one reader, read_fields; load_config holds
-the whole --config contract.
+the whole --config contract.  float_linspace builds the sweep and
+calibration grids without numpy.
 """
 
 from __future__ import annotations
@@ -130,3 +131,25 @@ def load_config(path=None) -> tuple[UnitConstants, float]:
         return UnitConstants(**values), b_sign
     except InvalidParameter as exc:
         raise InvalidParameter(f"{path}: {exc}") from exc
+
+
+def float_linspace(start: float, stop: float, num: int) -> list[float]:
+    """np.linspace(start, stop, num) for num >= 1, bit for bit, in Python float arithmetic.
+
+    As numpy builds it: value i is i*step + start with step =
+    (stop - start)/(num - 1), or i/(num - 1)*(stop - start) + start when
+    that step underflows to zero (a subnormal range), and the last value is
+    stop; num = 1 gives [0*(stop - start) + start].  Infinite or NaN ends and
+    an overflowing stop - start give inf and NaN values, without the
+    warnings numpy prints.
+    """
+    div = num - 1
+    delta = stop - start
+    if div == 0:
+        return [0.0 * delta + start]
+    step = delta / div
+    if step == 0.0:
+        head = [i / div * delta + start for i in range(div)]
+    else:
+        head = [i * step + start for i in range(div)]
+    return head + [stop]

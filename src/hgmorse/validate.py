@@ -16,12 +16,10 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Optional
 
-import numpy as np
-
 from .errors import InvalidParameter, ParseError
 from .molecules import builtin_molecules, find_molecule, to_potential_params
-from .nonrel import energies_nonrel, energy_nonrel
-from .units import DEFAULT_UNITS, UnitConstants, read_fields
+from .nonrel import _energy_at, energy_nonrel
+from .units import DEFAULT_UNITS, UnitConstants, float_linspace, read_fields
 
 REPRODUCTION_TOL = 5e-3  # eV, per entry
 N_MAX = 5  # the table lists n = 0..N_MAX, l = 0..n
@@ -77,27 +75,21 @@ def check_reference_shape(rows: Iterable[ReferenceRow]) -> None:
             seen.add((n, l))
 
 
-def _columns(rows: Iterable[ReferenceRow]) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Each molecule's (n, l, E_eV) float64 columns in table order, molecules in order of first row.
-
-    n and l are exact as floats below 2^53, and l(l + 1) then rounds as the
-    Python int product does when it meets a float; an int64 column would
-    wrap past 2^63 or fail to build.
-    """
+def _columns(rows: Iterable[ReferenceRow]) -> dict[str, list[ReferenceRow]]:
+    """Each molecule's rows in table order, molecules in order of first row."""
     by_molecule: dict[str, list[ReferenceRow]] = {}
     for row in rows:
         by_molecule.setdefault(row.molecule, []).append(row)
-    return {name: tuple(np.array([getattr(r, field) for r in column], dtype=float) for field in ("n", "l", "E_eV"))
-            for name, column in by_molecule.items()}
+    return by_molecule
 
 
 def score(rows: list[ReferenceRow], a: float, b: float, alpha: float = 0.025,
           u: UnitConstants = DEFAULT_UNITS) -> dict:
     """Per-molecule and overall absolute deviations at a fixed (a, b)."""
     devs: dict[str, list[float]] = {}
-    for name, (n, l, reference) in _columns(rows).items():
+    for name, column in _columns(rows).items():
         p, part = to_potential_params(find_molecule(name), a, b, alpha, u)
-        devs[name] = np.abs(energies_nonrel(p, part, n, l, p.a, p.b) - reference).tolist()
+        devs[name] = [abs(energy_nonrel(p, part, row.n, row.l) - row.E_eV) for row in column]
     flat = [d for column in devs.values() for d in column]
     return {
         "per_molecule": {name: (max(column), sum(column) / len(column)) for name, column in devs.items()},
@@ -112,8 +104,8 @@ def calibrate(rows: list[ReferenceRow], alpha: float = 0.025, grid: int = 51,
     """Grid search (a, b) in [0, 5]^2 minimizing the CH ground-level mismatch.
 
     Returns (a, b, |deviation at CH(0,0)|); ties resolve to the first grid
-    point in scan order, a outer and b inner.  Each a-row is one array of
-    grid energies.  InvalidParameter when grid < 1 or the table has no
+    point in scan order, a outer and b inner.  The grid is np.linspace(0, 5,
+    grid), bit for bit.  InvalidParameter when grid < 1 or the table has no
     CH (0, 0) row.
     """
     if grid < 1:
@@ -122,14 +114,10 @@ def calibrate(rows: list[ReferenceRow], alpha: float = 0.025, grid: int = 51,
     if target is None:
         raise InvalidParameter("reference table has no CH row with n = 0, l = 0 to calibrate on")
     p, part = to_potential_params(find_molecule("CH"), 0.0, 0.0, alpha, u)
-    values = np.linspace(0.0, 5.0, grid)
-    best: Optional[tuple[float, float, float]] = None
-    for a in values.tolist():
-        devs = np.abs(energies_nonrel(p, part, 0, 0, a, values) - target)
-        j = int(np.argmin(devs))  # the first of equal minima
-        if best is None or devs[j] < best[0]:
-            best = (float(devs[j]), a, float(values[j]))
-    dev, a, b = best
+    values = float_linspace(0.0, 5.0, grid)
+    # min keeps the first of equal minima
+    dev, a, b = min(((abs(_energy_at(p, part, 0, 0, a, b) - target), a, b) for a in values for b in values),
+                    key=lambda point: point[0])
     return a, b, dev
 
 
@@ -138,22 +126,20 @@ def per_molecule_diagnostics(rows: list[ReferenceRow], alpha: float = 0.025,
     """Best-fit b per molecule with a pinned to 1, over b in [-4, 1].
 
     Golden-section on the summed squared deviation of the full 21-entry
-    column, one array of the column's energies per step.  Localizes the
-    convention behind the reference values: large negative best-fit b with
-    tiny residuals means the table was produced with the attractive-Yukawa
-    sign.
+    column.  Localizes the convention behind the reference values: large
+    negative best-fit b with tiny residuals means the table was produced
+    with the attractive-Yukawa sign.
     """
     out: dict[str, tuple[float, float]] = {}
     gr = (math.sqrt(5.0) - 1.0) / 2.0
-    for name, (n, l, reference) in _columns(rows).items():
+    for name, column in _columns(rows).items():
         p, part = to_potential_params(find_molecule(name), 1.0, 0.0, alpha, u)
 
-        def deviations(b: float) -> np.ndarray:
-            return energies_nonrel(p, part, n, l, 1.0, b) - reference
+        def deviations(b: float) -> list[float]:
+            return [_energy_at(p, part, row.n, row.l, 1.0, b) - row.E_eV for row in column]
 
         def sse(b: float) -> float:
-            # float ** 2 and a left-to-right sum, not numpy's x*x and pairwise sum
-            return sum(dev**2 for dev in deviations(b).tolist())
+            return sum(dev**2 for dev in deviations(b))  # left to right
 
         lo, hi = -4.0, 1.0
         c = hi - gr * (hi - lo)
@@ -169,7 +155,7 @@ def per_molecule_diagnostics(rows: list[ReferenceRow], alpha: float = 0.025,
                 d = lo + gr * (hi - lo)
                 fd = sse(d)
         b_best = 0.5 * (lo + hi)
-        out[name] = (b_best, float(np.max(np.abs(deviations(b_best)))))
+        out[name] = (b_best, max(abs(dev) for dev in deviations(b_best)))
     return out
 
 

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hgmorse.checks import pseudospin_params
-from hgmorse.cli import EXIT_CHECK_FAILED, _sweep_values, main
+from hgmorse.cli import EXIT_CHECK_FAILED, main
 from hgmorse.errors import InvalidParameter, NoBoundState
 from hgmorse.molecules import builtin_molecules, find_molecule, to_potential_params
 from hgmorse.nonrel import energy_nonrel
@@ -29,7 +29,7 @@ from hgmorse.relativistic import (
     spin_printed_eq_residual,
     spin_residual,
 )
-from hgmorse.units import CM_INV_TO_EV, HBAR_C_EV_ANGSTROM
+from hgmorse.units import CM_INV_TO_EV, HBAR_C_EV_ANGSTROM, float_linspace
 from hgmorse.validate import calibrate, load_reference, packaged_reference_path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -508,18 +508,26 @@ _GRID_ENDS = st.one_of(
 
 
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
-@given(start=_GRID_ENDS, stop=_GRID_ENDS, steps=st.integers(2, 500), same=st.booleans())
+@given(start=_GRID_ENDS, stop=_GRID_ENDS, steps=st.integers(1, 500), same=st.booleans())
 @example(start=0.0, stop=5e-324, steps=3, same=False)
 @example(start=-1e-322, stop=1e-322, steps=500, same=False)
 @example(start=-1e308, stop=1e308, steps=3, same=False)
 @example(start=1.0, stop=math.inf, steps=2, same=False)
 @example(start=math.nan, stop=1.0, steps=3, same=False)
 @example(start=0.25, stop=0.25, steps=7, same=True)
+@example(start=math.inf, stop=1.0, steps=1, same=False)  # one value: 0*(stop - start) + start
+# the validate calibration grids
+@example(start=0.0, stop=5.0, steps=1, same=False)
+@example(start=0.0, stop=5.0, steps=2, same=False)
+@example(start=0.0, stop=5.0, steps=7, same=False)
+@example(start=0.0, stop=5.0, steps=51, same=False)
+@example(start=0.0, stop=5.0, steps=201, same=False)
 def test_sweep_grid_is_numpy_linspace_bit_for_bit(start, stop, steps, same):
+    # the sweep and the validate calibration share float_linspace
     stop = start if same else stop
     with np.errstate(all="ignore"):
         expected = np.linspace(start, stop, steps).tolist()
-    assert _bits(_sweep_values(start, stop, steps)) == _bits(expected)
+    assert _bits(float_linspace(start, stop, steps)) == _bits(expected)
 
 
 def test_sweep_non_finite_closed_form_is_an_invalid_parameter_row(capsys):
@@ -566,6 +574,12 @@ def test_non_finite_energy_is_a_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "not finite" in err
+
+
+def test_validate_overflow_is_a_usage_error_naming_the_level(capsys):
+    code, out, err = run(capsys, "validate", "--a", "1e308", "--b", "1e308", "--no-timestamp")
+    assert (code, out) == (2, "")
+    assert err == "error: E(n=0, l=0) is not finite: the closed form overflows at these parameters\n"
 
 
 def test_relativistic_overflow_is_a_usage_error(capsys):

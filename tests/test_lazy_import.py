@@ -12,10 +12,10 @@ threads are plain `threading` threads, so concurrent.futures never loads.
 The package exports resolve on first access.  numpy, and the wavefunction
 engine `hgmorse.wavefun` with its `hgmorse.specfun`, load only where an
 array kernel or a wavefunction runs: the closed-form nonrelativistic
-`levels` and `sweep` run in plain float arithmetic without them, and the
-relativistic `levels` and `sweep` load numpy but not the engine.  Each test
-runs in a fresh interpreter, because this test process has imported all of
-these long before.
+`levels` and `sweep` and `validate` run in plain float arithmetic without
+them, and the relativistic `levels` and `sweep` load numpy but not the
+engine.  Each test runs in a fresh interpreter, because this test process
+has imported all of these long before.
 """
 
 import os
@@ -102,14 +102,16 @@ def test_cli_import_loads_no_solver_it_may_not_run():
 
 def test_closed_form_commands_load_no_numpy():
     loaded_after = _modules_after(NONREL_LEVELS, NONREL_LEVELS + ["--format", "json"], NONREL_SWEEP,
-                                  NONREL_SWEEP + ["--format", "json"])
+                                  NONREL_SWEEP + ["--format", "json"], ["validate", "--calibrate", "--no-timestamp"])
     for loaded in loaded_after:
         assert not loaded & ARRAY_MODULES
-    assert "json" in loaded_after[-1]  # positive control: the probe saw the json runs
+    # positive controls: the probe saw the json runs and the validate run
+    assert "json" in loaded_after[-2]
+    assert {"hgmorse.validate", "hashlib"} <= loaded_after[-1]
 
 
-@pytest.mark.parametrize("command", [POTENTIAL, ["validate", "--no-timestamp"], NONREL_LEVELS + ["--oracle"],
-                                     KG_LEVELS], ids=["potential", "validate", "levels-oracle", "kg-levels"])
+@pytest.mark.parametrize("command", [POTENTIAL, NONREL_LEVELS + ["--oracle"], KG_LEVELS],
+                         ids=["potential", "levels-oracle", "kg-levels"])
 def test_array_commands_load_numpy(command):
     before, after = _modules_after(command)
     assert "numpy" not in before
@@ -181,7 +183,7 @@ print("ok")
 EXPORTS = {
     "errors": "GridTooCoarse InvalidParameter NoBoundState NonConvergence ParseError SolverError",
     "molecules": "Molecule builtin_molecules load_molecules to_potential_params",
-    "nonrel": "ParticleSpec WavefunctionSpec energies_nonrel energy_nonrel make_wavefunction radial_wavefunction "
+    "nonrel": "ParticleSpec WavefunctionSpec energy_nonrel make_wavefunction radial_wavefunction "
               "wavefunction_exponents",
     "oracle": "RadialGrid fd_schrodinger_eigen oracle_energies richardson_extrapolate shoot_mismatch",
     "potential": "PotentialParams centrifugal_approx potential_approx potential_curve potential_exact q_of",

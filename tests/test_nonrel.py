@@ -4,8 +4,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hgmorse.checks import check_normalization
 from hgmorse.errors import InvalidParameter, NoBoundState
@@ -13,8 +11,6 @@ from hgmorse.molecules import builtin_molecules, find_molecule, to_potential_par
 from hgmorse.nonrel import (
     ParticleSpec,
     WavefunctionSpec,
-    _square,
-    energies_nonrel,
     energy_nonrel,
     level_indices,
     make_wavefunction,
@@ -79,58 +75,9 @@ def test_bound_levels_end_where_the_fd_spectrum_meets_the_continuum(name, a, b, 
         accepted += 1
     assert accepted == fd_count == expected
     with pytest.raises(NoBoundState):
-        energies_nonrel(p, part, np.arange(accepted + 1), np.zeros(accepted + 1, int), p.a, p.b)
+        energy_nonrel(p, part, accepted, 0)
     if accepted:
-        assert energies_nonrel(p, part, np.arange(accepted), np.zeros(accepted, int), p.a, p.b)[-1] < v_inf
-
-
-def test_square_is_python_pow_where_numpy_multiplies():
-    x = np.random.default_rng(7).uniform(-1e3, 1e3, 20000)
-    values = x.tolist()
-    differ = [v for v in values if v**2 != v * v]
-    if not differ:
-        pytest.skip("this libm's pow(x, 2) is x*x on every sample")
-    arr = np.array(differ)
-    assert [float(y) for y in _square(arr)] == [v**2 for v in differ]
-    assert np.all(_square(arr) != arr**2)
-    assert _square(arr.reshape(1, -1)).shape == (1, arr.size)
-
-
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(mol=st.sampled_from(builtin_molecules()), alpha=st.floats(0.01, 0.3),
-       a=st.floats(-5.0, 5.0), b=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=8))
-def test_energies_nonrel_is_energy_nonrel_bit_for_bit(mol, alpha, a, b):
-    p, part = to_potential_params(mol, a, 0.0, alpha)
-    pairs = level_indices(5, 5)
-    n, l = np.array([n for n, _ in pairs]), np.array([l for _, l in pairs])
-    for b_value in b:
-        scalar = []
-        for nn, ll in pairs:
-            try:
-                scalar.append(energy_nonrel(dataclasses.replace(p, b=b_value), part, nn, ll))
-            except NoBoundState:
-                scalar.append(None)
-        if None in scalar:
-            with pytest.raises(NoBoundState):
-                energies_nonrel(p, part, n, l, a, b_value)
-        else:
-            assert energies_nonrel(p, part, n, l, a, b_value).tolist() == scalar
-            assert energies_nonrel(p, part, n.astype(float), l.astype(float), a, b_value).tolist() == scalar
-    # the strengths as the arrays, one (n, l)
-    by_b = [energy_nonrel(dataclasses.replace(p, b=b_value), part, 1, 1) for b_value in b]
-    assert energies_nonrel(p, part, 1, 1, a, np.array(b)).tolist() == by_b
-    assert energies_nonrel(p, part, 1, 1, a, b[0]).tolist() == by_b[0]
-
-
-def test_energies_nonrel_rejects_what_energy_nonrel_rejects(ch_free):
-    p, part = ch_free
-    with pytest.raises(InvalidParameter, match="quantum numbers"):
-        energies_nonrel(p, part, np.array([0, 1]), np.array([0, -1]), 0.0, 0.0)
-    with pytest.raises(InvalidParameter, match="not finite"):
-        energies_nonrel(p, part, 0, 0, 1e308, np.array([0.0, 1e308]))
-    # OverflowError from the square of the second element, as energy_nonrel's at a = 1e200
-    with pytest.raises(InvalidParameter, match="not finite"):
-        energies_nonrel(p, part, np.array([0, 1]), np.array([0, 0]), np.array([1.0, 1e200]), 1.0)
+        assert energy_nonrel(p, part, accepted - 1, 0) < v_inf
 
 
 def test_energy_past_the_last_bound_level_raises():

@@ -1,9 +1,10 @@
 """The reference-table scoring and calibration against their scalar loops.
 
-`validate` evaluates each calibration a-row and each diagnostic column as
-one array of closed-form energies (`nonrel.energies_nonrel`).  The loops
-here are the ones it replaced: one `energy_nonrel` call per energy, with a
-fresh potential per call.  Every result must match bit for bit, over grid
+`validate` builds each molecule's potential once and evaluates every
+energy in plain floats at the strengths it scans, on a float rebuild of
+the numpy calibration grid.  The loops here are the reference: one
+`energy_nonrel` call per energy, with a fresh potential per call, on
+`np.linspace`'s grid.  Every result must match bit for bit, over grid
 sizes, screening parameters, a `--config` hbar c and a custom table.
 """
 
@@ -130,6 +131,7 @@ def test_calibrate_matches_the_scalar_loop(rows, units, alpha, grid):
 def test_diagnostics_match_the_scalar_loop(rows, units, alpha):
     got, expected = per_molecule_diagnostics(rows, alpha, units), diagnostics_loop(rows, alpha, units)
     assert list(got.items()) == list(expected.items())
+    assert all(type(x) is float for pair in got.values() for x in pair)
 
 
 @pytest.mark.parametrize("alpha", [0.025, 0.1])
@@ -138,6 +140,8 @@ def test_score_matches_the_scalar_loop(rows, units, alpha, a, b):
     got, expected = score(rows, a, b, alpha, units), score_loop(rows, a, b, alpha, units)
     assert got == expected
     assert list(got["per_molecule"]) == list(expected["per_molecule"])
+    assert all(type(x) is float for pair in got["per_molecule"].values() for x in pair)
+    assert type(got["max"]) is float and type(got["mean"]) is float
 
 
 def test_calibrate_finds_an_exact_grid_hit():
