@@ -102,12 +102,19 @@ def test_cli_import_loads_no_solver_it_may_not_run():
 
 def test_closed_form_commands_load_no_numpy():
     loaded_after = _modules_after(NONREL_LEVELS, NONREL_LEVELS + ["--format", "json"], NONREL_SWEEP,
-                                  NONREL_SWEEP + ["--format", "json"], ["validate", "--calibrate", "--no-timestamp"])
+                                  NONREL_SWEEP + ["--format", "json"])
     for loaded in loaded_after:
         assert not loaded & ARRAY_MODULES
-    # positive controls: the probe saw the json runs and the validate run
-    assert "json" in loaded_after[-2]
-    assert {"hgmorse.validate", "hashlib"} <= loaded_after[-1]
+    # positive control: the probe saw the json run
+    assert "json" in loaded_after[-1]
+
+
+def test_validate_loads_no_numpy():
+    # calibration, scoring and the per-molecule fits all run in plain floats
+    before, after = _modules_after(["validate", "--calibrate", "--no-timestamp"])
+    assert not (before | after) & ARRAY_MODULES
+    # positive control: the probe saw the validate run
+    assert {"hgmorse.validate", "hashlib"} <= after
 
 
 @pytest.mark.parametrize("command", [POTENTIAL, NONREL_LEVELS + ["--oracle"], KG_LEVELS],
