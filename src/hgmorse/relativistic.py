@@ -31,15 +31,15 @@ one field builder and one ODE coefficient serve all three equations: the
 scale factor is S = (M + sign*E + shift)/(hbar c)^2, each field is a
 multiple of sign*S, NaN where S is not positive, and the residual is NaN on
 every domain hole.  The field builder does the state-only work once and
-returns E -> fields, where E is a float64 array of energies or one float.
-The root scan evaluates the residual on its whole energy grid in one call;
-bisection, the public residuals and the spec builder pass one float through
-the same formulas in float arithmetic (a conditional for the NaN of a hole,
-math.sqrt, the builtin abs), in the same order of operations, so a float E
-gives bit for bit the element of the array scan; kg_residual_nonrel_limit
-builds its substituted fields by the same formulas.  One solver, one
-residual and one spec builder serve all three sectors; the public functions
-are one-call wrappers over them.
+returns E -> fields for one float E.  The root scan, bisection, the public
+residuals and the spec builder all evaluate these formulas in plain float
+arithmetic, and kg_residual_nonrel_limit builds its substituted fields by
+them too.  The scan reads the residual only at the grid energies next to
+the real roots of the quantization polynomial, which the same field
+formulas build on polynomial arguments (_scan_samples), and so finds the
+brackets that reading the whole grid finds; the module loads no numpy.
+One solver, one residual and one spec builder serve all three sectors;
+the public functions are one-call wrappers over them.
 
 The fully expanded printed variants of the three eigenvalue equations carry
 typesetting defects (a dropped coupling term, a sign flip, a missing 1/4);
@@ -51,15 +51,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Callable, Optional
 
-import numpy as np
-
-from .errors import InvalidParameter, NoBoundState
+from .errors import InvalidParameter, NoBoundState, SolverError
 from .nonrel import ParticleSpec, _wavefun, radial_wavefunction
 from .potential import PotentialParams, centrifugal_approx, potential_approx
-from .rootfind import bisect, scan_brackets
+from .rootfind import bisect, polynomial_root_disks, scan_brackets
 from .units import HBAR_C_EV_ANGSTROM
 
 if TYPE_CHECKING:
@@ -93,29 +91,27 @@ def lambda_D(D: int, l: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _nan_unless(ok, x):
-    """x where ok holds, NaN elsewhere: a float for a float x, else an array."""
-    if isinstance(x, float):
-        return x if ok else math.nan
-    return np.where(ok, x, np.nan)
-
-
-def _defect(lhs, rhs):
-    """Normalized defect of the equation lhs = rhs, floats or arrays."""
+def _defect(lhs: float, rhs: float) -> float:
+    """Normalized defect of the equation lhs = rhs."""
     return (lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
 
 
-def _nu_eval(f: tuple, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _numerator(P, f: tuple):
+    """The bracket numerator N = P^2 - beta + eta - chi + gamma - phi of P and the fields f."""
+    _, beta, eta, chi, phi, gamma = f
+    return P * P - beta + eta - chi + gamma - phi
+
+
+def _nu_eval(f: tuple, n: int) -> tuple[float, float]:
     """(normalized residual, bracket numerator N) of the fields f, NaN on a domain hole.
 
     A hole is a NaN field (a scale factor <= 0) or a negative radicand
-    1/4 + phi + gamma.  Two floats for float fields, else two arrays.
+    1/4 + phi + gamma.
     """
-    eps, beta, eta, chi, phi, gamma = f
+    eps, beta, _, _, phi, gamma = f
     radicand = 0.25 + phi + gamma
-    root = _nan_unless(radicand >= 0.0, radicand)
-    P = n + 0.5 + (math.sqrt(root) if isinstance(root, float) else np.sqrt(root))
-    N = P * P - beta + eta - chi + gamma - phi
+    P = n + 0.5 + math.sqrt(radicand if radicand >= 0.0 else math.nan)
+    N = _numerator(P, f)
     t = N / P
     return _defect(eps, beta - gamma + 0.25 * (t * t)), N
 
@@ -140,9 +136,10 @@ class _Sector:
 def _nu_fields(p: PotentialParams, T, minus_binding, angular: float) -> tuple:
     """(eps, beta, eta, chi, phi, gamma) of scale factor T and binding term minus_binding.
 
-    The first five are floats or arrays of T's shape; gamma is the
+    The first five are of T's kind, floats or polynomials; gamma is the
     energy-independent angular term.  _fields passes T = sign*S and
-    sign*M - E, kg_residual_nonrel_limit 2 mu/hbar^2 and -E_nl.
+    sign*M - E, kg_residual_nonrel_limit 2 mu/hbar^2 and -E_nl, and
+    _scan_samples polynomials in the radicand's square root.
     """
     a2 = p.alpha**2
     return (T * (minus_binding + p.D_e) / a2, T * p.a / p.alpha, T * p.b / p.alpha,
@@ -151,7 +148,7 @@ def _nu_fields(p: PotentialParams, T, minus_binding, angular: float) -> tuple:
 
 def _fields(
     sector: _Sector, p: PotentialParams, M: float, state: tuple, hbar_c: float
-) -> tuple[Callable[[np.ndarray], tuple], int]:
+) -> tuple[Callable[[float], tuple], int]:
     """(E -> fields, n) of one state; the fields are NaN where S is not positive.
 
     With T = sign*S the Klein-Gordon fields are (-eps_KG, beta, eta, chi,
@@ -163,9 +160,9 @@ def _fields(
     sign = sector.sign
     angular, shift, n = sector.labels(*state)
 
-    def at(E: np.ndarray) -> tuple:
+    def at(E: float) -> tuple:
         S = (M + sign * E + shift) / hc2
-        return _nu_fields(p, sign * _nan_unless(S > 0.0, S), sign * M - E, angular)
+        return _nu_fields(p, sign * (S if S > 0.0 else math.nan), sign * M - E, angular)
 
     return at, n
 
@@ -361,6 +358,213 @@ def default_search_interval(p: PotentialParams, M: float) -> tuple[float, float]
 _SCAN_POINTS = 2000
 #: bracket width (eV) at which the bisection of a root stops
 _BISECT_TOL = 1e-12
+#: grid cells read on each side of the cells that may hold a root of the quantization polynomial
+_HALO = 2
+#: slack, relative to |delta|, within which a root of the quantization polynomial counts as real
+_NEAR_REAL = 1e-3
+#: grid cells a real root's disk may span before its root finder stops refining it
+_ROOT_CELLS = 0.5
+#: no intermediate of the residual overflows while every input is at most this large (see _overflow_free)
+_FINITE_INPUTS = 1e25
+
+
+class _Poly:
+    """A real polynomial as its coefficient list, constant first.
+
+    It takes + - * with floats and polynomials and / by a float, so the
+    field formulas of _nu_fields and _numerator run on it unchanged.
+    """
+
+    __slots__ = ("c",)
+
+    def __init__(self, c: list[float]) -> None:
+        self.c = c
+
+    def __add__(self, other):
+        if type(other) is not _Poly:
+            c = self.c.copy()
+            c[0] += other
+            return _Poly(c)
+        a, b = self.c, other.c
+        if len(a) < len(b):
+            a, b = b, a
+        c = a.copy()
+        for i, y in enumerate(b):
+            c[i] += y
+        return _Poly(c)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if type(other) is not _Poly:
+            c = self.c.copy()
+            c[0] -= other
+            return _Poly(c)
+        b = other.c
+        c = self.c + [0.0] * (len(b) - len(self.c))
+        for i, y in enumerate(b):
+            c[i] -= y
+        return _Poly(c)
+
+    def __rsub__(self, other):
+        c = [-x for x in self.c]
+        c[0] += other
+        return _Poly(c)
+
+    def __mul__(self, other):
+        a = self.c
+        if type(other) is not _Poly:
+            return _Poly([x * other for x in a])
+        c = [0.0] * (len(a) + len(other.c) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(other.c, i):
+                c[j] += x * y
+        return _Poly(c)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other: float):
+        return _Poly([x / other for x in self.c])
+
+    def __call__(self, x: float) -> float:
+        value = 0.0
+        for ck in reversed(self.c):
+            value = value * x + ck
+        return value
+
+
+def _overflow_checked(op: Callable[[float, float], float]) -> Callable[[float, float], float]:
+    def checked(x: float, y: float):
+        r = op(x, y)
+        if r is NotImplemented:
+            return r
+        if math.isinf(r) and math.isfinite(x) and math.isfinite(y):
+            raise FloatingPointError(f"{op.__name__} overflows")
+        return _Strict(r)
+
+    return checked
+
+
+class _Strict(float):
+    """A float whose + - * / and abs() give _Strict floats, and raise
+    FloatingPointError where finite operands give an infinite result: the
+    overflow that numpy's errstate(over="raise") traps in an array, and that
+    Python's float arithmetic lets pass as inf.  An energy of this kind makes
+    every operation of the residual that depends on it a checked one."""
+
+    __slots__ = ()
+    __add__ = _overflow_checked(float.__add__)
+    __radd__ = _overflow_checked(float.__radd__)
+    __sub__ = _overflow_checked(float.__sub__)
+    __rsub__ = _overflow_checked(float.__rsub__)
+    __mul__ = _overflow_checked(float.__mul__)
+    __rmul__ = _overflow_checked(float.__rmul__)
+    __truediv__ = _overflow_checked(float.__truediv__)
+    __rtruediv__ = _overflow_checked(float.__rtruediv__)
+
+    def __abs__(self) -> _Strict:
+        return _Strict(float.__abs__(self))
+
+
+def _overflow_free(p: PotentialParams, M: float, window: tuple[float, float], labels: tuple, hbar_c: float) -> bool:
+    """Whether no intermediate of the residual can overflow at any energy of the window.
+
+    Let X >= 1 bound |E|, M, |shift|, |a|, |b|, D_e, |q|, 1/alpha,
+    1/alpha^2, |angular|, n and 1/(hbar c)^2.  Then S <= 3X^2, every field
+    is at most 9X^4 but phi (3X^6) and chi (6X^5), P <= 5X^3, N <= 41X^6,
+    N/P <= 82X^6 (P >= 1/2), and every later intermediate of _nu_eval, the
+    grid and the defect stays below 1710 X^12, which is finite for X <=
+    _FINITE_INPUTS = 1e25.  Beyond that bound the scan checks each operation.
+    """
+    angular, shift, n = labels
+    return max(abs(window[0]), abs(window[1]), M, abs(shift), abs(p.a), abs(p.b), p.D_e, abs(p.q),
+               1.0 / abs(p.alpha), 1.0 / p.alpha**2, abs(angular), n, 1.0 / hbar_c**2) <= _FINITE_INPUTS
+
+
+@lru_cache(maxsize=8)
+def _field_polynomials(
+    p: PotentialParams, M: float, sign: int, angular: float, shift: float, hbar_c: float
+) -> Optional[tuple[float, float, _Poly, tuple]]:
+    """(k, d0, E, fields) of _scan_samples, E and the fields as polynomials in u; None if k = 0.
+
+    Memoized, since n enters only P: the states of one table or sweep step
+    that differ in n alone share it.
+    """
+    k = _nu_fields(p, 1.0, 0.0, angular)[4]
+    if not k > 0.0:
+        return None
+    d0 = math.sqrt(0.25 + angular)
+    T = _Poly([0.0, 2.0 * d0 / k, 1.0 / k])
+    E = hbar_c**2 * T - sign * (M + shift)
+    return k, d0, E, _nu_fields(p, T, sign * M - E, angular)
+
+
+def _scan_samples(
+    sector: _Sector, p: PotentialParams, M: float, labels: tuple, hbar_c: float, window: tuple[float, float]
+) -> Optional[list[int]]:
+    """The scan grid indices within _HALO cells of a real root of the quantization polynomial, ascending.
+
+    S and the radicand R = 1/4 + phi + gamma are linear in E.  With delta =
+    sqrt(R) = d0 + u, d0 = sqrt(1/4 + gamma) and k = phi per unit T, the
+    scale factor is T = sign*S = u (2 d0 + u)/k and E = (hbar c)^2 T -
+    sign*(M + shift), so every field is a polynomial in u, and so is P =
+    n + 1/2 + d0 + u.  The residual then has the sign of
+    Q = 4 P^2 (eps - beta + gamma) - N^2, of degree 6 in u, which
+    _nu_fields and _numerator build on polynomial arguments.  The residual
+    is defined for u >= -d0 where T has the sign of the sector: u > 0 for
+    the sum potential, -d0 <= u < 0 for the difference potential.  Each sign
+    change of the residual between two grid points brackets a real root
+    u >= -d0 of Q.  polynomial_root_disks covers every root of Q by a disk;
+    each disk that comes within _NEAR_REAL*|delta| of the real axis and of
+    the window's stretch of u (with its halo), cut at u = -d0, maps to an
+    energy interval, whose grid cells and the _HALO cells on each side are
+    read; only those disks are refined, down to _ROOT_CELLS of a cell.  The
+    slack and the halo absorb the rounding of Q's coefficients and of the
+    residual near its roots.
+    Returns None, to read every grid point, where there is no polynomial
+    (k = 0) or no finite disk.
+    """
+    angular, shift, n = labels
+    sign = sector.sign
+    polynomials = _field_polynomials(p, M, sign, angular, shift, hbar_c)
+    if polynomials is None:
+        return None
+    k, d0, E, f = polynomials
+    P = _Poly([n + 0.5 + d0, 1.0])
+    eps, beta, _, _, _, gamma = f
+    N = _numerator(P, f)
+    Q = 4.0 * (P * P) * (eps - beta + gamma) - N * N
+    lo, hi = window
+    step = (hi - lo) / (_SCAN_POINTS - 1)
+    de_du = 2.0 * hbar_c**2 / k  # dE/du over |delta|
+
+    def u_at(E: float) -> float:  # the inverse of E(u) on u >= -d0, without cancellation near u = 0
+        kT = k * sign * (M + sign * E + shift) / hbar_c**2
+        return kT / (math.sqrt(d0 * d0 + kT) + d0) if d0 * d0 + kT > 0.0 else -d0
+
+    # the energies of the window and of the halo beyond it, where the residual is defined
+    u_min, u_max = u_at(lo - (_HALO + 1) * step), u_at(hi + (_HALO + 1) * step)
+    u_min, u_max = (max(u_min, 0.0), u_max) if sign > 0 else (u_min, min(u_max, 0.0))
+
+    def relevant(u: complex, radius: float) -> bool:
+        near = radius + _NEAR_REAL * abs(d0 + u)
+        return abs(u.imag) <= near and u_min - near <= u.real <= u_max + near
+
+    def refine(u: complex, radius: float) -> bool:
+        return radius * de_du * abs(d0 + u) > _ROOT_CELLS * step and relevant(u, radius)
+
+    try:
+        cells: set[int] = set()
+        for u, radius in polynomial_root_disks(Q.c, refine):
+            u_lo, u_hi = max(u.real - radius, -d0), u.real + radius
+            if u_lo > u_hi or not relevant(u, radius):
+                continue
+            first = math.floor((E(u_lo) - lo) / step) - _HALO
+            last = math.floor((E(u_hi) - lo) / step) + _HALO + 1
+            cells.update(range(max(first, 0), min(last, _SCAN_POINTS - 1) + 1))
+    except (ArithmeticError, ValueError, SolverError):
+        return None
+    return sorted(cells)
 
 
 def _solve(
@@ -368,31 +572,41 @@ def _solve(
 ) -> list[float]:
     """All levels of one state in the default_search_interval window, ascending.
 
-    Scans the normalized residual at _SCAN_POINTS energies and bisects each
+    Scans the normalized residual on a _SCAN_POINTS grid and bisects each
     sign change once, down to a _BISECT_TOL-wide bracket, then drops
     squared-equation artifacts (bracket numerator N > 0 at the root) and,
-    unless all_roots, roots off the sector's branch.  No bracket holds
-    a hole or a pole: S and the radicand 1/4 + phi + gamma are linear in E,
-    so each is >= 0 on a half-line and the residual is defined on one
+    unless all_roots, roots off the sector's branch.  The scan reads only
+    the grid points _scan_samples names, around the real roots of the
+    quantization polynomial, and so finds the brackets that reading every
+    point finds; without a polynomial it reads every point.  No bracket
+    holds a hole or a pole: S and the radicand 1/4 + phi + gamma are linear
+    in E, so each is >= 0 on a half-line and the residual is defined on one
     interval, where P >= 1/2 keeps N/P finite and |f| < 1.  A bracket with
     finite ends therefore lies inside that interval.  The scan brackets are
     disjoint and ascending, so the roots come out in order.  Raises
-    NoBoundState when no root is left and InvalidParameter when the scan
-    overflows (a field or the residual would be +-inf; a NaN is a hole), and
-    lets a bisection NonConvergence propagate.
+    NoBoundState when no root is left and InvalidParameter when the residual
+    overflows at a grid point (a field or the residual would be +-inf; a NaN
+    is a hole): where _overflow_free cannot rule that out, the scan reads
+    every point with each operation checked.  Lets a bisection
+    NonConvergence propagate.
     """
-    lo, hi = default_search_interval(p, M)
+    window = lo, hi = default_search_interval(p, M)
     fields, n = _fields(sector, p, M, state, hbar_c)
+    labels = sector.labels(*state)
 
-    def f(E: np.ndarray) -> np.ndarray:
+    def f(E: float) -> float:
         return _nu_eval(fields(E), n)[0]
 
-    try:
-        with np.errstate(over="raise"):
-            brackets = scan_brackets(f, lo, hi, _SCAN_POINTS)
-    except FloatingPointError:
-        raise InvalidParameter(f"the {sector.noun} equation for {sector.describe(*state)} overflows in "
-                               f"[{lo!r}, {hi!r}]: it is not finite at these parameters") from None
+    if _overflow_free(p, M, window, labels, hbar_c):
+        brackets = scan_brackets(f, lo, hi, _SCAN_POINTS, _scan_samples(sector, p, M, labels, hbar_c, window))
+    else:
+        strict_n = _Strict(n)  # with a checked energy, it checks P*P too
+        try:
+            brackets = scan_brackets(lambda E: _nu_eval(fields(E), strict_n)[0], _Strict(lo), _Strict(hi),
+                                     _SCAN_POINTS)
+        except FloatingPointError:
+            raise InvalidParameter(f"the {sector.noun} equation for {sector.describe(*state)} overflows in "
+                                   f"[{lo!r}, {hi!r}]: it is not finite at these parameters") from None
     roots: list[float] = []
     for bracket in brackets:
         root, _ = bisect(f, bracket, _BISECT_TOL)

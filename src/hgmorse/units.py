@@ -8,15 +8,18 @@ them shift reproduced reference energies at the meV level.
 
 Every input file goes through one reader, read_fields; load_config holds
 the whole --config contract.  float_linspace builds the sweep and
-calibration grids without numpy.
+calibration grids without numpy, and linspace_at one value of such a
+grid, for the relativistic root scan.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from .errors import InvalidParameter, ParseError
 
@@ -47,6 +50,8 @@ class UnitConstants:
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0.0:
                 raise InvalidParameter(f"{name} must be finite and > 0, got {value!r}")
+        if self.hbar_c * self.hbar_c < sys.float_info.min:  # the relativistic fields divide by hbar_c^2
+            raise InvalidParameter(f"hbar_c^2 underflows at hbar_c = {self.hbar_c!r}")
 
 
 DEFAULT_UNITS = UnitConstants()
@@ -133,23 +138,27 @@ def load_config(path=None) -> tuple[UnitConstants, float]:
         raise InvalidParameter(f"{path}: {exc}") from exc
 
 
-def float_linspace(start: float, stop: float, num: int) -> list[float]:
-    """np.linspace(start, stop, num) for num >= 1, bit for bit, in Python float arithmetic.
+def linspace_at(start: float, stop: float, num: int) -> Callable[[int], float]:
+    """i -> value i of np.linspace(start, stop, num) for num >= 1, bit for bit, in Python float arithmetic.
 
     As numpy builds it: value i is i*step + start with step =
     (stop - start)/(num - 1), or i/(num - 1)*(stop - start) + start when
     that step underflows to zero (a subnormal range), and the last value is
-    stop; num = 1 gives [0*(stop - start) + start].  Infinite or NaN ends and
+    stop; num = 1 gives 0*(stop - start) + start.  Infinite or NaN ends and
     an overflowing stop - start give inf and NaN values, without the
     warnings numpy prints.
     """
     div = num - 1
     delta = stop - start
     if div == 0:
-        return [0.0 * delta + start]
+        return lambda i: 0.0 * delta + start
     step = delta / div
     if step == 0.0:
-        head = [i / div * delta + start for i in range(div)]
-    else:
-        head = [i * step + start for i in range(div)]
-    return head + [stop]
+        return lambda i: stop if i == div else i / div * delta + start
+    return lambda i: stop if i == div else i * step + start
+
+
+def float_linspace(start: float, stop: float, num: int) -> list[float]:
+    """np.linspace(start, stop, num) for num >= 1, bit for bit, in Python float arithmetic (see linspace_at)."""
+    at = linspace_at(start, stop, num)
+    return [at(i) for i in range(num)]

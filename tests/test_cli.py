@@ -597,6 +597,19 @@ def test_relativistic_sweep_marks_an_overflowing_step_invalid(capsys):
         ["no_bound_state", "invalid_parameter", "invalid_parameter"]
 
 
+@pytest.mark.parametrize("command", [
+    ("levels", "--model", "kg"),
+    ("sweep", "--model", "dirac-spin", "--kappa=-1", "--param", "a", "--from", "0", "--to", "1", "--steps", "2"),
+])
+def test_config_hbar_c_whose_square_underflows_is_a_usage_error(capsys, tmp_path, command):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("hbar_c = 1e-170\n")
+    code, out, err = run(capsys, *command, "--molecule", "CH", "--mass", "500", "--n-max", "0", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "hbar_c^2 underflows" in err
+
+
 @pytest.mark.parametrize("mass", ["-5", "nan", "0", "inf"])
 @pytest.mark.parametrize("command", [
     ("levels",),

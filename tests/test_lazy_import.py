@@ -12,10 +12,10 @@ threads are plain `threading` threads, so concurrent.futures never loads.
 The package exports resolve on first access.  numpy, and the wavefunction
 engine `hgmorse.wavefun` with its `hgmorse.specfun`, load only where an
 array kernel or a wavefunction runs: the closed-form nonrelativistic
-`levels` and `sweep` and `validate` run in plain float arithmetic without
-them, and the relativistic `levels` and `sweep` load numpy but not the
-engine.  Each test runs in a fresh interpreter, because this test process
-has imported all of these long before.
+`levels` and `sweep`, `validate`, and the relativistic `levels` and `sweep`
+(whose root scan reads the residual one float at a time) run in plain
+float arithmetic without them.  Each test runs in a fresh interpreter,
+because this test process has imported all of these long before.
 """
 
 import os
@@ -117,8 +117,7 @@ def test_validate_loads_no_numpy():
     assert {"hgmorse.validate", "hashlib"} <= after
 
 
-@pytest.mark.parametrize("command", [POTENTIAL, NONREL_LEVELS + ["--oracle"], KG_LEVELS],
-                         ids=["potential", "levels-oracle", "kg-levels"])
+@pytest.mark.parametrize("command", [POTENTIAL, NONREL_LEVELS + ["--oracle"]], ids=["potential", "levels-oracle"])
 def test_array_commands_load_numpy(command):
     before, after = _modules_after(command)
     assert "numpy" not in before
@@ -145,9 +144,10 @@ def test_relativistic_models_and_json_load_on_demand():
     assert "hgmorse.oracle" not in after_kg and "json" not in after_kg
     # the solvers report through their return values and the CLI columns, not a logger
     assert "logging" not in after_kg | after_dirac
-    # the root scans need numpy but not the eigenfunction engine
-    assert "numpy" in after_kg
-    assert not (after_kg | after_dirac) & {"hgmorse.wavefun", "hgmorse.specfun"}
+    # the root scans run in plain floats: neither numpy nor the eigenfunction engine
+    assert not (after_kg | after_dirac) & ARRAY_MODULES
+    # positive control: the probe saw the Dirac sweep load its solver
+    assert {"hgmorse.relativistic", "hgmorse.rootfind"} <= after_dirac
     assert "json" in after_json
 
 

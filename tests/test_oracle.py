@@ -244,7 +244,7 @@ def test_shooting_locates_same_energy_as_fd(ch_free):
     E0_fd = float(oracle_energies(p, part, 0, 1)[0][0])
     grid, r_match = shooting_grid(W, E0_fd)
     f = lambda E: shoot_mismatch(W, E, grid, r_match)
-    bracket = scan_brackets(lambda Es: np.array([f(float(E)) for E in Es]), E0_fd - 1e-3, E0_fd + 1e-3, 41)
+    bracket = scan_brackets(f, E0_fd - 1e-3, E0_fd + 1e-3, 41)
     assert len(bracket) == 1
     root, _ = bisect(f, bracket[0], 1e-10)
     assert abs(root - E0_fd) < 2e-6
@@ -260,7 +260,7 @@ def test_no_false_roots_between_eigenvalues(ch_free):
     grid, r_match = shooting_grid(W, E0)
     margin = 1e-4 * (E1 - E0)
     f = lambda E: shoot_mismatch(W, E, grid, r_match)
-    for bracket in scan_brackets(lambda Es: np.array([f(float(E)) for E in Es]), E0 + margin, E1 - margin, 100):
+    for bracket in scan_brackets(f, E0 + margin, E1 - margin, 100):
         root, f_root = bisect(f, bracket, 1e-10)
         assert abs(f_root) >= min(abs(bracket.f_lo), abs(bracket.f_hi))
 

@@ -34,7 +34,7 @@ from hgmorse.relativistic import (
     spin_residual,
     upper_spinor_spec,
 )
-from hgmorse.units import HBAR_C_EV_ANGSTROM
+from hgmorse.units import HBAR_C_EV_ANGSTROM, float_linspace
 from hgmorse.wavefun import SWaveform, support_window
 from ode_helpers import ode_coefficient
 from wavefun_helpers import count_nodes, kg_log_norm_closed, log_norm_closed_form
@@ -185,7 +185,7 @@ def test_residual_is_defined_on_one_interval_and_every_bracket_bisects(sector_st
         return relativistic._nu_eval(at(E), n)[0]
 
     lo, hi = default_search_interval(p, M)
-    finite = np.isfinite(f(np.linspace(lo, hi, 20001))).astype(int)
+    finite = np.array([math.isfinite(f(E)) for E in float_linspace(lo, hi, 20001)], dtype=int)
     assert np.count_nonzero(np.diff(finite) == 1) + finite[0] <= 1  # at most one run of finite values
     for bracket in rootfind.scan_brackets(f, lo, hi, 2000):
         E, res = rootfind.bisect(f, bracket, 1e-12)

@@ -84,6 +84,15 @@ def test_unit_constants_reject_nonpositive():
         UnitConstants(hbar_c=-1.0)
 
 
+def test_config_rejects_an_hbar_c_whose_square_underflows(tmp_path):
+    # the relativistic fields divide by hbar_c^2, which must not be zero or subnormal
+    UnitConstants(hbar_c=1.5e-154)
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("hbar_c = 1e-170\n")
+    with pytest.raises(InvalidParameter, match="hbar_c"):
+        load_config(cfg)
+
+
 def test_config_override(tmp_path):
     cfg = tmp_path / "units.cfg"
     cfg.write_text("# custom constants\nhbar_c = 1973.0\ncm_inv_to_ev = 1.0e-4\n")
