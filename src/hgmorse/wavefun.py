@@ -12,11 +12,13 @@ evaluates on a whole array of nodes at once or at one node.
 
 Molecular parameters push `leading` to ~1e4, so the envelope under/overflows
 doubles by hundreds of orders of magnitude; everything here is therefore
-computed in log space.  The envelope terms (s, log s, log(1 - s)) go through
-libm, not numpy: log s is multiplied by `leading`, so a last-bit difference
-between libm and numpy's exp/log would show in the normalization.  On an
-array they are built column by column, each libm function mapped over all
-nodes at once; `_envelope`, the one-float path, defines them bit for bit.
+computed in log space.  log s is t = -alpha r itself, exact where a log of
+exp(t) would round (and lose digits where s is subnormal), and log(1 - s) is
+numpy's log(-expm1(t)) on both paths: a float t goes through the same numpy
+functions as an array, so it gives the same bits.  s itself stays libm's
+exp, mapped over the nodes: the Jacobi factor is ill-conditioned in s at
+large `leading`, and the term-sum oracle (`checks.term_sum_log_abs_and_sign`)
+evaluates it at libm's s.
 
 A function that takes r gives Python floats for a float r, and arrays of the
 shape of r for an array.  Both take the same envelope, recurrence and numpy
@@ -30,7 +32,6 @@ envelope (log-offset to stay finite), with all nodes in one call; the
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -102,50 +103,49 @@ def hypergeometric_factor(w: SWaveform, s):
     return jacobi_recurrence(w.jacobi, 1.0 - 2.0 * s) / w.pref
 
 
-def _envelope(t: float) -> tuple[float, float, float]:
-    """(s, log s, log(1 - s)) at t = -alpha r, through libm; far out in the
-    window s underflows to 0 while log s = t stays finite."""
-    s = math.exp(t)
-    return s, (t if s == 0.0 else math.log(s)), math.log(-math.expm1(t))
+def _envelope(t: float) -> tuple[float, float]:
+    """(s, log(1 - s)) at t = -alpha r; log s is t itself.  s is libm's exp, as
+    in the term-sum oracle, and log(1 - s) numpy's, as on an array; where
+    alpha r underflows to 0, s is 1 and log(1 - s) is -inf."""
+    if t == 0.0:
+        return 1.0, -math.inf
+    return math.exp(t), float(np.log(-np.expm1(t)))
 
 
-def _envelope_columns(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_envelope` of every element of a 1-d t, bit for bit, as three arrays:
-    one map of each libm function over the nodes, no per-node Python call."""
-    ts = t.tolist()
-    s = np.fromiter(map(math.exp, ts), float, len(ts))
-    log_s = t.copy()  # where s underflows to 0
-    live = s > 0.0
-    log_s[live] = np.fromiter(map(math.log, s[live].tolist()), float)
-    log_one_m_s = np.fromiter(map(math.log, map(operator.neg, map(math.expm1, ts))), float, len(ts))
-    return s, log_s, log_one_m_s
+def _envelope_columns(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_envelope` of every element of t, bit for bit, as two arrays of its
+    shape: libm's exp mapped over the nodes, numpy's log(-expm1) on them."""
+    s = np.fromiter(map(math.exp, t.ravel().tolist()), float, t.size).reshape(t.shape)
+    with np.errstate(divide="ignore"):  # log 0 = -inf where alpha r underflows
+        return s, np.log(-np.expm1(t))
 
 
 def log_abs_and_sign(w: SWaveform, r):
     """(log|u_raw(r)|, sign) of the unnormalized eigenfunction; every r > 0.
 
-    Two floats for a float r, else two arrays of the shape of r.  Where the
-    polynomial factor vanishes, log|u_raw| is -inf and the sign is +1.
+    Two floats for a float r, else two arrays of the shape of r.  Where u_raw
+    is 0 (the polynomial factor vanishes, or alpha r underflows to 0), log|u_raw|
+    is -inf and the sign is +1.
     """
     scalar = isinstance(r, float)
     if scalar:
         if not r > 0.0:
             raise InvalidParameter(f"r must be > 0, got {r!r}")
-        s, log_s, log_one_m_s = _envelope(-w.alpha * r)
     else:
         r = np.asarray(r, dtype=float)
         if not np.all(r > 0.0):
             raise InvalidParameter(f"r must be > 0, got {r[~(r > 0.0)].flat[0]!r}")
-        s, log_s, log_one_m_s = (col.reshape(r.shape) for col in _envelope_columns((-w.alpha * r).ravel()))
+    t = -w.alpha * r
+    s, log_one_m_s = _envelope(t) if scalar else _envelope_columns(t)
     hyp = hypergeometric_factor(w, s)
-    log_env = w.leading * log_s + w.edge * log_one_m_s + w.log_pref
+    log_env = w.leading * t + w.edge * log_one_m_s + w.log_pref
     if scalar:
         # numpy's log, not libm's: the two differ in the last bit at some points
-        log_hyp = float(np.log(abs(hyp))) if hyp != 0.0 else -math.inf
-        return log_env + log_hyp, 1.0 if hyp == 0.0 else math.copysign(1.0, hyp)
+        la = log_env + (float(np.log(abs(hyp))) if hyp != 0.0 else -math.inf)
+        return la, 1.0 if la == -math.inf else math.copysign(1.0, hyp)
     with np.errstate(divide="ignore"):
         la = log_env + np.log(np.abs(hyp))
-    return la, np.where(hyp == 0.0, 1.0, np.copysign(1.0, hyp))
+    return la, np.where(la == -np.inf, 1.0, np.copysign(1.0, hyp))
 
 
 def support_window(w: SWaveform, drop: float = _WINDOW_DROP) -> tuple[float, float]:

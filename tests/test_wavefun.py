@@ -3,12 +3,13 @@
 `wavefun` evaluates the polynomial factor by the Jacobi degree recurrence on
 whole arrays or at one float radius.  The oracles here are the term-by-term
 2F1 sum with its exact-rational fallback (`checks.term_sum_log_abs_and_sign`),
-and `mpmath.hyp2f1` for large exponents.  A float radius must give bit for
-bit the element that the array path gives.
+`mpmath.hyp2f1` for large exponents, and 40-digit mpmath for the envelope.
+A float radius must give bit for bit the element that the array path gives.
 """
 
 import functools
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -256,18 +257,66 @@ def test_float_radius_input_check(which, r):
 def test_envelope_columns_equal_the_one_float_envelope_bit_for_bit():
     rng = np.random.default_rng(7)
     t = np.concatenate([
-        rng.uniform(-800.0, 0.0, 4000),  # below about -745.13, s underflows to 0 and log s = t
+        rng.uniform(-800.0, 0.0, 4000),  # below about -745.13, s underflows to 0
         -np.exp(rng.uniform(-700.0, 0.0, 1000)),  # just below 0, down to -1e-304
         -745.13 + rng.uniform(-0.05, 0.05, 200),  # around the underflow
-        [-5e-324, -1e-300, -1e-17, -745.2, -1000.0],
+        [-5e-324, -1e-300, -1e-17, -745.2, -1000.0, -0.0],  # -0.0: alpha r underflowed, 1 - s = 0
     ])
-    t = t[t < 0.0]
     columns = wavefun._envelope_columns(t)
     reference = np.array([wavefun._envelope(x) for x in t.tolist()]).T
-    assert np.any(columns[0] == 0.0) and np.any(columns[0] > 0.0)
+    assert np.any(columns[0] == 0.0) and np.any(columns[0] > 0.0) and columns[1][-1] == -math.inf
     for got, want in zip(columns, reference):
         assert got.shape == t.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@functools.cache
+def _envelope_reference():
+    """t from -800 to -1e-17, through the subnormal and zero s of t < -708.4,
+    with log s and log(1 - s) at 40 digits."""
+    rng = np.random.default_rng(11)
+    t = -np.concatenate([np.geomspace(1e-17, 800.0, 1500), rng.uniform(708.0, 746.0, 300)])
+    with mp.workdps(40):
+        log_s = [mp.mpf(x) for x in t.tolist()]
+        return t, log_s, [mp.log(-mp.expm1(x)) for x in log_s]
+
+
+@pytest.mark.parametrize("leading,edge", [(3.4e4, 991.0), (5e3, 3.0), (200.0, 40.0)])
+def test_envelope_matches_mpmath(leading, edge):
+    t, log_s, log_one_m_s = _envelope_reference()
+    with mp.workdps(40):
+        want = np.array([float(leading * a + edge * b) for a, b in zip(log_s, log_one_m_s)])
+    got = leading * t + edge * wavefun._envelope_columns(t)[1]
+    libm = np.array([leading * (x if math.exp(x) == 0.0 else math.log(math.exp(x)))
+                     + edge * math.log(-math.expm1(x)) for x in t.tolist()])
+
+    def ulps(y):
+        return np.abs(y - want) / np.spacing(np.abs(want))
+
+    # measured: at most 2 ulp of the correctly rounded value (1.2e-10 at
+    # leading = 3.4e4, where the log envelope reaches -2.7e7)
+    assert ulps(got).max() <= 2.0
+    # libm's log(exp(t)) loses the digits that a subnormal s drops, and is
+    # no better than log s = t where s is normal
+    normal = t >= math.log(sys.float_info.min)
+    assert ulps(got)[normal].max() <= ulps(libm)[normal].max()
+    assert ulps(got).max() <= ulps(libm).max()
+
+
+def test_radius_whose_alpha_r_underflows_has_a_zero_value():
+    # 0.025 * 5e-324 rounds to 0: s = 1, so (1 - s)^edge and u are 0
+    r = 5e-324
+    for f, spec in _one_radius_specs():
+        w = spec.waveform
+        assert -w.alpha * r == 0.0
+        assert log_abs_and_sign(w, r) == (-math.inf, 1.0)
+        u = f(spec, r)
+        assert u == 0.0 and math.copysign(1.0, u) == 1.0 and value(w, spec.log_norm, r) == u
+        rs = np.array([r, 0.5 * sum(support_window(w))])
+        la, sign = log_abs_and_sign(w, rs)
+        assert (la[0], sign[0]) == (-math.inf, 1.0) and np.isfinite(la[1])
+        # bit for bit, the sign of zero included
+        assert np.array([f(spec, x) for x in rs.tolist()]).tobytes() == value(w, spec.log_norm, rs).tobytes()
 
 
 def test_gauss_legendre_rule_is_built_once_and_read_only():
