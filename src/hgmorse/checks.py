@@ -12,6 +12,7 @@ records against the AC tolerances pinned in tests/test_acceptance.py.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -261,7 +262,7 @@ def term_sum_log_abs_and_sign(w: SWaveform, r: float) -> tuple[float, float]:
     log_pref = sum(math.log(2.0 * w.leading + 1.0 + k) for k in range(w.n)) - math.lgamma(w.n + 1.0)
     if hyp == 0.0:
         return -math.inf, 1.0
-    log_s = -w.alpha * r if s == 0.0 else math.log(s)
+    log_s = -w.alpha * r if s < sys.float_info.min else math.log(s)  # a subnormal s has lost digits
     log_env = w.leading * log_s + w.edge * math.log(one_m_s)
     return log_env + log_pref + math.log(abs(hyp)), math.copysign(1.0, hyp)
 

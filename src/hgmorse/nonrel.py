@@ -21,8 +21,9 @@ The sign of the D_e q^2/alpha^2 coupling term here differs from one printed
 variant of this formula; the finite-difference oracle selects this one
 decisively (the other is off by ~0.2 eV for CH); the eliminated variant
 lives in the tests, which hold it against the oracle.
-Wavefunctions are the standard s = e^(-alpha r) hypergeometric
-forms, normalized by quadrature (the closed-form constant is exact at n = 0
+Wavefunctions are s^omega (1 - s)^phi_exp P_n^(2 omega, 2 phi_exp - 1)(1 - 2s)
+in s = e^(-alpha r) (`wavefun`), normalized by quadrature (the
+closed-form constant is exact at n = 0
 but inherits a flawed norm identity at n >= 1; it lives in the tests, which
 compare it with the quadrature value).
 

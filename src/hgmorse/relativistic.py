@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import InvalidParameter, NoBoundState, SolverError
@@ -345,13 +345,17 @@ def default_search_interval(p: PotentialParams, M: float) -> tuple[float, float]
 
     The approximate potential tends to D_e - a*alpha at infinity, so bound
     energies satisfy (E+M)(E - M - D_e + a*alpha) < 0 rather than lying in
-    the bare mass gap.  Raises InvalidParameter unless M is finite and > 0.
+    the bare mass gap.  Raises InvalidParameter unless M is finite and > 0,
+    and where the upper end overflows.
     """
     if not (math.isfinite(M) and M > 0.0):
         raise InvalidParameter(f"the mass M must be finite and > 0, got {M!r}")
     margin = 1e-6 * M
     v_inf = max(p.D_e - p.a * p.alpha, 0.0)
-    return -M + margin, M + v_inf - margin
+    hi = M + v_inf - margin
+    if not math.isfinite(hi):
+        raise InvalidParameter(f"the bound-state window's upper end M + D_e - a*alpha overflows at M = {M!r}")
+    return -M + margin, hi
 
 
 #: residual samples of the root scan over the default_search_interval window
@@ -481,15 +485,10 @@ def _overflow_free(p: PotentialParams, M: float, window: tuple[float, float], la
                1.0 / abs(p.alpha), 1.0 / p.alpha**2, abs(angular), n, 1.0 / hbar_c**2) <= _FINITE_INPUTS
 
 
-@lru_cache(maxsize=8)
 def _field_polynomials(
     p: PotentialParams, M: float, sign: int, angular: float, shift: float, hbar_c: float
 ) -> Optional[tuple[float, float, _Poly, tuple]]:
-    """(k, d0, E, fields) of _scan_samples, E and the fields as polynomials in u; None if k = 0.
-
-    Memoized, since n enters only P: the states of one table or sweep step
-    that differ in n alone share it.
-    """
+    """(k, d0, E, fields) of _scan_samples, E and the fields as polynomials in u; None if k = 0."""
     k = _nu_fields(p, 1.0, 0.0, angular)[4]
     if not k > 0.0:
         return None

@@ -2,13 +2,13 @@
 
 Every bound eigenfunction produced by this package has the same shape,
 
-    u(r) = s^leading * (1 - s)^edge * (2*leading + 1)_n / n!
-           * 2F1(-n, n + 2*leading + 2*edge; 2*leading + 1; s),
+    u(r) = s^leading * (1 - s)^edge * P_n^(2*leading, 2*edge - 1)(1 - 2s),
 
 with leading > 0 controlling the r -> infinity decay and edge > 1/2 the
-r -> 0 vanishing.  The polynomial factor is the Jacobi polynomial
-P_n^(2*leading, 2*edge - 1)(1 - 2s), which `specfun.jacobi_recurrence`
-evaluates on a whole array of nodes at once or at one node.
+r -> 0 vanishing.  The Jacobi polynomial is (2*leading + 1)_n / n! times
+2F1(-n, n + 2*leading + 2*edge; 2*leading + 1; s) (DLMF 18.5.7), and
+`specfun.jacobi_recurrence` evaluates it on a whole array of nodes at once
+or at one node.
 
 Molecular parameters push `leading` to ~1e4, so the envelope under/overflows
 doubles by hundreds of orders of magnitude; everything here is therefore
@@ -38,7 +38,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .errors import InvalidParameter, NoBoundState
-from .specfun import JacobiParams, jacobi_recurrence, pochhammer
+from .specfun import JacobiParams, jacobi_recurrence
 
 #: log-drop below the envelope peak at which the support window is truncated
 _WINDOW_DROP = 160.0
@@ -84,24 +84,6 @@ class SWaveform:
         """The polynomial factor P_n^(2*leading, 2*edge - 1)."""
         return JacobiParams(2.0 * self.leading, 2.0 * self.edge - 1.0, self.n)
 
-    @cached_property
-    def pref(self) -> float:
-        """(2*leading + 1)_n / n!, the ratio of the Jacobi polynomial to the 2F1."""
-        return pochhammer(2.0 * self.leading + 1.0, self.n) / math.factorial(self.n)
-
-    @cached_property
-    def log_pref(self) -> float:
-        """log of `pref`, summed term by term."""
-        return sum(math.log(2.0 * self.leading + 1.0 + k) for k in range(self.n)) - math.lgamma(self.n + 1.0)
-
-
-def hypergeometric_factor(w: SWaveform, s):
-    """2F1(-n, n + 2*leading + 2*edge; 2*leading + 1; s), for a float or elementwise.
-
-    Uses (2L+1)_n/n! * 2F1(-n, n+2L+2e; 2L+1; s) = P_n^(2L, 2e-1)(1 - 2s).
-    """
-    return jacobi_recurrence(w.jacobi, 1.0 - 2.0 * s) / w.pref
-
 
 def _envelope(t: float) -> tuple[float, float]:
     """(s, log(1 - s)) at t = -alpha r; log s is t itself.  s is libm's exp, as
@@ -125,7 +107,11 @@ def log_abs_and_sign(w: SWaveform, r):
 
     Two floats for a float r, else two arrays of the shape of r.  Where u_raw
     is 0 (the polynomial factor vanishes, or alpha r underflows to 0), log|u_raw|
-    is -inf and the sign is +1.
+    is -inf and the sign is +1.  log|u_raw| is otherwise finite wherever the
+    recurrence is: at every r while P_n(1) = (2*leading + 1)_n / n!, the
+    largest value of the polynomial factor, is a finite float.  Past that
+    (n >= 135 for N2 at a = b = 1 and alpha = 0.025), it is not finite where
+    s -> 0, far outside the support window.
     """
     scalar = isinstance(r, float)
     if scalar:
@@ -137,15 +123,15 @@ def log_abs_and_sign(w: SWaveform, r):
             raise InvalidParameter(f"r must be > 0, got {r[~(r > 0.0)].flat[0]!r}")
     t = -w.alpha * r
     s, log_one_m_s = _envelope(t) if scalar else _envelope_columns(t)
-    hyp = hypergeometric_factor(w, s)
-    log_env = w.leading * t + w.edge * log_one_m_s + w.log_pref
+    poly = jacobi_recurrence(w.jacobi, 1.0 - 2.0 * s)
+    log_env = w.leading * t + w.edge * log_one_m_s
     if scalar:
         # numpy's log, not libm's: the two differ in the last bit at some points
-        la = log_env + (float(np.log(abs(hyp))) if hyp != 0.0 else -math.inf)
-        return la, 1.0 if la == -math.inf else math.copysign(1.0, hyp)
+        la = log_env + (float(np.log(abs(poly))) if poly != 0.0 else -math.inf)
+        return la, 1.0 if la == -math.inf else math.copysign(1.0, poly)
     with np.errstate(divide="ignore"):
-        la = log_env + np.log(np.abs(hyp))
-    return la, np.where(la == -np.inf, 1.0, np.copysign(1.0, hyp))
+        la = log_env + np.log(np.abs(poly))
+    return la, np.where(la == -np.inf, 1.0, np.copysign(1.0, poly))
 
 
 def support_window(w: SWaveform, drop: float = _WINDOW_DROP) -> tuple[float, float]:
@@ -193,10 +179,10 @@ def log_norm_quadrature(w: SWaveform) -> float:
 
 
 def value(w: SWaveform, log_norm: float, r):
-    """Normalized eigenfunction values at r (log-space product, always finite).
+    """Normalized eigenfunction values at r, a log-space product.
 
     A float for a float r, else an array of the shape of r; it is 0.0 where
-    the polynomial factor vanishes.
+    the polynomial factor vanishes, and finite where `log_abs_and_sign` is.
     """
     la, sign = log_abs_and_sign(w, r)
     u = sign * np.exp(la + log_norm)

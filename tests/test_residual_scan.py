@@ -283,6 +283,30 @@ def test_sparse_scan_examples_are_what_they_claim():
     assert any(holes) and not all(holes)
 
 
+def _fallback_states():
+    """(sector, params, M, state): CH Klein-Gordon n = 0, 2 and spin kappa = -2
+    at M = 500 eV, and pseudospin kappa = 1 at M = 5000 eV, where n = 1 binds."""
+    p, part = to_potential_params(find_molecule("CH"), 1.0, 1.0, 0.025)
+    ps, pp = scaled_params(p, part, 500.0), pseudospin_params(p, 5000.0, HBAR_C_EV_ANGSTROM)
+    return [(_KG, ps, 500.0, (QuantumNumbers(n=0, l=0),)), (_KG, ps, 500.0, (QuantumNumbers(n=2, l=1),)),
+            (_SPIN, ps, 500.0, (-2, 0.0, 1)), (_PSEUDOSPIN, pp, 5000.0, (1, 0.0, 1))]
+
+
+@pytest.mark.parametrize("error", [NonConvergence, ZeroDivisionError])
+def test_scan_reads_every_point_when_the_root_disks_fail(error, monkeypatch):
+    expected = [relativistic._solve(*case, True, HBAR_C_EV_ANGSTROM) for case in _fallback_states()]
+    assert all(_solver_scan(*case)[1] is not None for case in _fallback_states())
+
+    def failing(*args):
+        raise error("root disks failed")
+
+    monkeypatch.setattr(relativistic, "polynomial_root_disks", failing)
+    for case, roots in zip(_fallback_states(), expected):
+        assert _solver_scan(*case)[1] is None  # no sample list: every grid point is read
+        got = relativistic._solve(*case, True, HBAR_C_EV_ANGSTROM)
+        assert _bits(got).tolist() == _bits(roots).tolist(), case[0].noun
+
+
 # --- the overflow guard against the numpy scan it replaced ------------------------------------
 
 
@@ -317,9 +341,11 @@ _MAGNITUDE = st.floats(-3.0, 308.0).map(lambda e: 10.0**e)
        b=st.one_of(_MAGNITUDE, st.just(1.0)), De=st.one_of(_MAGNITUDE, st.just(4.0)), M=_MAGNITUDE,
        alpha=st.floats(0.01, 0.3), C=st.one_of(st.just(0.0), _MAGNITUDE))
 @example(sector=_KG, a=0.0, b=1.0, De=1.0, M=1.7e308, alpha=0.1, C=0.0)  # the window's width overflows
-@example(sector=_KG, a=0.0, b=1.0, De=1e308, M=1e308, alpha=0.1, C=0.0)  # an infinite window end, no overflow
+@example(sector=_KG, a=0.0, b=1.0, De=1e308, M=1e308, alpha=0.1, C=0.0)  # an infinite window end
 @example(sector=_SPIN, a=1e200, b=1.0, De=4.0, M=500.0, alpha=0.1, C=0.0)
 def test_solver_overflows_exactly_where_the_numpy_scan_did(sector, a, b, De, M, alpha, C):
+    # where the window's upper end M + D_e - a*alpha overflows, there is no
+    # window to scan: the solver raises, as it does where a finite window's scan overflows
     p = PotentialParams(a=a, b=b, D_e=De, r_e=1.1, alpha=alpha)
     state = (QuantumNumbers(n=1, l=1),) if sector is _KG else (2, C, 1)
     try:
@@ -330,4 +356,5 @@ def test_solver_overflows_exactly_where_the_numpy_scan_did(sector, a, b, De, M, 
         raised = True
     except (NoBoundState, NonConvergence):
         raised = False
-    assert raised == _numpy_scan_overflows(sector, p, M, state)
+    infinite_window = math.isinf(M + max(De - a * alpha, 0.0) - 1e-6 * M)
+    assert raised == (infinite_window or _numpy_scan_overflows(sector, p, M, state))

@@ -3,13 +3,14 @@
 `wavefun` evaluates the polynomial factor by the Jacobi degree recurrence on
 whole arrays or at one float radius.  The oracles here are the term-by-term
 2F1 sum with its exact-rational fallback (`checks.term_sum_log_abs_and_sign`),
-`mpmath.hyp2f1` for large exponents, and 40-digit mpmath for the envelope.
+`mpmath.jacobi` for large exponents, and 40-digit mpmath for the envelope.
 A float radius must give bit for bit the element that the array path gives.
 """
 
 import functools
 import math
 import sys
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -40,11 +41,11 @@ from hgmorse.relativistic import (
     solve_kg_energy,
     upper_spinor_spec,
 )
+from hgmorse.specfun import jacobi_recurrence
 from hgmorse.units import HBAR_C_EV_ANGSTROM
 from hgmorse.wavefun import (
     SWaveform,
     bound_exponents,
-    hypergeometric_factor,
     log_abs_and_sign,
     log_norm_quadrature,
     quadrature_nodes,
@@ -79,33 +80,63 @@ def _waveforms(name, kind):
         yield SWaveform(leading, edge, n, p.alpha)
 
 
+def _assert_matches_term_sum(w, r):
+    """Equal signs, and |d log|u|| <= 1e-9 wherever log|2F1| lies within
+    log(1e6) of its peak."""
+    la, sign = log_abs_and_sign(w, r)
+    oracle = np.array([term_sum_log_abs_and_sign(w, float(x)) for x in r])
+    la_ref, sign_ref = oracle[:, 0], oracle[:, 1]
+    assert np.array_equal(sign, sign_ref), w.n
+    # log|2F1| up to a per-state constant: la less the envelope
+    log_hyp = la_ref - (-w.leading * w.alpha * r + w.edge * np.log1p(-np.exp(-w.alpha * r)))
+    away = log_hyp > log_hyp.max() - math.log(1e6)
+    assert np.all(np.abs(la - la_ref)[away] <= 1e-9), w.n
+
+
 @pytest.mark.parametrize("kind", ["nonrel", "kg", "spin"])
 @pytest.mark.parametrize("name", NAMES)
 def test_array_path_matches_term_sum_at_quadrature_nodes(name, kind):
     for w in _waveforms(name, kind):
-        r = quadrature_nodes(w)[0][::NODE_STRIDE]
-        la, sign = log_abs_and_sign(w, r)
-        oracle = np.array([term_sum_log_abs_and_sign(w, float(x)) for x in r])
-        la_ref, sign_ref = oracle[:, 0], oracle[:, 1]
-        assert np.array_equal(sign, sign_ref), (name, kind, w.n)
-        # log|hyp| up to a per-state constant: la less the envelope
-        log_hyp = la_ref - (-w.leading * w.alpha * r + w.edge * np.log1p(-np.exp(-w.alpha * r)))
-        away = log_hyp > log_hyp.max() - math.log(1e6)
-        assert np.all(np.abs(la - la_ref)[away] <= 1e-9), (name, kind, w.n)
+        _assert_matches_term_sum(w, quadrature_nodes(w)[0][::NODE_STRIDE])
+
+
+#: every 97th quadrature node of an n = 80 state, of 2656 panels of 24 nodes
+HIGH_N_STRIDE = 97
+
+
+@pytest.mark.parametrize("kind", ["nonrel", "kg"])
+def test_array_path_matches_term_sum_at_n_80(kind):
+    # (2*leading + 1)_n, a product of n factors near 1.2e4, passes the float
+    # range from n = 76 at N2, though P_n itself stays finite
+    p, part = to_potential_params(find_molecule("N2"), 1.0, 1.0, ALPHA)
+    if kind == "nonrel":
+        w = make_wavefunction(p, part, 80, 0).waveform
+    else:
+        ps, qn = scaled_params(p, part, 5000.0), QuantumNumbers(n=80, l=0)
+        w = kg_wavefunction_spec(ps, 5000.0, solve_kg_energy(ps, 5000.0, qn)[0], qn).waveform
+    _assert_matches_term_sum(w, quadrature_nodes(w)[0][::HIGH_N_STRIDE])
+
+
+def test_log_norm_at_n_80_is_finite_and_warning_free():
+    # its value is not pinned: the support window cuts off part of the norm at high n
+    p, part = to_potential_params(find_molecule("N2"), 1.0, 1.0, ALPHA)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = make_wavefunction(p, part, 80, 0)
+    assert math.isfinite(spec.log_norm)
 
 
 @pytest.mark.parametrize("edge", [1.3, 7.9, 40.0])
-def test_hypergeometric_factor_matches_mpmath_at_large_leading(edge):
+def test_jacobi_factor_matches_mpmath_at_large_leading(edge):
     with mp.workdps(50):
         for n in range(11):
             w = SWaveform(1.0e4 + 0.37, edge, n, ALPHA)
-            s = np.array([math.exp(-w.alpha * r) for r in np.linspace(*support_window(w), 81)])
-            B = mp.mpf(repr(n + 2.0 * w.leading + 2.0 * w.edge))
-            C = mp.mpf(repr(2.0 * w.leading + 1.0))
-            ref = np.array([float(mp.hyp2f1(-n, B, C, mp.mpf(repr(float(x))))) for x in s])
-            got = hypergeometric_factor(w, s)
+            x = 1.0 - 2.0 * np.array([math.exp(-w.alpha * r) for r in np.linspace(*support_window(w), 81)])
+            a, b = mp.mpf(repr(w.jacobi.theta)), mp.mpf(repr(w.jacobi.vartheta))
+            ref = np.array([float(mp.jacobi(n, a, b, mp.mpf(repr(float(y))))) for y in x])
+            got = jacobi_recurrence(w.jacobi, x)
             # near a root the relative error of any float evaluation grows
-            # without bound, so compare where |2F1| is within 20x of its peak
+            # without bound, so compare where |P_n| is within 20x of its peak
             away = np.abs(ref) > 0.05 * np.abs(ref).max()
             assert away.sum() >= 10
             assert np.all(np.abs(got - ref)[away] <= 1e-12 * np.abs(ref)[away]), (edge, n)
@@ -169,7 +200,7 @@ def test_zero_of_polynomial_factor():
     # exp(-log 2) rounds to 0.5 exactly, so the node at r = log 2 hits it
     w = SWaveform(1.5, 2.0, 1, 1.0)
     r = np.array([0.5, math.log(2.0), 1.5])
-    assert hypergeometric_factor(w, np.array([math.exp(-x) for x in r]))[1] == 0.0
+    assert jacobi_recurrence(w.jacobi, 1.0 - 2.0 * np.array([math.exp(-x) for x in r]))[1] == 0.0
     la, sign = log_abs_and_sign(w, r)
     assert la[1] == -math.inf and sign[1] == 1.0
     assert np.all(np.isfinite(la[[0, 2]]))
@@ -177,7 +208,7 @@ def test_zero_of_polynomial_factor():
     assert u[1] == 0.0 and u[0] != 0.0 and u[2] != 0.0
     assert term_sum_log_abs_and_sign(w, math.log(2.0)) == (-math.inf, 1.0)
     # the float path hits the same zero
-    assert hypergeometric_factor(w, 0.5) == 0.0
+    assert jacobi_recurrence(w.jacobi, 1.0 - 2.0 * 0.5) == 0.0
     assert log_abs_and_sign(w, math.log(2.0)) == (-math.inf, 1.0)
     log_norm = log_norm_quadrature(w)
     for spec, f in ((WavefunctionSpec(1.5, 2.0, 1, 1.0, log_norm), radial_wavefunction),
@@ -301,6 +332,20 @@ def test_envelope_matches_mpmath(leading, edge):
     normal = t >= math.log(sys.float_info.min)
     assert ulps(got)[normal].max() <= ulps(libm)[normal].max()
     assert ulps(got).max() <= ulps(libm).max()
+
+
+@pytest.mark.parametrize("alpha_r", [700.0, 709.0, 740.0, 745.0])
+def test_term_sum_takes_log_s_as_minus_alpha_r_where_s_is_subnormal(alpha_r):
+    # log(exp(-745)) of the subnormal s is -732.3, which the leading 3.4e4 made
+    # -25310962.4 against the exact -25330000
+    w = SWaveform(3.4e4, 991.0, 0, ALPHA)
+    r = alpha_r / w.alpha
+    t = -w.alpha * r
+    with mp.workdps(40):
+        want = float(w.leading * mp.mpf(t) + w.edge * mp.log(-mp.expm1(mp.mpf(t))))
+    la, sign = term_sum_log_abs_and_sign(w, r)
+    assert sign == 1.0 and la == pytest.approx(want, rel=1e-15)
+    assert la == pytest.approx(log_abs_and_sign(w, r)[0], rel=1e-15)
 
 
 def test_radius_whose_alpha_r_underflows_has_a_zero_value():
