@@ -15,7 +15,6 @@ import math
 import sys
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .nonrel import ParticleSpec, WavefunctionSpec, energy_nonrel, make_wavefunc
 from .oracle import (FD_POINTS, RadialGrid, fd_extrapolated, mismatch_sign_change, oracle_energies, scipy_extension,
                      thread_map)
 from .potential import PotentialParams
+from .record import Record
 from .relativistic import (
     QuantumNumbers,
     RelWavefunctionSpec,
@@ -78,8 +78,7 @@ def worst_of(devs) -> float:
     return float(np.max(devs, initial=0.0))
 
 
-@dataclass(frozen=True)
-class OracleEquivalence:
+class OracleEquivalence(Record):
     """|closed - FD| (eV) per level at a = b = 0 (bare) and a = b = 1 (unit), wall time, CSV rows."""
 
     molecule: str
@@ -94,8 +93,7 @@ class OracleEquivalence:
                 f"molecule={self.molecule} max|closed - FD| = {worst:.3g} eV in {self.seconds:.1f} s")
 
 
-@dataclass(frozen=True)
-class RelativisticResiduals:
+class RelativisticResiduals(Record):
     """Roots, worst |residual|, all shooting flips within 1e-8*M, every case bound enough states."""
 
     levels: int
@@ -110,8 +108,7 @@ class RelativisticResiduals:
         return ("relativistic-residuals", self.worst <= 1e-9 and self.flips and self.bound, detail)
 
 
-@dataclass(frozen=True)
-class CrossIdentities:
+class CrossIdentities(Record):
     """Worst |E_KG - E_spin| and spin-doublet gap (eV), worst nonrel-limit residual, and
     the (M, l) cases where a KG or spin state did not bind."""
 
@@ -130,8 +127,7 @@ class CrossIdentities:
         return ("cross-identities", passed, detail)
 
 
-@dataclass(frozen=True)
-class SpecialFunctions:
+class SpecialFunctions(Record):
     """Worst Jacobi-vs-recurrence relative deviation and |I(0;1,1) - 1/3|."""
 
     worst: float
@@ -142,8 +138,7 @@ class SpecialFunctions:
                 f"jacobi-vs-recurrence max rel dev = {self.worst:.2g}, |I(0;1,1) - 1/3| = {self.third:.2g}")
 
 
-@dataclass(frozen=True)
-class Normalization:
+class Normalization(Record):
     """Worst |quadrature norm - 1| over the states integrated."""
 
     worst: float
@@ -152,8 +147,7 @@ class Normalization:
         return ("normalization", self.worst <= 1e-6, f"max |quad norm - 1| = {self.worst:.2g}")
 
 
-@dataclass(frozen=True)
-class BoxSelfTest:
+class BoxSelfTest(Record):
     """Worst relative deviation of the four lowest box levels, extrapolated from the
     production FD solver on a grid and its refinement (fd_extrapolated, as oracle_energies)."""
 

@@ -11,7 +11,6 @@ codes: 0 success, 1 acceptance/check failure, 2 usage or parameter error
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import math
 import os
@@ -22,6 +21,7 @@ from .errors import InvalidParameter, NoBoundState, ParseError, SolverError
 from .molecules import Molecule, find_molecule, load_molecules, to_potential_params
 from .nonrel import ParticleSpec, energy_nonrel, level_indices
 from .potential import PotentialParams, potential_curve
+from .record import replace
 from .units import UnitConstants, float_linspace, load_config
 
 EXIT_OK = 0
@@ -254,7 +254,7 @@ def cmd_sweep(args, out) -> int:
     series: dict[tuple[int, int], list[float]] = {(n, second): [] for n, second, _ in states}
     for value in values:
         try:
-            p_i = dataclasses.replace(params, **{field: value * scale})
+            p_i = replace(params, **{field: value * scale})
         except InvalidParameter:
             p_i = None
         for n, second, state in states:

@@ -10,19 +10,18 @@ comments, '.' decimals, read by units.read_fields.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InvalidParameter
 from .nonrel import ParticleSpec
 from .potential import PotentialParams
+from .record import Record
 from .units import DEFAULT_UNITS, UnitConstants, amu_to_mass_energy, cm_inverse_to_ev, read_fields
 
 CSV_HEADER = "name,De_cm,re_angstrom,mu_amu"
 
 
-@dataclass(frozen=True)
-class Molecule:
+class Molecule(Record):
     """One spectroscopic record in input units."""
 
     name: str

@@ -35,12 +35,12 @@ asked for.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import TYPE_CHECKING
 
 from .errors import InvalidParameter, NoBoundState
 from .potential import PotentialParams
+from .record import Record
 from .units import HBAR_C_EV_ANGSTROM
 
 if TYPE_CHECKING:
@@ -48,8 +48,7 @@ if TYPE_CHECKING:
     from .relativistic import RelWavefunctionSpec
 
 
-@dataclass(frozen=True)
-class ParticleSpec:
+class ParticleSpec(Record):
     """Reduced mass-energy mu*c^2 (eV) plus the hbar*c it is used with."""
 
     mu_energy: float
@@ -130,8 +129,7 @@ def wavefunction_exponents(p: PotentialParams, part: ParticleSpec, E: float, l: 
                                       0.25 + l * (l + 1) + T * p.D_e * p.q**2 / a2)
 
 
-@dataclass(frozen=True)
-class WavefunctionSpec:
+class WavefunctionSpec(Record):
     """Exponents, degree and normalization of one radial eigenfunction.
 
     The normalization constant is stored as log_norm because molecular

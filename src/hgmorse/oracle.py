@@ -52,7 +52,6 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass
 from types import ModuleType
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -60,6 +59,7 @@ import numpy as np
 
 from .errors import GridTooCoarse, InvalidParameter, NonConvergence
 from .potential import PotentialParams, centrifugal_approx, potential_approx
+from .record import Record
 
 if TYPE_CHECKING:  # pragma: no cover
     from .nonrel import ParticleSpec
@@ -106,8 +106,7 @@ _DVR_BISECTIONS = 40
 _CHUNK_STEPS = 8192
 
 
-@dataclass(frozen=True)
-class RadialGrid:
+class RadialGrid(Record):
     """Radial span [r_min, r_max] and its point count.
 
     Each oracle lays out its own nodes on the span: the FD oracle uniformly

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import InvalidParameter
+from .record import Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -43,8 +43,7 @@ def q_of(alpha: float, r_e: float) -> float:
         raise InvalidParameter(f"q = e^(alpha*r_e) - 1 overflows at alpha*r_e = {alpha * r_e!r}") from None
 
 
-@dataclass(frozen=True)
-class PotentialParams:
+class PotentialParams(Record):
     """The five potential constants; q is derived at construction.
 
     a, b are the Coulomb/Yukawa strengths in eV*A, D_e the well depth in eV,
@@ -59,7 +58,6 @@ class PotentialParams:
     D_e: float
     r_e: float
     alpha: float
-    q: float = field(init=False)
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "D_e", "r_e", "alpha"):

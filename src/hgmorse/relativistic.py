@@ -50,13 +50,13 @@ cross_check_residual column of a relativistic levels table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import InvalidParameter, NoBoundState, SolverError
 from .nonrel import ParticleSpec, _wavefun, radial_wavefunction
 from .potential import PotentialParams, centrifugal_approx, potential_approx
+from .record import Record
 from .rootfind import bisect, polynomial_root_disks, scan_brackets
 from .units import HBAR_C_EV_ANGSTROM
 
@@ -64,8 +64,7 @@ if TYPE_CHECKING:
     from . import wavefun
 
 
-@dataclass(frozen=True)
-class QuantumNumbers:
+class QuantumNumbers(Record):
     """State labels: radial n, orbital l, dimension D."""
 
     n: int
@@ -116,8 +115,7 @@ def _nu_eval(f: tuple, n: int) -> tuple[float, float]:
     return _defect(eps, beta - gamma + 0.25 * (t * t)), N
 
 
-@dataclass(frozen=True)
-class _Sector:
+class _Sector(Record):
     """One relativistic wave equation over the shared quantization core.
 
     A state is the tuple of labels the equation's public functions take
@@ -668,8 +666,7 @@ def solve_dirac_pseudospin(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RelWavefunctionSpec:
+class RelWavefunctionSpec(Record):
     """Exponents, degree and log normalization of one relativistic radial part."""
 
     leading_exp: float

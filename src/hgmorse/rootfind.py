@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .errors import InvalidParameter, NonConvergence
+from .record import Record
 from .units import linspace_at
 
 #: most halvings bisect makes before it gives up with NonConvergence
@@ -35,8 +35,7 @@ _START_TURN = 0.01
 _HORNER_ERROR = 1e-14
 
 
-@dataclass(frozen=True)
-class RootBracket:
+class RootBracket(Record):
     """A certified sign change: lo < hi with f(lo)*f(hi) < 0."""
 
     lo: float

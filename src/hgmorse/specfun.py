@@ -20,12 +20,12 @@ exponents arising from molecular parameters push arguments to ~2e4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidParameter
+from .record import Record
 
 
 def ln_gamma(x: float) -> float:
@@ -87,8 +87,7 @@ def hyp2f1_terminating(n: int, B: float, C: float, s: float) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class JacobiParams:
+class JacobiParams(Record):
     """Degree and exponent pair (theta, vartheta) of a Jacobi polynomial."""
 
     theta: float
@@ -115,7 +114,7 @@ def jacobi_poly(p: JacobiParams, x: float) -> float:
     P_n = (theta+1)_n / n! * 2F1(-n, theta+vartheta+n+1; theta+1; (1-x)/2);
     valid for all real x, exact degree n.
     """
-    pref = pochhammer(p.theta + 1.0, p.n) / math.factorial(p.n)
+    pref = math.prod((p.theta + k) / k for k in range(1, p.n + 1))  # (theta+1)_n/n!, without overflow
     return pref * hyp2f1_terminating(p.n, p.theta + p.vartheta + p.n + 1.0, p.theta + 1.0, 0.5 * (1.0 - x))
 
 

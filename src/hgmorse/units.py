@@ -17,11 +17,11 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 from .errors import InvalidParameter, ParseError
+from .record import Record
 
 #: hbar*c in eV*Angstrom.
 HBAR_C_EV_ANGSTROM = 1973.29
@@ -33,8 +33,7 @@ CM_INV_TO_EV = 1.239841984e-4
 AMU_TO_EV = 931.49410242e6
 
 
-@dataclass(frozen=True)
-class UnitConstants:
+class UnitConstants(Record):
     """The three constants every ingestion path depends on.
 
     hbar_c is the kinematic scale (eV*A), cm_inv_to_ev converts well depths,

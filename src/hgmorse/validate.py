@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Optional
 
 from .errors import InvalidParameter, ParseError
 from .molecules import builtin_molecules, find_molecule, to_potential_params
 from .nonrel import _energy_at, energy_nonrel
+from .record import Record
 from .units import DEFAULT_UNITS, UnitConstants, float_linspace, read_fields
 
 REPRODUCTION_TOL = 5e-3  # eV, per entry
@@ -26,8 +26,7 @@ N_MAX = 5  # the table lists n = 0..N_MAX, l = 0..n
 ROWS_PER_MOLECULE = (N_MAX + 1) * (N_MAX + 2) // 2
 
 
-@dataclass(frozen=True)
-class ReferenceRow:
+class ReferenceRow(Record):
     molecule: str
     n: int
     l: int

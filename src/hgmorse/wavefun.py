@@ -32,12 +32,12 @@ envelope (log-offset to stay finite), with all nodes in one call; the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
 
 from .errors import InvalidParameter, NoBoundState
+from .record import Record
 from .specfun import JacobiParams, jacobi_recurrence
 
 #: log-drop below the envelope peak at which the support window is truncated
@@ -60,8 +60,7 @@ def bound_exponents(C: float, R: float) -> tuple[float, float]:
     return math.sqrt(C), 0.5 + math.sqrt(R)
 
 
-@dataclass(frozen=True)
-class SWaveform:
+class SWaveform(Record):
     """Exponents, degree and screening of one radial eigenfunction."""
 
     leading: float

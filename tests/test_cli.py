@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -21,6 +20,7 @@ from hgmorse.molecules import builtin_molecules, find_molecule, to_potential_par
 from hgmorse.nonrel import energy_nonrel
 from hgmorse.oracle import oracle_energies
 from hgmorse.potential import PotentialParams
+from hgmorse.record import replace
 from hgmorse.relativistic import (
     pseudospin_printed_eq_residual,
     pseudospin_residual,
@@ -782,7 +782,7 @@ def test_oracle_check_exit_code_follows_the_records(capsys, monkeypatch):
     code, passing, _ = run(capsys, "oracle-check", "--models", "kg")
     assert code == 0
     real = checks.check_cross_identities
-    monkeypatch.setattr(checks, "check_cross_identities", lambda *args: dataclasses.replace(real(*args), pair=1.0))
+    monkeypatch.setattr(checks, "check_cross_identities", lambda *args: replace(real(*args), pair=1.0))
     code, failing, _ = run(capsys, "oracle-check", "--models", "kg")
     assert code == EXIT_CHECK_FAILED
     passing, failing = passing.splitlines(), failing.splitlines()
@@ -796,7 +796,7 @@ def test_oracle_check_fails_a_broken_spin_doublet(capsys, monkeypatch):
     import hgmorse.checks as checks
 
     real = checks.check_cross_identities
-    monkeypatch.setattr(checks, "check_cross_identities", lambda *args: dataclasses.replace(real(*args), doublet=1.0))
+    monkeypatch.setattr(checks, "check_cross_identities", lambda *args: replace(real(*args), doublet=1.0))
     code, out, _ = run(capsys, "oracle-check", "--models", "kg")
     assert code == EXIT_CHECK_FAILED
     line = out.splitlines()[1]

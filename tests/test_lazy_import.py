@@ -14,8 +14,11 @@ engine `hgmorse.wavefun` with its `hgmorse.specfun`, load only where an
 array kernel or a wavefunction runs: the closed-form nonrelativistic
 `levels` and `sweep`, `validate`, and the relativistic `levels` and `sweep`
 (whose root scan reads the residual one float at a time) run in plain
-float arithmetic without them.  Each test runs in a fresh interpreter,
-because this test process has imported all of these long before.
+float arithmetic without them.  No command loads `dataclasses`: the
+records derive from `hgmorse.record.Record`, so the commands that load no
+numpy load no `inspect` either (numpy imports it itself).  Each test runs
+in a fresh interpreter, because this test process has imported all of
+these long before.
 """
 
 import os
@@ -37,6 +40,7 @@ NONREL_ORACLE_CHECK = ["oracle-check", "--models", "nonrel", "--molecules", "CH"
 NONREL_SWEEP = ["sweep", "--molecule", "CH", "--param", "alpha", "--from", "0.01", "--to", "0.05", "--steps", "3"]
 DIRAC_SWEEP = ["sweep", "--model", "dirac-spin", *SCALED_CH, "--kappa=-1", "--n-max", "0", "--param", "alpha",
                "--from", "0.02", "--to", "0.03", "--steps", "2"]
+ORACLE_CHECK = ["oracle-check", "--models", "nonrel,kg,dirac-spin,dirac-pseudospin", "--molecules", "CH"]
 #: the modules that only an array kernel or a wavefunction needs
 ARRAY_MODULES = {"numpy", "hgmorse.wavefun", "hgmorse.specfun"}
 
@@ -149,6 +153,17 @@ def test_relativistic_models_and_json_load_on_demand():
     # positive control: the probe saw the Dirac sweep load its solver
     assert {"hgmorse.relativistic", "hgmorse.rootfind"} <= after_dirac
     assert "json" in after_json
+
+
+def test_no_command_loads_dataclasses_and_the_float_commands_load_no_inspect():
+    # dataclasses would load inspect, with ast, dis and tokenize, into every command
+    *float_runs, after_potential, after_check = _modules_after(
+        NONREL_LEVELS, KG_LEVELS, NONREL_SWEEP, DIRAC_SWEEP, ["validate", "--no-timestamp"], POTENTIAL, ORACLE_CHECK)
+    for loaded in float_runs:
+        assert not loaded & {"dataclasses", "inspect"}
+    assert "dataclasses" not in after_potential | after_check
+    # positive control: the probe saw the numpy commands run
+    assert "numpy" in after_potential and "hgmorse.checks" in after_check
 
 
 def test_oracle_check_does_not_import_fractions():

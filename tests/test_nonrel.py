@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -19,6 +18,7 @@ from hgmorse.nonrel import (
 )
 from hgmorse.oracle import _fd_matrix, oracle_energies, RadialGrid, scipy_extension
 from hgmorse.potential import PotentialParams
+from hgmorse.record import replace
 from hgmorse.wavefun import SWaveform, support_window
 from ode_helpers import fd_mode_nodes, schrodinger_ode_coefficient
 from wavefun_helpers import count_nodes, log_norm_closed_form
@@ -37,7 +37,7 @@ def test_energy_rejects_an_overflowing_closed_form(ch_free, a, b):
     # nan from inf - inf at the first pair, OverflowError from a square at the second
     p, part = ch_free
     with pytest.raises(InvalidParameter, match="not finite"):
-        energy_nonrel(dataclasses.replace(p, a=a, b=b), part, 0, 0)
+        energy_nonrel(replace(p, a=a, b=b), part, 0, 0)
 
 
 def _sturm_count(diag: np.ndarray, off: np.ndarray, x: float) -> int:

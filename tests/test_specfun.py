@@ -171,6 +171,16 @@ def test_jacobi_matches_recurrence_reference_case():
     assert direct == pytest.approx(jacobi_recurrence(p, -0.3), rel=1e-12)
 
 
+@pytest.mark.parametrize("x", [0.0, -0.98, 0.5])
+def test_jacobi_prefactor_does_not_overflow_at_large_theta_and_degree(x):
+    # (theta + 1)_n alone overflows a double here, while P_n itself lies between 1e84 and 1e196
+    p = JacobiParams(11600.24, 443.6, 80)
+    assert pochhammer(p.theta + 1.0, p.n) == math.inf
+    direct = jacobi_poly(p, x)
+    assert direct == pytest.approx(jacobi_recurrence(p, x), rel=1e-12)
+    assert direct == pytest.approx(float(mp.jacobi(p.n, mp.mpf(p.theta), mp.mpf(p.vartheta), mp.mpf(x))), rel=1e-12)
+
+
 def test_jacobi_matches_recurrence_randomized():
     rng = np.random.default_rng(20240817)
     worst = 0.0
