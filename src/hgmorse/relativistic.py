@@ -366,7 +366,7 @@ _HALO = 2
 _NEAR_REAL = 1e-3
 #: grid cells a real root's disk may span before its root finder stops refining it
 _ROOT_CELLS = 0.5
-#: no intermediate of the residual overflows while every input is at most this large (see _overflow_free)
+#: the solver's input domain: the bound on every input below which nothing overflows (see _overflow_free)
 _FINITE_INPUTS = 1e25
 
 
@@ -435,39 +435,6 @@ class _Poly:
         return value
 
 
-def _overflow_checked(op: Callable[[float, float], float]) -> Callable[[float, float], float]:
-    def checked(x: float, y: float):
-        r = op(x, y)
-        if r is NotImplemented:
-            return r
-        if math.isinf(r) and math.isfinite(x) and math.isfinite(y):
-            raise FloatingPointError(f"{op.__name__} overflows")
-        return _Strict(r)
-
-    return checked
-
-
-class _Strict(float):
-    """A float whose + - * / and abs() give _Strict floats, and raise
-    FloatingPointError where finite operands give an infinite result: the
-    overflow that numpy's errstate(over="raise") traps in an array, and that
-    Python's float arithmetic lets pass as inf.  An energy of this kind makes
-    every operation of the residual that depends on it a checked one."""
-
-    __slots__ = ()
-    __add__ = _overflow_checked(float.__add__)
-    __radd__ = _overflow_checked(float.__radd__)
-    __sub__ = _overflow_checked(float.__sub__)
-    __rsub__ = _overflow_checked(float.__rsub__)
-    __mul__ = _overflow_checked(float.__mul__)
-    __rmul__ = _overflow_checked(float.__rmul__)
-    __truediv__ = _overflow_checked(float.__truediv__)
-    __rtruediv__ = _overflow_checked(float.__rtruediv__)
-
-    def __abs__(self) -> _Strict:
-        return _Strict(float.__abs__(self))
-
-
 def _overflow_free(p: PotentialParams, M: float, window: tuple[float, float], labels: tuple, hbar_c: float) -> bool:
     """Whether no intermediate of the residual can overflow at any energy of the window.
 
@@ -476,7 +443,8 @@ def _overflow_free(p: PotentialParams, M: float, window: tuple[float, float], la
     is at most 9X^4 but phi (3X^6) and chi (6X^5), P <= 5X^3, N <= 41X^6,
     N/P <= 82X^6 (P >= 1/2), and every later intermediate of _nu_eval, the
     grid and the defect stays below 1710 X^12, which is finite for X <=
-    _FINITE_INPUTS = 1e25.  Beyond that bound the scan checks each operation.
+    _FINITE_INPUTS = 1e25.  That bound is the solver's input domain: beyond
+    it _solve raises InvalidParameter before it scans.
     """
     angular, shift, n = labels
     return max(abs(window[0]), abs(window[1]), M, abs(shift), abs(p.a), abs(p.b), p.D_e, abs(p.q),
@@ -580,30 +548,23 @@ def _solve(
     in E, so each is >= 0 on a half-line and the residual is defined on one
     interval, where P >= 1/2 keeps N/P finite and |f| < 1.  A bracket with
     finite ends therefore lies inside that interval.  The scan brackets are
-    disjoint and ascending, so the roots come out in order.  Raises
-    NoBoundState when no root is left and InvalidParameter when the residual
-    overflows at a grid point (a field or the residual would be +-inf; a NaN
-    is a hole): where _overflow_free cannot rule that out, the scan reads
-    every point with each operation checked.  Lets a bisection
-    NonConvergence propagate.
+    disjoint and ascending, so the roots come out in order.  The input
+    domain is that of _overflow_free, inside which no field or residual
+    overflows: outside it, and where the window's upper end overflows, it
+    raises InvalidParameter before scanning.  Raises NoBoundState when no
+    root is left, and lets a bisection NonConvergence propagate.
     """
     window = lo, hi = default_search_interval(p, M)
     fields, n = _fields(sector, p, M, state, hbar_c)
     labels = sector.labels(*state)
+    if not _overflow_free(p, M, window, labels, hbar_c):
+        raise InvalidParameter(f"the {sector.noun} equation for {sector.describe(*state)} is not solved in "
+                               f"[{lo!r}, {hi!r}]: an input exceeds {_FINITE_INPUTS:g}, past which it may overflow")
 
     def f(E: float) -> float:
         return _nu_eval(fields(E), n)[0]
 
-    if _overflow_free(p, M, window, labels, hbar_c):
-        brackets = scan_brackets(f, lo, hi, _SCAN_POINTS, _scan_samples(sector, p, M, labels, hbar_c, window))
-    else:
-        strict_n = _Strict(n)  # with a checked energy, it checks P*P too
-        try:
-            brackets = scan_brackets(lambda E: _nu_eval(fields(E), strict_n)[0], _Strict(lo), _Strict(hi),
-                                     _SCAN_POINTS)
-        except FloatingPointError:
-            raise InvalidParameter(f"the {sector.noun} equation for {sector.describe(*state)} overflows in "
-                                   f"[{lo!r}, {hi!r}]: it is not finite at these parameters") from None
+    brackets = scan_brackets(f, lo, hi, _SCAN_POINTS, _scan_samples(sector, p, M, labels, hbar_c, window))
     roots: list[float] = []
     for bracket in brackets:
         root, _ = bisect(f, bracket, _BISECT_TOL)

@@ -4,7 +4,9 @@ Jacobi polynomials are evaluated two independent ways, both exact-degree:
 
 * `jacobi_recurrence` runs the three-term degree recurrence (DLMF 18.9.2) on
   a float or elementwise on a float64 array.  It is the production path:
-  `wavefun` evaluates every eigenfunction through it, one r or all at once.
+  `wavefun` evaluates every eigenfunction on an array through it, and
+  through `jacobi_log_abs_and_sign`, the same steps rescaled into log
+  space, at one float r.
 * `jacobi_poly` sums the n+1 terms of the terminating hypergeometric series
   (`hyp2f1_terminating`, with an exact rerun when the alternating sum
   cancels).  It is the oracle that the `special-functions` check and the
@@ -138,6 +140,32 @@ def jacobi_recurrence(p: JacobiParams, x):
     for c1, d, e, c3 in p.recurrence:
         p_k, p_prev = (d * (e * x + aa - bb) * p_k - c3 * p_prev) / c1, p_k
     return p_k
+
+
+#: |P_k| past which jacobi_log_abs_and_sign divides its two carried values by it, exactly
+_RESCALE = 2.0**600
+
+
+def jacobi_log_abs_and_sign(p: JacobiParams, x: float) -> tuple[float, float]:
+    """(log|P_n^(a, b)(x)|, sign) by the steps of jacobi_recurrence on a float x; (-inf, +1) where P_n(x) = 0.
+
+    Each division by _RESCALE is counted back into the log, which so stays
+    finite where P_n itself passes the float range (at x -> 1 from n = 135
+    for N2).  Without a division the values are those of jacobi_recurrence.
+    """
+    if p.n == 0:
+        return 0.0, 1.0
+    a, b = p.theta, p.vartheta
+    aa, bb = a * a, b * b
+    p_prev, p_k = 1.0, (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0
+    scale = 0
+    for c1, d, e, c3 in p.recurrence:
+        p_k, p_prev = (d * (e * x + aa - bb) * p_k - c3 * p_prev) / c1, p_k
+        if abs(p_k) > _RESCALE:
+            p_k, p_prev, scale = p_k / _RESCALE, p_prev / _RESCALE, scale + 1
+    if p_k == 0.0:
+        return -math.inf, 1.0
+    return math.log(abs(p_k)) + scale * math.log(_RESCALE), math.copysign(1.0, p_k)
 
 
 def jacobi_norm_integral(x_exp: float, y_exp: float, n: int) -> float:

@@ -6,23 +6,23 @@ Every bound eigenfunction produced by this package has the same shape,
 
 with leading > 0 controlling the r -> infinity decay and edge > 1/2 the
 r -> 0 vanishing.  The Jacobi polynomial is (2*leading + 1)_n / n! times
-2F1(-n, n + 2*leading + 2*edge; 2*leading + 1; s) (DLMF 18.5.7), and
-`specfun.jacobi_recurrence` evaluates it on a whole array of nodes at once
-or at one node.
+2F1(-n, n + 2*leading + 2*edge; 2*leading + 1; s) (DLMF 18.5.7).
+`specfun.jacobi_recurrence` evaluates it on a whole array of nodes at once,
+and `specfun.jacobi_log_abs_and_sign` gives its log at one node, rescaled
+so that it stays finite where the polynomial overflows.
 
 Molecular parameters push `leading` to ~1e4, so the envelope under/overflows
 doubles by hundreds of orders of magnitude; everything here is therefore
 computed in log space.  log s is t = -alpha r itself, exact where a log of
 exp(t) would round (and lose digits where s is subnormal), and log(1 - s) is
-numpy's log(-expm1(t)) on both paths: a float t goes through the same numpy
-functions as an array, so it gives the same bits.  s itself stays libm's
-exp, mapped over the nodes: the Jacobi factor is ill-conditioned in s at
-large `leading`, and the term-sum oracle (`checks.term_sum_log_abs_and_sign`)
-evaluates it at libm's s.
+log(-expm1(t)).  s itself is libm's exp on both paths, mapped over the nodes
+of an array: the Jacobi factor is ill-conditioned in s at large `leading`,
+and the term-sum oracle (`checks.term_sum_log_abs_and_sign`) evaluates it at
+libm's s.
 
 A function that takes r gives Python floats for a float r, and arrays of the
-shape of r for an array.  Both take the same envelope, recurrence and numpy
-log/exp, so a float r gives bit for bit the element an array would; the
+shape of r for an array.  A float r runs on `math` alone, an array on numpy's
+log, expm1 and exp; the two paths agree to rounding, not bit for bit.  The
 per-state constants are computed once per `SWaveform`.  Normalization is by
 composite Gauss-Legendre quadrature over the support window of the squared
 envelope (log-offset to stay finite), with all nodes in one call; the
@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import InvalidParameter, NoBoundState
 from .record import Record
-from .specfun import JacobiParams, jacobi_recurrence
+from .specfun import JacobiParams, jacobi_log_abs_and_sign, jacobi_recurrence
 
 #: log-drop below the envelope peak at which the support window is truncated
 _WINDOW_DROP = 160.0
@@ -85,16 +85,15 @@ class SWaveform(Record):
 
 
 def _envelope(t: float) -> tuple[float, float]:
-    """(s, log(1 - s)) at t = -alpha r; log s is t itself.  s is libm's exp, as
-    in the term-sum oracle, and log(1 - s) numpy's, as on an array; where
+    """(s, log(1 - s)) at t = -alpha r, by libm; log s is t itself.  Where
     alpha r underflows to 0, s is 1 and log(1 - s) is -inf."""
     if t == 0.0:
         return 1.0, -math.inf
-    return math.exp(t), float(np.log(-np.expm1(t)))
+    return math.exp(t), math.log(-math.expm1(t))
 
 
 def _envelope_columns(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_envelope` of every element of t, bit for bit, as two arrays of its
+    """`_envelope` of every element of t, to rounding, as two arrays of its
     shape: libm's exp mapped over the nodes, numpy's log(-expm1) on them."""
     s = np.fromiter(map(math.exp, t.ravel().tolist()), float, t.size).reshape(t.shape)
     with np.errstate(divide="ignore"):  # log 0 = -inf where alpha r underflows
@@ -106,30 +105,28 @@ def log_abs_and_sign(w: SWaveform, r):
 
     Two floats for a float r, else two arrays of the shape of r.  Where u_raw
     is 0 (the polynomial factor vanishes, or alpha r underflows to 0), log|u_raw|
-    is -inf and the sign is +1.  log|u_raw| is otherwise finite wherever the
-    recurrence is: at every r while P_n(1) = (2*leading + 1)_n / n!, the
-    largest value of the polynomial factor, is a finite float.  Past that
-    (n >= 135 for N2 at a = b = 1 and alpha = 0.025), it is not finite where
-    s -> 0, far outside the support window.
+    is -inf and the sign is +1.  A float r takes log|P_n| from the rescaled
+    recurrence, finite at every r.  An array's is finite while P_n(1) =
+    (2*leading + 1)_n / n!, the largest value of the polynomial factor, is a
+    finite float; past that (n >= 135 for N2 at a = b = 1 and alpha = 0.025),
+    not where s -> 0, far outside the support window.
     """
-    scalar = isinstance(r, float)
-    if scalar:
+    if isinstance(r, float):
         if not r > 0.0:
             raise InvalidParameter(f"r must be > 0, got {r!r}")
-    else:
-        r = np.asarray(r, dtype=float)
-        if not np.all(r > 0.0):
-            raise InvalidParameter(f"r must be > 0, got {r[~(r > 0.0)].flat[0]!r}")
+        t = -w.alpha * r
+        s, log_one_m_s = _envelope(t)
+        log_poly, sign = jacobi_log_abs_and_sign(w.jacobi, 1.0 - 2.0 * s)
+        la = w.leading * t + w.edge * log_one_m_s + log_poly
+        return la, 1.0 if la == -math.inf else sign
+    r = np.asarray(r, dtype=float)
+    if not np.all(r > 0.0):
+        raise InvalidParameter(f"r must be > 0, got {r[~(r > 0.0)].flat[0]!r}")
     t = -w.alpha * r
-    s, log_one_m_s = _envelope(t) if scalar else _envelope_columns(t)
+    s, log_one_m_s = _envelope_columns(t)
     poly = jacobi_recurrence(w.jacobi, 1.0 - 2.0 * s)
-    log_env = w.leading * t + w.edge * log_one_m_s
-    if scalar:
-        # numpy's log, not libm's: the two differ in the last bit at some points
-        la = log_env + (float(np.log(abs(poly))) if poly != 0.0 else -math.inf)
-        return la, 1.0 if la == -math.inf else math.copysign(1.0, poly)
     with np.errstate(divide="ignore"):
-        la = log_env + np.log(np.abs(poly))
+        la = w.leading * t + w.edge * log_one_m_s + np.log(np.abs(poly))
     return la, np.where(la == -np.inf, 1.0, np.copysign(1.0, poly))
 
 
@@ -184,5 +181,6 @@ def value(w: SWaveform, log_norm: float, r):
     the polynomial factor vanishes, and finite where `log_abs_and_sign` is.
     """
     la, sign = log_abs_and_sign(w, r)
-    u = sign * np.exp(la + log_norm)
-    return float(u) if isinstance(r, float) else u
+    if isinstance(r, float):
+        return sign * math.exp(la + log_norm)
+    return sign * np.exp(la + log_norm)

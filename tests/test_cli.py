@@ -586,7 +586,8 @@ def test_relativistic_overflow_is_a_usage_error(capsys):
     code, out, err = run(capsys, "levels", "--model", "kg", "--molecule", "CH", "--mass", "1e156", "--n-max", "0")
     assert code == 2
     assert out == ""
-    assert err.startswith("error:") and "QuantumNumbers(n=0, l=0, D=3)" in err and "not finite" in err
+    assert err.startswith("error:") and "QuantumNumbers(n=0, l=0, D=3)" in err
+    assert "exceeds 1e+25" in err and "overflow" in err
 
 
 def test_relativistic_sweep_marks_an_overflowing_step_invalid(capsys):

@@ -12,8 +12,11 @@ every grid point: equal residuals and bracket numerators N, and NaN exactly
 where the scalar code reports a domain hole (None), for all five molecules,
 the three test masses and all three sectors, each of the six fields a float.
 The sparse scan must return the brackets that a full read of the frozen
-copies gives, with the same bits, and must overflow exactly where the numpy
-array scan of the parent code raised FloatingPointError.
+copies gives, with the same bits.  The solver's input domain is the bound of
+`_overflow_free`, inside which no intermediate of the residual overflows: it
+must raise InvalidParameter exactly outside that domain, and so on every
+input where a frozen copy of the numpy array scan that once read every grid
+point raised FloatingPointError.
 """
 
 import math
@@ -35,6 +38,7 @@ from hgmorse.relativistic import (
     QuantumNumbers,
     _fields,
     _nu_eval,
+    _overflow_free,
     default_search_interval,
     kg_residual,
     lambda_D,
@@ -307,11 +311,11 @@ def test_scan_reads_every_point_when_the_root_disks_fail(error, monkeypatch):
         assert _bits(got).tolist() == _bits(roots).tolist(), case[0].noun
 
 
-# --- the overflow guard against the numpy scan it replaced ------------------------------------
+# --- the solver's input domain, witnessed by the numpy scan that once read every point ---------------------
 
 
 def _numpy_scan_overflows(sector, p, M, state, hbar_c=HBAR_C_EV_ANGSTROM):
-    """Whether the numpy array scan of the parent code raises FloatingPointError: a frozen copy of it."""
+    """Whether the numpy array scan that once read every grid point raises FloatingPointError: a frozen copy."""
     angular, shift, n = sector.labels(*state)
     sign, hc2, a2 = sector.sign, hbar_c**2, p.alpha**2
     lo, hi = default_search_interval(p, M)
@@ -343,18 +347,25 @@ _MAGNITUDE = st.floats(-3.0, 308.0).map(lambda e: 10.0**e)
 @example(sector=_KG, a=0.0, b=1.0, De=1.0, M=1.7e308, alpha=0.1, C=0.0)  # the window's width overflows
 @example(sector=_KG, a=0.0, b=1.0, De=1e308, M=1e308, alpha=0.1, C=0.0)  # an infinite window end
 @example(sector=_SPIN, a=1e200, b=1.0, De=4.0, M=500.0, alpha=0.1, C=0.0)
-def test_solver_overflows_exactly_where_the_numpy_scan_did(sector, a, b, De, M, alpha, C):
+# outside the domain, yet the numpy scan did not overflow and returned 4.198339226503995e102 eV
+@example(sector=_KG, a=-4.444037808269929e102, b=1.0, De=8.464231594165386e108, M=5.1503299503786396e75,
+         alpha=0.07033699007010909, C=0.0)
+def test_solver_raises_exactly_outside_its_overflow_free_domain(sector, a, b, De, M, alpha, C):
     # where the window's upper end M + D_e - a*alpha overflows, there is no
-    # window to scan: the solver raises, as it does where a finite window's scan overflows
+    # window to scan: the solver raises, as it does outside a finite window's domain
     p = PotentialParams(a=a, b=b, D_e=De, r_e=1.1, alpha=alpha)
     state = (QuantumNumbers(n=1, l=1),) if sector is _KG else (2, C, 1)
     try:
         relativistic._solve(sector, p, M, state, True, HBAR_C_EV_ANGSTROM)
         raised = False
     except InvalidParameter as exc:
-        assert "overflows" in str(exc)
+        assert "overflow" in str(exc)
         raised = True
     except (NoBoundState, NonConvergence):
         raised = False
     infinite_window = math.isinf(M + max(De - a * alpha, 0.0) - 1e-6 * M)
-    assert raised == (infinite_window or _numpy_scan_overflows(sector, p, M, state))
+    outside = infinite_window or not _overflow_free(p, M, default_search_interval(p, M), sector.labels(*state),
+                                                    HBAR_C_EV_ANGSTROM)
+    assert raised == outside
+    # the domain holds no input on which the full numpy scan overflowed
+    assert raised or not _numpy_scan_overflows(sector, p, M, state)

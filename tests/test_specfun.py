@@ -13,6 +13,7 @@ from hgmorse.errors import InvalidParameter
 from hgmorse.specfun import (
     JacobiParams,
     hyp2f1_terminating,
+    jacobi_log_abs_and_sign,
     jacobi_norm_integral,
     jacobi_poly,
     jacobi_recurrence,
@@ -249,6 +250,22 @@ def test_norm_integral_rejects_nonintegrable_exponents():
         jacobi_norm_integral(-1.0, 0.0, 1)
     with pytest.raises(InvalidParameter):
         jacobi_norm_integral(0.0, -1.2, 1)
+
+
+def test_jacobi_log_abs_and_sign_is_the_log_of_the_recurrence():
+    for theta, n in ((2.3, 0), (2.3, 1), (2.3e3, 5), (2.3e3, 30), (2e4, 80)):
+        p = JacobiParams(theta, 0.7, n)
+        for x in np.linspace(-1.0, 1.0, 41).tolist():
+            P = jacobi_recurrence(p, x)
+            log_abs, sign = jacobi_log_abs_and_sign(p, x)
+            if P == 0.0:
+                assert (log_abs, sign) == (-math.inf, 1.0)
+                continue
+            assert sign == math.copysign(1.0, P)
+            if abs(P) <= 2.0**600:  # no step rescaled at these degrees: the same steps, the same bits
+                assert log_abs == math.log(abs(P)), (theta, n, x)
+            else:  # P_80 reaches about 1e225 near x = 1: rescaled, exact but for the log's rounding
+                assert log_abs == pytest.approx(math.log(abs(P)), rel=1e-15), (theta, n, x)
 
 
 def test_jacobi_recurrence_elementwise_on_arrays():
